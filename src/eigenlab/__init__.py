@@ -6,72 +6,44 @@ pseudo-random group points, evaluates the Laplace-Beltrami (tension) and
 conformality operators as exact second-order derivatives along
 one-parameter subgroups, and verifies the cataloged eigenfunction families
 against their claimed eigenvalues.
+
+The package namespace re-exports what the demos and the README use; every
+other name is imported from its submodule.
 """
 
 __version__ = "0.1.0"
 
 from .jets import Jet2, JetMatrix
-from .matrices import (basis_D, basis_E, basis_X, basis_Y, i_signature,
-                       i_signature_doubled, j_matrix, mat_exp,
-                       membership_residual, metric, quat_embed)
-from .bases import (LieBasisSet, algebra_residual, gram_matrix, gram_schmidt,
-                    group_basis, so_basis, sp_basis, square_sum, su_basis,
-                    u_basis)
-from .pairs import SPACES, Involution, SymmetricPair, make_pair, space_label
-from .sampling import (GENERATOR_NAME, SampleConfig, random_algebra_element,
-                       random_pair_point, random_point, random_subgroup_point,
-                       rng_for)
-from .operators import (ScalarField, conformality, direction_derivs,
-                        field_value, finite_difference_derivs,
-                        image_conformality, image_tension, quotient_ops,
-                        tension)
-from .cartan import (cartan_map, cartan_map_closed, cartan_map_jet,
-                     harmonic_residual, involution, map_tension_raw,
+from .matrices import mat_exp, membership_residual
+from .bases import algebra_residual, gram_matrix, group_basis, square_sum
+from .pairs import make_pair
+from .sampling import (SampleConfig, random_pair_point, random_point,
+                       random_subgroup_point)
+from .operators import (ScalarField, direction_derivs, field_value,
+                        finite_difference_derivs, image_tension,
+                        quotient_ops, tension)
+from .cartan import (cartan_map, cartan_map_closed, harmonic_residual,
                      pullback_factor)
-from .catalog import (Eigenfunction, ParamMatrix, complex_grassmannian_psi,
-                      family_for_space, isotropic_frame, make_param_matrix,
-                      quat_grassmannian_psi, random_isotropic_vector,
-                      random_vector, real_grassmannian_psi, so_u_psi,
-                      sp_u_phi, su_so_phi, su_sp_phi, table_eigenvalues)
-from .families import (ConstantMember, EigenFamily, PolyMember, ProductMember,
-                       base_family, constant_family, polynomial_family,
-                       product_conformality, product_family, product_tension)
-from .ambient import (AmbientField, check_circle_invariant, check_homogeneous,
-                      cpn_ops, cpn_phi, random_sphere_point, rotate_field,
+from .catalog import family_for_space, table_eigenvalues
+from .families import (base_family, polynomial_family, product_family,
+                       product_tension)
+from .ambient import (cpn_ops, cpn_phi, random_sphere_point, rotate_field,
                       sphere_ops, sphere_phi)
-from .claims import (ClaimResult, ConfigError, RunConfig, jobs_for,
-                     run_claims, validate_config)
-from .report import VerificationReport, build_report, emit, parse
 
 __all__ = [
     "__version__",
     "Jet2", "JetMatrix",
-    "basis_D", "basis_E", "basis_X", "basis_Y", "i_signature",
-    "i_signature_doubled", "j_matrix", "mat_exp", "membership_residual",
-    "metric", "quat_embed",
-    "LieBasisSet", "algebra_residual", "gram_matrix", "gram_schmidt",
-    "group_basis", "so_basis", "sp_basis", "square_sum", "su_basis",
-    "u_basis",
-    "SPACES", "Involution", "SymmetricPair", "make_pair", "space_label",
-    "GENERATOR_NAME", "SampleConfig", "random_algebra_element",
-    "random_pair_point", "random_point", "random_subgroup_point", "rng_for",
-    "ScalarField", "conformality", "direction_derivs", "field_value",
-    "finite_difference_derivs", "image_conformality", "image_tension",
-    "quotient_ops", "tension",
-    "cartan_map", "cartan_map_closed", "cartan_map_jet", "harmonic_residual",
-    "involution", "map_tension_raw", "pullback_factor",
-    "Eigenfunction", "ParamMatrix", "complex_grassmannian_psi",
-    "family_for_space", "isotropic_frame", "make_param_matrix",
-    "quat_grassmannian_psi", "random_isotropic_vector", "random_vector",
-    "real_grassmannian_psi", "so_u_psi", "sp_u_phi", "su_so_phi",
-    "su_sp_phi", "table_eigenvalues",
-    "ConstantMember", "EigenFamily", "PolyMember", "ProductMember",
-    "base_family", "constant_family", "polynomial_family",
-    "product_conformality", "product_family", "product_tension",
-    "AmbientField", "check_circle_invariant", "check_homogeneous", "cpn_ops",
-    "cpn_phi", "random_sphere_point", "rotate_field", "sphere_ops",
-    "sphere_phi",
-    "ClaimResult", "ConfigError", "RunConfig", "jobs_for", "run_claims",
-    "validate_config",
-    "VerificationReport", "build_report", "emit", "parse",
+    "mat_exp", "membership_residual",
+    "algebra_residual", "gram_matrix", "group_basis", "square_sum",
+    "make_pair",
+    "SampleConfig", "random_pair_point", "random_point",
+    "random_subgroup_point",
+    "ScalarField", "direction_derivs", "field_value",
+    "finite_difference_derivs", "image_tension", "quotient_ops", "tension",
+    "cartan_map", "cartan_map_closed", "harmonic_residual",
+    "pullback_factor",
+    "family_for_space", "table_eigenvalues",
+    "base_family", "polynomial_family", "product_family", "product_tension",
+    "cpn_ops", "cpn_phi", "random_sphere_point", "rotate_field",
+    "sphere_ops", "sphere_phi",
 ]

@@ -11,7 +11,9 @@ contribution (which vanishes for invariant functions) is subtracted
 literally.
 
 This route is independent of the Lie-group machinery and serves as its
-external cross-check.
+external cross-check.  Points may be stacked, (..., n), and a field may
+return a trailing member axis (``stack_fields``); each operator then
+evaluates every point, axis and member in one evaluator call.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet2
+from .jets import Jet2, gram
 
 __all__ = [
     "AmbientField",
     "sphere_phi",
     "cpn_phi",
     "rotate_field",
+    "stack_fields",
     "random_sphere_point",
     "check_homogeneous",
     "check_circle_invariant",
@@ -42,15 +45,18 @@ class AmbientField:
     """A complex function of n complex coordinates, as a jet evaluator.
 
     ``evaluator`` maps a tuple of n Jet2 entries (the coordinates along a
-    curve) to the Jet2 of the function; the function must be homogeneous
-    of degree 0.
+    curve, with any batch axes) to the Jet2 of the function; the function
+    must be homogeneous of degree 0.
     """
 
     evaluator: Callable
     n: int
 
-    def value(self, z) -> complex:
-        return self.evaluator(tuple(Jet2.constant(zk) for zk in z)).v
+    def value(self, z):
+        """f at a point z of C^n, or at a stack of points (..., n)."""
+        z = np.asarray(z, dtype=complex)
+        return self.evaluator(tuple(Jet2.constant(z[..., k])
+                                    for k in range(self.n))).v[()]
 
 
 def sphere_phi(n: int, j: int) -> AmbientField:
@@ -104,52 +110,67 @@ def rotate_field(f: AmbientField, U: np.ndarray) -> AmbientField:
     return AmbientField(ev, f.n)
 
 
+def stack_fields(fields) -> AmbientField:
+    """Several fields on one C^n as a single field with a trailing member
+    axis, so that the operators pair every member with every member."""
+    fields = tuple(fields)
+    return AmbientField(
+        lambda zs: Jet2.stack([f.evaluator(zs) for f in fields]), fields[0].n)
+
+
 def random_sphere_point(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return z / np.linalg.norm(z)
 
 
+def _check_invariant(f: AmbientField, z, moves, tol: float, message: str):
+    z = np.asarray(z, dtype=complex)
+    v = f.value(z)
+    scale = np.maximum(1.0, np.abs(v))
+    for w in moves:
+        if np.any(np.abs(f.value(w * z) - v) > tol * scale):
+            raise ValueError(message)
+
+
 def check_homogeneous(f: AmbientField, z, tol: float = 1e-12) -> None:
     """Reject extensions that are not homogeneous of degree 0:
-    f(c z) must equal f(z) for c > 0."""
-    v = f.value(z)
-    scale = max(1.0, abs(v))
-    for c in (0.37, 1.0 + np.pi / 7.0, 2.83):
-        if abs(f.value(tuple(c * zk for zk in z)) - v) > tol * scale:
-            raise ValueError("field is not homogeneous of degree 0")
+    f(c z) must equal f(z) for c > 0, at every point of a stack."""
+    _check_invariant(f, z, (0.37, 1.0 + np.pi / 7.0, 2.83), tol,
+                     "field is not homogeneous of degree 0")
 
 
 def check_circle_invariant(f: AmbientField, z, tol: float = 1e-12) -> None:
     """Reject functions that do not descend through the Hopf fibration:
-    f(e^{i theta} z) must equal f(z)."""
-    v = f.value(z)
-    scale = max(1.0, abs(v))
-    for theta in (0.7, 2.0, 5.1):
-        w = np.exp(1j * theta)
-        if abs(f.value(tuple(w * zk for zk in z)) - v) > tol * scale:
-            raise ValueError("field is not S^1-invariant; it does not "
-                             "descend to projective space")
+    f(e^{i theta} z) must equal f(z), at every point of a stack."""
+    _check_invariant(f, z, np.exp(1j * np.array([0.7, 2.0, 5.1])), tol,
+                     "field is not S^1-invariant; it does not "
+                     "descend to projective space")
 
 
 def _on_sphere(x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
-    r = np.linalg.norm(x)
-    if abs(r - 1.0) <= 1e-12:
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    off = np.abs(r - 1.0)
+    if np.all(off <= 1e-12):
         return x
-    if abs(r - 1.0) <= 1e-6:
-        warnings.warn(f"input off the unit sphere by {abs(r - 1.0):.2e}; "
+    if np.all(off <= 1e-6):
+        warnings.warn(f"input off the unit sphere by {off.max():.2e}; "
                       "normalizing", stacklevel=3)
-        return x / r
-    raise ValueError(f"point is off the unit sphere: |x| = {r!r}")
+        return np.where(off <= 1e-12, x, x / r)
+    raise ValueError(f"point is off the unit sphere: |x| = {r.max()!r}")
 
 
 def _axis_jets(x, n):
     """2-jets of the straight-line curves x + s e along all 2n real
-    coordinate axes of C^n = R^{2n}."""
-    for k in range(n):
-        for unit in (1.0, 1.0j):
-            yield tuple(Jet2(x[i], unit if i == k else 0.0, 0.0)
-                        for i in range(n))
+    coordinate axes of C^n = R^{2n}, as n coordinates with a trailing
+    direction axis (e_1, i e_1, e_2, ...)."""
+    E = np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, 1.0j], n)[:, None]
+    return tuple(Jet2(x[..., i, None], E[:, i]) for i in range(n))
+
+
+def _fiber_jet(x, n):
+    # 2-jet of the fiber circle s -> e^{is} x.
+    return tuple(Jet2(x[..., i], 1j * x[..., i], -x[..., i]) for i in range(n))
 
 
 def sphere_ops(f: AmbientField, x, other: AmbientField | None = None):
@@ -161,19 +182,12 @@ def sphere_ops(f: AmbientField, x, other: AmbientField | None = None):
     check_homogeneous(f, x)
     if g is not f:
         check_homogeneous(g, x)
-    tau = 0.0 + 0.0j
-    kap = 0.0 + 0.0j
-    for zs in _axis_jets(x, f.n):
-        jf = f.evaluator(zs)
-        jg = jf if g is f else g.evaluator(zs)
-        tau += jf.d2
-        kap += jf.d1 * jg.d1
-    return tau, kap
-
-
-def _fiber_jet(x, n):
-    # 2-jet of the fiber circle s -> e^{is} x.
-    return tuple(Jet2(x[i], 1j * x[i], -x[i]) for i in range(n))
+    axis = x.ndim - 1
+    lead = x.shape[:-1] + (2 * f.n,)
+    zs = _axis_jets(x, f.n)
+    _, a, d2 = f.evaluator(zs).broadcast_to(lead)
+    b = a if g is f else g.evaluator(zs).broadcast_to(lead)[1]
+    return d2.sum(axis=axis)[()], gram(a, b, axis)[()]
 
 
 def cpn_ops(f: AmbientField, x, other: AmbientField | None = None):
@@ -185,7 +199,9 @@ def cpn_ops(f: AmbientField, x, other: AmbientField | None = None):
     if g is not f:
         check_circle_invariant(g, x)
     tau, kap = sphere_ops(f, x, other)
+    axis = x.ndim - 1
     zs = _fiber_jet(x, f.n)
-    jf = f.evaluator(zs)
-    jg = jf if g is f else g.evaluator(zs)
-    return tau - jf.d2, kap - jf.d1 * jg.d1
+    _, a, d2 = f.evaluator(zs).broadcast_to(x.shape[:-1])
+    b = a if g is f else g.evaluator(zs).broadcast_to(x.shape[:-1])[1]
+    fiber = gram(np.expand_dims(a, axis), np.expand_dims(b, axis), axis)
+    return (tau - d2)[()], (kap - fiber)[()]

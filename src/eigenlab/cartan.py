@@ -3,6 +3,8 @@ K-invariance, harmonicity, and the conformal metric scaling.
 
 The inverse is computed as the conjugate transpose (all supported groups
 are unitary in the chosen representations), guarded by a membership check.
+Every function takes a single point (n, n) or a stack of points
+(..., n, n).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from .jets import JetMatrix
 from .matrices import membership_residual, metric
 
 __all__ = [
-    "involution",
     "cartan_map",
     "cartan_map_jet",
     "cartan_map_closed",
@@ -23,21 +24,20 @@ __all__ = [
 ]
 
 
-def involution(pair, q: np.ndarray) -> np.ndarray:
-    """sigma(q) for the pair's involution."""
-    return pair.sigma(q)
-
-
 def _check_member(pair, p):
-    res = membership_residual(pair.group, p)
+    res = np.max(membership_residual(pair.group, p))
     if res > 1e-8:
         raise ValueError(f"point is not in {pair.group} (residual {res:.3e})")
+
+
+def _h(a):
+    return np.swapaxes(a, -1, -2).conj()
 
 
 def cartan_map(pair, p: np.ndarray) -> np.ndarray:
     """Phi(p) = p sigma(p^{-1}); constant on right K-cosets."""
     _check_member(pair, p)
-    return p @ pair.sigma(p.conj().T)
+    return p @ pair.sigma(_h(p))
 
 
 def cartan_map_jet(pair, jm: JetMatrix) -> JetMatrix:
@@ -57,13 +57,12 @@ def cartan_map_closed(pair, p: np.ndarray) -> np.ndarray:
     """
     _check_member(pair, p)
     M = pair.sigma.conjugator
-    if M is None:
-        return p @ p.T
-    if pair.space == "sp-u":
-        return p @ p.T
+    pT = np.swapaxes(p, -1, -2)
+    if M is None or pair.space == "sp-u":
+        return p @ pT
     if pair.space in ("so-u", "su-sp"):
-        return p @ M @ p.T @ M.conj().T
-    return p @ M @ p.conj().T @ M
+        return p @ M @ pT @ M.conj().T
+    return p @ M @ pT.conj() @ M
 
 
 def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
@@ -74,11 +73,12 @@ def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
     matrix space, so it is NOT the tension of the map; see
     harmonic_residual for the tangential part.
     """
-    jm = JetMatrix.curve(p, pair.ambient.elements)
-    return cartan_map_jet(pair, jm).d2.sum(axis=0)
+    p = np.asarray(p, dtype=complex)
+    jm = JetMatrix.curve(p[..., None, :, :], pair.ambient.elements)
+    return cartan_map_jet(pair, jm).d2.sum(axis=-3)
 
 
-def harmonic_residual(pair, p: np.ndarray) -> float:
+def harmonic_residual(pair, p: np.ndarray):
     """Max entry magnitude of the tension of the map Phi: G -> G at p.
 
     The tension is the projection of the entrywise second-derivative sum
@@ -86,28 +86,27 @@ def harmonic_residual(pair, p: np.ndarray) -> float:
     vanish, while a generic map (e.g. p -> p^2) leaves residuals of order
     one.
     """
-    _check_member(pair, p)
+    y = cartan_map(pair, p)
     H = map_tension_raw(pair, p)
-    y = p @ pair.sigma(p.conj().T)
-    M = y.conj().T @ H
     els = pair.ambient.elements
-    coeff = np.einsum("ij,bij->b", M, els.conj()).real
-    tangential = y @ np.einsum("b,bij->ij", coeff, els)
-    return float(np.abs(tangential).max())
+    coeff = np.einsum("...ij,bij->...b", _h(y) @ H, els.conj()).real
+    tangential = y @ np.einsum("...b,bij->...ij", coeff.astype(complex), els)
+    return np.abs(tangential).max(axis=(-2, -1))[()]
 
 
 def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
     """g(dPhi(X), dPhi(Y)) / g(X, Y) at p, from first-order jets of Phi.
 
+    ``X`` and ``Y`` may be stacks of directions, paired entry by entry.
     Equals 4 for X, Y horizontal (so the differential scales lengths by 2);
-    vanishes identically for X vertical.  When g(X, Y) = 0 the numerator is
-    returned instead of the undefined ratio.
+    vanishes identically for X vertical.  Where g(X, Y) = 0 the numerator
+    is returned instead of the undefined ratio.
     """
     _check_member(pair, p)
+    p = np.asarray(p, dtype=complex)[..., None, :, :] if np.ndim(X) == 3 else p
     dX = cartan_map_jet(pair, JetMatrix.curve(p, X)).d1
-    dY = cartan_map_jet(pair, JetMatrix.curve(p, Y)).d1
+    dY = dX if Y is X else cartan_map_jet(pair, JetMatrix.curve(p, Y)).d1
     num = metric(dX, dY)
     den = metric(X, Y)
-    if abs(den) < 1e-12:
-        return num
-    return num / den
+    small = np.abs(den) < 1e-12
+    return np.where(small, num, num / np.where(small, 1.0, den))[()]

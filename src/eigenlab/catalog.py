@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cartan import cartan_map, cartan_map_jet
-from .jets import Jet2, JetMatrix
+from .jets import Jet2, JetMatrix, trace_form
 from .matrices import basis_E, i_signature, i_signature_doubled, j_matrix
 from .operators import ScalarField
 from .pairs import SymmetricPair, make_pair
@@ -38,6 +38,7 @@ __all__ = [
     "su_sp_phi",
     "table_eigenvalues",
     "family_for_space",
+    "stack_members",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -156,11 +157,11 @@ class Eigenfunction:
     def matrix_size(self) -> int:
         return self.pair.matrix_size
 
-    def eta_value(self, y: np.ndarray) -> complex:
+    def eta_value(self, y: np.ndarray):
         """The affine functional on the image, eta(y) = tr(y B) + c."""
-        return complex(np.einsum("ij,ji->", y, self.B)) + self.c
+        return (trace_form(y, self.B) + self.c)[()]
 
-    def value(self, q: np.ndarray) -> complex:
+    def value(self, q: np.ndarray):
         """psi(q) = eta(Phi(q))."""
         return self.eta_value(cartan_map(self.pair, q))
 
@@ -176,7 +177,7 @@ class Eigenfunction:
         pair, B, c = self.pair, self.B, self.c
 
         def ev(jm: JetMatrix) -> Jet2:
-            return (cartan_map_jet(pair, jm) @ B).trace() + c
+            return cartan_map_jet(pair, jm).trace_form(B) + c
 
         return ScalarField(ev, pair.group, pair.ambient.n, k_invariant=True)
 
@@ -185,9 +186,24 @@ class Eigenfunction:
         B, c = self.B, self.c
 
         def ev(jm: JetMatrix) -> Jet2:
-            return (jm @ B).trace() + c
+            return jm.trace_form(B) + c
 
         return ScalarField(ev, self.pair.group, self.pair.ambient.n)
+
+
+def stack_members(members) -> Eigenfunction:
+    """The trace forms of ``members`` (one space, one pair) as a single
+    Eigenfunction whose B and c carry a leading member axis.  Its values
+    and fields carry a trailing member axis, so one Cartan pass evaluates
+    the whole family."""
+    members = tuple(members)
+    first = members[0]
+    return Eigenfunction(
+        space=first.space, name=",".join(m.name for m in members),
+        pair=first.pair, B=np.stack([m.B for m in members]),
+        c=np.array([m.c for m in members], dtype=complex),
+        lam=first.lam, mu=first.mu, family=first.family,
+        sign_pending=first.sign_pending)
 
 
 def table_eigenvalues(space: str, m=None, n=None):

@@ -2,11 +2,12 @@
 
 Every identity the library asserts has a stable claim id (for example
 "table1.row10.lambda[m=1,n=1]" or "cartan.harmonic[space=su-so,n=2]") so
-that reports diff meaningfully between runs.  The engine samples
-deterministic pseudo-random points, evaluates the exact jet-based
-operators, and scores each claim by the relative residual
-|x - ref| / max(1, |ref|) together with a least-squares fit of the
-eigenvalue (the ratio tau(phi)/phi fitted over samples with |phi| >= 1e-3).
+that reports diff meaningfully between runs.  The engine registers the
+claims, samples deterministic pseudo-random points, feeds them CHUNK at a
+time to the batched operators of the library, and scores each claim by
+the relative residual |x - ref| / max(1, |ref|) together with a
+least-squares fit of the eigenvalue (the ratio tau(phi)/phi fitted over
+samples with |phi| >= 1e-3).
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ from typing import Callable
 
 import numpy as np
 
-from . import ambient as ambient_mod
-from . import catalog
-from .cartan import cartan_map_jet
-from .families import base_family, polynomial_family, product_family
-from .jets import Jet2, JetMatrix
+from . import ambient, catalog
+from .bases import square_sum
+# cartan_map_jet is bound here by name, like every operator the engine
+# uses, so that perfbench/tracer.py, which rebinds it in each eigenlab
+# namespace, also finds it here.
+from .cartan import (cartan_map, cartan_map_jet,  # noqa: F401
+                     harmonic_residual, pullback_factor)
+from .catalog import stack_members
+from .families import (ProductMember, base_family, polynomial_family,
+                       product_family, product_ops)
 from .matrices import basis_D, basis_X, basis_Y
+from .operators import field_ops, image_ops
 from .pairs import SPACES, make_pair, space_label
 from .sampling import (SampleConfig, random_pair_point,
                        random_subgroup_point, rng_for)
@@ -175,8 +182,10 @@ def _fit(num, den, floor: float = 1e-3):
 def _result(claim_id, space, params, samples, residuals, expected, measured,
             tol, detail=""):
     res = np.asarray(residuals, dtype=float).ravel()
-    mx = float(res.max()) if res.size else 0.0
-    mean = float(res.mean()) if res.size else 0.0
+    if not res.size:
+        raise ValueError(f"{claim_id}: no residuals to score")
+    mx = float(res.max())
+    mean = float(res.mean())
     return ClaimResult(
         claim_id=claim_id, space=space, params=dict(params), samples=samples,
         max_residual=mx, mean_residual=mean,
@@ -192,6 +201,40 @@ def _suffix(params: dict) -> str:
 
 def _tol(config: RunConfig, default: float) -> float:
     return default if config.tol is None else config.tol
+
+
+def _eigen_ids(prefix, params):
+    suffix = _suffix(params)
+    return (f"{prefix}.lambda{suffix}", f"{prefix}.mu{suffix}")
+
+
+def _eigen_claims(ids, space, params, values, tau, kappa, lam, mu, tol,
+                  details=("", "")):
+    """The claims tau(phi) = lam phi and kappa(phi, psi) = mu phi psi of
+    one family, from values (P, K), tau (P, K) and kappa (P, K, K)."""
+    prod = np.einsum("pj,pk->pjk", values, values)
+    P = values.shape[0]
+    return [
+        _result(ids[0], space, params, P, _rel(tau, lam * values), lam,
+                _fit(tau, values), tol, details[0]),
+        _result(ids[1], space, params, P, _rel(kappa, mu * prod), mu,
+                _fit(kappa, prod), tol, details[1]),
+    ]
+
+
+def _draw(sample, count, start=0):
+    """Stack ``sample(i)`` for i in start .. start + count - 1."""
+    return np.stack([sample(i) for i in range(start, start + count)])
+
+
+def _chunked(op, *points):
+    """``op`` over CHUNK points at a time, its outputs concatenated along
+    the point axis (item by item when it returns a tuple)."""
+    outs = [op(*(p[lo:lo + CHUNK] for p in points))
+            for lo in range(0, len(points[0]), CHUNK)]
+    if isinstance(outs[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*outs))
+    return np.concatenate(outs)
 
 
 class _Cache:
@@ -214,9 +257,9 @@ class _Cache:
         key = (space, m, n)
         if key not in self._points:
             pair = self.pair(space, m, n)
-            self._points[key] = np.stack([
-                random_pair_point(pair, self.scfg, i)
-                for i in range(self.config.samples)])
+            self._points[key] = _draw(
+                lambda i: random_pair_point(pair, self.scfg, i),
+                self.config.samples)
         return self._points[key]
 
     def family(self, space, m, n, alpha=1):
@@ -226,49 +269,22 @@ class _Cache:
                                         rng=rng, pair=pair)
 
 
-def _phi_batch(pair, pts):
-    ph = np.swapaxes(pts, -1, -2).conj()
-    return pts @ pair.sigma(ph)
-
-
-def _member_stats(pair, members, points):
-    """phi values, tau(phi), and the pairwise kappa matrix for trace-form
-    members, batched over points and basis directions."""
-    Bs = np.stack([mm.B for mm in members])
-    cs = np.array([mm.c for mm in members], dtype=complex)
+def _family_ops(pair, members, points):
+    """phi values, tau(phi), and the pairwise kappa matrix of a family of
+    trace forms over the ambient basis, one Cartan pass per chunk."""
+    f = stack_members(members).as_field()
     els = pair.ambient.elements
-    vals, taus, d1s = [], [], []
-    for lo in range(0, points.shape[0], CHUNK):
-        pts = points[lo:lo + CHUNK]
-        y = cartan_map_jet(pair, JetMatrix.curve(pts[:, None], els))
-        vals.append(np.einsum("pij,kji->pk", y.v[:, 0], Bs) + cs)
-        taus.append(np.einsum("pbij,kji->pk", y.d2, Bs))
-        d1s.append(np.einsum("pbij,kji->pbk", y.d1, Bs))
-    values = np.concatenate(vals)
-    tau = np.concatenate(taus)
-    D1 = np.concatenate(d1s)
-    kappa = np.einsum("pbj,pbk->pjk", D1, D1)
-    return values, tau, kappa
+    return _chunked(lambda c: field_ops(f, c, els), points)
 
 
-def _image_stats(pair, members, points):
-    """tau_N and kappa_N of the affine functionals eta(y) = tr(y B) + c
-    along the image basis {Ad_sigma(p) X | X in the p-basis} at Phi(p)."""
-    Bs = np.stack([mm.B for mm in members])
-    P = points.shape[0]
-    K = len(members)
-    tauN = np.empty((P, K), dtype=complex)
-    kapN = np.empty((P, K, K), dtype=complex)
-    for i in range(P):
-        p = points[i]
-        y = p @ pair.sigma(p.conj().T)
-        s = pair.sigma(p)
-        W = np.einsum("ij,bjk,lk->bil", s, pair.p_basis, s.conj())
-        jm = JetMatrix.curve(y, W)
-        tauN[i] = np.einsum("bij,kji->k", jm.d2, Bs)
-        D1 = np.einsum("bij,kji->bk", jm.d1, Bs)
-        kapN[i] = np.einsum("bj,bk->jk", D1, D1)
-    return tauN, kapN
+def _family_image_ops(pair, members, points):
+    """eta values, tau_N and kappa_N of the affine functionals
+    eta(y) = tr(y B) + c along the image basis at Phi(p).  Image passes
+    push no Cartan jets and run on all points at once: freeing their large
+    arrays raises glibc's dynamic trim threshold above the working set of
+    a chunked Cartan pass, whose pages are then reused, not faulted in
+    again every chunk."""
+    return image_ops(pair, stack_members(members).eta_field(), points)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +316,7 @@ def _run_basis(config: RunConfig, cache: _Cache):
     results = []
     for n in range(2, 9):
         for fam in ("Y", "X", "D"):
-            stack = _family_stack(fam, n)
-            S = np.einsum("bij,bjk->ik", stack, stack)
+            S = square_sum(_family_stack(fam, n))
             coeff = _FAMILY_COEFF[fam](n)
             residual = float(np.abs(S - coeff * np.eye(n)).max())
             measured = complex(np.trace(S) / n)
@@ -334,58 +349,45 @@ def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
     pair = cache.pair(space, m, n)
     pts = cache.points(space, m, n)
     params = {"m": m, "n": n} if m is not None else {"n": n}
-    suffix = _suffix(params)
-    row = ROW_BY_SPACE[space]
-    P = pts.shape[0]
+    ids = _table1_claim_ids(space, m, n)
+    P, tol = pts.shape[0], _tol(config, 1e-8)
 
     # kappa couples members only within one fixed-alpha family, so the
     # pairwise block is computed per alpha and the residuals concatenated
-    blocks = [(alpha, cache.family(space, m, n, alpha=alpha))
-              for alpha in _alpha_range(space, m, n)]
-    first = blocks[0][1][0]
-    lam_table, mu_table = first.lam, first.mu
-    stats = [(alpha, members) + _member_stats(pair, members, pts)
-             for alpha, members in blocks]
-
-    all_tau = np.concatenate([s[3] for s in stats], axis=1)
-    all_values = np.concatenate([s[2] for s in stats], axis=1)
-    lam_fit = _fit(all_tau, all_values)
-    lam_used = lam_table
-    detail = ""
+    alphas = _alpha_range(space, m, n)
+    blocks = [cache.family(space, m, n, alpha=alpha) for alpha in alphas]
+    first = blocks[0][0]
+    stats = [_family_ops(pair, members, pts) for members in blocks]
+    values = np.concatenate([v for v, _, _ in stats], axis=1)
+    tau = np.concatenate([t for _, t, _ in stats], axis=1)
+    lam_fit = _fit(tau, values)
+    lam, detail = first.lam, ""
     if first.sign_pending:
         sign = 1.0 if (lam_fit is not None and lam_fit.real > 0) else -1.0
-        lam_used = sign * abs(lam_table)
-        source = "table" if sign * lam_table > 0 else "opposite"
+        lam = sign * abs(first.lam)
+        source = "table" if sign * first.lam > 0 else "opposite"
         detail = f"resolved_sign={'+1' if sign > 0 else '-1'} ({source} sign)"
-    res_l = _rel(all_tau, lam_used * all_values)
-
-    kaps, prods, res_m_parts, res_new_parts = [], [], [], []
-    col = 0
-    for alpha, members, values, tau, kappa in stats:
-        prod = np.einsum("pj,pk->pjk", values, values)
-        kaps.append(kappa.ravel())
-        prods.append(prod.ravel())
-        res_m = _rel(kappa, mu_table * prod)
-        res_m_parts.append(res_m.ravel())
-        if space == "sp-grassmannian":
-            new = np.array([alpha > m + n or mm.params["j"] > m + n
-                            for mm in members])
-            res_new_parts.append(res_l[:, col:col + len(members)][:, new].ravel())
-            res_new_parts.append(res_m[:, new, :].ravel())
-        col += len(members)
-    mu_fit = _fit(np.concatenate(kaps), np.concatenate(prods))
-
+    res_l = _rel(tau, lam * values)
+    prods = [np.einsum("pj,pk->pjk", v, v) for v, _, _ in stats]
+    res_m = [_rel(k, first.mu * prod) for (_, _, k), prod in zip(stats, prods)]
+    mu_fit = _fit(np.concatenate([k.ravel() for _, _, k in stats]),
+                  np.concatenate([prod.ravel() for prod in prods]))
     out = [
-        _result(f"table1.row{row}.lambda{suffix}", space, params, P, res_l,
-                lam_used, lam_fit, _tol(config, 1e-8), detail),
-        _result(f"table1.row{row}.mu{suffix}", space, params, P,
-                np.concatenate(res_m_parts), mu_table, mu_fit,
-                _tol(config, 1e-8)),
+        _result(ids[0], space, params, P, res_l, lam, lam_fit, tol, detail),
+        _result(ids[1], space, params, P,
+                np.concatenate([r.ravel() for r in res_m]), first.mu, mu_fit,
+                tol),
     ]
     if space == "sp-grassmannian":
+        parts, col = [], 0
+        for alpha, members, r in zip(alphas, blocks, res_m):
+            new = np.array([alpha > m + n or mm.params["j"] > m + n
+                            for mm in members])
+            parts += [res_l[:, col:col + len(members)][:, new].ravel(),
+                      r[:, new, :].ravel()]
+            col += len(members)
         out.append(_result(
-            f"catalog.quat.new-range{suffix}", space, params, P,
-            np.concatenate(res_new_parts), None, None, _tol(config, 1e-8),
+            ids[2], space, params, P, np.concatenate(parts), None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
     return out
 
@@ -398,38 +400,29 @@ def _prop71_claim_ids(m, n):
 def _run_prop71(config: RunConfig, cache: _Cache, m, n):
     space = "sp-grassmannian"
     pair = cache.pair(space, m, n)
-    pts = cache.points(space, m, n)
     members = cache.family(space, m, n)
-    Bs = np.stack([mm.B for mm in members])
-    cs = np.array([mm.c for mm in members], dtype=complex)
-    yv = _phi_batch(pair, pts)
-    values = np.einsum("pij,kji->pk", yv, Bs) + cs
-    tauN, kapN = _image_stats(pair, members, pts)
-    P = pts.shape[0]
-    params = {"m": m, "n": n}
-    suffix = _suffix(params)
+    values, tauN, kapN = _family_image_ops(pair, members,
+                                           cache.points(space, m, n))
+    return _eigen_claims(_prop71_claim_ids(m, n), space, {"m": m, "n": n},
+                         values, tauN, kapN, -(m + n) / 2.0, -0.25,
+                         _tol(config, 1e-8))
 
-    coeff = -(m + n) / 2.0
-    res_t = _rel(tauN, coeff * values)
-    fit_t = _fit(tauN, values)
-    prod = np.einsum("pj,pk->pjk", values, values)
-    res_k = _rel(kapN, -0.25 * prod)
-    fit_k = _fit(kapN, prod)
-    return [
-        _result(f"prop7.1.tau{suffix}", space, params, P, res_t, coeff,
-                fit_t, _tol(config, 1e-8)),
-        _result(f"prop7.1.kappa{suffix}", space, params, P, res_k, -0.25,
-                fit_k, _tol(config, 1e-8)),
-    ]
+
+def _cartan_kinds(space, m, n):
+    # With K discrete (dim k = 0) Phi is injective and there is no
+    # vertical direction: both claims would pass on zero evidence.
+    build = SPACES[space]["builder"]
+    vertical = (build(n) if m is None else build(m, n))[3] > 0
+    return (("k-invariance",) * vertical + ("harmonic", "pullback")
+            + ("vertical",) * vertical + ("factor4.tau", "factor4.kappa"))
 
 
 def _cartan_claim_ids(space, m, n):
     params = {"space": space}
     params.update({"m": m, "n": n} if m is not None else {"n": n})
     suffix = _suffix(params)
-    return tuple(f"cartan.{kind}{suffix}" for kind in
-                 ("k-invariance", "harmonic", "pullback", "vertical",
-                  "factor4.tau", "factor4.kappa"))
+    return tuple(f"cartan.{kind}{suffix}"
+                 for kind in _cartan_kinds(space, m, n))
 
 
 def _run_cartan(config: RunConfig, cache: _Cache, space, m, n):
@@ -439,49 +432,37 @@ def _run_cartan(config: RunConfig, cache: _Cache, space, m, n):
     params = {"space": space}
     params.update({"m": m, "n": n} if m is not None else {"n": n})
     suffix = _suffix(params)
-    els = pair.ambient.elements
+    kinds = _cartan_kinds(space, m, n)
     results = []
 
-    kpts = np.stack([random_subgroup_point(pair, cache.scfg, i)
-                     for i in range(P)])
-    res_k = np.abs(_phi_batch(pair, pts @ kpts)
-                   - _phi_batch(pair, pts)).reshape(P, -1).max(axis=1)
-    results.append(_result(f"cartan.k-invariance{suffix}", space, params, P,
-                           res_k, None, None, _tol(config, 1e-12)))
+    if "k-invariance" in kinds:
+        kpts = _draw(lambda i: random_subgroup_point(pair, cache.scfg, i), P)
+        res_k = np.abs(cartan_map(pair, pts @ kpts)
+                       - cartan_map(pair, pts)).reshape(P, -1).max(axis=1)
+        results.append(_result(f"cartan.k-invariance{suffix}", space, params,
+                               P, res_k, None, None, _tol(config, 1e-12)))
 
-    res_h = []
-    for lo in range(0, P, CHUNK):
-        chunk = pts[lo:lo + CHUNK]
-        y = cartan_map_jet(pair, JetMatrix.curve(chunk[:, None], els))
-        H = y.d2.sum(axis=1)
-        yv = y.v[:, 0]
-        M = np.swapaxes(yv, -1, -2).conj() @ H
-        coeff = np.einsum("pij,bij->pb", M, els.conj()).real
-        tang = yv @ np.einsum("pb,bij->pij", coeff.astype(complex), els)
-        res_h.append(np.abs(tang).reshape(chunk.shape[0], -1).max(axis=1))
+    res_h = _chunked(lambda c: harmonic_residual(pair, c), pts)
     results.append(_result(f"cartan.harmonic{suffix}", space, params, P,
-                           np.concatenate(res_h), None, None,
-                           _tol(config, 1e-9)))
+                           res_h, None, None, _tol(config, 1e-9)))
 
-    yp = cartan_map_jet(pair, JetMatrix.curve(pts[:, None], pair.p_basis))
-    ratios = np.einsum("pbij,pbij->pb", yp.d1, yp.d1.conj()).real
+    X = pair.p_basis
+    ratios = _chunked(lambda c: pullback_factor(pair, c, X, X), pts)
     results.append(_result(f"cartan.pullback{suffix}", space, params, P,
                            np.abs(ratios - 4.0), 4.0,
                            complex(ratios.mean()), _tol(config, 1e-8),
                            detail="metric factor 4 = (conformal factor 2)^2"))
 
-    if pair.dim_k:
-        yk = cartan_map_jet(pair, JetMatrix.curve(pts[:, None], pair.k_basis))
-        vert = np.sqrt(np.einsum("pbij,pbij->pb", yk.d1, yk.d1.conj()).real)
-    else:
-        vert = np.zeros((P, 1))
-    results.append(_result(f"cartan.vertical{suffix}", space, params, P,
-                           vert, 0.0, None, _tol(config, 1e-10)))
+    if "vertical" in kinds:
+        V = pair.k_basis
+        vert = np.sqrt(_chunked(lambda c: pullback_factor(pair, c, V, V), pts))
+        results.append(_result(f"cartan.vertical{suffix}", space, params, P,
+                               vert, 0.0, None, _tol(config, 1e-10)))
 
     members = cache.family(space, m, n)
     etas = members[:2] if len(members) > 1 else [members[0], members[0]]
-    valsL, tauL, kapL = _member_stats(pair, etas, pts)
-    tauN, kapN = _image_stats(pair, etas, pts)
+    _, tauL, kapL = _family_ops(pair, etas, pts)
+    _, tauN, kapN = _family_image_ops(pair, etas, pts)
     results.append(_result(f"cartan.factor4.tau{suffix}", space, params, P,
                            _rel(tauL, 4.0 * tauN), None, None,
                            _tol(config, 1e-8)))
@@ -491,57 +472,22 @@ def _run_cartan(config: RunConfig, cache: _Cache, space, m, n):
     return results
 
 
-def _poly_claim_ids(space, m, n, d):
-    params = {"space": space, "m": m, "n": n, "d": d}
-    suffix = _suffix(params)
-    return (f"poly.d{d}.lambda{suffix}", f"poly.d{d}.mu{suffix}")
+def _poly_params(space, m, n, d):
+    return {"space": space, "m": m, "n": n, "d": d}
 
 
 def _run_poly(config: RunConfig, cache: _Cache, space, m, n, d):
     pair = cache.pair(space, m, n)
-    pts = cache.points(space, m, n)
-    members = cache.family(space, m, n)
-    F = base_family(members)
-    PF = polynomial_family(F, d)
+    PF = polynomial_family(base_family(cache.family(space, m, n)), d)
+    f = PF.as_field()
     els = pair.ambient.elements
-    P, K, B = pts.shape[0], len(PF.members), els.shape[0]
-    values = np.empty((P, K), dtype=complex)
-    tau = np.zeros((P, K), dtype=complex)
-    D1 = np.empty((P, B, K), dtype=complex)
-    gens = [pm.generator for pm in PF.members]
-    for ip in range(P):
-        p = pts[ip]
-        yv = p @ pair.sigma(p.conj().T)
-        base_vals = tuple(
-            Jet2.constant(np.einsum("ij,ji->", yv, mm.B) + mm.c)
-            for mm in members)
-        for im, g in enumerate(gens):
-            values[ip, im] = g(base_vals).v
-        for ib in range(B):
-            y = cartan_map_jet(pair, JetMatrix.curve(p, els[ib]))
-            base_jets = tuple((y @ mm.B).trace() + mm.c for mm in members)
-            for im, g in enumerate(gens):
-                j = g(base_jets)
-                tau[ip, im] += j.d2
-                D1[ip, ib, im] = j.d1
-    kappa = np.einsum("pbj,pbk->pjk", D1, D1)
-    prod = np.einsum("pj,pk->pjk", values, values)
-    params = {"space": space, "m": m, "n": n, "d": d}
-    suffix = _suffix(params)
-    return [
-        _result(f"poly.d{d}.lambda{suffix}", space, params, P,
-                _rel(tau, PF.lam * values), PF.lam, _fit(tau, values),
-                _tol(config, 1e-7),
-                detail=f"{len(PF.members)} monomials of degree {d}"),
-        _result(f"poly.d{d}.mu{suffix}", space, params, P,
-                _rel(kappa, PF.mu * prod), PF.mu, _fit(kappa, prod),
-                _tol(config, 1e-7)),
-    ]
-
-
-def _product_claim_ids():
-    suffix = _suffix({"m": 1, "n": 1})
-    return (f"product.lambda{suffix}", f"product.mu{suffix}")
+    values, tau, kappa = _chunked(lambda c: field_ops(f, c, els),
+                                  cache.points(space, m, n))
+    params = _poly_params(space, m, n, d)
+    return _eigen_claims(
+        _eigen_ids(f"poly.d{d}", params), space, params, values, tau, kappa,
+        PF.lam, PF.mu, _tol(config, 1e-7),
+        (f"{len(PF.members)} monomials of degree {d}", ""))
 
 
 def _run_product(config: RunConfig, cache: _Cache):
@@ -552,126 +498,45 @@ def _run_product(config: RunConfig, cache: _Cache):
     PF = product_family(F, F)
     pts1 = cache.points(space, m, n)
     P = pts1.shape[0]
-    pts2 = np.stack([random_pair_point(pair, cache.scfg, P + i)
-                     for i in range(P)])
-    Bs = np.stack([mm.B for mm in members])
-    cs = np.array([mm.c for mm in members], dtype=complex)
+    pts2 = _draw(lambda i: random_pair_point(pair, cache.scfg, i), P, P)
+    # one member whose factors stack those of every member: the family
+    whole = ProductMember(stack_members(mm.f1 for mm in PF.members),
+                          stack_members(mm.f2 for mm in PF.members),
+                          name=PF.space, space=PF.space, lam=PF.lam, mu=PF.mu)
     els = pair.ambient.elements
-    K = len(members)
-
-    def factor_stats(p):
-        y = cartan_map_jet(pair, JetMatrix.curve(p, els))
-        V = np.einsum("ij,kji->k", p @ pair.sigma(p.conj().T), Bs) + cs
-        T = np.einsum("bij,kji->k", y.d2, Bs)
-        D = np.einsum("bij,kji->bk", y.d1, Bs)
-        return V, T, np.einsum("bj,bk->jk", D, D)
-
-    KK = K * K
-    vals = np.empty((P, KK), dtype=complex)
-    tau = np.empty((P, KK), dtype=complex)
-    kappa = np.empty((P, KK, KK), dtype=complex)
-    for i in range(P):
-        V1, T1, G1 = factor_stats(pts1[i])
-        V2, T2, G2 = factor_stats(pts2[i])
-        vals[i] = np.outer(V1, V2).ravel()
-        tau[i] = (np.outer(T1, V2) + np.outer(V1, T2)).ravel()
-        kap4 = (np.einsum("ac,b,d->abcd", G1, V2, V2)
-                + np.einsum("a,c,bd->abcd", V1, V1, G2))
-        kappa[i] = kap4.reshape(KK, KK)
-
-    prod = np.einsum("pj,pk->pjk", vals, vals)
+    vals, tau, kappa = _chunked(
+        lambda a, b: product_ops(whole, a, b, els, els), pts1, pts2)
     params = {"m": m, "n": n}
-    suffix = _suffix(params)
     detail = f"{space_label(space, m, n)} x {space_label(space, m, n)}"
-    return [
-        _result(f"product.lambda{suffix}", "product", params, P,
-                _rel(tau, PF.lam * vals), PF.lam, _fit(tau, vals),
-                _tol(config, 1e-8), detail=detail),
-        _result(f"product.mu{suffix}", "product", params, P,
-                _rel(kappa, PF.mu * prod), PF.mu, _fit(kappa, prod),
-                _tol(config, 1e-8), detail=detail),
-    ]
+    return _eigen_claims(_eigen_ids("product", params), "product", params,
+                         vals, tau, kappa, PF.lam, PF.mu, _tol(config, 1e-8),
+                         (detail, detail))
 
 
-def _ambient_stats(fields, points, n, fiber: bool):
-    """Values, tau, and pairwise kappa of ambient fields over the 2n real
-    coordinate axes, optionally subtracting the Hopf-fiber contribution."""
-    P, K = len(points), len(fields)
-    values = np.empty((P, K), dtype=complex)
-    tau = np.zeros((P, K), dtype=complex)
-    D1 = np.empty((P, 2 * n, K), dtype=complex)
-    fib = np.zeros((P, K), dtype=complex)
-    for ip, x in enumerate(points):
-        for im, f in enumerate(fields):
-            values[ip, im] = f.value(x)
-        for ib, zs in enumerate(ambient_mod._axis_jets(x, n)):
-            for im, f in enumerate(fields):
-                j = f.evaluator(zs)
-                tau[ip, im] += j.d2
-                D1[ip, ib, im] = j.d1
-        if fiber:
-            zs = ambient_mod._fiber_jet(x, n)
-            for im, f in enumerate(fields):
-                j = f.evaluator(zs)
-                tau[ip, im] -= j.d2
-                fib[ip, im] = j.d1
-    kappa = (np.einsum("pbj,pbk->pjk", D1, D1)
-             - np.einsum("pj,pk->pjk", fib, fib))
-    return values, tau, kappa
-
-
-def _sphere_claim_ids(n):
-    suffix = _suffix({"n": n})
-    return (f"sphere.lambda{suffix}", f"sphere.mu{suffix}")
+def _sphere_points(config: RunConfig, label: str, n: int):
+    return _draw(lambda i: ambient.random_sphere_point(
+        n, rng_for(label, config.seed, i)), config.samples)
 
 
 def _run_sphere(config: RunConfig, cache: _Cache, n):
-    fields = [ambient_mod.sphere_phi(n, j) for j in range(1, n + 1)]
-    P = config.samples
-    pts = [ambient_mod.random_sphere_point(n, rng_for(f"sphere:{n}", config.seed, i))
-           for i in range(P)]
-    ambient_mod.check_homogeneous(fields[0], pts[0])
-    values, tau, kappa = _ambient_stats(fields, pts, n, fiber=False)
-    prod = np.einsum("pj,pk->pjk", values, values)
-    lam, mu = -(2.0 * n - 1.0), -1.0
-    params = {"n": n}
-    suffix = _suffix(params)
-    return [
-        _result(f"sphere.lambda{suffix}", "sphere", params, P,
-                _rel(tau, lam * values), lam, _fit(tau, values),
-                _tol(config, 1e-8)),
-        _result(f"sphere.mu{suffix}", "sphere", params, P,
-                _rel(kappa, mu * prod), mu, _fit(kappa, prod),
-                _tol(config, 1e-8)),
-    ]
-
-
-def _cpn_claim_ids(n):
-    suffix = _suffix({"n": n})
-    return (f"cpn.lambda{suffix}", f"cpn.mu{suffix}")
+    F = ambient.stack_fields(ambient.sphere_phi(n, j) for j in range(1, n + 1))
+    pts = _sphere_points(config, f"sphere:{n}", n)
+    tau, kappa = ambient.sphere_ops(F, pts)
+    return _eigen_claims(_eigen_ids("sphere", {"n": n}), "sphere", {"n": n},
+                         F.value(pts), tau, kappa, -(2.0 * n - 1.0), -1.0,
+                         _tol(config, 1e-8))
 
 
 def _run_cpn(config: RunConfig, cache: _Cache, n, alpha: int = 1):
     # Members phi_{jk} with j <= alpha < k, the fixed-alpha family.
-    fields = [ambient_mod.cpn_phi(n, j, k)
-              for j in range(1, alpha + 1) for k in range(alpha + 1, n + 2)]
-    P = config.samples
-    pts = [ambient_mod.random_sphere_point(n + 1, rng_for(f"cpn:{n}", config.seed, i))
-           for i in range(P)]
-    ambient_mod.check_circle_invariant(fields[0], pts[0])
-    values, tau, kappa = _ambient_stats(fields, pts, n + 1, fiber=True)
-    prod = np.einsum("pj,pk->pjk", values, values)
-    lam, mu = -4.0 * (n + 1), -4.0
-    params = {"n": n}
-    suffix = _suffix(params)
-    return [
-        _result(f"cpn.lambda{suffix}", "cpn", params, P,
-                _rel(tau, lam * values), lam, _fit(tau, values),
-                _tol(config, 1e-8)),
-        _result(f"cpn.mu{suffix}", "cpn", params, P,
-                _rel(kappa, mu * prod), mu, _fit(kappa, prod),
-                _tol(config, 1e-8)),
-    ]
+    F = ambient.stack_fields(ambient.cpn_phi(n, j, k)
+                             for j in range(1, alpha + 1)
+                             for k in range(alpha + 1, n + 2))
+    pts = _sphere_points(config, f"cpn:{n}", n + 1)
+    tau, kappa = ambient.cpn_ops(F, pts)
+    return _eigen_claims(_eigen_ids("cpn", {"n": n}), "cpn", {"n": n},
+                         F.value(pts), tau, kappa, -4.0 * (n + 1), -4.0,
+                         _tol(config, 1e-8))
 
 
 # ---------------------------------------------------------------------------
@@ -725,26 +590,27 @@ def jobs_for(config: RunConfig):
         for space, m, n in POLY_SPACES:
             for d in POLY_DEGREES:
                 jobs.append(Job(
-                    _poly_claim_ids(space, m, n, d), "polynomial",
+                    _eigen_ids(f"poly.d{d}", _poly_params(space, m, n, d)),
+                    "polynomial",
                     lambda cache, s=space, m=m, n=n, d=d:
                         _run_poly(config, cache, s, m, n, d)))
 
     if _selected(config, "product"):
-        jobs.append(Job(_product_claim_ids(), "product",
+        jobs.append(Job(_eigen_ids("product", {"m": 1, "n": 1}), "product",
                         lambda cache: _run_product(config, cache)))
 
     if _selected(config, "sphere"):
         ns = ((config.n,) if config.spaces == ("sphere",) and config.n is not None
               else SPHERE_NS)
         for n in ns:
-            jobs.append(Job(_sphere_claim_ids(n), "sphere",
+            jobs.append(Job(_eigen_ids("sphere", {"n": n}), "sphere",
                             lambda cache, n=n: _run_sphere(config, cache, n)))
 
     if _selected(config, "cpn"):
         ns = ((config.n,) if config.spaces == ("cpn",) and config.n is not None
               else CPN_NS)
         for n in ns:
-            jobs.append(Job(_cpn_claim_ids(n), "cpn",
+            jobs.append(Job(_eigen_ids("cpn", {"n": n}), "cpn",
                             lambda cache, n=n: _run_cpn(config, cache, n)))
 
     return jobs

@@ -7,6 +7,10 @@ the members satisfies tau(P) = (d lambda + d(d-1) mu) P and
 kappa(P, Q) = d^2 mu P Q.  On a product M1 x M2, the functions
 phi1(p1) phi2(p2) form a family with eigenvalues (lambda1 + lambda2,
 mu1 + mu2) for the concatenated (disjoint-union) basis.
+
+A family evaluates as one field with a trailing member axis
+(``EigenFamily.as_field``), and the product operators take stacked points
+and stacked factors, so one call covers every member.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet2, JetMatrix
-from .operators import ScalarField, conformality, field_value, tension
+from .catalog import stack_members
+from .jets import Jet2, JetMatrix, gram
+from .operators import ScalarField, field_jets
 
 __all__ = [
     "EigenFamily",
@@ -29,6 +34,7 @@ __all__ = [
     "constant_family",
     "polynomial_family",
     "product_family",
+    "product_ops",
     "product_tension",
     "product_conformality",
 ]
@@ -51,6 +57,17 @@ class EigenFamily:
 
     def __iter__(self):
         return iter(self.members)
+
+    def as_field(self) -> ScalarField:
+        """Every member as one field with a trailing member axis.  The
+        catalog trace forms underneath are evaluated in one stacked pass,
+        shared by all polynomial members."""
+        first = self.members[0]
+        if isinstance(first, PolyMember):
+            gens = [m.generator for m in self.members]
+            return _poly_field(first.base,
+                               lambda vals: Jet2.stack([g(vals) for g in gens]))
+        return stack_members(self.members).as_field()
 
 
 def base_family(members, provenance: str = "base") -> EigenFamily:
@@ -146,14 +163,20 @@ class PolyMember:
         return self.generator(tuple(m.value(q) for m in self.base))
 
     def as_field(self) -> ScalarField:
-        fields = tuple(m.as_field() for m in self.base)
-        g = self.generator
+        return _poly_field(self.base, self.generator)
 
-        def ev(jm: JetMatrix) -> Jet2:
-            return g(tuple(f.evaluator(jm) for f in fields))
 
-        f0 = fields[0]
-        return ScalarField(ev, f0.group, f0.n, k_invariant=True)
+def _poly_field(base, combine) -> ScalarField:
+    # One stacked pass over the base trace forms; ``combine`` maps the
+    # tuple of base-member jets to the polynomial's jet.
+    field = stack_members(base).as_field()
+    k = len(base)
+
+    def ev(jm: JetMatrix) -> Jet2:
+        jb = field.evaluator(jm)
+        return combine(tuple(jb[..., i] for i in range(k)))
+
+    return ScalarField(ev, field.group, field.n, k_invariant=True)
 
 
 def polynomial_family(F: EigenFamily, d: int, generators=None) -> EigenFamily:
@@ -203,7 +226,7 @@ class ProductMember:
     lam: complex
     mu: complex
 
-    def value(self, pq) -> complex:
+    def value(self, pq):
         p1, p2 = pq
         return self.f1.value(p1) * self.f2.value(p2)
 
@@ -219,41 +242,60 @@ def product_family(F1: EigenFamily, F2: EigenFamily) -> EigenFamily:
     return EigenFamily(space, members, lam, mu, provenance="product")
 
 
+def _factor_jets(member, p1, p2, basis1, basis2):
+    return (field_jets(member.f1.as_field(), p1, basis1),
+            field_jets(member.f2.as_field(), p2, basis2))
+
+
+def _product_derivs(jets, k: int, axis: int):
+    """The k-th derivatives of phi1(p1) phi2(p2) along basis1, which moves
+    p1 only, then basis2, concatenated on the direction axis."""
+    (v1, *j1), (v2, *j2) = jets
+    return np.concatenate([j1[k - 1] * np.expand_dims(v2, axis),
+                           np.expand_dims(v1, axis) * j2[k - 1]], axis=axis)
+
+
+def product_ops(member: ProductMember, p1, p2, basis1, basis2):
+    """(phi, tau(phi), kappa(phi, phi)) on the product from one pass over
+    each factor, with the product function's derivatives along the
+    concatenated basis.  The factors' member axes pair elementwise, so a
+    member whose factors stack the factors of a whole product family
+    evaluates that family, and kappa pairs every member with every
+    member."""
+    axis = np.ndim(p1) - 2
+    jets = _factor_jets(member, p1, p2, basis1, basis2)
+    d1 = _product_derivs(jets, 1, axis)
+    return ((jets[0][0] * jets[1][0])[()],
+            _product_derivs(jets, 2, axis).sum(axis=axis)[()],
+            gram(d1, d1, axis)[()])
+
+
 def product_tension(member: ProductMember, p1, p2, basis1, basis2):
     """tau on the product: second derivatives of the full product function
     along every direction of the concatenated basis.  Also returns the
     decomposed value tau1(phi1) phi2 + phi1 tau2(phi2) for the identity
     check."""
-    f1 = member.f1.as_field()
-    f2 = member.f2.as_field()
-    v1 = field_value(f1, p1)
-    v2 = field_value(f2, p2)
-    direct = 0.0 + 0.0j
-    for Z in basis1:
-        jet = f1.evaluator(JetMatrix.curve(p1, Z)) * Jet2.constant(v2)
-        direct += jet.d2
-    for Z in basis2:
-        jet = Jet2.constant(v1) * f2.evaluator(JetMatrix.curve(p2, Z))
-        direct += jet.d2
-    decomposed = tension(f1, p1, basis1) * v2 + v1 * tension(f2, p2, basis2)
-    return direct, decomposed
+    axis = np.ndim(p1) - 2
+    jets = _factor_jets(member, p1, p2, basis1, basis2)
+    (v1, _, s1), (v2, _, s2) = jets
+    decomposed = s1.sum(axis=axis) * v2 + v1 * s2.sum(axis=axis)
+    return (_product_derivs(jets, 2, axis).sum(axis=axis)[()],
+            decomposed[()])
 
 
 def product_conformality(ma: ProductMember, mb: ProductMember, p1, p2,
                          basis1, basis2):
     """kappa(phi, psi) on the product over the concatenated basis, plus the
     decomposed value kappa1 psi2 phi2 + kappa2 phi1 psi1."""
-    a1, a2 = ma.f1.as_field(), ma.f2.as_field()
-    b1, b2 = mb.f1.as_field(), mb.f2.as_field()
-    va1, va2 = field_value(a1, p1), field_value(a2, p2)
-    vb1, vb2 = field_value(b1, p1), field_value(b2, p2)
-    direct = 0.0 + 0.0j
-    for Z in basis1:
-        jm = JetMatrix.curve(p1, Z)
-        direct += (a1.evaluator(jm).d1 * va2) * (b1.evaluator(jm).d1 * vb2)
-    for Z in basis2:
-        jm = JetMatrix.curve(p2, Z)
-        direct += (va1 * a2.evaluator(jm).d1) * (vb1 * b2.evaluator(jm).d1)
-    decomposed = (conformality(a1, b1, p1, basis1) * va2 * vb2
-                  + va1 * vb1 * conformality(a2, b2, p2, basis2))
-    return direct, decomposed
+    axis = np.ndim(p1) - 2
+    ja = _factor_jets(ma, p1, p2, basis1, basis2)
+    jb = _factor_jets(mb, p1, p2, basis1, basis2)
+    direct = gram(_product_derivs(ja, 1, axis), _product_derivs(jb, 1, axis),
+                  axis)
+    (va1, a1, _), (va2, a2, _) = ja
+    (vb1, b1, _), (vb2, b2, _) = jb
+    outer = lambda a, b: gram(np.expand_dims(a, axis), np.expand_dims(b, axis),
+                              axis)
+    decomposed = (gram(a1, b1, axis) * outer(va2, vb2)
+                  + outer(va1, vb1) * gram(a2, b2, axis))
+    return direct[()], decomposed[()]

@@ -10,19 +10,42 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Jet2", "JetMatrix"]
+__all__ = ["Jet2", "JetMatrix", "trace_form", "gram"]
+
+
+def trace_form(a, B):
+    """tr(a @ B) over the leading axes of ``a``, by one einsum; a stack of
+    B (leading member axis) gives a trailing member axis."""
+    B = np.asarray(B)
+    return np.einsum("...ij,kji->...k" if B.ndim == 3 else "...ij,ji->...",
+                     a, B)
 
 
 def _as_jet(x):
     if isinstance(x, Jet2):
         return x
-    return Jet2(complex(x), 0.0, 0.0)
+    return Jet2(x, 0.0, 0.0)
+
+
+def gram(a, b, axis: int):
+    """sum over ``axis`` of a_j b_k: the pairwise products of the trailing
+    member axes of two derivative arrays that share their leading axes."""
+    lead = a.shape[:axis]
+    ma, mb = a.shape[axis + 1:], b.shape[axis + 1:]
+    a2 = a.reshape(a.shape[:axis + 1] + (-1,))
+    b2 = b.reshape(b.shape[:axis + 1] + (-1,))
+    return np.einsum("...bj,...bk->...jk", a2, b2).reshape(lead + ma + mb)
 
 
 class Jet2:
-    """A complex scalar with its first and second derivatives.
+    """A complex quantity with its first and second derivatives.
 
-    Arithmetic follows the truncated-Taylor rules; in particular
+    ``v``, ``d1``, ``d2`` are complex arrays whose shapes broadcast against
+    each other, the way JetMatrix stores its parts: one Jet2 can carry a
+    batch of points, curve directions and family members, and a part may
+    omit axes on which it is constant (a direction-independent value, a
+    constant's zero derivatives).  Arithmetic follows the truncated-Taylor
+    rules elementwise; in particular
     (a*b).d1 = a.d1*b.v + a.v*b.d1 and
     (a*b).d2 = a.d2*b.v + 2*a.d1*b.d1 + a.v*b.d2.
     Conjugation acts componentwise since the curve parameter is real.
@@ -30,10 +53,13 @@ class Jet2:
 
     __slots__ = ("v", "d1", "d2")
 
+    # Keep numpy from absorbing us in mixed expressions like ndarray * jet.
+    __array_ufunc__ = None
+
     def __init__(self, v, d1=0.0, d2=0.0):
-        self.v = complex(v)
-        self.d1 = complex(d1)
-        self.d2 = complex(d2)
+        self.v = np.asarray(v, dtype=complex)
+        self.d1 = np.asarray(d1, dtype=complex)
+        self.d2 = np.asarray(d2, dtype=complex)
 
     @classmethod
     def constant(cls, v):
@@ -43,6 +69,27 @@ class Jet2:
     def variable(cls, v):
         """The jet of s -> v + s."""
         return cls(v, 1.0, 0.0)
+
+    @classmethod
+    def stack(cls, jets):
+        """Stack jets of broadcast-compatible shapes along a new trailing
+        (member) axis."""
+        parts = zip(*((j.v, j.d1, j.d2) for j in jets))
+        return cls(*(np.stack(np.broadcast_arrays(*a), axis=-1)
+                     for a in parts))
+
+    @property
+    def shape(self):
+        return np.broadcast_shapes(self.v.shape, self.d1.shape, self.d2.shape)
+
+    def broadcast_to(self, shape):
+        """The three parts as arrays of one shape: ``shape`` followed by
+        whatever trailing axes the jet has beyond it."""
+        full = tuple(shape) + self.shape[len(shape):]
+        return tuple(np.broadcast_to(a, full) for a in (self.v, self.d1, self.d2))
+
+    def __getitem__(self, idx):
+        return Jet2(*(a[idx] for a in np.broadcast_arrays(self.v, self.d1, self.d2)))
 
     def __add__(self, other):
         o = _as_jet(other)
@@ -94,23 +141,18 @@ class Jet2:
         return out
 
     def conj(self):
-        return Jet2(self.v.conjugate(), self.d1.conjugate(), self.d2.conjugate())
+        return Jet2(self.v.conj(), self.d1.conj(), self.d2.conj())
 
     def sqrt(self):
-        v = np.sqrt(complex(self.v))
+        v = np.sqrt(self.v)
         d1 = self.d1 / (2.0 * v)
         d2 = (self.d2 - 2.0 * d1 * d1) / (2.0 * v)
         return Jet2(v, d1, d2)
 
     def __repr__(self):
-        return f"Jet2({self.v!r}, {self.d1!r}, {self.d2!r})"
-
-    def __eq__(self, other):
-        o = _as_jet(other)
-        return (self.v, self.d1, self.d2) == (o.v, o.d1, o.d2)
-
-    def __hash__(self):
-        return hash((self.v, self.d1, self.d2))
+        if self.shape:
+            return f"Jet2(shape={self.shape})"
+        return f"Jet2({complex(self.v)!r}, {complex(self.d1)!r}, {complex(self.d2)!r})"
 
 
 class JetMatrix:
@@ -151,10 +193,6 @@ class JetMatrix:
             raise ValueError("size mismatch between point and direction")
         pZ = p @ Z
         return cls(p, pZ, pZ @ Z)
-
-    @property
-    def shape(self):
-        return self.v.shape
 
     @property
     def T(self):
@@ -204,21 +242,23 @@ class JetMatrix:
         return np.broadcast_arrays(self.v, self.d1, self.d2)
 
     def __getitem__(self, idx):
-        v, d1, d2 = self._parts()
-        e = (v[idx], d1[idx], d2[idx])
-        if np.ndim(e[0]) == 0:
-            return Jet2(*e)
-        return JetMatrix(*e)
+        """Batch selection gives a JetMatrix; an index ending in two
+        integers that address the matrix axes (``jm[..., i, j]`` or a full
+        index) gives the Jet2 of that entry."""
+        parts = self._parts()
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        entry = (len(idx) >= 2
+                 and all(isinstance(i, (int, np.integer)) for i in idx[-2:])
+                 and (any(i is Ellipsis for i in idx) or len(idx) == parts[0].ndim))
+        return (Jet2 if entry else JetMatrix)(*(a[idx] for a in parts))
 
     def trace(self):
-        tr = lambda a: np.trace(a, axis1=-2, axis2=-1)
-        t = tuple(tr(a) for a in self._parts())
-        if np.ndim(t[0]) == 0:
-            return Jet2(*t)
-        return JetMatrix(*t)
+        return Jet2(*(np.trace(a, axis1=-2, axis2=-1) for a in self._parts()))
 
-    def value(self):
-        return self.v
+    def trace_form(self, B):
+        """The Jet2 of tr(self @ B), contracted without forming the product.
+        A stack of B (leading member axis) gives a trailing member axis."""
+        return Jet2(*(trace_form(a, B) for a in (self.v, self.d1, self.d2)))
 
     def __repr__(self):
         return f"JetMatrix(shape={self.v.shape})"

@@ -61,9 +61,11 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(A)
 
 
-def metric(Z: np.ndarray, W: np.ndarray) -> float:
-    """Bi-invariant inner product g(Z, W) = Re tr(Z conj(W)^t)."""
-    return float(np.trace(Z @ W.conj().T).real)
+def metric(Z: np.ndarray, W: np.ndarray):
+    """Bi-invariant inner product g(Z, W) = Re tr(Z conj(W)^t), over the
+    leading axes of stacked matrices."""
+    Wh = np.swapaxes(W, -1, -2).conj()
+    return np.trace(Z @ Wh, axis1=-2, axis2=-1).real[()]
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -98,33 +100,35 @@ def quat_embed(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 GROUPS = ("so", "su", "u", "sp")
 
 
-def _fro(a) -> float:
-    return float(np.linalg.norm(a))
+def _fro(a):
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
-def membership_residual(group: str, q: np.ndarray) -> float:
-    """Max Frobenius residual of the group's defining equations.
+def membership_residual(group: str, q: np.ndarray):
+    """Max Frobenius residual of the group's defining equations, one per
+    matrix of a stack.
 
     so: realness, orthogonality, det = 1.  su: unitarity, det = 1.
     u: unitarity.  sp: unitarity and q^t J q = J (matrix size 2n).
     """
     q = np.asarray(q, dtype=complex)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError("membership_residual requires a square matrix")
-    N = q.shape[0]
+    if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
+        raise ValueError("membership_residual requires square matrices")
+    N = q.shape[-1]
     I = np.eye(N)
-    unitary = _fro(q @ q.conj().T - I)
+    qT = np.swapaxes(q, -1, -2)
+    unitary = _fro(q @ qT.conj() - I)
     if group == "u":
-        return unitary
+        return unitary[()]
     if group == "su":
-        return max(unitary, abs(np.linalg.det(q) - 1.0))
+        return np.maximum(unitary, abs(np.linalg.det(q) - 1.0))[()]
     if group == "so":
         real = _fro(q.imag)
-        ortho = _fro(q @ q.T - I)
-        return max(real, ortho, abs(np.linalg.det(q) - 1.0))
+        ortho = _fro(q @ qT - I)
+        return np.maximum.reduce([real, ortho, abs(np.linalg.det(q) - 1.0)])[()]
     if group == "sp":
         if N % 2:
             raise ValueError("sp requires even matrix size")
         J = j_matrix(N // 2)
-        return max(unitary, _fro(q.T @ J @ q - J))
+        return np.maximum(unitary, _fro(qT @ J @ q - J))[()]
     raise ValueError(f"unknown group {group!r}")

@@ -6,6 +6,11 @@ where Z^k(phi)(p) = d^k/ds^k phi(p exp(sZ)) at s = 0.  The covariant
 correction terms vanish because nabla_Z Z = [Z, Z]/2 = 0 for left-invariant
 fields.  All derivatives are exact order-2 jets; kappa is complex bilinear
 (no conjugation).
+
+Every operator takes a single point (n, n) or a stack of points
+(..., n, n) and pushes all basis directions through one evaluator call.
+A field may return a trailing member axis, so that one call evaluates a
+whole family; kappa is then the pairwise (Gram) matrix over the members.
 """
 
 from __future__ import annotations
@@ -15,16 +20,19 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet2, JetMatrix
+from .jets import Jet2, JetMatrix, gram
 from .matrices import mat_exp
 
 __all__ = [
     "ScalarField",
     "field_value",
     "direction_derivs",
+    "field_jets",
     "tension",
     "conformality",
+    "field_ops",
     "quotient_ops",
+    "image_ops",
     "image_tension",
     "image_conformality",
     "finite_difference_derivs",
@@ -35,9 +43,10 @@ __all__ = [
 class ScalarField:
     """A complex-valued function on a matrix group, given by a jet evaluator.
 
-    ``evaluator`` maps a JetMatrix (the 2-jet of a curve through the group)
-    to the Jet2 of the function along that curve; on a constant jet it must
-    return a constant jet.
+    ``evaluator`` maps a JetMatrix (the 2-jets of curves through the group,
+    with any leading batch axes) to the Jet2 of the function along those
+    curves, optionally with a trailing member axis; on a constant jet it
+    must return a constant jet.
     """
 
     evaluator: Callable[[JetMatrix], Jet2]
@@ -49,34 +58,56 @@ class ScalarField:
         return self.evaluator(jm)
 
 
-def field_value(field, p: np.ndarray) -> complex:
+def field_value(field, p: np.ndarray):
     """phi(p), via a constant jet."""
-    return field.evaluator(JetMatrix.constant(p)).v
+    return field.evaluator(JetMatrix.constant(p)).v[()]
 
 
 def direction_derivs(field, p: np.ndarray, Z: np.ndarray):
     """(Z(phi)(p), Z^2(phi)(p)): first and second derivative of phi along
     the one-parameter subgroup curve p exp(sZ)."""
     j = field.evaluator(JetMatrix.curve(p, Z))
-    return j.d1, j.d2
+    return j.d1[()], j.d2[()]
 
 
-def tension(field, p: np.ndarray, basis) -> complex:
+def field_jets(field, p: np.ndarray, directions):
+    """phi and its jets along every direction at every point, from one
+    evaluator call.
+
+    ``p`` is (*points, n, n); ``directions`` is (dirs, n, n), a basis, or
+    (*points, dirs, n, n) for point-dependent directions.  Returns the
+    value (*points, *members) and d1, d2 of shape
+    (*points, dirs, *members).
+    """
+    p = np.asarray(p, dtype=complex)
+    Z = np.asarray(getattr(directions, "elements", directions), dtype=complex)
+    jm = JetMatrix.curve(p[..., None, :, :], Z)
+    lead = jm.d1.shape[:-2]
+    v, d1, d2 = field.evaluator(jm).broadcast_to(lead)
+    return v[(slice(None),) * (len(lead) - 1) + (0,)], d1, d2
+
+
+def _ops(jets, axis):
+    v, d1, d2 = jets
+    return v[()], d2.sum(axis=axis)[()], gram(d1, d1, axis)[()]
+
+
+def field_ops(field, p: np.ndarray, basis):
+    """(phi, tau(phi), kappa(phi, phi)) at every point from one evaluator
+    call; kappa pairs every member with every member."""
+    return _ops(field_jets(field, p, basis), np.ndim(p) - 2)
+
+
+def tension(field, p: np.ndarray, basis):
     """tau(phi)(p) = sum over the basis of second directional derivatives."""
-    total = 0.0 + 0.0j
-    for Z in basis:
-        total += field.evaluator(JetMatrix.curve(p, Z)).d2
-    return total
+    return field_ops(field, p, basis)[1]
 
 
-def conformality(field, other, p: np.ndarray, basis) -> complex:
-    """kappa(phi, psi)(p) = sum over the basis of Z(phi) Z(psi);
-    complex bilinear in both slots."""
-    total = 0.0 + 0.0j
-    for Z in basis:
-        jm = JetMatrix.curve(p, Z)
-        total += field.evaluator(jm).d1 * other.evaluator(jm).d1
-    return total
+def conformality(field, other, p: np.ndarray, basis):
+    """kappa(phi, psi)(p) = sum over the basis of Z(phi) Z(psi); complex
+    bilinear in both slots, with the member axes of phi then psi."""
+    a, b = (field_jets(f, p, basis)[1] for f in (field, other))
+    return gram(a, b, np.ndim(p) - 2)[()]
 
 
 def quotient_ops(pair, field, p: np.ndarray):
@@ -88,44 +119,44 @@ def quotient_ops(pair, field, p: np.ndarray):
     disagreement beyond ~1e-9 flags a function that does not descend to
     G/K.
     """
-    horiz = tension(field, p, pair.p_basis)
+    _, horiz, kap = field_ops(field, p, pair.p_basis)
     full = tension(field, p, pair.ambient)
-    kap = conformality(field, field, p, pair.p_basis)
     return horiz, full, kap
 
 
-def _image_curve(pair, p: np.ndarray, X: np.ndarray) -> JetMatrix:
-    # Curve on the image N through Phi(p) with tangent Ad_{sigma(p)} X.
+def _image_jets(pair, eta, p: np.ndarray):
+    # Curves on the image N through Phi(p) with tangents Ad_{sigma(p)} X
+    # over the p-basis.
     from .cartan import cartan_map
 
     y = cartan_map(pair, p)
-    s = pair.sigma(p)
-    W = s @ X @ s.conj().T
-    return JetMatrix.curve(y, W)
+    s = pair.sigma(np.asarray(p, dtype=complex))[..., None, :, :]
+    W = s @ pair.p_basis @ np.swapaxes(s, -1, -2).conj()
+    return field_jets(eta, y, W)
 
 
-def image_tension(pair, eta, p: np.ndarray) -> complex:
-    """tau_N(eta) at Phi(p), for eta a function on the ambient group
-    restricted to the Cartan image N: second derivatives along the image
-    basis {Ad_{sigma(p)} X | X in the p-basis}."""
-    total = 0.0 + 0.0j
-    for X in pair.p_basis:
-        total += eta.evaluator(_image_curve(pair, p, X)).d2
-    return total
+def image_ops(pair, eta, p: np.ndarray):
+    """(eta(Phi(p)), tau_N(eta), kappa_N(eta, eta)) from one evaluator
+    call, for eta a function on the ambient group restricted to the Cartan
+    image N: derivatives along the image basis
+    {Ad_{sigma(p)} X | X in the p-basis} at Phi(p)."""
+    return _ops(_image_jets(pair, eta, p), np.ndim(p) - 2)
 
 
-def image_conformality(pair, eta, zeta, p: np.ndarray) -> complex:
+def image_tension(pair, eta, p: np.ndarray):
+    """tau_N(eta) at Phi(p); see image_ops."""
+    return image_ops(pair, eta, p)[1]
+
+
+def image_conformality(pair, eta, zeta, p: np.ndarray):
     """kappa_N(eta, zeta) at Phi(p) along the image basis."""
-    total = 0.0 + 0.0j
-    for X in pair.p_basis:
-        jm = _image_curve(pair, p, X)
-        total += eta.evaluator(jm).d1 * zeta.evaluator(jm).d1
-    return total
+    a, b = (_image_jets(pair, f, p)[1] for f in (eta, zeta))
+    return gram(a, b, np.ndim(p) - 2)[()]
 
 
 def finite_difference_derivs(field, p: np.ndarray, Z: np.ndarray, h: float = 1e-5):
     """Central finite differences of phi(p exp(sZ)) — the step-size-dependent
     cross-check for the exact jet computation."""
-    f = lambda s: field.evaluator(JetMatrix.constant(p @ mat_exp(s * Z))).v
+    f = lambda s: field_value(field, p @ mat_exp(s * Z))
     fp, f0, fm = f(h), f(0.0), f(-h)
     return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenlab.cartan import (cartan_map, cartan_map_closed, cartan_map_jet,
-                             harmonic_residual, involution, map_tension_raw,
+                             harmonic_residual, map_tension_raw,
                              pullback_factor)
 from eigenlab.jets import JetMatrix
 from eigenlab.matrices import membership_residual
@@ -35,7 +35,7 @@ class TestStructure:
     def test_identity_maps_to_identity(self, pair):
         N = pair.matrix_size
         assert_allclose(cartan_map(pair, np.eye(N)), np.eye(N), atol=1e-14)
-        assert_allclose(involution(pair, np.eye(N)), np.eye(N), atol=1e-14)
+        assert_allclose(pair.sigma(np.eye(N)), np.eye(N), atol=1e-14)
 
     def test_subgroup_collapses_to_identity(self, pair):
         cfg = SampleConfig(seed=20, count=5)

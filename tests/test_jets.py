@@ -161,3 +161,57 @@ class TestJetMatrix:
         assert_allclose((jm + np.eye(3)).v, p + np.eye(3))
         assert_allclose((jm + np.eye(3)).d1, jm.d1)
         assert_allclose((-jm).d2, -jm.d2)
+
+
+class TestArrayJets:
+    def rand(self, rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_elementwise_like_scalar_jets(self):
+        rng = np.random.default_rng(11)
+        a = Jet2(*(self.rand(rng, (4, 3)) for _ in range(3)))
+        b = Jet2(self.rand(rng, (3,)), self.rand(rng, (4, 3)), 0.0)
+        out = ((a * b - 2.0) / (a + 3.0)).sqrt() ** 2
+        assert out.shape == (4, 3)
+        for i in range(4):
+            for k in range(3):
+                sa = Jet2(a.v[i, k], a.d1[i, k], a.d2[i, k])
+                sb = Jet2(b.v[k], b.d1[i, k], 0.0)
+                ref = ((sa * sb - 2.0) / (sa + 3.0)).sqrt() ** 2
+                assert_allclose(jt(out[i, k]), jt(ref), rtol=1e-13)
+
+    def test_ndarray_operands_defer_to_jets(self):
+        a = Jet2(np.ones(2), np.arange(2.0), 0.0)
+        left = np.array([2.0, 3.0]) * a
+        assert isinstance(left, Jet2)
+        assert_allclose(left.d1, [0.0, 3.0])
+
+    def test_stack_and_index_member_axis(self):
+        a = Jet2(1.0, np.arange(3.0), 0.0)
+        b = Jet2.constant(2.0)
+        s = Jet2.stack([a, b])
+        assert s.shape == (3, 2)
+        assert_allclose(s[..., 0].d1, np.arange(3.0))
+        assert_allclose(s[..., 1].v, np.full(3, 2.0))
+        v, d1, d2 = b.broadcast_to((5,))
+        assert v.shape == d1.shape == d2.shape == (5,)
+
+    def test_trace_form_without_the_product(self):
+        rng = np.random.default_rng(12)
+        p, Zs = self.rand(rng, (2, 1, 3, 3)), self.rand(rng, (4, 3, 3))
+        Bs = self.rand(rng, (5, 3, 3))
+        jm = JetMatrix.curve(p, Zs)
+        got = jm.trace_form(Bs)
+        assert got.shape == (2, 4, 5)
+        for k in range(5):
+            ref = (jm @ Bs[k]).trace()
+            assert_allclose(got[..., k].d2, ref.d2, rtol=1e-13)
+            assert_allclose(got[..., k].v, ref.v, rtol=1e-13)
+
+    def test_entry_index_gives_batched_jet2(self):
+        rng = np.random.default_rng(13)
+        jm = JetMatrix.curve(self.rand(rng, (3, 3)), self.rand(rng, (4, 3, 3)))
+        entry = jm[..., 0, 2]
+        assert isinstance(entry, Jet2)
+        assert entry.shape == (4,)
+        assert_allclose(entry.d1, jm.d1[:, 0, 2])
