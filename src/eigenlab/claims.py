@@ -12,7 +12,7 @@ samples with |phi| >= 1e-3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -211,15 +211,20 @@ def _eigen_ids(prefix, params):
 def _eigen_claims(ids, space, params, values, tau, kappa, lam, mu, tol,
                   details=("", "")):
     """The claims tau(phi) = lam phi and kappa(phi, psi) = mu phi psi of
-    one family, from values (P, K), tau (P, K) and kappa (P, K, K)."""
-    prod = np.einsum("pj,pk->pjk", values, values)
-    P = values.shape[0]
-    return [
-        _result(ids[0], space, params, P, _rel(tau, lam * values), lam,
-                _fit(tau, values), tol, details[0]),
-        _result(ids[1], space, params, P, _rel(kappa, mu * prod), mu,
-                _fit(kappa, prod), tol, details[1]),
-    ]
+    one family, from values (P, ..., K), tau (P, ..., K) and kappa
+    (P, ..., K, K).  A claim with no eigenvalue fit fails: its residuals
+    are small only because phi is."""
+    prod = np.einsum("...j,...k->...jk", values, values)
+    out = []
+    for cid, x, den, ev, detail, name in zip(
+            ids, (tau, kappa), (values, prod), (lam, mu), details,
+            ("|phi|", "|phi psi|")):
+        fit = _fit(x, den)
+        r = _result(cid, space, params, len(values), _rel(x, ev * den), ev,
+                    fit, tol, detail)
+        out.append(r if fit is not None else replace(
+            r, passed=False, detail=f"no sample had {name} >= 1e-3"))
+    return out
 
 
 def _draw(sample, count, start=0):
@@ -346,48 +351,38 @@ def _alpha_range(space, m, n):
 
 
 def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
-    pair = cache.pair(space, m, n)
-    pts = cache.points(space, m, n)
     params = {"m": m, "n": n} if m is not None else {"n": n}
     ids = _table1_claim_ids(space, m, n)
-    P, tol = pts.shape[0], _tol(config, 1e-8)
+    tol = _tol(config, 1e-8)
 
-    # kappa couples members only within one fixed-alpha family, so the
-    # pairwise block is computed per alpha and the residuals concatenated
+    # kappa couples members only within one fixed-alpha family: the
+    # families form an (alpha, member) grid of trace forms, evaluated by
+    # one Cartan pass per chunk and paired along the member axis only
     alphas = _alpha_range(space, m, n)
     blocks = [cache.family(space, m, n, alpha=alpha) for alpha in alphas]
+    values, tau, kappa = _family_ops(cache.pair(space, m, n),
+                                     map(stack_members, blocks),
+                                     cache.points(space, m, n))
     first = blocks[0][0]
-    stats = [_family_ops(pair, members, pts) for members in blocks]
-    values = np.concatenate([v for v, _, _ in stats], axis=1)
-    tau = np.concatenate([t for _, t, _ in stats], axis=1)
-    lam_fit = _fit(tau, values)
     lam, detail = first.lam, ""
     if first.sign_pending:
+        lam_fit = _fit(tau, values)
         sign = 1.0 if (lam_fit is not None and lam_fit.real > 0) else -1.0
         lam = sign * abs(first.lam)
         source = "table" if sign * first.lam > 0 else "opposite"
         detail = f"resolved_sign={'+1' if sign > 0 else '-1'} ({source} sign)"
-    res_l = _rel(tau, lam * values)
-    prods = [np.einsum("pj,pk->pjk", v, v) for v, _, _ in stats]
-    res_m = [_rel(k, first.mu * prod) for (_, _, k), prod in zip(stats, prods)]
-    mu_fit = _fit(np.concatenate([k.ravel() for _, _, k in stats]),
-                  np.concatenate([prod.ravel() for prod in prods]))
-    out = [
-        _result(ids[0], space, params, P, res_l, lam, lam_fit, tol, detail),
-        _result(ids[1], space, params, P,
-                np.concatenate([r.ravel() for r in res_m]), first.mu, mu_fit,
-                tol),
-    ]
+    out = _eigen_claims(ids[:2], space, params, values, tau, kappa, lam,
+                        first.mu, tol, (detail, ""))
     if space == "sp-grassmannian":
-        parts, col = [], 0
-        for alpha, members, r in zip(alphas, blocks, res_m):
-            new = np.array([alpha > m + n or mm.params["j"] > m + n
-                            for mm in members])
-            parts += [res_l[:, col:col + len(members)][:, new].ravel(),
-                      r[:, new, :].ravel()]
-            col += len(members)
+        new = np.array([[alpha > m + n or mm.params["j"] > m + n
+                         for mm in members]
+                        for alpha, members in zip(alphas, blocks)])
+        prod = np.einsum("...j,...k->...jk", values, values)
         out.append(_result(
-            ids[2], space, params, P, np.concatenate(parts), None, None, tol,
+            ids[2], space, params, len(values),
+            np.concatenate([_rel(tau, lam * values)[:, new].ravel(),
+                            _rel(kappa, first.mu * prod)[:, new].ravel()]),
+            None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
     return out
 

@@ -143,6 +143,9 @@ def _cmd_table(config: RunConfig) -> int:
                            samples=config.samples, tol=config.tol,
                            seed=config.seed, out=config.out, fmt=config.fmt)
         validate_config(config)
+    elif not set(config.spaces) & set(PAIR_SPACE_ORDER):
+        raise ConfigError("the selection has no eigenvalue table row; "
+                          f"choose from {PAIR_SPACE_ORDER}")
     start = time.perf_counter()
     results = [r for r in run_claims(config, prefix="table1.")
                if r.claim_id.startswith("table1.")]

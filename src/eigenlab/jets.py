@@ -14,11 +14,11 @@ __all__ = ["Jet2", "JetMatrix", "trace_form", "gram"]
 
 
 def trace_form(a, B):
-    """tr(a @ B) over the leading axes of ``a``, by one einsum; a stack of
-    B (leading member axis) gives a trailing member axis."""
+    """tr(a @ B) over the leading axes of ``a``, by one einsum; the member
+    axes of a stack or grid of B, e.g. (A, K, n, n), become trailing axes."""
     B = np.asarray(B)
-    return np.einsum("...ij,kji->...k" if B.ndim == 3 else "...ij,ji->...",
-                     a, B)
+    members = "klmn"[:B.ndim - 2]
+    return np.einsum(f"...ij,{members}ji->...{members}", a, B)
 
 
 def _as_jet(x):
@@ -28,13 +28,13 @@ def _as_jet(x):
 
 
 def gram(a, b, axis: int):
-    """sum over ``axis`` of a_j b_k: the pairwise products of the trailing
-    member axes of two derivative arrays that share their leading axes."""
-    lead = a.shape[:axis]
-    ma, mb = a.shape[axis + 1:], b.shape[axis + 1:]
-    a2 = a.reshape(a.shape[:axis + 1] + (-1,))
-    b2 = b.reshape(b.shape[:axis + 1] + (-1,))
-    return np.einsum("...bj,...bk->...jk", a2, b2).reshape(lead + ma + mb)
+    """sum over the direction ``axis`` of a_j b_k, j and k on the last
+    member axes of a and b; earlier member axes pair elementwise, like the
+    leading axes.  Without member axes, the sum of a b."""
+    if a.ndim == axis + 1:
+        return gram(a[..., None], b[..., None], axis)[..., 0, 0]
+    a, b = (np.moveaxis(x, axis, -2) for x in (a, b))
+    return np.einsum("...bj,...bk->...jk", a, b)
 
 
 class Jet2:
@@ -257,7 +257,7 @@ class JetMatrix:
 
     def trace_form(self, B):
         """The Jet2 of tr(self @ B), contracted without forming the product.
-        A stack of B (leading member axis) gives a trailing member axis."""
+        The member axes of a stack or grid of B become trailing axes."""
         return Jet2(*(trace_form(a, B) for a in (self.v, self.d1, self.d2)))
 
     def __repr__(self):

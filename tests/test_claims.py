@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from eigenlab.claims import RunConfig, _result, jobs_for, run_claims
+from eigenlab import catalog
+from eigenlab.claims import (CHUNK, RunConfig, _eigen_claims, _result,
+                             jobs_for, run_claims)
 
 
 def claim_ids(config):
@@ -39,3 +41,47 @@ def test_discrete_k_results_match_registration():
 
 def test_default_claim_count():
     assert len(claim_ids(RunConfig())) == 170
+
+
+def test_eigen_claims_without_evidence_fail():
+    # |phi| = 1e-6 everywhere: the residuals vanish with phi, so they
+    # show nothing, and no eigenvalue can be fitted
+    lam, mu = -4.0, -1.0
+    values = np.full((6, 3), 1e-6, dtype=complex)
+    tau = lam * values
+    kappa = mu * np.einsum("pj,pk->pjk", values, values)
+    lam_claim, mu_claim = _eigen_claims(("x.lambda", "x.mu"), "sphere", {},
+                                        values, tau, kappa, lam, mu, 1e-8)
+    for r in (lam_claim, mu_claim):
+        assert not r.passed
+        assert r.max_residual == 0.0
+        assert r.measured is None
+    assert "no sample had |phi| >= 1e-3" in lam_claim.detail
+    assert "no sample had |phi psi| >= 1e-3" in mu_claim.detail
+    # the same identities on values of order one pass
+    values = 1e6 * values
+    tau = lam * values
+    kappa = mu * np.einsum("pj,pk->pjk", values, values)
+    results = _eigen_claims(("x.lambda", "x.mu"), "sphere", {}, values, tau,
+                            kappa, lam, mu, 1e-8)
+    assert all(r.passed and r.detail == "" for r in results)
+
+
+def test_table1_makes_one_cartan_pass(monkeypatch):
+    # every fixed-alpha family of a job is one (alpha, member) grid of
+    # trace forms: one Cartan pass per chunk, not one per alpha
+    calls = []
+    original = catalog.cartan_map_jet
+
+    def counting(pair, jm):
+        calls.append(jm.d1.shape)
+        return original(pair, jm)
+
+    monkeypatch.setattr(catalog, "cartan_map_jet", counting)
+    config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2, samples=CHUNK)
+    results = run_claims(config, prefix="table1.")
+    assert [r.claim_id for r in results] == [
+        "table1.row10.lambda[m=2,n=2]", "table1.row10.mu[m=2,n=2]",
+        "catalog.quat.new-range[m=2,n=2]"]
+    assert all(r.passed for r in results)
+    assert len(calls) == 1

@@ -166,3 +166,22 @@ class TestListAndTable:
         assert code == 0
         assert "sp-u" in out
         assert "su-so" not in out
+
+    @pytest.mark.parametrize("space", ["sphere", "polynomial", "product",
+                                       "basis", "cpn", "sphere,cpn"])
+    def test_table_without_rows_exits_two(self, capsys, space):
+        code, out, err = run_cli(capsys, "table", "--space", space,
+                                 "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err
+        for table_space in ("su-so", "sp-u", "so-u", "su-sp",
+                            "so-grassmannian", "u-grassmannian",
+                            "sp-grassmannian"):
+            assert table_space in err
+
+    def test_table_mixed_selection_prints_its_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--space", "sphere,sp-u",
+                               "--samples", "3")
+        assert code == 0
+        assert "sp-u" in out

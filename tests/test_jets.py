@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenlab.jets import Jet2, JetMatrix
+from eigenlab.jets import Jet2, JetMatrix, gram, trace_form
 
 
 def jt(a):
@@ -207,6 +207,38 @@ class TestArrayJets:
             ref = (jm @ Bs[k]).trace()
             assert_allclose(got[..., k].d2, ref.d2, rtol=1e-13)
             assert_allclose(got[..., k].v, ref.v, rtol=1e-13)
+
+    def test_trace_form_of_a_grid(self):
+        # an (A, K, n, n) grid of B gives trailing (A, K) axes
+        rng = np.random.default_rng(14)
+        a, Bs = self.rand(rng, (2, 4, 3, 3)), self.rand(rng, (3, 5, 3, 3))
+        got = trace_form(a, Bs)
+        assert got.shape == (2, 4, 3, 5)
+        for i in range(3):
+            assert_allclose(got[..., i, :], trace_form(a, Bs[i]), rtol=1e-13)
+            for k in range(5):
+                assert_allclose(got[..., i, k], trace_form(a, Bs[i, k]),
+                                rtol=1e-13)
+                assert_allclose(got[..., i, k],
+                                np.trace(a @ Bs[i, k], axis1=-2, axis2=-1),
+                                rtol=1e-13)
+
+    def test_gram_pairs_the_last_member_axis_only(self):
+        # (points, dirs, A, K): the A families pair elementwise
+        rng = np.random.default_rng(15)
+        a, b = self.rand(rng, (2, 6, 3, 4)), self.rand(rng, (2, 6, 3, 5))
+        got = gram(a, b, 1)
+        assert got.shape == (2, 3, 4, 5)
+        for i in range(3):
+            ref = gram(a[:, :, i], b[:, :, i], 1)
+            assert ref.shape == (2, 4, 5)
+            assert_allclose(got[:, i], ref, rtol=1e-13)
+            assert_allclose(ref, np.einsum("pbj,pbk->pjk", a[:, :, i],
+                                           b[:, :, i]), rtol=1e-13)
+        flat = gram(a[..., 0, 0], b[..., 0, 0], 1)
+        assert flat.shape == (2,)
+        assert_allclose(flat, (a[..., 0, 0] * b[..., 0, 0]).sum(axis=1),
+                        rtol=1e-13)
 
     def test_entry_index_gives_batched_jet2(self):
         rng = np.random.default_rng(13)

@@ -13,6 +13,7 @@ import pytest
 
 from eigenlab import ambient, cartan, catalog, families, operators
 from eigenlab.cartan import cartan_map_jet
+from eigenlab.claims import DEFAULT_SIZES, _alpha_range
 from eigenlab.jets import Jet2, JetMatrix
 from eigenlab.matrices import j_matrix, membership_residual
 from eigenlab.operators import ScalarField, field_value
@@ -291,6 +292,35 @@ def test_product_operators(case):
            for p1, p2 in zip(pts, pts2)]
     close(direct, ref)
     close(decomposed, ref)
+
+
+GRID_CASES = [(space, m, n)
+              for space in ("so-grassmannian", "u-grassmannian",
+                            "sp-grassmannian")
+              for m, n in DEFAULT_SIZES[space]] + [("u-grassmannian", 3, 3)]
+
+
+@pytest.mark.parametrize("space,m,n", GRID_CASES)
+def test_alpha_member_grid(space, m, n):
+    # reference: one field_ops pass per fixed-alpha family
+    pair = make_pair(space, m=m, n=n)
+    cfg = SampleConfig(seed=42)
+    pts = np.stack([random_pair_point(pair, cfg, i) for i in range(P)])
+    blocks = [catalog.family_for_space(space, m=m, n=n, alpha=alpha,
+                                       pair=pair,
+                                       rng=np.random.default_rng(3))
+              for alpha in _alpha_range(space, m, n)]
+    grid = catalog.stack_members(map(catalog.stack_members, blocks))
+    values, tau, kappa = operators.field_ops(grid.as_field(), pts,
+                                             pair.ambient)
+    A, K = len(blocks), len(blocks[0])
+    assert values.shape == tau.shape == (P, A, K)
+    assert kappa.shape == (P, A, K, K)
+    for a, members in enumerate(blocks):
+        ref = operators.field_ops(catalog.stack_members(members).as_field(),
+                                  pts, pair.ambient)
+        for g, r in zip((values[:, a], tau[:, a], kappa[:, a]), ref):
+            close(g, r)
 
 
 # ---------------------------------------------------------------------------
