@@ -21,6 +21,7 @@ __all__ = [
     "harmonic_residual",
     "map_tension_raw",
     "pullback_factor",
+    "tangential_residual",
 ]
 
 
@@ -78,6 +79,17 @@ def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
     return cartan_map_jet(pair, jm).d2.sum(axis=-3)
 
 
+def tangential_residual(pair, y: np.ndarray, H: np.ndarray):
+    """Max entry magnitude of the projection of ``H`` onto the tangent
+    space of G at ``y``: H expanded in y times the orthonormal ambient
+    basis.  With y = Phi(p) and H = map_tension_raw(pair, p) this is the
+    tension of Phi at p; see harmonic_residual."""
+    els = pair.ambient.elements
+    coeff = np.einsum("...ij,bij->...b", _h(y) @ H, els.conj()).real
+    tangential = y @ np.einsum("...b,bij->...ij", coeff.astype(complex), els)
+    return np.abs(tangential).max(axis=(-2, -1))[()]
+
+
 def harmonic_residual(pair, p: np.ndarray):
     """Max entry magnitude of the tension of the map Phi: G -> G at p.
 
@@ -86,12 +98,8 @@ def harmonic_residual(pair, p: np.ndarray):
     vanish, while a generic map (e.g. p -> p^2) leaves residuals of order
     one.
     """
-    y = cartan_map(pair, p)
-    H = map_tension_raw(pair, p)
-    els = pair.ambient.elements
-    coeff = np.einsum("...ij,bij->...b", _h(y) @ H, els.conj()).real
-    tangential = y @ np.einsum("...b,bij->...ij", coeff.astype(complex), els)
-    return np.abs(tangential).max(axis=(-2, -1))[()]
+    return tangential_residual(pair, cartan_map(pair, p),
+                               map_tension_raw(pair, p))
 
 
 def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):

@@ -19,14 +19,12 @@ import numpy as np
 
 from . import ambient, catalog
 from .bases import square_sum
-# cartan_map_jet is bound here by name, like every operator the engine
-# uses, so that perfbench/tracer.py, which rebinds it in each eigenlab
-# namespace, also finds it here.
-from .cartan import (cartan_map, cartan_map_jet,  # noqa: F401
-                     harmonic_residual, pullback_factor)
+from .cartan import (cartan_map, cartan_map_jet, pullback_factor,
+                     tangential_residual)
 from .catalog import stack_members
 from .families import (ProductMember, base_family, polynomial_family,
                        product_family, product_ops)
+from .jets import JetMatrix, gram
 from .matrices import basis_D, basis_X, basis_Y
 from .operators import field_ops, image_ops
 from .pairs import SPACES, make_pair, space_label
@@ -243,13 +241,15 @@ def _chunked(op, *points):
 
 
 class _Cache:
-    """Per-run cache of pairs and point samples, keyed by (space, m, n)."""
+    """Per-run cache of pairs, point samples and Phi bundles, keyed by
+    (space, m, n)."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.scfg = SampleConfig(seed=config.seed, count=config.samples)
         self._pairs = {}
         self._points = {}
+        self._bundles = {}
 
     def pair(self, space, m, n):
         key = (space, m, n)
@@ -273,13 +273,58 @@ class _Cache:
         return catalog.family_for_space(space, m=m, n=n, alpha=alpha,
                                         rng=rng, pair=pair)
 
+    def blocks(self, space, m, n):
+        """The fixed-alpha families of a space, one per alpha."""
+        return [self.family(space, m, n, alpha=alpha)
+                for alpha in _alpha_range(space, m, n)]
 
-def _family_ops(pair, members, points):
-    """phi values, tau(phi), and the pairwise kappa matrix of a family of
-    trace forms over the ambient basis, one Cartan pass per chunk."""
-    f = stack_members(members).as_field()
-    els = pair.ambient.elements
-    return _chunked(lambda c: field_ops(f, c, els), points)
+    def bundle(self, space, m, n):
+        """The Phi bundle of a space at the run's points, built on first
+        use; see _phi_bundle."""
+        key = (space, m, n)
+        if key not in self._bundles:
+            self._bundles[key] = _phi_bundle(
+                self.pair(space, m, n), self.blocks(space, m, n),
+                self.points(space, m, n))
+        return self._bundles[key]
+
+
+def _factor4_index(members):
+    """The alpha = 1 members the factor-4 claims compare: the first two,
+    or the only one twice."""
+    return [0, 1] if len(members) > 1 else [0, 0]
+
+
+def _ambient_pass(pair, forms, points, raw):
+    """The ambient-basis Cartan pass at ``points``: values, tau and kappa
+    of the trace forms ``forms`` of Phi; the raw map tension
+    sum_Z Z^2 Phi goes into ``raw``.  Phi's jets are freed before the
+    kappa Gram product."""
+    phi = cartan_map_jet(pair, JetMatrix.curve(points[:, None],
+                                               pair.ambient.elements))
+    phi.d2.sum(axis=1, out=raw)
+    v, d1, d2 = forms.eta_field()(phi).broadcast_to(phi.d1.shape[:-2])
+    del phi
+    return v[:, 0], d2.sum(axis=1), gram(d1, d1, 1)
+
+
+def _phi_bundle(pair, blocks, points):
+    """What the claims read of the ambient-basis 2-jets of Phi, from one
+    Cartan pass per chunk; every catalog function is a trace form of Phi.
+
+    ``grid``: values, tau and kappa of the (alpha, member) grid of
+    ``blocks``, for table1, which drops them once read; ``factor4``: tau
+    and kappa of the alpha = 1 members of _factor4_index; ``raw``: the
+    raw map tension (P, n, n), for cartan.harmonic."""
+    forms = stack_members(map(stack_members, blocks))
+    # raw outlives the pass: allocated before the pass's temporaries, it
+    # does not split the heap space that later large arrays reuse
+    raw = np.empty(points.shape, complex)
+    values, tau, kappa = _chunked(
+        lambda c, out: _ambient_pass(pair, forms, c, out), points, raw)
+    two = _factor4_index(blocks[0])
+    return {"grid": (values, tau, kappa), "raw": raw,
+            "factor4": (tau[:, 0, two], kappa[:, 0, two][:, :, two])}
 
 
 def _family_image_ops(pair, members, points):
@@ -356,13 +401,11 @@ def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
     tol = _tol(config, 1e-8)
 
     # kappa couples members only within one fixed-alpha family: the
-    # families form an (alpha, member) grid of trace forms, evaluated by
-    # one Cartan pass per chunk and paired along the member axis only
+    # families form an (alpha, member) grid of trace forms, paired along
+    # the member axis only
     alphas = _alpha_range(space, m, n)
-    blocks = [cache.family(space, m, n, alpha=alpha) for alpha in alphas]
-    values, tau, kappa = _family_ops(cache.pair(space, m, n),
-                                     map(stack_members, blocks),
-                                     cache.points(space, m, n))
+    blocks = cache.blocks(space, m, n)
+    values, tau, kappa = cache.bundle(space, m, n).pop("grid")
     first = blocks[0][0]
     lam, detail = first.lam, ""
     if first.sign_pending:
@@ -437,7 +480,9 @@ def _run_cartan(config: RunConfig, cache: _Cache, space, m, n):
         results.append(_result(f"cartan.k-invariance{suffix}", space, params,
                                P, res_k, None, None, _tol(config, 1e-12)))
 
-    res_h = _chunked(lambda c: harmonic_residual(pair, c), pts)
+    bundle = cache.bundle(space, m, n)
+    res_h = _chunked(lambda c, raw: tangential_residual(
+        pair, cartan_map(pair, c), raw), pts, bundle["raw"])
     results.append(_result(f"cartan.harmonic{suffix}", space, params, P,
                            res_h, None, None, _tol(config, 1e-9)))
 
@@ -455,9 +500,9 @@ def _run_cartan(config: RunConfig, cache: _Cache, space, m, n):
                                vert, 0.0, None, _tol(config, 1e-10)))
 
     members = cache.family(space, m, n)
-    etas = members[:2] if len(members) > 1 else [members[0], members[0]]
-    _, tauL, kapL = _family_ops(pair, etas, pts)
-    _, tauN, kapN = _family_image_ops(pair, etas, pts)
+    tauL, kapL = bundle["factor4"]
+    _, tauN, kapN = _family_image_ops(
+        pair, [members[i] for i in _factor4_index(members)], pts)
     results.append(_result(f"cartan.factor4.tau{suffix}", space, params, P,
                            _rel(tauL, 4.0 * tauN), None, None,
                            _tol(config, 1e-8)))

@@ -14,11 +14,17 @@ __all__ = ["Jet2", "JetMatrix", "trace_form", "gram"]
 
 
 def trace_form(a, B):
-    """tr(a @ B) over the leading axes of ``a``, by one einsum; the member
-    axes of a stack or grid of B, e.g. (A, K, n, n), become trailing axes."""
-    B = np.asarray(B)
-    members = "klmn"[:B.ndim - 2]
-    return np.einsum(f"...ij,{members}ji->...{members}", a, B)
+    """tr(a @ B) = sum_ij a_ij B_ji over the leading axes of ``a``, by one
+    matmul of ``a`` flattened to (..., n*n) against the transposed B
+    flattened to (n*n, members); the member axes of a stack or grid of B,
+    e.g. (A, K, n, n), become trailing axes."""
+    a, B = np.asarray(a), np.asarray(B)
+    lead, n2 = a.shape[:-2], a.shape[-2] * a.shape[-1]
+    Bt = np.swapaxes(B, -1, -2).reshape(-1, n2).T
+    # numpy runs one gemm per index of all but the last leading axis:
+    # BLAS packs one (rows, n*n) slab at a time, not all of ``a``, which
+    # keeps its per-thread packing buffers small
+    return (a.reshape(lead + (n2,)) @ Bt).reshape(lead + B.shape[:-2])
 
 
 def _as_jet(x):

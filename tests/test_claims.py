@@ -1,11 +1,14 @@
 """The claim engine: no claim can pass on zero evidence."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from eigenlab import catalog
+from eigenlab import cartan
 from eigenlab.claims import (CHUNK, RunConfig, _eigen_claims, _result,
                              jobs_for, run_claims)
+from eigenlab.pairs import make_pair
 
 
 def claim_ids(config):
@@ -67,21 +70,70 @@ def test_eigen_claims_without_evidence_fail():
     assert all(r.passed and r.detail == "" for r in results)
 
 
-def test_table1_makes_one_cartan_pass(monkeypatch):
-    # every fixed-alpha family of a job is one (alpha, member) grid of
-    # trace forms: one Cartan pass per chunk, not one per alpha
+@pytest.fixture
+def cartan_passes(monkeypatch):
+    """The direction stacks of every cartan_map_jet call, counted in each
+    eigenlab module that binds the function by name."""
     calls = []
-    original = catalog.cartan_map_jet
+    original = cartan.cartan_map_jet
 
     def counting(pair, jm):
-        calls.append(jm.d1.shape)
+        p = np.broadcast_to(jm.v, jm.d1.shape)
+        calls.append(np.swapaxes(p, -1, -2).conj() @ jm.d1)
         return original(pair, jm)
 
-    monkeypatch.setattr(catalog, "cartan_map_jet", counting)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("eigenlab") and \
+                getattr(mod, "cartan_map_jet", None) is original:
+            monkeypatch.setattr(mod, "cartan_map_jet", counting)
+    return calls
+
+
+def passes_along(calls, basis):
+    # a pass pushes every direction of the basis at every point; p is
+    # unitary, so p^H (p Z) recovers the direction Z
+    return sum(Z.shape[-3:] == basis.shape
+               and np.allclose(Z, basis, atol=1e-12) for Z in calls)
+
+
+def test_table1_makes_one_cartan_pass(cartan_passes):
+    # every fixed-alpha family of a job is one (alpha, member) grid of
+    # trace forms: one Cartan pass per chunk, not one per alpha
     config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2, samples=CHUNK)
     results = run_claims(config, prefix="table1.")
     assert [r.claim_id for r in results] == [
         "table1.row10.lambda[m=2,n=2]", "table1.row10.mu[m=2,n=2]",
         "catalog.quat.new-range[m=2,n=2]"]
     assert all(r.passed for r in results)
-    assert len(calls) == 1
+    assert len(cartan_passes) == 1
+    pair = make_pair("sp-grassmannian", m=2, n=2)
+    assert passes_along(cartan_passes, pair.ambient.elements) == 1
+
+
+def test_table1_and_cartan_share_one_ambient_pass(cartan_passes):
+    # table1, cartan.harmonic and cartan.factor4 read one Phi bundle: the
+    # ambient basis goes through cartan_map_jet once, beside the p-basis
+    # (pullback) and k-basis (vertical) passes
+    config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2, samples=CHUNK)
+    results = run_claims(config)
+    assert [r.claim_id for r in results] == claim_ids(config)
+    assert all(r.passed for r in results)
+    pair = make_pair("sp-grassmannian", m=2, n=2)
+    assert [passes_along(cartan_passes, basis) for basis in (
+        pair.ambient.elements, pair.p_basis, pair.k_basis)] == [1, 1, 1]
+    assert len(cartan_passes) == 3
+
+
+@pytest.mark.parametrize("space,m,n", [("su-so", None, 3),
+                                       ("so-grassmannian", 1, 1),
+                                       ("sp-grassmannian", 1, 2)])
+def test_cartan_results_do_not_depend_on_table1(space, m, n):
+    # the Phi bundle is built on demand, the same with or without table1;
+    # CHUNK + 5 samples leave a partial last chunk
+    config = RunConfig(spaces=(space,), m=m, n=n, samples=CHUNK + 5)
+    alone = run_claims(config, prefix="cartan.")
+    full = [r for r in run_claims(config)
+            if r.claim_id.startswith("cartan.")]
+    assert [r.claim_id for r in alone] == [
+        cid for cid in claim_ids(config) if cid.startswith("cartan.")]
+    assert alone == full

@@ -247,3 +247,65 @@ class TestArrayJets:
         assert isinstance(entry, Jet2)
         assert entry.shape == (4,)
         assert_allclose(entry.d1, jm.d1[:, 0, 2])
+
+
+def einsum_trace_form(a, B):
+    """The contraction trace_form replaces, sum_ij a_ij B_ji by einsum."""
+    B = np.asarray(B)
+    members = "klmn"[:B.ndim - 2]
+    return np.einsum(f"...ij,{members}ji->...{members}", a, B)
+
+
+class TestTraceForm:
+    """trace_form is one matmul; the einsum reference differs from it only
+    in the order of summation, so the tolerance is fixed at 1e-12
+    relative to max(1, |reference|)."""
+
+    RTOL = 1e-12
+
+    def rand(self, rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def close(self, got, ref):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref)
+                      <= self.RTOL * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("lead,members", [
+        ((7, 5), (4,)),          # dense stack of B
+        ((3, 6), (3, 5)),        # (A, K) grid of B
+        ((), (4,)),              # one (n, n) input, no leading axes
+        ((2, 3), ()),            # a single B
+        ((), (2, 3)),
+    ])
+    def test_matches_einsum(self, lead, members):
+        rng = np.random.default_rng(16)
+        a = self.rand(rng, lead + (4, 4))
+        B = self.rand(rng, members + (4, 4))
+        self.close(trace_form(a, B), einsum_trace_form(a, B))
+
+    def test_broadcast_and_strided_inputs(self):
+        rng = np.random.default_rng(17)
+        a = np.broadcast_to(self.rand(rng, (3, 1, 4, 4)), (3, 5, 4, 4))
+        B = self.rand(rng, (2, 6, 4, 4))
+        self.close(trace_form(a, B), einsum_trace_form(a, B))
+        # transposed and real-valued operands
+        aT, Br = np.swapaxes(a, -1, -2), B.real[:, ::2]
+        self.close(trace_form(aT, Br), einsum_trace_form(aT, Br))
+
+    def test_single_nonzero_B_is_exact(self):
+        # one nonzero entry coef at (i, j): tr(a B) = coef * a[..., j, i]
+        # bit for bit, whatever order BLAS sums the zero terms in
+        rng = np.random.default_rng(18)
+        a = self.rand(rng, (32, 9, 6, 6))
+        B = np.zeros((3, 4, 6, 6))
+        coef = np.array([[0.5, -0.5, 0.25, -3.0]] * 3)
+        ij = [[(k, (k + l + 1) % 6) for l in range(4)] for k in range(3)]
+        for k in range(3):
+            for l, (i, j) in enumerate(ij[k]):
+                B[k, l, i, j] = coef[k, l]
+        got = trace_form(a, B)
+        for k in range(3):
+            for l, (i, j) in enumerate(ij[k]):
+                exact = coef[k, l] * a[..., j, i]
+                assert np.array_equal(got[..., k, l], exact)

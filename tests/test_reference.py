@@ -13,7 +13,7 @@ import pytest
 
 from eigenlab import ambient, cartan, catalog, families, operators
 from eigenlab.cartan import cartan_map_jet
-from eigenlab.claims import DEFAULT_SIZES, _alpha_range
+from eigenlab.claims import DEFAULT_SIZES, _alpha_range, _phi_bundle
 from eigenlab.jets import Jet2, JetMatrix
 from eigenlab.matrices import j_matrix, membership_residual
 from eigenlab.operators import ScalarField, field_value
@@ -240,6 +240,32 @@ def test_cartan_operators(case):
     X, Y = pair.p_basis[0], pair.p_basis[-1]
     close(cartan.pullback_factor(pair, pts, X, Y),
           [ref_pullback(pair, p, X, Y) for p in pts])
+
+
+def test_tangential_residual(case):
+    # the projection split out of harmonic_residual, fed the raw tension
+    # of the per-point API and that of the claim engine's Phi bundle
+    pair, pts, _, members = case
+    ref = [ref_harmonic(pair, p) for p in pts]
+    y = cartan.cartan_map(pair, pts)
+    close(cartan.tangential_residual(pair, y,
+                                     cartan.map_tension_raw(pair, pts)), ref)
+    close(cartan.tangential_residual(pair, y,
+                                     _phi_bundle(pair, [members], pts)["raw"]),
+          ref)
+
+
+def test_phi_bundle(case):
+    # one block of the (alpha, member) grid, and its factor-4 sub-block
+    pair, pts, _, members = case
+    bundle = _phi_bundle(pair, [members], pts)
+    refs = ref_ops([ref_field(pair, mm) for mm in members], pts, pair.ambient)
+    for g, r in zip(bundle["grid"], refs):
+        close(g[:, 0], r)
+    two = [0, 1] if len(members) > 1 else [0, 0]
+    tau, kappa = bundle["factor4"]
+    close(tau, np.asarray(refs[1])[:, two])
+    close(kappa, np.asarray(refs[2])[:, two][:, :, two])
 
 
 def test_membership_residual(case):
