@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bases import square_sum
 from .jets import JetMatrix
 from .matrices import membership_residual, metric
 
@@ -18,9 +19,11 @@ __all__ = [
     "cartan_map",
     "cartan_map_jet",
     "cartan_map_closed",
+    "cartan_jets_closed",
     "harmonic_residual",
     "map_tension_raw",
     "pullback_factor",
+    "pullback_ratio",
     "tangential_residual",
 ]
 
@@ -64,6 +67,22 @@ def cartan_map_closed(pair, p: np.ndarray) -> np.ndarray:
     if pair.space in ("so-u", "su-sp"):
         return p @ M @ pT @ M.conj().T
     return p @ M @ pT.conj() @ M
+
+
+def cartan_jets_closed(pair, p: np.ndarray):
+    """(Phi, Z(Phi) along the p-basis, raw map tension) at p in closed
+    form, with no jet pass.
+
+    Along p exp(sZ), Phi is p exp(2sZ) sigma(p)^-1 for Z in p and constant
+    for Z in k, so Z(Phi) = 2 p Z sigma(p)^-1 (shape (..., dim p, n, n))
+    and sum_Z Z^2(Phi) over the ambient basis is 4 p C_p sigma(p)^-1,
+    with C_p the sum of Z^2 over the p-basis: the map_tension_raw of p.
+    """
+    phi = cartan_map(pair, p)
+    p = np.asarray(p, dtype=complex)
+    s_inv = pair.sigma(_h(p))
+    d1 = 2.0 * (p[..., None, :, :] @ pair.p_basis @ s_inv[..., None, :, :])
+    return phi, d1, 4.0 * (p @ square_sum(pair.p_basis) @ s_inv)
 
 
 def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
@@ -114,6 +133,13 @@ def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
     p = np.asarray(p, dtype=complex)[..., None, :, :] if np.ndim(X) == 3 else p
     dX = cartan_map_jet(pair, JetMatrix.curve(p, X)).d1
     dY = dX if Y is X else cartan_map_jet(pair, JetMatrix.curve(p, Y)).d1
+    return pullback_ratio(dX, dY, X, Y)
+
+
+def pullback_ratio(dX, dY, X, Y):
+    """g(dX, dY) / g(X, Y) for the first derivatives dX, dY of Phi along
+    the directions X, Y, entry by entry; the numerator where g(X, Y) = 0.
+    See pullback_factor."""
     num = metric(dX, dY)
     den = metric(X, Y)
     small = np.abs(den) < 1e-12

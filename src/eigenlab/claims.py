@@ -19,12 +19,12 @@ import numpy as np
 
 from . import ambient, catalog
 from .bases import square_sum
-from .cartan import (cartan_map, cartan_map_jet, pullback_factor,
-                     tangential_residual)
+from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
+                     pullback_ratio, tangential_residual)
 from .catalog import stack_members
 from .families import (ProductMember, base_family, polynomial_family,
                        product_family, product_ops)
-from .jets import JetMatrix, gram
+from .jets import JetMatrix, gram, trace_form
 from .matrices import basis_D, basis_X, basis_Y
 from .operators import field_ops, image_ops
 from .pairs import SPACES, make_pair, space_label
@@ -241,15 +241,13 @@ def _chunked(op, *points):
 
 
 class _Cache:
-    """Per-run cache of pairs, point samples and Phi bundles, keyed by
-    (space, m, n)."""
+    """Per-run cache of pairs and point samples, keyed by (space, m, n)."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.scfg = SampleConfig(seed=config.seed, count=config.samples)
         self._pairs = {}
         self._points = {}
-        self._bundles = {}
 
     def pair(self, space, m, n):
         key = (space, m, n)
@@ -278,16 +276,6 @@ class _Cache:
         return [self.family(space, m, n, alpha=alpha)
                 for alpha in _alpha_range(space, m, n)]
 
-    def bundle(self, space, m, n):
-        """The Phi bundle of a space at the run's points, built on first
-        use; see _phi_bundle."""
-        key = (space, m, n)
-        if key not in self._bundles:
-            self._bundles[key] = _phi_bundle(
-                self.pair(space, m, n), self.blocks(space, m, n),
-                self.points(space, m, n))
-        return self._bundles[key]
-
 
 def _factor4_index(members):
     """The alpha = 1 members the factor-4 claims compare: the first two,
@@ -295,36 +283,40 @@ def _factor4_index(members):
     return [0, 1] if len(members) > 1 else [0, 0]
 
 
-def _ambient_pass(pair, forms, points, raw):
-    """The ambient-basis Cartan pass at ``points``: values, tau and kappa
-    of the trace forms ``forms`` of Phi; the raw map tension
-    sum_Z Z^2 Phi goes into ``raw``.  Phi's jets are freed before the
-    kappa Gram product."""
-    phi = cartan_map_jet(pair, JetMatrix.curve(points[:, None],
-                                               pair.ambient.elements))
-    phi.d2.sum(axis=1, out=raw)
-    v, d1, d2 = forms.eta_field()(phi).broadcast_to(phi.d1.shape[:-2])
-    del phi
-    return v[:, 0], d2.sum(axis=1), gram(d1, d1, 1)
+def _closed_ops(pair, forms, points):
+    """Values, tau and kappa of the trace forms ``forms`` of Phi at
+    ``points``, from the closed-form jets of Phi: tau is one trace form of
+    the raw map tension, kappa a Gram product over the p-basis alone
+    (Phi is constant along k)."""
+    phi, dphi, tension = cartan_jets_closed(pair, points)
+    d1 = trace_form(dphi, forms.B)
+    return (trace_form(phi, forms.B) + forms.c, trace_form(tension, forms.B),
+            gram(d1, d1, 1))
 
 
-def _phi_bundle(pair, blocks, points):
-    """What the claims read of the ambient-basis 2-jets of Phi, from one
-    Cartan pass per chunk; every catalog function is a trace form of Phi.
+def _cartan_pass(pair, forms, points):
+    """What the cartan claims read of the 2-jets of Phi at ``points``,
+    from one p-basis and one k-basis Cartan pass.  The two bases together
+    are orthonormal, so their second derivatives sum to the raw map
+    tension over the ambient basis.
 
-    ``grid``: values, tau and kappa of the (alpha, member) grid of
-    ``blocks``, for table1, which drops them once read; ``factor4``: tau
-    and kappa of the alpha = 1 members of _factor4_index; ``raw``: the
-    raw map tension (P, n, n), for cartan.harmonic."""
-    forms = stack_members(map(stack_members, blocks))
-    # raw outlives the pass: allocated before the pass's temporaries, it
-    # does not split the heap space that later large arrays reuse
-    raw = np.empty(points.shape, complex)
-    values, tau, kappa = _chunked(
-        lambda c, out: _ambient_pass(pair, forms, c, out), points, raw)
-    two = _factor4_index(blocks[0])
-    return {"grid": (values, tau, kappa), "raw": raw,
-            "factor4": (tau[:, 0, two], kappa[:, 0, two][:, :, two])}
+    Returns the pullback ratios along the p- and the k-basis, the harmonic
+    residual, tau and kappa of the trace forms ``forms``, and the casimir
+    residual: per point, the largest entry of the error of
+    cartan_jets_closed against the jets."""
+    X, V = pair.p_basis, pair.k_basis
+    jp, jk = (cartan_map_jet(pair, JetMatrix.curve(points[:, None], Z))
+              for Z in (X, V))
+    raw = jp.d2.sum(axis=1) + jk.d2.sum(axis=1)
+    phi, dphi, tension = cartan_jets_closed(pair, points)
+    casimir = np.maximum(np.abs(jp.d1 - dphi).max(axis=(1, 2, 3)),
+                         np.abs(raw - tension).max(axis=(1, 2)))
+    d1 = np.concatenate([trace_form(jp.d1, forms.B),
+                         trace_form(jk.d1, forms.B)], axis=1)
+    return (pullback_ratio(jp.d1, jp.d1, X, X),
+            pullback_ratio(jk.d1, jk.d1, V, V),
+            tangential_residual(pair, phi, raw), trace_form(raw, forms.B),
+            gram(d1, d1, 1), casimir)
 
 
 def _family_image_ops(pair, members, points):
@@ -405,7 +397,10 @@ def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
     # the member axis only
     alphas = _alpha_range(space, m, n)
     blocks = cache.blocks(space, m, n)
-    values, tau, kappa = cache.bundle(space, m, n).pop("grid")
+    pair = cache.pair(space, m, n)
+    forms = stack_members(map(stack_members, blocks))
+    values, tau, kappa = _chunked(lambda c: _closed_ops(pair, forms, c),
+                                  cache.points(space, m, n))
     first = blocks[0][0]
     lam, detail = first.lam, ""
     if first.sign_pending:
@@ -452,7 +447,8 @@ def _cartan_kinds(space, m, n):
     build = SPACES[space]["builder"]
     vertical = (build(n) if m is None else build(m, n))[3] > 0
     return (("k-invariance",) * vertical + ("harmonic", "pullback")
-            + ("vertical",) * vertical + ("factor4.tau", "factor4.kappa"))
+            + ("vertical",) * vertical + ("factor4.tau", "factor4.kappa",
+                                          "casimir"))
 
 
 def _cartan_claim_ids(space, m, n):
@@ -480,35 +476,32 @@ def _run_cartan(config: RunConfig, cache: _Cache, space, m, n):
         results.append(_result(f"cartan.k-invariance{suffix}", space, params,
                                P, res_k, None, None, _tol(config, 1e-12)))
 
-    bundle = cache.bundle(space, m, n)
-    res_h = _chunked(lambda c, raw: tangential_residual(
-        pair, cartan_map(pair, c), raw), pts, bundle["raw"])
+    members = cache.family(space, m, n)
+    two = [members[i] for i in _factor4_index(members)]
+    forms = stack_members(two)
+    ratios, vert, res_h, tauL, kapL, res_c = _chunked(
+        lambda c: _cartan_pass(pair, forms, c), pts)
     results.append(_result(f"cartan.harmonic{suffix}", space, params, P,
                            res_h, None, None, _tol(config, 1e-9)))
-
-    X = pair.p_basis
-    ratios = _chunked(lambda c: pullback_factor(pair, c, X, X), pts)
     results.append(_result(f"cartan.pullback{suffix}", space, params, P,
                            np.abs(ratios - 4.0), 4.0,
                            complex(ratios.mean()), _tol(config, 1e-8),
                            detail="metric factor 4 = (conformal factor 2)^2"))
-
     if "vertical" in kinds:
-        V = pair.k_basis
-        vert = np.sqrt(_chunked(lambda c: pullback_factor(pair, c, V, V), pts))
         results.append(_result(f"cartan.vertical{suffix}", space, params, P,
-                               vert, 0.0, None, _tol(config, 1e-10)))
+                               np.sqrt(vert), 0.0, None, _tol(config, 1e-10)))
 
-    members = cache.family(space, m, n)
-    tauL, kapL = bundle["factor4"]
-    _, tauN, kapN = _family_image_ops(
-        pair, [members[i] for i in _factor4_index(members)], pts)
+    _, tauN, kapN = _family_image_ops(pair, two, pts)
     results.append(_result(f"cartan.factor4.tau{suffix}", space, params, P,
                            _rel(tauL, 4.0 * tauN), None, None,
                            _tol(config, 1e-8)))
     results.append(_result(f"cartan.factor4.kappa{suffix}", space, params, P,
                            _rel(kapL, 4.0 * kapN), None, None,
                            _tol(config, 1e-8)))
+    results.append(_result(f"cartan.casimir{suffix}", space, params, P,
+                           res_c, None, None, _tol(config, 1e-10),
+                           detail="Z(Phi) = 2 p Z sigma(p)^-1 on p, "
+                                  "tau(Phi) = 4 p C_p sigma(p)^-1"))
     return results
 
 

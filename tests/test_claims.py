@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from eigenlab import cartan
+from eigenlab import cartan, claims
+from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, RunConfig, _eigen_claims, _result,
                              jobs_for, run_claims)
 from eigenlab.pairs import make_pair
@@ -28,7 +29,7 @@ def test_discrete_k_registers_no_vertical_claims():
     cartan = [cid for cid in ids if cid.startswith("cartan.")]
     assert [cid.split("[")[0] for cid in cartan] == [
         "cartan.harmonic", "cartan.pullback", "cartan.factor4.tau",
-        "cartan.factor4.kappa"]
+        "cartan.factor4.kappa", "cartan.casimir"]
     ids = claim_ids(RunConfig(spaces=("so-grassmannian",), m=2, n=1))
     assert "cartan.k-invariance[space=so-grassmannian,m=2,n=1]" in ids
     assert "cartan.vertical[space=so-grassmannian,m=2,n=1]" in ids
@@ -43,7 +44,7 @@ def test_discrete_k_results_match_registration():
 
 
 def test_default_claim_count():
-    assert len(claim_ids(RunConfig())) == 170
+    assert len(claim_ids(RunConfig())) == 186
 
 
 def test_eigen_claims_without_evidence_fail():
@@ -96,40 +97,67 @@ def passes_along(calls, basis):
                and np.allclose(Z, basis, atol=1e-12) for Z in calls)
 
 
-def test_table1_makes_one_cartan_pass(cartan_passes):
-    # every fixed-alpha family of a job is one (alpha, member) grid of
-    # trace forms: one Cartan pass per chunk, not one per alpha
+def test_table1_makes_no_cartan_jet_pass(cartan_passes):
+    # table1 reads Phi and its jets from the closed form
+    # (cartan_jets_closed): no jet goes through cartan_map_jet
     config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2, samples=CHUNK)
     results = run_claims(config, prefix="table1.")
     assert [r.claim_id for r in results] == [
         "table1.row10.lambda[m=2,n=2]", "table1.row10.mu[m=2,n=2]",
         "catalog.quat.new-range[m=2,n=2]"]
     assert all(r.passed for r in results)
-    assert len(cartan_passes) == 1
-    pair = make_pair("sp-grassmannian", m=2, n=2)
-    assert passes_along(cartan_passes, pair.ambient.elements) == 1
+    assert cartan_passes == []
 
 
-def test_table1_and_cartan_share_one_ambient_pass(cartan_passes):
-    # table1, cartan.harmonic and cartan.factor4 read one Phi bundle: the
-    # ambient basis goes through cartan_map_jet once, beside the p-basis
-    # (pullback) and k-basis (vertical) passes
+def test_full_run_pushes_p_and_k_basis_once(cartan_passes):
+    # the cartan suite reads every claim from one p-basis and one k-basis
+    # pass; no ambient-basis pass is left anywhere in the run
     config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2, samples=CHUNK)
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     pair = make_pair("sp-grassmannian", m=2, n=2)
     assert [passes_along(cartan_passes, basis) for basis in (
-        pair.ambient.elements, pair.p_basis, pair.k_basis)] == [1, 1, 1]
-    assert len(cartan_passes) == 3
+        pair.ambient.elements, pair.p_basis, pair.k_basis)] == [0, 1, 1]
+    assert len(cartan_passes) == 2
+
+
+def _halved(pair, p):
+    # Z(Phi) = p Z sigma(p)^-1: factor 1 instead of 2
+    phi, d1, tension = cartan.cartan_jets_closed(pair, p)
+    return phi, d1 / 2.0, tension
+
+
+def _casimir_of_k(pair, p):
+    # 4 p C_k sigma(p)^-1: the k-basis square sum in place of C_p
+    phi, d1, _ = cartan.cartan_jets_closed(pair, p)
+    s_inv = pair.sigma(np.swapaxes(p, -1, -2).conj())
+    return phi, d1, 4.0 * (p @ square_sum(pair.k_basis) @ s_inv)
+
+
+@pytest.mark.parametrize("wrong", [_halved, _casimir_of_k])
+@pytest.mark.parametrize("space,m,n", [
+    ("su-so", None, 3), ("sp-u", None, 2), ("so-u", None, 3),
+    ("su-sp", None, 2), ("so-grassmannian", 1, 1), ("so-grassmannian", 2, 1),
+    ("u-grassmannian", 1, 2), ("sp-grassmannian", 1, 1)])
+def test_casimir_rejects_a_wrong_closed_form(monkeypatch, wrong, space, m, n):
+    # negative control: the casimir claim fails loudly on a wrong closed
+    # form, while the claims read from the jets alone still pass
+    monkeypatch.setattr(claims, "cartan_jets_closed", wrong)
+    results = run_claims(RunConfig(spaces=(space,), m=m, n=n, samples=4),
+                         prefix="cartan.")
+    casimir = [r for r in results if r.claim_id.startswith("cartan.casimir")]
+    assert len(casimir) == 1
+    assert not casimir[0].passed and casimir[0].max_residual >= 1e-3
+    assert all(r.passed for r in results if r not in casimir)
 
 
 @pytest.mark.parametrize("space,m,n", [("su-so", None, 3),
                                        ("so-grassmannian", 1, 1),
                                        ("sp-grassmannian", 1, 2)])
 def test_cartan_results_do_not_depend_on_table1(space, m, n):
-    # the Phi bundle is built on demand, the same with or without table1;
-    # CHUNK + 5 samples leave a partial last chunk
+    # the cartan suite reads only its own passes, the same with or
+    # without table1; CHUNK + 5 samples leave a partial last chunk
     config = RunConfig(spaces=(space,), m=m, n=n, samples=CHUNK + 5)
     alone = run_claims(config, prefix="cartan.")
     full = [r for r in run_claims(config)

@@ -13,7 +13,7 @@ import pytest
 
 from eigenlab import ambient, cartan, catalog, families, operators
 from eigenlab.cartan import cartan_map_jet
-from eigenlab.claims import DEFAULT_SIZES, _alpha_range, _phi_bundle
+from eigenlab.claims import DEFAULT_SIZES, _alpha_range, _closed_ops
 from eigenlab.jets import Jet2, JetMatrix
 from eigenlab.matrices import j_matrix, membership_residual
 from eigenlab.operators import ScalarField, field_value
@@ -242,30 +242,49 @@ def test_cartan_operators(case):
           [ref_pullback(pair, p, X, Y) for p in pts])
 
 
+def test_cartan_jets_closed(case):
+    # the closed form against the jet route: Z(Phi) along the p-basis by
+    # cartan_map_jet, the tension by map_tension_raw over the ambient
+    # basis, at stacked points and at one point
+    pair, pts, _, _ = case
+    refs = ([p @ pair.sigma(p.conj().T) for p in pts],
+            [[cartan_map_jet(pair, JetMatrix.curve(p, X)).d1
+              for X in pair.p_basis] for p in pts],
+            [cartan.map_tension_raw(pair, p) for p in pts])
+    for g, r in zip(cartan.cartan_jets_closed(pair, pts), refs):
+        close(g, r)
+    for g, r in zip(cartan.cartan_jets_closed(pair, pts[0]), refs):
+        close(g, r[0])
+
+
 def test_tangential_residual(case):
     # the projection split out of harmonic_residual, fed the raw tension
-    # of the per-point API and that of the claim engine's Phi bundle
-    pair, pts, _, members = case
+    # of the per-point API and the closed-form one
+    pair, pts, _, _ = case
     ref = [ref_harmonic(pair, p) for p in pts]
     y = cartan.cartan_map(pair, pts)
     close(cartan.tangential_residual(pair, y,
                                      cartan.map_tension_raw(pair, pts)), ref)
-    close(cartan.tangential_residual(pair, y,
-                                     _phi_bundle(pair, [members], pts)["raw"]),
-          ref)
+    close(cartan.tangential_residual(
+        pair, y, cartan.cartan_jets_closed(pair, pts)[2]), ref)
 
 
 def test_phi_bundle(case):
-    # one block of the (alpha, member) grid, and its factor-4 sub-block
-    pair, pts, _, members = case
-    bundle = _phi_bundle(pair, [members], pts)
-    refs = ref_ops([ref_field(pair, mm) for mm in members], pts, pair.ambient)
-    for g, r in zip(bundle["grid"], refs):
-        close(g[:, 0], r)
-    two = [0, 1] if len(members) > 1 else [0, 0]
-    tau, kappa = bundle["factor4"]
-    close(tau, np.asarray(refs[1])[:, two])
-    close(kappa, np.asarray(refs[2])[:, two][:, :, two])
+    # table1's (alpha, member) grid from the closed-form Phi bundle
+    # (Phi, Z(Phi) on p, tension) against one field_ops per alpha over the
+    # ambient basis
+    pair, pts, _, _ = case
+    blocks = [catalog.family_for_space(pair.space, m=pair.m, n=pair.n,
+                                       alpha=alpha, pair=pair,
+                                       rng=np.random.default_rng(3))
+              for alpha in _alpha_range(pair.space, pair.m, pair.n)]
+    grid = _closed_ops(pair, catalog.stack_members(
+        map(catalog.stack_members, blocks)), pts)
+    for a, members in enumerate(blocks):
+        ref = operators.field_ops(catalog.stack_members(members).as_field(),
+                                  pts, pair.ambient)
+        for g, r in zip(grid, ref):
+            close(g[:, a], r)
 
 
 def test_membership_residual(case):
