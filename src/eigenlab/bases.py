@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import basis_D, basis_X, basis_Y, j_matrix, metric
+from .matrices import basis_D, basis_X, basis_Y, j_matrix
 
 __all__ = [
     "LieBasisSet",
@@ -58,19 +58,29 @@ class LieBasisSet:
         return self.elements[k]
 
 
-def gram_schmidt(vectors, drop_tol: float = 1e-10):
-    """Modified Gram-Schmidt over the real inner product g, with
-    reorthogonalization; numerically null vectors are dropped."""
-    out = []
-    for v in vectors:
-        w = np.array(v, dtype=complex)
+def gram_schmidt(vectors, drop_tol: float = 1e-10) -> np.ndarray:
+    """Gram-Schmidt over the real inner product g, with one
+    reorthogonalization pass (CGS2); numerically null vectors are dropped.
+
+    ``vectors`` is a stack of matrices; the result is the stack of the
+    orthonormal ones kept, in order.  g(Z, W) = Re tr(Z conj(W)^t) is the
+    dot product of the real and imaginary parts of the entries, so each
+    vector is projected against all kept ones with two matrix-vector
+    products.
+    """
+    V = np.array(vectors, dtype=complex)
+    shape = V.shape[1:]
+    R = V.reshape(len(V), -1).view(float)
+    Q = np.empty_like(R)
+    kept = 0
+    for w in R:
         for _ in range(2):
-            for u in out:
-                w = w - metric(w, u) * u
-        nrm = np.sqrt(metric(w, w))
+            w = w - (Q[:kept] @ w) @ Q[:kept]
+        nrm = np.sqrt(w @ w)
         if nrm > drop_tol:
-            out.append(w / nrm)
-    return out
+            Q[kept] = w / nrm
+            kept += 1
+    return Q[:kept].view(complex).reshape((kept,) + shape)
 
 
 def _pairs(n):
@@ -97,7 +107,7 @@ def su_basis(n: int) -> LieBasisSet:
     els = [basis_Y(n, r, s) for r, s in _pairs(n)]
     els += [1j * basis_X(n, r, s) for r, s in _pairs(n)]
     diag = gram_schmidt([1j * (basis_D(n, t) - basis_D(n, t + 1)) for t in range(1, n)])
-    return LieBasisSet("su", n, np.array(els + diag))
+    return LieBasisSet("su", n, np.array(els + list(diag)))
 
 
 def sp_basis(n: int) -> LieBasisSet:

@@ -137,8 +137,7 @@ class Eigenfunction:
     """A catalog function psi(q) = tr(Phi(q) B) + c with claimed (lambda, mu).
 
     ``family`` groups functions whose pairwise conformality identity shares
-    the same mu; ``sign_pending`` marks a lambda whose sign must be measured
-    rather than trusted.
+    the same mu.
     """
 
     space: str
@@ -151,7 +150,6 @@ class Eigenfunction:
     family: str
     params: dict = field(default_factory=dict)
     direct: object = field(default=None, repr=False)  # independent closed form
-    sign_pending: bool = False
 
     @property
     def matrix_size(self) -> int:
@@ -202,8 +200,7 @@ def stack_members(members) -> Eigenfunction:
         space=first.space, name=",".join(m.name for m in members),
         pair=first.pair, B=np.stack([m.B for m in members]),
         c=np.array([m.c for m in members], dtype=complex),
-        lam=first.lam, mu=first.mu, family=first.family,
-        sign_pending=first.sign_pending)
+        lam=first.lam, mu=first.mu, family=first.family)
 
 
 def table_eigenvalues(space: str, m=None, n=None):
@@ -390,8 +387,8 @@ def so_u_psi(n: int, a, b, pair: SymmetricPair | None = None) -> Eigenfunction:
 
 def su_sp_phi(n: int, a, b, pair: SymmetricPair | None = None) -> Eigenfunction:
     """phi_A(z) = tr(z J z^t A) with A = (a b^t - b a^t)/sqrt(2), a and b
-    linearly independent in C^{2n}; mu = -2(n-1)/n, |lambda| =
-    2(2n^2-n-1)/n with the sign determined by measurement."""
+    linearly independent in C^{2n}; lambda = -2(2n^2-n-1)/n and
+    mu = -2(n-1)/n, the table values."""
     pm = make_param_matrix("skew-ab", a, b)
     if pm.A.shape != (2 * n, 2 * n):
         raise ValueError(f"a, b must be vectors of length {2 * n}")
@@ -409,7 +406,7 @@ def su_sp_phi(n: int, a, b, pair: SymmetricPair | None = None) -> Eigenfunction:
     return Eigenfunction(space="su-sp", name="phi[A]", pair=pair,
                          B=B, c=0.0, lam=lam, mu=mu,
                          family=f"su-sp(n={n}):A", params={"n": n},
-                         direct=direct, sign_pending=True)
+                         direct=direct)
 
 
 def family_for_space(space: str, m=None, n=None, alpha: int = 1,

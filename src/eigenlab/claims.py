@@ -28,8 +28,8 @@ from .jets import JetMatrix, gram, trace_form
 from .matrices import basis_D, basis_X, basis_Y
 from .operators import field_ops, image_ops
 from .pairs import SPACES, make_pair, space_label
-from .sampling import (SampleConfig, random_pair_point,
-                       random_subgroup_point, rng_for)
+from .sampling import (SampleConfig, random_pair_points, random_sphere_points,
+                       random_subgroup_points, rng_for)
 
 __all__ = [
     "ConfigError",
@@ -225,11 +225,6 @@ def _eigen_claims(ids, space, params, values, tau, kappa, lam, mu, tol,
     return out
 
 
-def _draw(sample, count, start=0):
-    """Stack ``sample(i)`` for i in start .. start + count - 1."""
-    return np.stack([sample(i) for i in range(start, start + count)])
-
-
 def _chunked(op, *points):
     """``op`` over CHUNK points at a time, its outputs concatenated along
     the point axis (item by item when it returns a tuple)."""
@@ -260,9 +255,8 @@ class _Cache:
         key = (space, m, n)
         if key not in self._points:
             pair = self.pair(space, m, n)
-            self._points[key] = _draw(
-                lambda i: random_pair_point(pair, self.scfg, i),
-                self.config.samples)
+            self._points[key] = random_pair_points(
+                pair, self.scfg, range(self.config.samples))
         return self._points[key]
 
     def family(self, space, m, n, alpha=1):
@@ -402,15 +396,8 @@ def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
     values, tau, kappa = _chunked(lambda c: _closed_ops(pair, forms, c),
                                   cache.points(space, m, n))
     first = blocks[0][0]
-    lam, detail = first.lam, ""
-    if first.sign_pending:
-        lam_fit = _fit(tau, values)
-        sign = 1.0 if (lam_fit is not None and lam_fit.real > 0) else -1.0
-        lam = sign * abs(first.lam)
-        source = "table" if sign * first.lam > 0 else "opposite"
-        detail = f"resolved_sign={'+1' if sign > 0 else '-1'} ({source} sign)"
-    out = _eigen_claims(ids[:2], space, params, values, tau, kappa, lam,
-                        first.mu, tol, (detail, ""))
+    out = _eigen_claims(ids[:2], space, params, values, tau, kappa,
+                        first.lam, first.mu, tol)
     if space == "sp-grassmannian":
         new = np.array([[alpha > m + n or mm.params["j"] > m + n
                          for mm in members]
@@ -418,7 +405,7 @@ def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
         prod = np.einsum("...j,...k->...jk", values, values)
         out.append(_result(
             ids[2], space, params, len(values),
-            np.concatenate([_rel(tau, lam * values)[:, new].ravel(),
+            np.concatenate([_rel(tau, first.lam * values)[:, new].ravel(),
                             _rel(kappa, first.mu * prod)[:, new].ravel()]),
             None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
@@ -470,7 +457,7 @@ def _run_cartan(config: RunConfig, cache: _Cache, space, m, n):
     results = []
 
     if "k-invariance" in kinds:
-        kpts = _draw(lambda i: random_subgroup_point(pair, cache.scfg, i), P)
+        kpts = random_subgroup_points(pair, cache.scfg, range(P))
         res_k = np.abs(cartan_map(pair, pts @ kpts)
                        - cartan_map(pair, pts)).reshape(P, -1).max(axis=1)
         results.append(_result(f"cartan.k-invariance{suffix}", space, params,
@@ -531,7 +518,7 @@ def _run_product(config: RunConfig, cache: _Cache):
     PF = product_family(F, F)
     pts1 = cache.points(space, m, n)
     P = pts1.shape[0]
-    pts2 = _draw(lambda i: random_pair_point(pair, cache.scfg, i), P, P)
+    pts2 = random_pair_points(pair, cache.scfg, range(P, 2 * P))
     # one member whose factors stack those of every member: the family
     whole = ProductMember(stack_members(mm.f1 for mm in PF.members),
                           stack_members(mm.f2 for mm in PF.members),
@@ -546,14 +533,10 @@ def _run_product(config: RunConfig, cache: _Cache):
                          (detail, detail))
 
 
-def _sphere_points(config: RunConfig, label: str, n: int):
-    return _draw(lambda i: ambient.random_sphere_point(
-        n, rng_for(label, config.seed, i)), config.samples)
-
-
 def _run_sphere(config: RunConfig, cache: _Cache, n):
     F = ambient.stack_fields(ambient.sphere_phi(n, j) for j in range(1, n + 1))
-    pts = _sphere_points(config, f"sphere:{n}", n)
+    pts = random_sphere_points(n, f"sphere:{n}", cache.scfg,
+                               range(config.samples))
     tau, kappa = ambient.sphere_ops(F, pts)
     return _eigen_claims(_eigen_ids("sphere", {"n": n}), "sphere", {"n": n},
                          F.value(pts), tau, kappa, -(2.0 * n - 1.0), -1.0,
@@ -565,7 +548,8 @@ def _run_cpn(config: RunConfig, cache: _Cache, n, alpha: int = 1):
     F = ambient.stack_fields(ambient.cpn_phi(n, j, k)
                              for j in range(1, alpha + 1)
                              for k in range(alpha + 1, n + 2))
-    pts = _sphere_points(config, f"cpn:{n}", n + 1)
+    pts = random_sphere_points(n + 1, f"cpn:{n}", cache.scfg,
+                               range(config.samples))
     tau, kappa = ambient.cpn_ops(F, pts)
     return _eigen_claims(_eigen_ids("cpn", {"n": n}), "cpn", {"n": n},
                          F.value(pts), tau, kappa, -4.0 * (n + 1), -4.0,

@@ -80,16 +80,9 @@ def space_label(space: str, m, n) -> str:
 def _split(ambient: LieBasisSet, sigma: Involution):
     """Project the ambient basis onto the dsigma eigenspaces and
     re-orthonormalize, dropping numerically null vectors."""
-    k_raw, p_raw = [], []
-    for Z in ambient:
-        s = sigma.d(Z)
-        k_raw.append((Z + s) / 2.0)
-        p_raw.append((Z - s) / 2.0)
-    k = gram_schmidt(k_raw)
-    p = gram_schmidt(p_raw)
-    N = ambient.matrix_size
-    to_arr = lambda v: np.array(v).reshape(-1, N, N)
-    return to_arr(k), to_arr(p)
+    Z = ambient.elements
+    s = sigma.d(Z)
+    return gram_schmidt((Z + s) / 2.0), gram_schmidt((Z - s) / 2.0)
 
 
 # space id -> (group, params, matrix size, sigma builder, dim k, dim p)

@@ -14,7 +14,6 @@ import platform
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .claims import ClaimResult, RunConfig
 from .sampling import GENERATOR_NAME
@@ -33,7 +32,6 @@ def package_versions() -> dict:
     return {
         "eigenlab": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

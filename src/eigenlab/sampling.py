@@ -5,6 +5,11 @@ uniformly from [-radius, radius].  Streams are counter-based (Philox keyed
 by a hash of the stream label and seed, counter = index * 2^64), so sample
 ``index`` of a given configuration is O(1) to reach, stateless, and
 bitwise-reproducible; parallel generation is safe.
+
+Each point set is drawn in one call over a sequence of indices: the stream
+key is hashed once, the coefficient rows are contracted with the basis in
+one einsum, and the stack is exponentiated once.  The one-index functions
+are that call with a single index, and give the same matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -14,13 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ambient import random_sphere_point
 from .bases import group_basis
 from .matrices import mat_exp, membership_residual
 
-__all__ = ["SampleConfig", "GENERATOR_NAME", "rng_for", "random_algebra_element",
-           "random_point", "random_subgroup_point", "random_pair_point"]
+__all__ = ["SampleConfig", "GENERATOR_NAME", "rng_for",
+           "random_algebra_elements", "random_algebra_element",
+           "random_points", "random_point",
+           "random_subgroup_points", "random_subgroup_point",
+           "random_pair_points", "random_pair_point",
+           "random_sphere_points"]
 
 GENERATOR_NAME = "philox-4x64"
+
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -38,42 +50,91 @@ class SampleConfig:
             raise ValueError("radius must be non-negative")
 
 
-def rng_for(label: str, seed: int, index: int) -> np.random.Generator:
-    """The generator for one sample of one stream."""
+def _generators(label: str, seed: int, indices):
+    """The generator of each sample in ``indices`` of one stream, in order.
+
+    The key is hashed once and one Philox generator is moved to each
+    sample's counter in turn, so each yielded generator is valid only
+    until the next one is drawn."""
     key = int.from_bytes(
         hashlib.sha256(f"{label}:{seed}".encode()).digest()[:16], "little"
     )
-    return np.random.Generator(np.random.Philox(key=key, counter=index << 64))
+    bitgen = np.random.Philox(key=key)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    rng = np.random.Generator(bitgen)
+    for index in indices:
+        counter[:] = [(index << 64) >> (64 * w) & _WORD for w in range(4)]
+        bitgen.state = state
+        yield rng
 
 
-def _combo(basis_els: np.ndarray, label: str, cfg: SampleConfig, index: int):
-    rng = rng_for(label, cfg.seed, index)
-    coeff = rng.uniform(-cfg.radius, cfg.radius, size=basis_els.shape[0])
-    return np.einsum("b,bij->ij", coeff, basis_els)
+def rng_for(label: str, seed: int, index: int) -> np.random.Generator:
+    """The generator for one sample of one stream."""
+    return next(_generators(label, seed, (index,)))
 
 
-def random_algebra_element(group: str, n: int, cfg: SampleConfig, index: int) -> np.ndarray:
-    return _combo(group_basis(group, n).elements, f"{group}:{n}", cfg, index)
+def _combos(basis_els: np.ndarray, label: str, cfg: SampleConfig, indices):
+    width = basis_els.shape[0]
+    coeff = np.array([rng.uniform(-cfg.radius, cfg.radius, size=width)
+                      for rng in _generators(label, cfg.seed, indices)])
+    return np.einsum("kb,bij->kij", coeff.reshape(-1, width), basis_els)
 
 
-def random_point(group: str, n: int, cfg: SampleConfig, index: int) -> np.ndarray:
-    """Sample ``index`` of the (group, n, cfg) stream; identical arguments
-    give bitwise-identical matrices."""
-    q = mat_exp(random_algebra_element(group, n, cfg, index))
-    res = membership_residual(group, q)
+def random_algebra_elements(group: str, n: int, cfg: SampleConfig,
+                            indices) -> np.ndarray:
+    """Samples ``indices`` of the (group, n, cfg) algebra stream, stacked."""
+    return _combos(group_basis(group, n).elements, f"{group}:{n}", cfg,
+                   indices)
+
+
+def random_algebra_element(group: str, n: int, cfg: SampleConfig,
+                           index: int) -> np.ndarray:
+    return random_algebra_elements(group, n, cfg, (index,))[0]
+
+
+def random_points(group: str, n: int, cfg: SampleConfig, indices) -> np.ndarray:
+    """Samples ``indices`` of the (group, n, cfg) stream, stacked; identical
+    arguments give bitwise-identical matrices."""
+    q = mat_exp(random_algebra_elements(group, n, cfg, indices))
+    res = membership_residual(group, q).max(initial=0.0)
     if res > 1e-10:
         raise RuntimeError(f"sampled point failed membership: residual {res:.3e}")
     return q
 
 
+def random_point(group: str, n: int, cfg: SampleConfig, index: int) -> np.ndarray:
+    """Sample ``index`` of the (group, n, cfg) stream."""
+    return random_points(group, n, cfg, (index,))[0]
+
+
+def random_subgroup_points(pair, cfg: SampleConfig, indices) -> np.ndarray:
+    """Points of the fixed-point subgroup K of a SymmetricPair, obtained by
+    exponentiating random elements of k; one per index, stacked."""
+    return mat_exp(_combos(pair.k_basis, f"{pair.label()}:k", cfg, indices))
+
+
 def random_subgroup_point(pair, cfg: SampleConfig, index: int) -> np.ndarray:
-    """A point of the fixed-point subgroup K of a SymmetricPair, obtained by
-    exponentiating a random element of k."""
-    Z = _combo(pair.k_basis, f"{pair.label()}:k", cfg, index)
-    return mat_exp(Z)
+    """A point of the fixed-point subgroup K of a SymmetricPair."""
+    return random_subgroup_points(pair, cfg, (index,))[0]
+
+
+def random_pair_points(pair, cfg: SampleConfig, indices) -> np.ndarray:
+    """Points of the ambient group G of a SymmetricPair; one per index,
+    stacked."""
+    return mat_exp(_combos(pair.ambient.elements, f"{pair.label()}:g", cfg,
+                           indices))
 
 
 def random_pair_point(pair, cfg: SampleConfig, index: int) -> np.ndarray:
     """A point of the ambient group G of a SymmetricPair."""
-    Z = _combo(pair.ambient.elements, f"{pair.label()}:g", cfg, index)
-    return mat_exp(Z)
+    return random_pair_points(pair, cfg, (index,))[0]
+
+
+def random_sphere_points(n: int, label: str, cfg: SampleConfig,
+                         indices) -> np.ndarray:
+    """Points of the unit sphere in C^n, stacked: the point of sample
+    ``index`` is random_sphere_point(n, rng_for(label, cfg.seed, index))."""
+    return np.array([random_sphere_point(n, rng)
+                     for rng in _generators(label, cfg.seed, indices)]
+                    ).reshape(-1, n)

@@ -103,3 +103,16 @@ class TestGramSchmidt:
         v = np.diag([3.0, 0, 0])
         (u,) = gram_schmidt([v])
         assert_allclose(metric(u, u), 1.0)
+
+    def test_complex_stack_in_order(self):
+        # the real inner product g: i v is orthogonal to v, and is kept
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        out = gram_schmidt(np.array([v, 1j * v, 2.0 * v, v + 1j * v]))
+        assert out.shape == (2, 2, 2)
+        assert_allclose(out[0], v / np.sqrt(metric(v, v)), atol=1e-15)
+        assert_allclose(gram_matrix(out), np.eye(2), atol=1e-15)
+
+    def test_all_dropped_keeps_matrix_shape(self):
+        out = gram_schmidt(np.zeros((3, 2, 4)))
+        assert out.shape == (0, 2, 4) and out.dtype == complex

@@ -176,8 +176,15 @@ class TestTableValues:
         with pytest.raises(ValueError):
             table_eigenvalues("torus", n=2)
 
-    def test_sign_pending_flag(self):
-        f = su_sp_phi(2, np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0]))
-        assert f.sign_pending
-        g = su_so_phi(2, np.array([1.0, 2.0]))
-        assert not g.sign_pending
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_su_sp_lambda_is_the_table_value(self, n):
+        # lambda is stated with its sign, and tau(phi) / phi measures it
+        rng = np.random.default_rng(n)
+        f = su_sp_phi(n, random_vector(2 * n, rng), random_vector(2 * n, rng))
+        assert (f.lam, f.mu) == table_eigenvalues("su-sp", n=n)
+        assert f.lam < 0
+        for i in range(3):
+            p = random_pair_point(f.pair, SampleConfig(seed=5), i)
+            tau, _, _ = quotient_ops(f.pair, f.as_field(), p)
+            v = f.value(p)
+            assert abs(tau - f.lam * v) <= 1e-9 * max(1, abs(v))

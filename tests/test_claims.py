@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from eigenlab import cartan, claims
+from eigenlab import cartan, catalog, claims
 from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, RunConfig, _eigen_claims, _result,
                              jobs_for, run_claims)
@@ -165,3 +165,22 @@ def test_cartan_results_do_not_depend_on_table1(space, m, n):
     assert [r.claim_id for r in alone] == [
         cid for cid in claim_ids(config) if cid.startswith("cartan.")]
     assert alone == full
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_row7_lambda_fails_with_its_sign_flipped(monkeypatch, n):
+    # negative control: su-sp scores the table's lambda as stated, with no
+    # sign fitted to the samples it scores, so a flipped sign must fail
+    table = catalog.table_eigenvalues
+
+    def flipped(space, m=None, n=None):
+        lam, mu = table(space, m, n)
+        return (-lam, mu) if space == "su-sp" else (lam, mu)
+
+    monkeypatch.setattr(catalog, "table_eigenvalues", flipped)
+    lam, mu = run_claims(RunConfig(spaces=("su-sp",), n=n, samples=8),
+                         prefix="table1.")
+    assert lam.claim_id == f"table1.row7.lambda[n={n}]"
+    assert lam.expected == -table("su-sp", n=n)[0] > 0
+    assert not lam.passed and lam.max_residual >= 1e-3
+    assert mu.passed

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, precedence, formats, subcommands."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +188,33 @@ class TestListAndTable:
                                "--samples", "3")
         assert code == 0
         assert "sp-u" in out
+
+
+# Checks that importing the CLI loads no scipy module, then makes every
+# later ``import scipy`` fail and runs the command line.
+SCIPY_FREE_MAIN = """
+import sys
+import eigenlab.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"import eigenlab.cli loaded {loaded}")
+sys.modules["scipy"] = None
+sys.exit(eigenlab.cli.main(sys.argv[1:]))
+"""
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("EIGENLAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = tmp_path / "report.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_MAIN, "verify", "--samples", "4",
+         "--format", "json-lines", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rep = parse(out.read_text(), "json-lines")
+    assert len(rep.results) == 186 and rep.all_passed
+    assert "scipy" not in rep.versions

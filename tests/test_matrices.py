@@ -8,6 +8,12 @@ from eigenlab.matrices import (basis_D, basis_E, basis_X, basis_Y,
                                i_signature, i_signature_doubled, j_matrix,
                                mat_exp, membership_residual, metric,
                                quat_embed)
+from eigenlab.pairs import make_pair
+
+# The seven pairs, up to the largest size the command line accepts.
+PAIRS = [("su-so", None, 3), ("sp-u", None, 2), ("so-u", None, 3),
+         ("su-sp", None, 2), ("so-grassmannian", 2, 2),
+         ("u-grassmannian", 2, 2), ("sp-grassmannian", 3, 3)]
 
 
 def series_exp(A, terms=30):
@@ -62,6 +68,72 @@ class TestExp:
 
     def test_exp_zero(self):
         assert_allclose(mat_exp(np.zeros((3, 3))), np.eye(3))
+
+    def test_one_by_one(self):
+        z = np.array([[0.3 - 2.0j]])
+        assert mat_exp(z).shape == (1, 1)
+        assert abs(mat_exp(z)[0, 0] - np.exp(0.3 - 2.0j)) <= 1e-15
+        # real arguments lose digits to cancellation in the Pade
+        # denominator and to squaring: 3.7e-14 relative at -40
+        stack = np.array([[[-40.0]], [[1e-3j]], [[7.5]]])
+        assert_allclose(mat_exp(stack)[:, 0, 0], np.exp(stack[:, 0, 0]),
+                        rtol=1e-13)
+
+    def test_real_input(self):
+        # a real so(3) element: the result is the rotation, real to the bit
+        Z = 2.7 * (basis_Y(3, 1, 2) - 0.4 * basis_Y(3, 2, 3)).real
+        R = mat_exp(Z)
+        assert not R.imag.any()
+        assert (R == mat_exp(Z.astype(complex))).all()
+        assert membership_residual("so", R) <= 1e-13
+
+    def test_keeps_stack_shape_and_rejects_non_square(self):
+        rng = np.random.default_rng(3)
+        A = 0.5 * rng.standard_normal((2, 3, 4, 4))
+        E = mat_exp(A)
+        assert E.shape == A.shape
+        assert (E[1, 2] == mat_exp(A[1, 2])).all()
+        assert mat_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        with pytest.raises(ValueError):
+            mat_exp(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            mat_exp(np.zeros(3))
+
+
+def algebra_stacks(space, m, n):
+    """Algebra elements of one pair, as sampling draws them: the ambient
+    and k-basis elements scaled by 3, and random combinations of each basis
+    with coefficients in [-1.5, 1.5]."""
+    pair = make_pair(space, m=m, n=n)
+    rng = np.random.default_rng(11)
+    for basis in (pair.ambient.elements, pair.k_basis):
+        coeff = rng.uniform(-1.5, 1.5, (16, len(basis)))
+        yield pair.group, np.concatenate(
+            [3.0 * basis, np.einsum("kb,bij->kij", coeff, basis)])
+
+
+@pytest.mark.parametrize("space,m,n", PAIRS)
+class TestExpOverStacks:
+    def test_matches_scipy(self, space, m, n):
+        expm = pytest.importorskip("scipy.linalg").expm
+        for _, S in algebra_stacks(space, m, n):
+            assert np.abs(mat_exp(S) - expm(S)).max() <= 1e-13
+
+    def test_unitary_and_on_the_group(self, space, m, n):
+        for group, S in algebra_stacks(space, m, n):
+            E = mat_exp(S)
+            eye = np.eye(E.shape[-1])
+            unitary = np.abs(E @ np.swapaxes(E, -1, -2).conj() - eye)
+            assert unitary.max() <= 1e-13
+            assert membership_residual(group, E).max() <= 1e-13
+
+    def test_each_matrix_as_if_alone(self, space, m, n):
+        for _, S in algebra_stacks(space, m, n):
+            # norms 1e-3 and 40 mix scalings s = 0 and s = 3 or more
+            S = np.concatenate([S, 1e-3 * S[:4], 40.0 * S[:4]])
+            E = mat_exp(S)
+            for i in range(len(S)):
+                assert (E[i] == mat_exp(S[i:i + 1])[0]).all()
 
 
 class TestStructureMatrices:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenlab.bases import gram_matrix
+from eigenlab.bases import gram_matrix, gram_schmidt
 from eigenlab.matrices import metric
 from eigenlab.pairs import SPACES, make_pair, space_label
 from eigenlab.sampling import SampleConfig, random_subgroup_point
@@ -94,6 +94,44 @@ class TestPair:
         from eigenlab.sampling import random_pair_point
         q = random_pair_point(pair, cfg, 0)
         assert np.linalg.norm(pair.sigma(pair.sigma(q)) - q) < 1e-12
+
+
+def mgs_reference(vectors, drop_tol=1e-10):
+    """Modified Gram-Schmidt over g, with a second pass and one metric
+    call per vector pair: the loop the one-pass split replaced."""
+    out = []
+    for v in vectors:
+        w = np.array(v, dtype=complex)
+        for _ in range(2):
+            for u in out:
+                w = w - metric(w, u) * u
+        nrm = np.sqrt(metric(w, w))
+        if nrm > drop_tol:
+            out.append(w / nrm)
+    return out
+
+
+@pytest.mark.parametrize("space,m,n", [
+    ("su-so", None, 3), ("sp-u", None, 3), ("so-u", None, 3),
+    ("su-sp", None, 3), ("so-grassmannian", 2, 3), ("u-grassmannian", 3, 3),
+    ("sp-grassmannian", 3, 3)])
+def test_split_matches_modified_gram_schmidt(space, m, n):
+    pair = make_pair(space, m=m, n=n)
+    Z = pair.ambient.elements
+    s = np.array([pair.sigma.d(z) for z in Z])
+    for raw, got in (((Z + s) / 2.0, pair.k_basis),
+                     ((Z - s) / 2.0, pair.p_basis)):
+        ref = np.array(mgs_reference(raw)).reshape((-1,) + Z.shape[1:])
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14
+        assert (gram_schmidt(raw) == got).all()
+
+
+def test_discrete_k_split_is_an_empty_stack():
+    pair = make_pair("so-grassmannian", m=1, n=1)
+    assert pair.k_basis.shape == (0, 2, 2)
+    assert pair.p_basis.shape == (1, 2, 2)
+    assert_allclose(gram_matrix(pair.p_basis), np.eye(1), atol=1e-15)
 
 
 class TestValidation:

@@ -41,7 +41,7 @@ class TestStructure:
         assert rep.generator == "philox-4x64"
         assert rep.all_passed
         vers = package_versions()
-        assert set(vers) == {"eigenlab", "numpy", "scipy", "python"}
+        assert set(vers) == {"eigenlab", "numpy", "python"}
         assert rep.versions == vers
 
     def test_counts(self):

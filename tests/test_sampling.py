@@ -1,14 +1,22 @@
 """Deterministic sampling streams and membership of sampled points."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eigenlab import sampling
+from eigenlab.ambient import random_sphere_point
 from eigenlab.matrices import membership_residual
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (GENERATOR_NAME, SampleConfig,
-                               random_algebra_element, random_pair_point,
-                               random_point, random_subgroup_point, rng_for)
+                               random_algebra_element,
+                               random_algebra_elements, random_pair_point,
+                               random_pair_points, random_point,
+                               random_points, random_sphere_points,
+                               random_subgroup_point, random_subgroup_points,
+                               rng_for)
 
 
 class TestDeterminism:
@@ -47,6 +55,79 @@ class TestDeterminism:
 
     def test_generator_name(self):
         assert GENERATOR_NAME == "philox-4x64"
+
+    @pytest.mark.parametrize("index", [0, 5, 2 ** 64 + 3])
+    def test_stream_is_philox_keyed_by_label_and_seed(self, index):
+        key = int.from_bytes(
+            hashlib.sha256(b"sp:2:9").digest()[:16], "little")
+        ref = np.random.Generator(np.random.Philox(key=key,
+                                                   counter=index << 64))
+        assert (rng_for("sp:2", 9, index).uniform(size=9)
+                == ref.uniform(size=9)).all()
+
+
+# P points per set; the product suite draws its second set at P..2P-1.
+P = 6
+INDICES = (0, 1, P - 1)
+
+
+def assert_rows_are_single_draws(single, batched):
+    """Row r of the batched draws over 0..P-1 and over P..2P-1 is the
+    one-index draw of its index, bit for bit."""
+    first, second = batched(range(P)), batched(range(P, 2 * P))
+    for i in INDICES:
+        assert (first[i] == single(i)).all()
+    for r, i in enumerate(range(P, 2 * P)):
+        assert (second[r] == single(i)).all()
+
+
+class TestBatchedDraws:
+    cfg = SampleConfig(seed=6)
+
+    @pytest.mark.parametrize("space,m,n", [("sp-grassmannian", 1, 2),
+                                           ("su-sp", None, 2),
+                                           ("so-grassmannian", 2, 1)])
+    def test_pair_and_subgroup_points(self, space, m, n):
+        pair = make_pair(space, m=m, n=n)
+        cfg = self.cfg
+        assert_rows_are_single_draws(
+            lambda i: random_pair_point(pair, cfg, i),
+            lambda idx: random_pair_points(pair, cfg, idx))
+        assert_rows_are_single_draws(
+            lambda i: random_subgroup_point(pair, cfg, i),
+            lambda idx: random_subgroup_points(pair, cfg, idx))
+
+    @pytest.mark.parametrize("group,n", [("so", 3), ("su", 3), ("u", 2),
+                                         ("sp", 2)])
+    def test_group_points_and_algebra_elements(self, group, n):
+        cfg = self.cfg
+        assert_rows_are_single_draws(
+            lambda i: random_point(group, n, cfg, i),
+            lambda idx: random_points(group, n, cfg, idx))
+        assert_rows_are_single_draws(
+            lambda i: random_algebra_element(group, n, cfg, i),
+            lambda idx: random_algebra_elements(group, n, cfg, idx))
+
+    @pytest.mark.parametrize("label,n", [("sphere:3", 3), ("cpn:2", 3)])
+    def test_sphere_and_cpn_points(self, label, n):
+        cfg = self.cfg
+        assert_rows_are_single_draws(
+            lambda i: random_sphere_point(n, rng_for(label, cfg.seed, i)),
+            lambda idx: random_sphere_points(n, label, cfg, idx))
+        assert random_sphere_points(n, label, cfg, range(4)).shape == (4, n)
+
+    def test_membership_guard_checks_every_point(self, monkeypatch):
+        assert random_points("su", 3, self.cfg, range(0)).shape == (0, 3, 3)
+        exp = sampling.mat_exp
+
+        def off_group_last(Z):
+            q = exp(Z)
+            q[-1] *= 1.001
+            return q
+
+        monkeypatch.setattr(sampling, "mat_exp", off_group_last)
+        with pytest.raises(RuntimeError, match="membership"):
+            random_points("su", 3, self.cfg, range(5))
 
 
 class TestMembership:
