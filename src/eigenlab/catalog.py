@@ -4,8 +4,7 @@ with their claimed eigenvalue pairs (lambda, mu).
 Every catalog function factors through the Cartan map as an affine trace
 form psi(q) = tr(Phi(q) B) + c, which is what the evaluators and the
 verification engine consume.  Each constructor also carries an independent
-closed-form (polynomial) evaluation used as a cross-check, and functions
-that belong to a genuine multi-member family share a ``family`` key.
+closed-form (polynomial) evaluation used as a cross-check.
 
 Matrix indices j, alpha are 1-based.
 """
@@ -134,11 +133,7 @@ def isotropic_frame(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Eigenfunction:
-    """A catalog function psi(q) = tr(Phi(q) B) + c with claimed (lambda, mu).
-
-    ``family`` groups functions whose pairwise conformality identity shares
-    the same mu.
-    """
+    """A catalog function psi(q) = tr(Phi(q) B) + c with claimed (lambda, mu)."""
 
     space: str
     name: str
@@ -147,7 +142,6 @@ class Eigenfunction:
     c: complex
     lam: complex
     mu: complex
-    family: str
     params: dict = field(default_factory=dict)
     direct: object = field(default=None, repr=False)  # independent closed form
 
@@ -177,7 +171,7 @@ class Eigenfunction:
         def ev(jm: JetMatrix) -> Jet2:
             return cartan_map_jet(pair, jm).trace_form(B) + c
 
-        return ScalarField(ev, pair.group, pair.ambient.n, k_invariant=True)
+        return ScalarField(ev, pair.group, pair.ambient.n)
 
     def eta_field(self) -> ScalarField:
         """The jet evaluator of eta itself (a function on the image N)."""
@@ -200,7 +194,7 @@ def stack_members(members) -> Eigenfunction:
         space=first.space, name=",".join(m.name for m in members),
         pair=first.pair, B=np.stack([m.B for m in members]),
         c=np.array([m.c for m in members], dtype=complex),
-        lam=first.lam, mu=first.mu, family=first.family)
+        lam=first.lam, mu=first.mu)
 
 
 def table_eigenvalues(space: str, m=None, n=None):
@@ -255,7 +249,6 @@ def quat_grassmannian_psi(m: int, n: int, j: int, alpha: int,
     return Eigenfunction(
         space="sp-grassmannian", name=f"psi[{j},{alpha}]", pair=pair,
         B=B, c=0.0, lam=lam, mu=mu,
-        family=f"sp-grassmannian(m={m},n={n}):alpha={alpha}",
         params={"m": m, "n": n, "j": j, "alpha": alpha}, direct=direct)
 
 
@@ -276,7 +269,6 @@ def complex_grassmannian_psi(m: int, n: int, j: int, alpha: int,
     return Eigenfunction(
         space="u-grassmannian", name=f"psi[{j},{alpha}]", pair=pair,
         B=B, c=0.0, lam=lam, mu=mu,
-        family=f"u-grassmannian(m={m},n={n}):alpha={alpha}",
         params={"m": m, "n": n, "j": j, "alpha": alpha}, direct=direct)
 
 
@@ -310,7 +302,6 @@ def real_grassmannian_psi(m: int, n: int, A: ParamMatrix,
     return Eigenfunction(
         space="so-grassmannian", name="psi[A]", pair=pair,
         B=B, c=0.5 * complex(np.trace(Amat)), lam=lam, mu=mu,
-        family=f"so-grassmannian(m={m},n={n}):A",
         params={"m": m, "n": n}, direct=direct if v is not None else None)
 
 
@@ -330,8 +321,7 @@ def su_so_phi(n: int, a, pair: SymmetricPair | None = None) -> Eigenfunction:
         return complex(w @ w)
 
     return Eigenfunction(space="su-so", name="phi[A]", pair=pair,
-                         B=A, c=0.0, lam=lam, mu=mu,
-                         family=f"su-so(n={n}):A", params={"n": n},
+                         B=A, c=0.0, lam=lam, mu=mu, params={"n": n},
                          direct=direct)
 
 
@@ -350,8 +340,7 @@ def sp_u_phi(n: int, a, pair: SymmetricPair | None = None) -> Eigenfunction:
         return complex(w @ w)
 
     return Eigenfunction(space="sp-u", name="phi[A]", pair=pair,
-                         B=A, c=0.0, lam=lam, mu=mu,
-                         family=f"sp-u(n={n}):A", params={"n": n},
+                         B=A, c=0.0, lam=lam, mu=mu, params={"n": n},
                          direct=direct)
 
 
@@ -380,8 +369,7 @@ def so_u_psi(n: int, a, b, pair: SymmetricPair | None = None) -> Eigenfunction:
         return complex(_SQRT2 * (b @ W @ a))
 
     return Eigenfunction(space="so-u", name="psi[A]", pair=pair,
-                         B=B, c=0.0, lam=lam, mu=mu,
-                         family=f"so-u(n={n}):A", params={"n": n},
+                         B=B, c=0.0, lam=lam, mu=mu, params={"n": n},
                          direct=direct)
 
 
@@ -404,8 +392,7 @@ def su_sp_phi(n: int, a, b, pair: SymmetricPair | None = None) -> Eigenfunction:
         return complex(_SQRT2 * (b @ W @ a))
 
     return Eigenfunction(space="su-sp", name="phi[A]", pair=pair,
-                         B=B, c=0.0, lam=lam, mu=mu,
-                         family=f"su-sp(n={n}):A", params={"n": n},
+                         B=B, c=0.0, lam=lam, mu=mu, params={"n": n},
                          direct=direct)
 
 

@@ -22,11 +22,11 @@ from .bases import square_sum
 from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
                      pullback_ratio, tangential_residual)
 from .catalog import stack_members
-from .families import (ProductMember, base_family, polynomial_family,
-                       product_family, product_ops)
-from .jets import JetMatrix, gram, trace_form
+from .families import (base_family, polynomial_family, product_family,
+                       product_ops)
+from .jets import Jet2, JetMatrix, gram, trace_form
 from .matrices import basis_D, basis_X, basis_Y
-from .operators import field_ops, image_ops
+from .operators import image_ops
 from .pairs import SPACES, make_pair, space_label
 from .sampling import (SampleConfig, random_pair_points, random_sphere_points,
                        random_subgroup_points, rng_for)
@@ -68,8 +68,10 @@ DEFAULT_SIZES = {
 
 POLY_SPACES = (("sp-grassmannian", 1, 1), ("u-grassmannian", 1, 1))
 POLY_DEGREES = (2, 3)
+PRODUCT_SPACE = ("sp-grassmannian", 1, 1)
 SPHERE_NS = (2, 3)
 CPN_NS = (1, 2)
+CPN_ALPHA = 1
 FORMATS = ("json-lines", "tsv", "human-table")
 
 
@@ -277,15 +279,49 @@ def _factor4_index(members):
     return [0, 1] if len(members) > 1 else [0, 0]
 
 
-def _closed_ops(pair, forms, points):
-    """Values, tau and kappa of the trace forms ``forms`` of Phi at
-    ``points``, from the closed-form jets of Phi: tau is one trace form of
-    the raw map tension, kappa a Gram product over the p-basis alone
-    (Phi is constant along k)."""
+def _trace_ops(pair, forms, points):
+    """The trace forms ``forms`` of Phi at stacked ``points`` from the
+    closed-form jets of Phi, the one route of every trace-form suite: the
+    values tr(Phi B) + c, the first derivatives tr(2 p Z sigma(p)^-1 B)
+    along the p-basis (Phi is constant along k) and the tension form
+    tr(4 p C_p sigma(p)^-1 B).  kappa is the Gram product of the first
+    derivatives."""
     phi, dphi, tension = cartan_jets_closed(pair, points)
-    d1 = trace_form(dphi, forms.B)
-    return (trace_form(phi, forms.B) + forms.c, trace_form(tension, forms.B),
-            gram(d1, d1, 1))
+    return (trace_form(phi, forms.B) + forms.c, trace_form(dphi, forms.B),
+            trace_form(tension, forms.B))
+
+
+def _trace_jets(pair, forms, points):
+    """The jets (value, d1, d2) of the trace forms ``forms`` along the
+    p-basis with d2 = 0, plus one zero-velocity direction whose d2 is the
+    tension form.  tau is linear in second derivatives, so summed over
+    this axis the jet arithmetic of any function P of the forms gives
+    tau(P) = sum_i dP/dx_i tau(x_i) + sum_ij d2P/dx_i dx_j kappa(x_i, x_j),
+    and the Gram product of the first derivatives gives kappa."""
+    values, d1, tension = _trace_ops(pair, forms, points)
+    return (values, np.concatenate([d1, np.zeros_like(tension[:, None])], 1),
+            np.concatenate([np.zeros_like(d1), tension[:, None]], 1))
+
+
+def _poly_ops(pair, PF, points):
+    """Values, tau and kappa of the polynomial family ``PF``: the jet
+    arithmetic of its generators on the trace jets of its base members."""
+    base = PF.members[0].base
+    v, d1, d2 = _trace_jets(pair, stack_members(base), points)
+    vals = tuple(Jet2(v[:, None, i], d1[..., i], d2[..., i])
+                 for i in range(len(base)))
+    jets = Jet2.stack([mm.generator(vals) for mm in PF.members])
+    return jets.v[:, 0], jets.d2.sum(axis=1), gram(jets.d1, jets.d1, 1)
+
+
+def _product_ops(pair, PF, p1, p2):
+    """Values, tau and kappa of the product family ``PF`` of two families
+    on ``pair`` at the point pairs (p1, p2): the product law on the trace
+    jets of the factors, stacked over every member."""
+    factors = (stack_members(mm.f1 for mm in PF.members),
+               stack_members(mm.f2 for mm in PF.members))
+    return product_ops([_trace_jets(pair, f, p)
+                        for f, p in zip(factors, (p1, p2))], 1)
 
 
 def _cartan_pass(pair, forms, points):
@@ -294,9 +330,9 @@ def _cartan_pass(pair, forms, points):
     are orthonormal, so their second derivatives sum to the raw map
     tension over the ambient basis.
 
-    Returns the pullback ratios along the p- and the k-basis, the harmonic
-    residual, tau and kappa of the trace forms ``forms``, and the casimir
-    residual: per point, the largest entry of the error of
+    Returns Phi, the pullback ratios along the p- and the k-basis, the
+    harmonic residual, tau and kappa of the trace forms ``forms``, and the
+    casimir residual: per point, the largest entry of the error of
     cartan_jets_closed against the jets."""
     X, V = pair.p_basis, pair.k_basis
     jp, jk = (cartan_map_jet(pair, JetMatrix.curve(points[:, None], Z))
@@ -307,7 +343,7 @@ def _cartan_pass(pair, forms, points):
                          np.abs(raw - tension).max(axis=(1, 2)))
     d1 = np.concatenate([trace_form(jp.d1, forms.B),
                          trace_form(jk.d1, forms.B)], axis=1)
-    return (pullback_ratio(jp.d1, jp.d1, X, X),
+    return (phi, pullback_ratio(jp.d1, jp.d1, X, X),
             pullback_ratio(jk.d1, jk.d1, V, V),
             tangential_residual(pair, phi, raw), trace_form(raw, forms.B),
             gram(d1, d1, 1), casimir)
@@ -343,32 +379,36 @@ def _family_stack(fam: str, n: int) -> np.ndarray:
     return np.array(els).reshape(-1, n, n)
 
 
+_BASIS_PARAMS = tuple({"family": fam, "n": n}
+                      for n in range(2, 9) for fam in ("Y", "X", "D"))
+
+
 def _basis_claim_ids():
-    return tuple(f"basis.square-sum[family={fam},n={n}]"
-                 for n in range(2, 9) for fam in ("Y", "X", "D"))
+    return tuple(f"basis.square-sum{_suffix(params)}"
+                 for params in _BASIS_PARAMS)
 
 
-def _run_basis(config: RunConfig, cache: _Cache):
+def _run_basis(config: RunConfig, cache: _Cache, ids):
     results = []
-    for n in range(2, 9):
-        for fam in ("Y", "X", "D"):
-            S = square_sum(_family_stack(fam, n))
-            coeff = _FAMILY_COEFF[fam](n)
-            residual = float(np.abs(S - coeff * np.eye(n)).max())
-            measured = complex(np.trace(S) / n)
-            params = {"family": fam, "n": n}
-            results.append(_result(
-                f"basis.square-sum{_suffix(params)}", "basis", params, 0,
-                [residual], coeff, measured, _tol(config, 1e-15)))
+    for cid, params in zip(ids, _BASIS_PARAMS):
+        fam, n = params["family"], params["n"]
+        S = square_sum(_family_stack(fam, n))
+        coeff = _FAMILY_COEFF[fam](n)
+        residual = float(np.abs(S - coeff * np.eye(n)).max())
+        measured = complex(np.trace(S) / n)
+        results.append(_result(cid, "basis", params, 0, [residual], coeff,
+                               measured, _tol(config, 1e-15)))
     return results
 
 
-def _table1_claim_ids(space, m, n):
-    row = ROW_BY_SPACE[space]
-    suffix = _suffix({"m": m, "n": n} if m is not None else {"n": n})
-    ids = (f"table1.row{row}.lambda{suffix}", f"table1.row{row}.mu{suffix}")
+def _size_params(m, n):
+    return {"n": n} if m is None else {"m": m, "n": n}
+
+
+def _table1_claim_ids(space, params):
+    ids = _eigen_ids(f"table1.row{ROW_BY_SPACE[space]}", params)
     if space == "sp-grassmannian":
-        ids += (f"catalog.quat.new-range{suffix}",)
+        ids += (f"catalog.quat.new-range{_suffix(params)}",)
     return ids
 
 
@@ -381,9 +421,7 @@ def _alpha_range(space, m, n):
     return range(1, 2)
 
 
-def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
-    params = {"m": m, "n": n} if m is not None else {"n": n}
-    ids = _table1_claim_ids(space, m, n)
+def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     tol = _tol(config, 1e-8)
 
     # kappa couples members only within one fixed-alpha family: the
@@ -393,8 +431,12 @@ def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
     blocks = cache.blocks(space, m, n)
     pair = cache.pair(space, m, n)
     forms = stack_members(map(stack_members, blocks))
-    values, tau, kappa = _chunked(lambda c: _closed_ops(pair, forms, c),
-                                  cache.points(space, m, n))
+
+    def ops(points):
+        values, d1, tau = _trace_ops(pair, forms, points)
+        return values, tau, gram(d1, d1, 1)
+
+    values, tau, kappa = _chunked(ops, cache.points(space, m, n))
     first = blocks[0][0]
     out = _eigen_claims(ids[:2], space, params, values, tau, kappa,
                         first.lam, first.mu, tol)
@@ -412,148 +454,119 @@ def _run_table1(config: RunConfig, cache: _Cache, space, m, n):
     return out
 
 
-def _prop71_claim_ids(m, n):
-    suffix = _suffix({"m": m, "n": n})
+def _prop71_claim_ids(params):
+    suffix = _suffix(params)
     return (f"prop7.1.tau{suffix}", f"prop7.1.kappa{suffix}")
 
 
-def _run_prop71(config: RunConfig, cache: _Cache, m, n):
+def _run_prop71(config: RunConfig, cache: _Cache, ids, params, m, n):
     space = "sp-grassmannian"
     pair = cache.pair(space, m, n)
     members = cache.family(space, m, n)
     values, tauN, kapN = _family_image_ops(pair, members,
                                            cache.points(space, m, n))
-    return _eigen_claims(_prop71_claim_ids(m, n), space, {"m": m, "n": n},
-                         values, tauN, kapN, -(m + n) / 2.0, -0.25,
-                         _tol(config, 1e-8))
+    return _eigen_claims(ids, space, params, values, tauN, kapN,
+                         -(m + n) / 2.0, -0.25, _tol(config, 1e-8))
 
 
-def _cartan_kinds(space, m, n):
+def _cartan_claim_ids(space, m, n, params):
     # With K discrete (dim k = 0) Phi is injective and there is no
     # vertical direction: both claims would pass on zero evidence.
     build = SPACES[space]["builder"]
     vertical = (build(n) if m is None else build(m, n))[3] > 0
-    return (("k-invariance",) * vertical + ("harmonic", "pullback")
-            + ("vertical",) * vertical + ("factor4.tau", "factor4.kappa",
-                                          "casimir"))
+    kinds = (("k-invariance",) * vertical + ("harmonic", "pullback")
+             + ("vertical",) * vertical
+             + ("factor4.tau", "factor4.kappa", "casimir"))
+    return tuple(f"cartan.{kind}{_suffix(params)}" for kind in kinds)
 
 
-def _cartan_claim_ids(space, m, n):
-    params = {"space": space}
-    params.update({"m": m, "n": n} if m is not None else {"n": n})
-    suffix = _suffix(params)
-    return tuple(f"cartan.{kind}{suffix}"
-                 for kind in _cartan_kinds(space, m, n))
-
-
-def _run_cartan(config: RunConfig, cache: _Cache, space, m, n):
+def _run_cartan(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     pair = cache.pair(space, m, n)
     pts = cache.points(space, m, n)
     P = pts.shape[0]
-    params = {"space": space}
-    params.update({"m": m, "n": n} if m is not None else {"n": n})
-    suffix = _suffix(params)
-    kinds = _cartan_kinds(space, m, n)
-    results = []
-
-    if "k-invariance" in kinds:
-        kpts = random_subgroup_points(pair, cache.scfg, range(P))
-        res_k = np.abs(cartan_map(pair, pts @ kpts)
-                       - cartan_map(pair, pts)).reshape(P, -1).max(axis=1)
-        results.append(_result(f"cartan.k-invariance{suffix}", space, params,
-                               P, res_k, None, None, _tol(config, 1e-12)))
-
+    # each claim id by its kind, e.g. "harmonic"
+    cid = {c[len("cartan."):c.index("[")]: c for c in ids}
     members = cache.family(space, m, n)
     two = [members[i] for i in _factor4_index(members)]
     forms = stack_members(two)
-    ratios, vert, res_h, tauL, kapL, res_c = _chunked(
+    phi, ratios, vert, res_h, tauL, kapL, res_c = _chunked(
         lambda c: _cartan_pass(pair, forms, c), pts)
-    results.append(_result(f"cartan.harmonic{suffix}", space, params, P,
-                           res_h, None, None, _tol(config, 1e-9)))
-    results.append(_result(f"cartan.pullback{suffix}", space, params, P,
+    results = []
+
+    if "k-invariance" in cid:
+        kpts = random_subgroup_points(pair, cache.scfg, range(P))
+        res_k = np.abs(cartan_map(pair, pts @ kpts)
+                       - phi).reshape(P, -1).max(axis=1)
+        results.append(_result(cid["k-invariance"], space, params, P, res_k,
+                               None, None, _tol(config, 1e-12)))
+
+    results.append(_result(cid["harmonic"], space, params, P, res_h, None,
+                           None, _tol(config, 1e-9)))
+    results.append(_result(cid["pullback"], space, params, P,
                            np.abs(ratios - 4.0), 4.0,
                            complex(ratios.mean()), _tol(config, 1e-8),
                            detail="metric factor 4 = (conformal factor 2)^2"))
-    if "vertical" in kinds:
-        results.append(_result(f"cartan.vertical{suffix}", space, params, P,
+    if "vertical" in cid:
+        results.append(_result(cid["vertical"], space, params, P,
                                np.sqrt(vert), 0.0, None, _tol(config, 1e-10)))
 
     _, tauN, kapN = _family_image_ops(pair, two, pts)
-    results.append(_result(f"cartan.factor4.tau{suffix}", space, params, P,
+    results.append(_result(cid["factor4.tau"], space, params, P,
                            _rel(tauL, 4.0 * tauN), None, None,
                            _tol(config, 1e-8)))
-    results.append(_result(f"cartan.factor4.kappa{suffix}", space, params, P,
+    results.append(_result(cid["factor4.kappa"], space, params, P,
                            _rel(kapL, 4.0 * kapN), None, None,
                            _tol(config, 1e-8)))
-    results.append(_result(f"cartan.casimir{suffix}", space, params, P,
-                           res_c, None, None, _tol(config, 1e-10),
+    results.append(_result(cid["casimir"], space, params, P, res_c, None,
+                           None, _tol(config, 1e-10),
                            detail="Z(Phi) = 2 p Z sigma(p)^-1 on p, "
                                   "tau(Phi) = 4 p C_p sigma(p)^-1"))
     return results
 
 
-def _poly_params(space, m, n, d):
-    return {"space": space, "m": m, "n": n, "d": d}
-
-
-def _run_poly(config: RunConfig, cache: _Cache, space, m, n, d):
+def _run_poly(config: RunConfig, cache: _Cache, ids, params, space, m, n, d):
     pair = cache.pair(space, m, n)
     PF = polynomial_family(base_family(cache.family(space, m, n)), d)
-    f = PF.as_field()
-    els = pair.ambient.elements
-    values, tau, kappa = _chunked(lambda c: field_ops(f, c, els),
+    values, tau, kappa = _chunked(lambda c: _poly_ops(pair, PF, c),
                                   cache.points(space, m, n))
-    params = _poly_params(space, m, n, d)
     return _eigen_claims(
-        _eigen_ids(f"poly.d{d}", params), space, params, values, tau, kappa,
-        PF.lam, PF.mu, _tol(config, 1e-7),
-        (f"{len(PF.members)} monomials of degree {d}", ""))
+        ids, space, params, values, tau, kappa, PF.lam, PF.mu,
+        _tol(config, 1e-7), (f"{len(PF.members)} monomials of degree {d}", ""))
 
 
-def _run_product(config: RunConfig, cache: _Cache):
-    space, m, n = "sp-grassmannian", 1, 1
+def _run_product(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     pair = cache.pair(space, m, n)
-    members = cache.family(space, m, n)
-    F = base_family(members)
+    F = base_family(cache.family(space, m, n))
     PF = product_family(F, F)
     pts1 = cache.points(space, m, n)
     P = pts1.shape[0]
     pts2 = random_pair_points(pair, cache.scfg, range(P, 2 * P))
-    # one member whose factors stack those of every member: the family
-    whole = ProductMember(stack_members(mm.f1 for mm in PF.members),
-                          stack_members(mm.f2 for mm in PF.members),
-                          name=PF.space, space=PF.space, lam=PF.lam, mu=PF.mu)
-    els = pair.ambient.elements
-    vals, tau, kappa = _chunked(
-        lambda a, b: product_ops(whole, a, b, els, els), pts1, pts2)
-    params = {"m": m, "n": n}
+    vals, tau, kappa = _chunked(lambda a, b: _product_ops(pair, PF, a, b),
+                                pts1, pts2)
     detail = f"{space_label(space, m, n)} x {space_label(space, m, n)}"
-    return _eigen_claims(_eigen_ids("product", params), "product", params,
-                         vals, tau, kappa, PF.lam, PF.mu, _tol(config, 1e-8),
-                         (detail, detail))
+    return _eigen_claims(ids, "product", params, vals, tau, kappa, PF.lam,
+                         PF.mu, _tol(config, 1e-8), (detail, detail))
 
 
-def _run_sphere(config: RunConfig, cache: _Cache, n):
+def _run_sphere(config: RunConfig, cache: _Cache, ids, params, n):
     F = ambient.stack_fields(ambient.sphere_phi(n, j) for j in range(1, n + 1))
     pts = random_sphere_points(n, f"sphere:{n}", cache.scfg,
                                range(config.samples))
     tau, kappa = ambient.sphere_ops(F, pts)
-    return _eigen_claims(_eigen_ids("sphere", {"n": n}), "sphere", {"n": n},
-                         F.value(pts), tau, kappa, -(2.0 * n - 1.0), -1.0,
-                         _tol(config, 1e-8))
+    return _eigen_claims(ids, "sphere", params, F.value(pts), tau, kappa,
+                         -(2.0 * n - 1.0), -1.0, _tol(config, 1e-8))
 
 
-def _run_cpn(config: RunConfig, cache: _Cache, n, alpha: int = 1):
+def _run_cpn(config: RunConfig, cache: _Cache, ids, params, n):
     # Members phi_{jk} with j <= alpha < k, the fixed-alpha family.
     F = ambient.stack_fields(ambient.cpn_phi(n, j, k)
-                             for j in range(1, alpha + 1)
-                             for k in range(alpha + 1, n + 2))
+                             for j in range(1, CPN_ALPHA + 1)
+                             for k in range(CPN_ALPHA + 1, n + 2))
     pts = random_sphere_points(n + 1, f"cpn:{n}", cache.scfg,
                                range(config.samples))
     tau, kappa = ambient.cpn_ops(F, pts)
-    return _eigen_claims(_eigen_ids("cpn", {"n": n}), "cpn", {"n": n},
-                         F.value(pts), tau, kappa, -4.0 * (n + 1), -4.0,
-                         _tol(config, 1e-8))
+    return _eigen_claims(ids, "cpn", params, F.value(pts), tau, kappa,
+                         -4.0 * (n + 1), -4.0, _tol(config, 1e-8))
 
 
 # ---------------------------------------------------------------------------
@@ -571,64 +584,68 @@ def _sizes_for(config: RunConfig, space: str):
 
 
 def jobs_for(config: RunConfig):
-    """The ordered list of verification jobs the config selects."""
+    """The ordered list of verification jobs the config selects.  Claim
+    ids are formatted here only: each runner is handed its job's ids."""
     config = validate_config(config)
     jobs = []
 
+    def add(space, ids, run, *args):
+        jobs.append(Job(ids, space,
+                        lambda cache: run(config, cache, ids, *args)))
+
     if _selected(config, "basis"):
-        jobs.append(Job(_basis_claim_ids(), "basis",
-                        lambda cache: _run_basis(config, cache)))
+        add("basis", _basis_claim_ids(), _run_basis)
 
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
             continue
         for m, n in _sizes_for(config, space):
-            jobs.append(Job(
-                _table1_claim_ids(space, m, n), space,
-                lambda cache, s=space, m=m, n=n: _run_table1(config, cache, s, m, n)))
+            params = _size_params(m, n)
+            add(space, _table1_claim_ids(space, params), _run_table1,
+                params, space, m, n)
 
     if _selected(config, "sp-grassmannian"):
         sizes = (((config.m, config.n),)
                  if config.spaces == ("sp-grassmannian",) and config.m is not None
                  else ((1, 1),))
         for m, n in sizes:
-            jobs.append(Job(_prop71_claim_ids(m, n), "sp-grassmannian",
-                            lambda cache, m=m, n=n: _run_prop71(config, cache, m, n)))
+            params = {"m": m, "n": n}
+            add("sp-grassmannian", _prop71_claim_ids(params), _run_prop71,
+                params, m, n)
 
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
             continue
         for m, n in _sizes_for(config, space):
-            jobs.append(Job(
-                _cartan_claim_ids(space, m, n), space,
-                lambda cache, s=space, m=m, n=n: _run_cartan(config, cache, s, m, n)))
+            params = {"space": space, **_size_params(m, n)}
+            add(space, _cartan_claim_ids(space, m, n, params), _run_cartan,
+                params, space, m, n)
 
     if _selected(config, "polynomial"):
         for space, m, n in POLY_SPACES:
             for d in POLY_DEGREES:
-                jobs.append(Job(
-                    _eigen_ids(f"poly.d{d}", _poly_params(space, m, n, d)),
-                    "polynomial",
-                    lambda cache, s=space, m=m, n=n, d=d:
-                        _run_poly(config, cache, s, m, n, d)))
+                params = {"space": space, "m": m, "n": n, "d": d}
+                add("polynomial", _eigen_ids(f"poly.d{d}", params), _run_poly,
+                    params, space, m, n, d)
 
     if _selected(config, "product"):
-        jobs.append(Job(_eigen_ids("product", {"m": 1, "n": 1}), "product",
-                        lambda cache: _run_product(config, cache)))
+        space, m, n = PRODUCT_SPACE
+        params = {"m": m, "n": n}
+        add("product", _eigen_ids("product", params), _run_product, params,
+            space, m, n)
 
     if _selected(config, "sphere"):
         ns = ((config.n,) if config.spaces == ("sphere",) and config.n is not None
               else SPHERE_NS)
         for n in ns:
-            jobs.append(Job(_eigen_ids("sphere", {"n": n}), "sphere",
-                            lambda cache, n=n: _run_sphere(config, cache, n)))
+            add("sphere", _eigen_ids("sphere", {"n": n}), _run_sphere,
+                {"n": n}, n)
 
     if _selected(config, "cpn"):
         ns = ((config.n,) if config.spaces == ("cpn",) and config.n is not None
               else CPN_NS)
         for n in ns:
-            jobs.append(Job(_eigen_ids("cpn", {"n": n}), "cpn",
-                            lambda cache, n=n: _run_cpn(config, cache, n)))
+            add("cpn", _eigen_ids("cpn", {"n": n}), _run_cpn, {"n": n}, n)
 
     return jobs
 

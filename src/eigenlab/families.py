@@ -8,9 +8,10 @@ kappa(P, Q) = d^2 mu P Q.  On a product M1 x M2, the functions
 phi1(p1) phi2(p2) form a family with eigenvalues (lambda1 + lambda2,
 mu1 + mu2) for the concatenated (disjoint-union) basis.
 
-A family evaluates as one field with a trailing member axis
-(``EigenFamily.as_field``), and the product operators take stacked points
-and stacked factors, so one call covers every member.
+The product law (``product_ops``) acts on the jets of the two factors,
+with the direction axis at ``axis``, wherever they come from: the
+per-point operators push them through the factors' fields, the claim
+engine reads them from the closed-form jets of the Cartan map.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class EigenFamily:
     members: tuple
     lam: complex
     mu: complex
-    provenance: str = "base"
 
     def __len__(self):
         return len(self.members)
@@ -58,19 +58,8 @@ class EigenFamily:
     def __iter__(self):
         return iter(self.members)
 
-    def as_field(self) -> ScalarField:
-        """Every member as one field with a trailing member axis.  The
-        catalog trace forms underneath are evaluated in one stacked pass,
-        shared by all polynomial members."""
-        first = self.members[0]
-        if isinstance(first, PolyMember):
-            gens = [m.generator for m in self.members]
-            return _poly_field(first.base,
-                               lambda vals: Jet2.stack([g(vals) for g in gens]))
-        return stack_members(self.members).as_field()
 
-
-def base_family(members, provenance: str = "base") -> EigenFamily:
+def base_family(members) -> EigenFamily:
     members = tuple(members)
     if not members:
         raise ValueError("a family needs at least one member")
@@ -78,7 +67,7 @@ def base_family(members, provenance: str = "base") -> EigenFamily:
     for m in members[1:]:
         if m.space != space or m.lam != lam or m.mu != mu:
             raise ValueError("family members must share space and (lambda, mu)")
-    return EigenFamily(space, members, lam, mu, provenance)
+    return EigenFamily(space, members, lam, mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +85,7 @@ class ConstantMember:
 
     def as_field(self) -> ScalarField:
         return ScalarField(lambda jm: Jet2.constant(1.0),
-                           self.pair.group, self.pair.ambient.n,
-                           k_invariant=True)
+                           self.pair.group, self.pair.ambient.n)
 
 
 def constant_family(pair) -> EigenFamily:
@@ -151,7 +139,6 @@ class PolyMember:
     space: str
     base: tuple = field(repr=False)
     generator: Callable = field(repr=False)
-    degree: int = 1
     lam: complex = 0.0
     mu: complex = 0.0
 
@@ -176,7 +163,7 @@ def _poly_field(base, combine) -> ScalarField:
         jb = field.evaluator(jm)
         return combine(tuple(jb[..., i] for i in range(k)))
 
-    return ScalarField(ev, field.group, field.n, k_invariant=True)
+    return ScalarField(ev, field.group, field.n)
 
 
 def polynomial_family(F: EigenFamily, d: int, generators=None) -> EigenFamily:
@@ -207,9 +194,8 @@ def polynomial_family(F: EigenFamily, d: int, generators=None) -> EigenFamily:
     for name, g in generators:
         _check_homogeneous(g, k, d, rng)
         members.append(PolyMember(name=name, space=F.space, base=F.members,
-                                  generator=g, degree=d, lam=lam, mu=mu))
-    return EigenFamily(F.space, tuple(members), lam, mu,
-                       provenance=f"polynomial({d})")
+                                  generator=g, lam=lam, mu=mu))
+    return EigenFamily(F.space, tuple(members), lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +225,7 @@ def product_family(F1: EigenFamily, F2: EigenFamily) -> EigenFamily:
         ProductMember(a, b, name=f"{a.name}(x){b.name}", space=space,
                       lam=lam, mu=mu)
         for a in F1.members for b in F2.members)
-    return EigenFamily(space, members, lam, mu, provenance="product")
+    return EigenFamily(space, members, lam, mu)
 
 
 def _factor_jets(member, p1, p2, basis1, basis2):
@@ -255,15 +241,13 @@ def _product_derivs(jets, k: int, axis: int):
                            np.expand_dims(v1, axis) * j2[k - 1]], axis=axis)
 
 
-def product_ops(member: ProductMember, p1, p2, basis1, basis2):
-    """(phi, tau(phi), kappa(phi, phi)) on the product from one pass over
-    each factor, with the product function's derivatives along the
-    concatenated basis.  The factors' member axes pair elementwise, so a
-    member whose factors stack the factors of a whole product family
-    evaluates that family, and kappa pairs every member with every
-    member."""
-    axis = np.ndim(p1) - 2
-    jets = _factor_jets(member, p1, p2, basis1, basis2)
+def product_ops(jets, axis: int):
+    """(phi, tau(phi), kappa(phi, phi)) of phi1(p1) phi2(p2) from the
+    factors' jets ((v1, d1, d2), (v2, d1, d2)), their directions on
+    ``axis``: the product function's derivatives along the concatenated
+    directions.  The factors' member axes pair elementwise, so factors
+    that stack the factors of a whole product family evaluate that family,
+    and kappa pairs every member with every member."""
     d1 = _product_derivs(jets, 1, axis)
     return ((jets[0][0] * jets[1][0])[()],
             _product_derivs(jets, 2, axis).sum(axis=axis)[()],
@@ -279,8 +263,7 @@ def product_tension(member: ProductMember, p1, p2, basis1, basis2):
     jets = _factor_jets(member, p1, p2, basis1, basis2)
     (v1, _, s1), (v2, _, s2) = jets
     decomposed = s1.sum(axis=axis) * v2 + v1 * s2.sum(axis=axis)
-    return (_product_derivs(jets, 2, axis).sum(axis=axis)[()],
-            decomposed[()])
+    return product_ops(jets, axis)[1], decomposed[()]
 
 
 def product_conformality(ma: ProductMember, mb: ProductMember, p1, p2,

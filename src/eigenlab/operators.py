@@ -52,7 +52,6 @@ class ScalarField:
     evaluator: Callable[[JetMatrix], Jet2]
     group: str
     n: int
-    k_invariant: bool | None = None
 
     def __call__(self, jm: JetMatrix) -> Jet2:
         return self.evaluator(jm)

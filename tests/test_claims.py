@@ -47,6 +47,13 @@ def test_default_claim_count():
     assert len(claim_ids(RunConfig())) == 186
 
 
+def test_default_results_carry_the_registered_ids():
+    # claim ids are formatted once, by jobs_for; each runner reports
+    # exactly the ids its job registered, in order
+    config = RunConfig()
+    assert [r.claim_id for r in run_claims(config)] == claim_ids(config)
+
+
 def test_eigen_claims_without_evidence_fail():
     # |phi| = 1e-6 everywhere: the residuals vanish with phi, so they
     # show nothing, and no eigenvalue can be fitted
@@ -120,6 +127,35 @@ def test_full_run_pushes_p_and_k_basis_once(cartan_passes):
     assert [passes_along(cartan_passes, basis) for basis in (
         pair.ambient.elements, pair.p_basis, pair.k_basis)] == [0, 1, 1]
     assert len(cartan_passes) == 2
+
+
+def test_poly_and_product_make_no_cartan_jet_pass(cartan_passes):
+    # the polynomial and product suites read the same closed-form trace
+    # forms as table1: no jet goes through cartan_map_jet
+    config = RunConfig(spaces=("polynomial", "product"), samples=CHUNK)
+    results = run_claims(config)
+    assert [r.claim_id for r in results] == claim_ids(config)
+    assert all(r.passed for r in results)
+    assert cartan_passes == []
+
+
+def _half_tension(pair, p):
+    # 2 p C_p sigma(p)^-1: half the closed-form tension
+    phi, d1, tension = cartan.cartan_jets_closed(pair, p)
+    return phi, d1, tension / 2.0
+
+
+def test_poly_and_product_reject_half_the_tension(monkeypatch):
+    # negative control: tau of a polynomial or product member reads the
+    # tension form, kappa reads only the first derivatives
+    monkeypatch.setattr(claims, "cartan_jets_closed", _half_tension)
+    results = run_claims(RunConfig(spaces=("polynomial", "product"),
+                                   samples=8))
+    lam = [r for r in results if ".lambda" in r.claim_id]
+    mu = [r for r in results if ".mu" in r.claim_id]
+    assert len(lam) == len(mu) == 5 and len(results) == 10
+    assert all(not r.passed and r.max_residual >= 1e-3 for r in lam)
+    assert all(r.passed for r in mu)
 
 
 def _halved(pair, p):

@@ -21,7 +21,7 @@ def entry_field(group, n, i, j):
 
 
 def const_field(group, n, c):
-    return ScalarField(lambda jm: Jet2.constant(c), group, n, k_invariant=True)
+    return ScalarField(lambda jm: Jet2.constant(c), group, n)
 
 
 class TestDirectionDerivs:

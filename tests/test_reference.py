@@ -13,8 +13,9 @@ import pytest
 
 from eigenlab import ambient, cartan, catalog, families, operators
 from eigenlab.cartan import cartan_map_jet
-from eigenlab.claims import DEFAULT_SIZES, _alpha_range, _closed_ops
-from eigenlab.jets import Jet2, JetMatrix
+from eigenlab.claims import (DEFAULT_SIZES, _alpha_range, _poly_ops,
+                             _product_ops, _trace_ops)
+from eigenlab.jets import Jet2, JetMatrix, gram
 from eigenlab.matrices import j_matrix, membership_residual
 from eigenlab.operators import ScalarField, field_value
 from eigenlab.pairs import make_pair
@@ -86,6 +87,23 @@ def ref_ops(fields, pts, basis):
             [[ref_tension(f, p, basis) for f in fields] for p in pts],
             [[[ref_conformality(f, g, p, basis) for g in fields]
               for f in fields] for p in pts])
+
+
+def ref_poly_ops(pair, PF, pts, basis):
+    """(values, tau, kappa) of a polynomial family, one point and one
+    direction at a time: the base members' jets, then every generator's."""
+    base = [ref_field(pair, mm) for mm in PF.members[0].base]
+    gens = [pm.generator for pm in PF.members]
+    values, taus, kaps = [], [], []
+    for p in pts:
+        jets = [[g(js) for g in gens]
+                for js in ([b.evaluator(JetMatrix.curve(p, Z)) for b in base]
+                           for Z in basis)]
+        values.append([j.v for j in jets[0]])
+        taus.append([sum(js[a].d2 for js in jets) for a in range(len(gens))])
+        kaps.append([[sum(js[a].d1 * js[b].d1 for js in jets)
+                      for b in range(len(gens))] for a in range(len(gens))])
+    return values, taus, kaps
 
 
 def ref_image_curve(pair, p, X):
@@ -270,16 +288,17 @@ def test_tangential_residual(case):
 
 
 def test_phi_bundle(case):
-    # table1's (alpha, member) grid from the closed-form Phi bundle
-    # (Phi, Z(Phi) on p, tension) against one field_ops per alpha over the
-    # ambient basis
+    # table1's (alpha, member) grid from the closed-form trace forms
+    # (values, d1 on p, tension form), kappa their Gram product, against
+    # one field_ops per alpha over the ambient basis
     pair, pts, _, _ = case
     blocks = [catalog.family_for_space(pair.space, m=pair.m, n=pair.n,
                                        alpha=alpha, pair=pair,
                                        rng=np.random.default_rng(3))
               for alpha in _alpha_range(pair.space, pair.m, pair.n)]
-    grid = _closed_ops(pair, catalog.stack_members(
+    values, d1, tau = _trace_ops(pair, catalog.stack_members(
         map(catalog.stack_members, blocks)), pts)
+    grid = (values, tau, gram(d1, d1, 1))
     for a, members in enumerate(blocks):
         ref = operators.field_ops(catalog.stack_members(members).as_field(),
                                   pts, pair.ambient)
@@ -297,15 +316,15 @@ def test_membership_residual(case):
 
 
 def test_polynomial_family(case):
+    # the engine's closed-form polynomial ops (p-basis jets plus the
+    # tension on a zero-velocity direction) against the generators on
+    # per-point jets along the ambient basis
     pair, pts, _, members = case
-    PF = families.polynomial_family(families.base_family(members), 2)
-    base = [ref_field(pair, mm) for mm in members]
-    refs = [ScalarField(lambda jm, g=pm.generator:
-                        g(tuple(b.evaluator(jm) for b in base)), "", 0)
-            for pm in PF.members]
-    got = operators.field_ops(PF.as_field(), pts, pair.ambient)
-    for g, r in zip(got, ref_ops(refs, pts, pair.ambient)):
-        close(g, r)
+    for d in (2, 3):
+        PF = families.polynomial_family(families.base_family(members), d)
+        for g, r in zip(_poly_ops(pair, PF, pts),
+                        ref_poly_ops(pair, PF, pts, pair.ambient)):
+            close(g, r)
 
 
 def test_product_operators(case):
@@ -313,11 +332,9 @@ def test_product_operators(case):
     F = families.base_family(members)
     PF = families.product_family(F, F)
     els = pair.ambient.elements
-    whole = families.ProductMember(
-        catalog.stack_members(mm.f1 for mm in PF.members),
-        catalog.stack_members(mm.f2 for mm in PF.members),
-        name=PF.space, space=PF.space, lam=PF.lam, mu=PF.mu)
-    values, tau, kap = families.product_ops(whole, pts, pts2, els, els)
+    # the engine's closed-form product ops against jets of the product
+    # function along the concatenated ambient basis
+    values, tau, kap = _product_ops(pair, PF, pts, pts2)
     close(values, [[mm.value((p1, p2)) for mm in PF.members]
                    for p1, p2 in zip(pts, pts2)])
     close(tau, [[ref_product(mm, mm, p1, p2, els, pair)[0]
