@@ -10,7 +10,7 @@ of the same derivative shows the usual h^2 truncation error for contrast.
 
 import numpy as np
 
-from eigenlab import (Jet2, JetMatrix, ScalarField, SampleConfig,
+from eigenlab import (Jet2, JetMatrix, SampleConfig,
                       direction_derivs, finite_difference_derivs,
                       group_basis, random_point)
 
@@ -31,7 +31,7 @@ print("\ncurve jet value == p:", np.allclose(jm.v, p))
 print("curve jet d1    == pZ:", np.allclose(jm.d1, p @ B[0]))
 
 # a field is any jet-in, jet-out evaluator; here q -> q_01 * conj(q_12)
-f = ScalarField(lambda j: j[..., 0, 1] * j[..., 1, 2].conj(), "su", n)
+f = lambda j: j[..., 0, 1] * j[..., 1, 2].conj()
 
 print("\nderivatives of q01 * conj(q12) along each basis direction:")
 print(f"{'direction':>10} {'jet d1':>24} {'fd d1 err':>12} {'fd d2 err':>12}")
@@ -43,7 +43,7 @@ for k in range(3):
 # directions can be batched through matmul/trace evaluators: one pass over
 # all dim many curves at once
 M = np.diag([1.0, -1.0, 0.0]).astype(complex)
-g = ScalarField(lambda j: (j @ M).trace(), "su", n)
+g = lambda j: (j @ M).trace()
 stack = np.stack(list(B))
 jall = g(JetMatrix.curve(p, stack))
 batched = jall.d2.sum()

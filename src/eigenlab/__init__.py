@@ -19,7 +19,7 @@ from .bases import algebra_residual, gram_matrix, group_basis, square_sum
 from .pairs import make_pair
 from .sampling import (SampleConfig, random_pair_point, random_point,
                        random_subgroup_point)
-from .operators import (ScalarField, direction_derivs, field_value,
+from .operators import (direction_derivs, field_value,
                         finite_difference_derivs, image_tension,
                         quotient_ops, tension)
 from .cartan import (cartan_map, cartan_map_closed, harmonic_residual,
@@ -38,7 +38,7 @@ __all__ = [
     "make_pair",
     "SampleConfig", "random_pair_point", "random_point",
     "random_subgroup_point",
-    "ScalarField", "direction_derivs", "field_value",
+    "direction_derivs", "field_value",
     "finite_difference_derivs", "image_tension", "quotient_ops", "tension",
     "cartan_map", "cartan_map_closed", "harmonic_residual",
     "pullback_factor",

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cartan import cartan_map, cartan_map_jet
-from .jets import Jet2, JetMatrix, trace_form
+from .jets import trace_form
 from .matrices import basis_E, i_signature, i_signature_doubled, j_matrix
-from .operators import ScalarField
 from .pairs import SymmetricPair, make_pair
 
 __all__ = [
@@ -163,24 +162,16 @@ class Eigenfunction:
             raise ValueError(f"{self.name} has no independent closed form")
         return self.direct(q)
 
-    def as_field(self) -> ScalarField:
+    def as_field(self):
         """The jet evaluator on the ambient group (for the generic
         operators)."""
         pair, B, c = self.pair, self.B, self.c
+        return lambda jm: cartan_map_jet(pair, jm).trace_form(B) + c
 
-        def ev(jm: JetMatrix) -> Jet2:
-            return cartan_map_jet(pair, jm).trace_form(B) + c
-
-        return ScalarField(ev, pair.group, pair.ambient.n)
-
-    def eta_field(self) -> ScalarField:
+    def eta_field(self):
         """The jet evaluator of eta itself (a function on the image N)."""
         B, c = self.B, self.c
-
-        def ev(jm: JetMatrix) -> Jet2:
-            return jm.trace_form(B) + c
-
-        return ScalarField(ev, self.pair.group, self.pair.ambient.n)
+        return lambda jm: jm.trace_form(B) + c
 
 
 def stack_members(members) -> Eigenfunction:

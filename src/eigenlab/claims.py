@@ -64,13 +64,15 @@ DEFAULT_SIZES = {
     "so-grassmannian": ((1, 1), (1, 2), (2, 2)),
     "u-grassmannian": ((1, 1), (1, 2), (2, 2)),
     "sp-grassmannian": ((1, 1), (1, 2), (2, 2)),
+    "sphere": ((None, 2), (None, 3)),
+    "cpn": ((None, 1), (None, 2)),
 }
 
+PROP71_SIZES = ((1, 1),)
+BASIS_NS = tuple(range(2, 9))
 POLY_SPACES = (("sp-grassmannian", 1, 1), ("u-grassmannian", 1, 1))
 POLY_DEGREES = (2, 3)
 PRODUCT_SPACE = ("sp-grassmannian", 1, 1)
-SPHERE_NS = (2, 3)
-CPN_NS = (1, 2)
 CPN_ALPHA = 1
 FORMATS = ("json-lines", "tsv", "human-table")
 
@@ -116,7 +118,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     if len(config.spaces) != 1 or config.spaces[0] == "all":
         raise ConfigError("--m/--n require a single --space selection")
     target = config.spaces[0]
-    if target in ("basis", "polynomial", "product"):
+    if target not in DEFAULT_SIZES:
         raise ConfigError(f"sizes are fixed for the {target!r} suite")
     for name, v in (("m", config.m), ("n", config.n)):
         if v is not None and not 1 <= v <= 3:
@@ -125,10 +127,9 @@ def validate_config(config: RunConfig) -> RunConfig:
         if config.m is None or config.n is None:
             raise ConfigError(f"space {target!r} needs both --m and --n")
     else:
+        # the early return above leaves n set whenever m is not
         if config.m is not None:
             raise ConfigError(f"space {target!r} takes --n only")
-        if config.n is None:
-            raise ConfigError(f"space {target!r} needs --n")
         if target in SPACES and config.n < SPACES[target]["min_size"]["n"]:
             raise ConfigError(
                 f"space {target!r} requires n >= {SPACES[target]['min_size']['n']}")
@@ -228,13 +229,11 @@ def _eigen_claims(ids, space, params, values, tau, kappa, lam, mu, tol,
 
 
 def _chunked(op, *points):
-    """``op`` over CHUNK points at a time, its outputs concatenated along
-    the point axis (item by item when it returns a tuple)."""
+    """``op`` over CHUNK points at a time, each item of its output tuple
+    concatenated along the point axis."""
     outs = [op(*(p[lo:lo + CHUNK] for p in points))
             for lo in range(0, len(points[0]), CHUNK)]
-    if isinstance(outs[0], tuple):
-        return tuple(np.concatenate(parts) for parts in zip(*outs))
-    return np.concatenate(outs)
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
 class _Cache:
@@ -380,7 +379,7 @@ def _family_stack(fam: str, n: int) -> np.ndarray:
 
 
 _BASIS_PARAMS = tuple({"family": fam, "n": n}
-                      for n in range(2, 9) for fam in ("Y", "X", "D"))
+                      for n in BASIS_NS for fam in ("Y", "X", "D"))
 
 
 def _basis_claim_ids():
@@ -469,23 +468,23 @@ def _run_prop71(config: RunConfig, cache: _Cache, ids, params, m, n):
                          -(m + n) / 2.0, -0.25, _tol(config, 1e-8))
 
 
-def _cartan_claim_ids(space, m, n, params):
+def _cartan_kinds(space, m, n):
     # With K discrete (dim k = 0) Phi is injective and there is no
     # vertical direction: both claims would pass on zero evidence.
     build = SPACES[space]["builder"]
     vertical = (build(n) if m is None else build(m, n))[3] > 0
-    kinds = (("k-invariance",) * vertical + ("harmonic", "pullback")
-             + ("vertical",) * vertical
-             + ("factor4.tau", "factor4.kappa", "casimir"))
-    return tuple(f"cartan.{kind}{_suffix(params)}" for kind in kinds)
+    return (("k-invariance",) * vertical + ("harmonic", "pullback")
+            + ("vertical",) * vertical
+            + ("factor4.tau", "factor4.kappa", "casimir"))
 
 
-def _run_cartan(config: RunConfig, cache: _Cache, ids, params, space, m, n):
+def _run_cartan(config: RunConfig, cache: _Cache, ids, params, space, m, n,
+                kinds):
     pair = cache.pair(space, m, n)
     pts = cache.points(space, m, n)
     P = pts.shape[0]
     # each claim id by its kind, e.g. "harmonic"
-    cid = {c[len("cartan."):c.index("[")]: c for c in ids}
+    cid = dict(zip(kinds, ids))
     members = cache.family(space, m, n)
     two = [members[i] for i in _factor4_index(members)]
     forms = stack_members(two)
@@ -576,11 +575,13 @@ def _selected(config: RunConfig, key: str) -> bool:
     return "all" in config.spaces or key in config.spaces
 
 
-def _sizes_for(config: RunConfig, space: str):
+def _sizes(config: RunConfig, key: str, default):
+    """The (m, n) sizes of the suites behind selector ``key``: the --m/--n
+    override when ``key`` is the whole selection, else ``default``."""
     if (config.m is not None or config.n is not None) and \
-            config.spaces == (space,):
+            config.spaces == (key,):
         return ((config.m, config.n),)
-    return DEFAULT_SIZES[space]
+    return default
 
 
 def jobs_for(config: RunConfig):
@@ -599,16 +600,13 @@ def jobs_for(config: RunConfig):
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
             continue
-        for m, n in _sizes_for(config, space):
+        for m, n in _sizes(config, space, DEFAULT_SIZES[space]):
             params = _size_params(m, n)
             add(space, _table1_claim_ids(space, params), _run_table1,
                 params, space, m, n)
 
     if _selected(config, "sp-grassmannian"):
-        sizes = (((config.m, config.n),)
-                 if config.spaces == ("sp-grassmannian",) and config.m is not None
-                 else ((1, 1),))
-        for m, n in sizes:
+        for m, n in _sizes(config, "sp-grassmannian", PROP71_SIZES):
             params = {"m": m, "n": n}
             add("sp-grassmannian", _prop71_claim_ids(params), _run_prop71,
                 params, m, n)
@@ -616,10 +614,12 @@ def jobs_for(config: RunConfig):
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
             continue
-        for m, n in _sizes_for(config, space):
+        for m, n in _sizes(config, space, DEFAULT_SIZES[space]):
             params = {"space": space, **_size_params(m, n)}
-            add(space, _cartan_claim_ids(space, m, n, params), _run_cartan,
-                params, space, m, n)
+            kinds = _cartan_kinds(space, m, n)
+            add(space, tuple(f"cartan.{kind}{_suffix(params)}"
+                             for kind in kinds),
+                _run_cartan, params, space, m, n, kinds)
 
     if _selected(config, "polynomial"):
         for space, m, n in POLY_SPACES:
@@ -635,16 +635,12 @@ def jobs_for(config: RunConfig):
             space, m, n)
 
     if _selected(config, "sphere"):
-        ns = ((config.n,) if config.spaces == ("sphere",) and config.n is not None
-              else SPHERE_NS)
-        for n in ns:
+        for _, n in _sizes(config, "sphere", DEFAULT_SIZES["sphere"]):
             add("sphere", _eigen_ids("sphere", {"n": n}), _run_sphere,
                 {"n": n}, n)
 
     if _selected(config, "cpn"):
-        ns = ((config.n,) if config.spaces == ("cpn",) and config.n is not None
-              else CPN_NS)
-        for n in ns:
+        for _, n in _sizes(config, "cpn", DEFAULT_SIZES["cpn"]):
             add("cpn", _eigen_ids("cpn", {"n": n}), _run_cpn, {"n": n}, n)
 
     return jobs

@@ -12,9 +12,10 @@ import os
 import sys
 import time
 
-from .claims import (DEFAULT_SIZES, FORMATS, PAIR_SPACE_ORDER, SELECTORS,
-                     ConfigError, ROW_BY_SPACE, RunConfig, jobs_for,
-                     run_claims, validate_config)
+from .claims import (BASIS_NS, DEFAULT_SIZES, FORMATS, PAIR_SPACE_ORDER,
+                     POLY_DEGREES, PRODUCT_SPACE, SELECTORS, ConfigError,
+                     ROW_BY_SPACE, RunConfig, jobs_for, run_claims,
+                     validate_config)
 from .pairs import space_label
 from .report import build_report, emit
 
@@ -79,7 +80,7 @@ def config_from_args(args) -> RunConfig:
     for s in spaces:
         flat.extend(t for t in s.split(",") if t)
     config = RunConfig(
-        spaces=tuple(flat) if flat else ("all",),
+        spaces=tuple(flat),
         m=_pick(args.m, "M", None, int),
         n=_pick(args.n, "N", None, int),
         samples=_pick(args.samples, "SAMPLES", 100, int),
@@ -111,6 +112,14 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if report.all_passed else 1
 
 
+def _span(values) -> str:
+    return f"{values[0]}..{values[-1]}"
+
+
+def _ns(key: str):
+    return [n for _, n in DEFAULT_SIZES[key]]
+
+
 def _cmd_list(config: RunConfig) -> int:
     lines = ["spaces:"]
     for key in SELECTORS:
@@ -119,15 +128,15 @@ def _cmd_list(config: RunConfig) -> int:
                               for m, n in DEFAULT_SIZES[key])
             extra = f"eigenvalue table row {ROW_BY_SPACE[key]}; default {sizes}"
         elif key == "basis":
-            extra = "square-sum identities, n in 2..8"
+            extra = f"square-sum identities, n in {_span(BASIS_NS)}"
         elif key == "polynomial":
-            extra = "degree-d families, d in 2..3"
+            extra = f"degree-d families, d in {_span(POLY_DEGREES)}"
         elif key == "product":
-            extra = "product of two sp-grassmannian(m=1,n=1) families"
+            extra = f"product of two {space_label(*PRODUCT_SPACE)} families"
         elif key == "sphere":
-            extra = "odd spheres, n in 2..3"
+            extra = f"odd spheres, n in {_span(_ns(key))}"
         else:
-            extra = "complex projective spaces, n in 1..2"
+            extra = f"complex projective spaces, n in {_span(_ns(key))}"
         lines.append(f"  {key}: {extra}")
     lines.append("claims:")
     for job in jobs_for(config):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import stack_members
 from .jets import Jet2, JetMatrix, gram
-from .operators import ScalarField, field_jets
+from .operators import field_jets
 
 __all__ = [
     "EigenFamily",
@@ -83,9 +83,8 @@ class ConstantMember:
     def value(self, q) -> complex:
         return 1.0 + 0.0j
 
-    def as_field(self) -> ScalarField:
-        return ScalarField(lambda jm: Jet2.constant(1.0),
-                           self.pair.group, self.pair.ambient.n)
+    def as_field(self):
+        return lambda jm: Jet2.constant(1.0)
 
 
 def constant_family(pair) -> EigenFamily:
@@ -149,21 +148,21 @@ class PolyMember:
     def value(self, q) -> complex:
         return self.generator(tuple(m.value(q) for m in self.base))
 
-    def as_field(self) -> ScalarField:
+    def as_field(self):
         return _poly_field(self.base, self.generator)
 
 
-def _poly_field(base, combine) -> ScalarField:
+def _poly_field(base, combine):
     # One stacked pass over the base trace forms; ``combine`` maps the
     # tuple of base-member jets to the polynomial's jet.
     field = stack_members(base).as_field()
     k = len(base)
 
     def ev(jm: JetMatrix) -> Jet2:
-        jb = field.evaluator(jm)
+        jb = field(jm)
         return combine(tuple(jb[..., i] for i in range(k)))
 
-    return ScalarField(ev, field.group, field.n)
+    return ev
 
 
 def polynomial_family(F: EigenFamily, d: int, generators=None) -> EigenFamily:

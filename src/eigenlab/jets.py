@@ -47,14 +47,15 @@ class Jet2:
     """A complex quantity with its first and second derivatives.
 
     ``v``, ``d1``, ``d2`` are complex arrays whose shapes broadcast against
-    each other, the way JetMatrix stores its parts: one Jet2 can carry a
-    batch of points, curve directions and family members, and a part may
-    omit axes on which it is constant (a direction-independent value, a
-    constant's zero derivatives).  Arithmetic follows the truncated-Taylor
-    rules elementwise; in particular
+    each other: one Jet2 can carry a batch of points, curve directions and
+    family members, and a part may omit axes on which it is constant (a
+    direction-independent value, a constant's zero derivatives).
+    Arithmetic follows the truncated-Taylor rules elementwise; in particular
     (a*b).d1 = a.d1*b.v + a.v*b.d1 and
     (a*b).d2 = a.d2*b.v + 2*a.d1*b.d1 + a.v*b.d2.
     Conjugation acts componentwise since the curve parameter is real.
+    Each result has the type of the jet whose method made it, so the
+    elementwise operations of a JetMatrix give a JetMatrix.
     """
 
     __slots__ = ("v", "d1", "d2")
@@ -95,28 +96,29 @@ class Jet2:
         return tuple(np.broadcast_to(a, full) for a in (self.v, self.d1, self.d2))
 
     def __getitem__(self, idx):
-        return Jet2(*(a[idx] for a in np.broadcast_arrays(self.v, self.d1, self.d2)))
+        return type(self)(*(a[idx] for a in np.broadcast_arrays(
+            self.v, self.d1, self.d2)))
 
     def __add__(self, other):
         o = _as_jet(other)
-        return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+        return type(self)(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.v, -self.d1, -self.d2)
+        return type(self)(-self.v, -self.d1, -self.d2)
 
     def __sub__(self, other):
         o = _as_jet(other)
-        return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+        return type(self)(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
 
     def __rsub__(self, other):
         o = _as_jet(other)
-        return Jet2(o.v - self.v, o.d1 - self.d1, o.d2 - self.d2)
+        return type(self)(o.v - self.v, o.d1 - self.d1, o.d2 - self.d2)
 
     def __mul__(self, other):
         o = _as_jet(other)
-        return Jet2(
+        return type(self)(
             self.v * o.v,
             self.d1 * o.v + self.v * o.d1,
             self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
@@ -129,7 +131,7 @@ class Jet2:
         v = self.v / o.v
         d1 = (self.d1 - v * o.d1) / o.v
         d2 = (self.d2 - 2.0 * d1 * o.d1 - v * o.d2) / o.v
-        return Jet2(v, d1, d2)
+        return type(self)(v, d1, d2)
 
     def __rtruediv__(self, other):
         return _as_jet(other) / self
@@ -137,7 +139,7 @@ class Jet2:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers are supported")
-        out = Jet2(1.0)
+        out = type(self)(1.0)
         base = self
         while k:
             if k & 1:
@@ -147,41 +149,35 @@ class Jet2:
         return out
 
     def conj(self):
-        return Jet2(self.v.conj(), self.d1.conj(), self.d2.conj())
+        return type(self)(self.v.conj(), self.d1.conj(), self.d2.conj())
 
     def sqrt(self):
         v = np.sqrt(self.v)
         d1 = self.d1 / (2.0 * v)
         d2 = (self.d2 - 2.0 * d1 * d1) / (2.0 * v)
-        return Jet2(v, d1, d2)
+        return type(self)(v, d1, d2)
 
     def __repr__(self):
+        name = type(self).__name__
         if self.shape:
-            return f"Jet2(shape={self.shape})"
-        return f"Jet2({complex(self.v)!r}, {complex(self.d1)!r}, {complex(self.d2)!r})"
+            return f"{name}(shape={self.shape})"
+        return (f"{name}({complex(self.v)!r}, {complex(self.d1)!r}, "
+                f"{complex(self.d2)!r})")
 
 
-class JetMatrix:
-    """A matrix whose entries are order-2 jets, stored as three arrays.
-
-    ``v``, ``d1``, ``d2`` are complex ndarrays of identical trailing shape
-    (..., n, n); leading axes broadcast, so a batch of curve directions can
-    share one value matrix.  Matrix products follow the same truncated-Taylor
-    rule as Jet2; transpose and conjugation act componentwise.
+class JetMatrix(Jet2):
+    """A Jet2 whose parts end in matrix axes (..., n, n), with the matrix
+    products of the truncated-Taylor rule on top of the elementwise Jet2
+    arithmetic.  Leading axes broadcast, so a batch of curve directions
+    can share one value matrix; indexing is part-wise, so ``jm[..., i, j]``
+    is the jet of one entry.
     """
 
-    __slots__ = ("v", "d1", "d2")
-
-    # Keep numpy from absorbing us in mixed expressions like ndarray @ jet.
-    __array_ufunc__ = None
-
-    def __init__(self, v, d1, d2):
-        self.v = np.asarray(v, dtype=complex)
-        self.d1 = np.asarray(d1, dtype=complex)
-        self.d2 = np.asarray(d2, dtype=complex)
+    __slots__ = ()
 
     @classmethod
     def constant(cls, a):
+        # full-shape zero derivatives: T and @ need matrix-shaped parts
         a = np.asarray(a, dtype=complex)
         z = np.zeros_like(a)
         return cls(a, z, z)
@@ -205,9 +201,6 @@ class JetMatrix:
         sw = lambda a: np.swapaxes(a, -1, -2)
         return JetMatrix(sw(self.v), sw(self.d1), sw(self.d2))
 
-    def conj(self):
-        return JetMatrix(self.v.conj(), self.d1.conj(), self.d2.conj())
-
     def __matmul__(self, other):
         if isinstance(other, JetMatrix):
             return JetMatrix(
@@ -222,49 +215,12 @@ class JetMatrix:
         other = np.asarray(other, dtype=complex)
         return JetMatrix(other @ self.v, other @ self.d1, other @ self.d2)
 
-    def __add__(self, other):
-        if isinstance(other, JetMatrix):
-            return JetMatrix(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
-        return JetMatrix(self.v + np.asarray(other), self.d1, self.d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, JetMatrix):
-            return JetMatrix(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
-        return JetMatrix(self.v - np.asarray(other), self.d1, self.d2)
-
-    def __mul__(self, scalar):
-        return JetMatrix(self.v * scalar, self.d1 * scalar, self.d2 * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return JetMatrix(-self.v, -self.d1, -self.d2)
-
-    def _parts(self):
-        # Batch axes may live on d1/d2 only; align all three for entrywise
-        # extraction and reductions.
-        return np.broadcast_arrays(self.v, self.d1, self.d2)
-
-    def __getitem__(self, idx):
-        """Batch selection gives a JetMatrix; an index ending in two
-        integers that address the matrix axes (``jm[..., i, j]`` or a full
-        index) gives the Jet2 of that entry."""
-        parts = self._parts()
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        entry = (len(idx) >= 2
-                 and all(isinstance(i, (int, np.integer)) for i in idx[-2:])
-                 and (any(i is Ellipsis for i in idx) or len(idx) == parts[0].ndim))
-        return (Jet2 if entry else JetMatrix)(*(a[idx] for a in parts))
-
     def trace(self):
-        return Jet2(*(np.trace(a, axis1=-2, axis2=-1) for a in self._parts()))
+        # batch axes may live on d1/d2 only: broadcast before reducing
+        return Jet2(*(np.trace(a, axis1=-2, axis2=-1)
+                      for a in self.broadcast_to(())))
 
     def trace_form(self, B):
         """The Jet2 of tr(self @ B), contracted without forming the product.
         The member axes of a stack or grid of B become trailing axes."""
         return Jet2(*(trace_form(a, B) for a in (self.v, self.d1, self.d2)))
-
-    def __repr__(self):
-        return f"JetMatrix(shape={self.v.shape})"

@@ -17,7 +17,6 @@ __all__ = [
     "i_signature_doubled",
     "quat_embed",
     "membership_residual",
-    "GROUPS",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -127,9 +126,6 @@ def quat_embed(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     if z.shape != w.shape or z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("z and w must be square matrices of equal size")
     return np.block([[z, w], [-w.conj(), z.conj()]])
-
-
-GROUPS = ("so", "su", "u", "sp")
 
 
 def _fro(a):

@@ -7,24 +7,24 @@ correction terms vanish because nabla_Z Z = [Z, Z]/2 = 0 for left-invariant
 fields.  All derivatives are exact order-2 jets; kappa is complex bilinear
 (no conjugation).
 
-Every operator takes a single point (n, n) or a stack of points
-(..., n, n) and pushes all basis directions through one evaluator call.
-A field may return a trailing member axis, so that one call evaluates a
-whole family; kappa is then the pairwise (Gram) matrix over the members.
+A field is its jet evaluator: a callable that maps a JetMatrix (the 2-jets
+of curves through the group, with any leading batch axes) to the Jet2 of
+the function along those curves; on a constant jet it must return a
+constant jet.  Every operator takes a single point (n, n) or a stack of
+points (..., n, n) and pushes all basis directions through one call of
+the field.  A field may return a trailing member axis, so that one call
+evaluates a whole family; kappa is then the pairwise (Gram) matrix over
+the members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .jets import Jet2, JetMatrix, gram
+from .jets import JetMatrix, gram
 from .matrices import mat_exp
 
 __all__ = [
-    "ScalarField",
     "field_value",
     "direction_derivs",
     "field_jets",
@@ -39,39 +39,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    """A complex-valued function on a matrix group, given by a jet evaluator.
-
-    ``evaluator`` maps a JetMatrix (the 2-jets of curves through the group,
-    with any leading batch axes) to the Jet2 of the function along those
-    curves, optionally with a trailing member axis; on a constant jet it
-    must return a constant jet.
-    """
-
-    evaluator: Callable[[JetMatrix], Jet2]
-    group: str
-    n: int
-
-    def __call__(self, jm: JetMatrix) -> Jet2:
-        return self.evaluator(jm)
-
-
 def field_value(field, p: np.ndarray):
     """phi(p), via a constant jet."""
-    return field.evaluator(JetMatrix.constant(p)).v[()]
+    return field(JetMatrix.constant(p)).v[()]
 
 
 def direction_derivs(field, p: np.ndarray, Z: np.ndarray):
     """(Z(phi)(p), Z^2(phi)(p)): first and second derivative of phi along
     the one-parameter subgroup curve p exp(sZ)."""
-    j = field.evaluator(JetMatrix.curve(p, Z))
+    j = field(JetMatrix.curve(p, Z))
     return j.d1[()], j.d2[()]
 
 
 def field_jets(field, p: np.ndarray, directions):
     """phi and its jets along every direction at every point, from one
-    evaluator call.
+    call of the field.
 
     ``p`` is (*points, n, n); ``directions`` is (dirs, n, n), a basis, or
     (*points, dirs, n, n) for point-dependent directions.  Returns the
@@ -82,7 +64,7 @@ def field_jets(field, p: np.ndarray, directions):
     Z = np.asarray(getattr(directions, "elements", directions), dtype=complex)
     jm = JetMatrix.curve(p[..., None, :, :], Z)
     lead = jm.d1.shape[:-2]
-    v, d1, d2 = field.evaluator(jm).broadcast_to(lead)
+    v, d1, d2 = field(jm).broadcast_to(lead)
     return v[(slice(None),) * (len(lead) - 1) + (0,)], d1, d2
 
 
@@ -92,8 +74,8 @@ def _ops(jets, axis):
 
 
 def field_ops(field, p: np.ndarray, basis):
-    """(phi, tau(phi), kappa(phi, phi)) at every point from one evaluator
-    call; kappa pairs every member with every member."""
+    """(phi, tau(phi), kappa(phi, phi)) at every point from one call of
+    the field; kappa pairs every member with every member."""
     return _ops(field_jets(field, p, basis), np.ndim(p) - 2)
 
 
@@ -135,8 +117,8 @@ def _image_jets(pair, eta, p: np.ndarray):
 
 
 def image_ops(pair, eta, p: np.ndarray):
-    """(eta(Phi(p)), tau_N(eta), kappa_N(eta, eta)) from one evaluator
-    call, for eta a function on the ambient group restricted to the Cartan
+    """(eta(Phi(p)), tau_N(eta), kappa_N(eta, eta)) from one call of
+    eta, for eta a function on the ambient group restricted to the Cartan
     image N: derivatives along the image basis
     {Ad_{sigma(p)} X | X in the p-basis} at Phi(p)."""
     return _ops(_image_jets(pair, eta, p), np.ndim(p) - 2)

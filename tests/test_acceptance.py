@@ -184,7 +184,7 @@ def test_criterion_10_property_suites():
     from numpy.testing import assert_allclose
     from eigenlab.bases import gram_matrix, group_basis
     from eigenlab.matrices import metric
-    from eigenlab.operators import (ScalarField, conformality, field_value,
+    from eigenlab.operators import (conformality, field_value,
                                     finite_difference_derivs,
                                     direction_derivs, tension)
     from eigenlab.pairs import make_pair
@@ -198,9 +198,9 @@ def test_criterion_10_property_suites():
     # Leibniz: tau(fg) = tau(f) g + 2 kappa(f,g) + f tau(g), <= 1e-9
     n = 3
     B = group_basis("su", n)
-    f = ScalarField(lambda jm: jm[..., 0, 1], "su", n)
-    g = ScalarField(lambda jm: jm[..., 1, 2], "su", n)
-    fg = ScalarField(lambda jm: jm[..., 0, 1] * jm[..., 1, 2], "su", n)
+    f = lambda jm: jm[..., 0, 1]
+    g = lambda jm: jm[..., 1, 2]
+    fg = lambda jm: jm[..., 0, 1] * jm[..., 1, 2]
     cfg = SampleConfig(seed=99)
     for i in range(10):
         p = random_point("su", n, cfg, i)

@@ -1,5 +1,6 @@
 """The claim engine: no claim can pass on zero evidence."""
 
+import re
 import sys
 
 import numpy as np
@@ -7,13 +8,69 @@ import pytest
 
 from eigenlab import cartan, catalog, claims
 from eigenlab.bases import square_sum
-from eigenlab.claims import (CHUNK, RunConfig, _eigen_claims, _result,
-                             jobs_for, run_claims)
+from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
+                             _result, jobs_for, run_claims, validate_config)
 from eigenlab.pairs import make_pair
 
 
 def claim_ids(config):
     return [cid for job in jobs_for(config) for cid in job.claim_ids]
+
+
+@pytest.mark.parametrize("config,message", [
+    (RunConfig(spaces=("lens-space",)), "unknown space 'lens-space'"),
+    (RunConfig(spaces=()), "empty space selection"),
+    (RunConfig(samples=0), "samples must be a positive integer"),
+    (RunConfig(tol=0.0), "tolerance must be positive"),
+    (RunConfig(tol=-1e-8), "tolerance must be positive"),
+    (RunConfig(tol=float("nan")), "tolerance must be positive"),
+    (RunConfig(seed=-1), "seed must be non-negative"),
+    (RunConfig(fmt="xml"), "unknown format 'xml'"),
+    (RunConfig(n=2), "require a single --space selection"),
+    (RunConfig(spaces=("sphere", "cpn"), n=2),
+     "require a single --space selection"),
+    (RunConfig(spaces=("basis",), n=2), "sizes are fixed for the 'basis'"),
+    (RunConfig(spaces=("polynomial",), m=1, n=1),
+     "sizes are fixed for the 'polynomial'"),
+    (RunConfig(spaces=("product",), n=1), "sizes are fixed for the 'product'"),
+    (RunConfig(spaces=("su-so",), n=4), "n must lie in 1..3"),
+    (RunConfig(spaces=("sphere",), n=0), "n must lie in 1..3"),
+    (RunConfig(spaces=("u-grassmannian",), m=0, n=1), "m must lie in 1..3"),
+    (RunConfig(spaces=("sp-grassmannian",), n=1),
+     "'sp-grassmannian' needs both --m and --n"),
+    (RunConfig(spaces=("so-grassmannian",), m=1),
+     "'so-grassmannian' needs both --m and --n"),
+    (RunConfig(spaces=("su-so",), m=1, n=2), "'su-so' takes --n only"),
+    (RunConfig(spaces=("cpn",), m=2), "'cpn' takes --n only"),
+    (RunConfig(spaces=("su-sp",), n=1), "'su-sp' requires n >= 2"),
+    (RunConfig(spaces=("so-u",), n=1), "'so-u' requires n >= 2"),
+])
+def test_config_rules(config, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_config(config)
+
+
+def _cartan_ids(params):
+    return [f"cartan.{kind}[{params}]"
+            for kind in ("k-invariance", "harmonic", "pullback", "vertical",
+                         "factor4.tau", "factor4.kappa", "casimir")]
+
+
+@pytest.mark.parametrize("config,ids", [
+    (RunConfig(spaces=("su-so",), n=3),
+     ["table1.row4.lambda[n=3]", "table1.row4.mu[n=3]"]
+     + _cartan_ids("space=su-so,n=3")),
+    (RunConfig(spaces=("sp-grassmannian",), m=3, n=1),
+     ["table1.row10.lambda[m=3,n=1]", "table1.row10.mu[m=3,n=1]",
+      "catalog.quat.new-range[m=3,n=1]",
+      "prop7.1.tau[m=3,n=1]", "prop7.1.kappa[m=3,n=1]"]
+     + _cartan_ids("space=sp-grassmannian,m=3,n=1")),
+    (RunConfig(spaces=("sphere",), n=3), ["sphere.lambda[n=3]",
+                                          "sphere.mu[n=3]"]),
+    (RunConfig(spaces=("cpn",), n=3), ["cpn.lambda[n=3]", "cpn.mu[n=3]"]),
+])
+def test_size_override_replaces_the_default_sizes(config, ids):
+    assert claim_ids(config) == ids
 
 
 def test_result_rejects_empty_residuals():

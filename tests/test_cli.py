@@ -59,6 +59,31 @@ class TestExitCodes:
                                "sp-grassmannian", "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,env", [
+        (["--space", ""], None),
+        (["--space", ","], None),
+        (["--space", "", "--space", ","], None),
+        ([], ","),
+    ])
+    def test_empty_space_selection_exits_two(self, capsys, monkeypatch,
+                                             argv, env):
+        # a selection that names no selector is an error, not "all"
+        if env is not None:
+            monkeypatch.setenv("EIGENLAB_SPACE", env)
+        code, out, err = run_cli(capsys, "verify", "--samples", "3", *argv)
+        assert code == 2
+        assert out == ""
+        assert "empty space selection" in err
+
+    def test_unset_or_empty_env_space_means_all(self, capsys, monkeypatch):
+        code, unset, _ = run_cli(capsys, "list")
+        assert code == 0
+        monkeypatch.setenv("EIGENLAB_SPACE", "")
+        code, empty, _ = run_cli(capsys, "list")
+        assert code == 0
+        assert empty == unset
+        assert "table1.row4.lambda[n=2]" in unset and "cpn.mu[n=2]" in unset
+
 
 class TestSelection:
     def test_single_space_single_size(self, capsys):

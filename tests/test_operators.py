@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from eigenlab.bases import group_basis
 from eigenlab.jets import Jet2
 from eigenlab.matrices import basis_Y
-from eigenlab.operators import (ScalarField, conformality, direction_derivs,
+from eigenlab.operators import (conformality, direction_derivs,
                                 field_value, finite_difference_derivs,
                                 quotient_ops, tension)
 from eigenlab.pairs import make_pair
@@ -17,11 +17,11 @@ from eigenlab.sampling import SampleConfig, random_point, random_pair_point
 
 def entry_field(group, n, i, j):
     """The coordinate function q -> q_ij (0-based indices)."""
-    return ScalarField(lambda jm: jm[..., i, j], group, n)
+    return lambda jm: jm[..., i, j]
 
 
 def const_field(group, n, c):
-    return ScalarField(lambda jm: Jet2.constant(c), group, n)
+    return lambda jm: Jet2.constant(c)
 
 
 class TestDirectionDerivs:
@@ -72,8 +72,7 @@ class TestTension:
         B = group_basis("su", n)
         f = entry_field("su", n, 0, 1)
         g = entry_field("su", n, 2, 0)
-        prod = ScalarField(
-            lambda jm: jm[..., 0, 1] * jm[..., 2, 0], "su", n)
+        prod = lambda jm: jm[..., 0, 1] * jm[..., 2, 0]
         cfg = SampleConfig(seed=8)
         for i in range(5):
             p = random_point("su", n, cfg, i)
@@ -114,8 +113,7 @@ class TestFiniteDifferenceOracle:
     def test_jets_match_fd(self, h, rtol):
         n = 3
         B = group_basis("su", n)
-        f = ScalarField(lambda jm: jm[..., 0, 1] * jm[..., 1, 2].conj(),
-                        "su", n)
+        f = lambda jm: jm[..., 0, 1] * jm[..., 1, 2].conj()
         cfg = SampleConfig(seed=11)
         p = random_point("su", n, cfg, 0)
         for k in range(min(10, B.dim)):

@@ -17,7 +17,7 @@ from eigenlab.claims import (DEFAULT_SIZES, _alpha_range, _poly_ops,
                              _product_ops, _trace_ops)
 from eigenlab.jets import Jet2, JetMatrix, gram
 from eigenlab.matrices import j_matrix, membership_residual
-from eigenlab.operators import ScalarField, field_value
+from eigenlab.operators import field_value
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import SampleConfig, random_pair_point
 
@@ -58,18 +58,17 @@ def case(request):
 
 def ref_field(pair, mm):
     # one member: form the product Phi @ B, then take its trace
-    return ScalarField(lambda jm: (cartan_map_jet(pair, jm) @ mm.B).trace()
-                       + mm.c, pair.group, pair.ambient.n)
+    return lambda jm: (cartan_map_jet(pair, jm) @ mm.B).trace() + mm.c
 
 
 def ref_eta(mm):
-    return ScalarField(lambda jm: (jm @ mm.B).trace() + mm.c, "", 0)
+    return lambda jm: (jm @ mm.B).trace() + mm.c
 
 
 def ref_tension(f, p, basis):
     total = 0.0 + 0.0j
     for Z in basis:
-        total += f.evaluator(JetMatrix.curve(p, Z)).d2
+        total += f(JetMatrix.curve(p, Z)).d2
     return total
 
 
@@ -77,7 +76,7 @@ def ref_conformality(f, g, p, basis):
     total = 0.0 + 0.0j
     for Z in basis:
         jm = JetMatrix.curve(p, Z)
-        total += f.evaluator(jm).d1 * g.evaluator(jm).d1
+        total += f(jm).d1 * g(jm).d1
     return total
 
 
@@ -97,7 +96,7 @@ def ref_poly_ops(pair, PF, pts, basis):
     values, taus, kaps = [], [], []
     for p in pts:
         jets = [[g(js) for g in gens]
-                for js in ([b.evaluator(JetMatrix.curve(p, Z)) for b in base]
+                for js in ([b(JetMatrix.curve(p, Z)) for b in base]
                            for Z in basis)]
         values.append([j.v for j in jets[0]])
         taus.append([sum(js[a].d2 for js in jets) for a in range(len(gens))])
@@ -115,7 +114,7 @@ def ref_image_curve(pair, p, X):
 def ref_image_ops(pair, etas, pts):
     taus, kaps = [], []
     for p in pts:
-        jets = [[eta.evaluator(ref_image_curve(pair, p, X)) for eta in etas]
+        jets = [[eta(ref_image_curve(pair, p, X)) for eta in etas]
                 for X in pair.p_basis]
         taus.append([sum(js[a].d2 for js in jets) for a in range(len(etas))])
         kaps.append([[sum(js[a].d1 * js[b].d1 for js in jets)
@@ -167,14 +166,14 @@ def ref_product(ma, mb, p1, p2, basis, pair):
     tau = kap = 0.0 + 0.0j
     for Z in basis:
         jm = JetMatrix.curve(p1, Z)
-        tau += (a1.evaluator(jm) * Jet2.constant(field_value(a2, p2))).d2
-        kap += ((a1.evaluator(jm).d1 * field_value(a2, p2))
-                * (b1.evaluator(jm).d1 * field_value(b2, p2)))
+        tau += (a1(jm) * Jet2.constant(field_value(a2, p2))).d2
+        kap += ((a1(jm).d1 * field_value(a2, p2))
+                * (b1(jm).d1 * field_value(b2, p2)))
     for Z in basis:
         jm = JetMatrix.curve(p2, Z)
-        tau += (Jet2.constant(field_value(a1, p1)) * a2.evaluator(jm)).d2
-        kap += ((field_value(a1, p1) * a2.evaluator(jm).d1)
-                * (field_value(b1, p1) * b2.evaluator(jm).d1))
+        tau += (Jet2.constant(field_value(a1, p1)) * a2(jm)).d2
+        kap += ((field_value(a1, p1) * a2(jm).d1)
+                * (field_value(b1, p1) * b2(jm).d1))
     return tau, kap
 
 
