@@ -2,7 +2,8 @@
 K-invariance, harmonicity, and the conformal metric scaling.
 
 The inverse is computed as the conjugate transpose (all supported groups
-are unitary in the chosen representations), guarded by a membership check.
+are unitary in the chosen representations), guarded by a membership check,
+so sigma(p)^-1 is one gather, sigma.inverse(p).
 Every function takes a single point (n, n) or a stack of points
 (..., n, n).
 """
@@ -41,16 +42,17 @@ def _h(a):
 def cartan_map(pair, p: np.ndarray) -> np.ndarray:
     """Phi(p) = p sigma(p^{-1}); constant on right K-cosets."""
     _check_member(pair, p)
-    return p @ pair.sigma(_h(p))
+    return p @ pair.sigma.inverse(p)
 
 
 def cartan_map_jet(pair, jm: JetMatrix) -> JetMatrix:
     """The 2-jet of Phi along a curve jet in G.
 
     Along curves inside the group, the inverse jet is the entrywise
-    conjugate transpose jet, so Phi lifts to jets with no extra machinery.
+    conjugate transpose jet, so sigma of the inverse is sigma.inverse of
+    the jet, part by part, and Phi lifts to jets with no extra machinery.
     """
-    return jm @ pair.sigma(jm.conj().T)
+    return jm @ pair.sigma.inverse(jm)
 
 
 def cartan_map_closed(pair, p: np.ndarray) -> np.ndarray:
@@ -80,7 +82,7 @@ def cartan_jets_closed(pair, p: np.ndarray):
     """
     phi = cartan_map(pair, p)
     p = np.asarray(p, dtype=complex)
-    s_inv = pair.sigma(_h(p))
+    s_inv = pair.sigma.inverse(p)
     d1 = 2.0 * (p[..., None, :, :] @ pair.p_basis @ s_inv[..., None, :, :])
     return phi, d1, 4.0 * (p @ square_sum(pair.p_basis) @ s_inv)
 

@@ -237,13 +237,15 @@ def _chunked(op, *points):
 
 
 class _Cache:
-    """Per-run cache of pairs and point samples, keyed by (space, m, n)."""
+    """Per-run cache of pairs, point samples, families and image passes,
+    keyed by (space, m, n) and, for families, alpha."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.scfg = SampleConfig(seed=config.seed)
         self._pairs = {}
         self._points = {}
+        self._families = {}
         self._images = {}
 
     def pair(self, space, m, n):
@@ -262,10 +264,15 @@ class _Cache:
         return self._points[key]
 
     def family(self, space, m, n, alpha=1):
-        pair = self.pair(space, m, n)
-        rng = rng_for(f"{pair.label()}:param", self.config.seed, 0)
-        return catalog.family_for_space(space, m=m, n=n, alpha=alpha,
-                                        rng=rng, pair=pair)
+        """The fixed-alpha family of a space, built once per run: table1,
+        the cartan suite and the image pass all read the alpha = 1 one."""
+        key = (space, m, n, alpha)
+        if key not in self._families:
+            pair = self.pair(space, m, n)
+            rng = rng_for(f"{pair.label()}:param", self.config.seed, 0)
+            self._families[key] = tuple(catalog.family_for_space(
+                space, m=m, n=n, alpha=alpha, rng=rng, pair=pair))
+        return self._families[key]
 
     def image(self, space, m, n):
         """eta values, tau_N and kappa_N of the affine functionals

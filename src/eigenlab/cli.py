@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .claims import (BASIS_NS, DEFAULT_SIZES, FORMATS, PAIR_SPACE_ORDER,
                      POLY_DEGREES, PRODUCT_SPACE, SELECTORS, ConfigError,
@@ -147,11 +148,8 @@ def _cmd_list(config: RunConfig) -> int:
 
 
 def _cmd_table(config: RunConfig) -> int:
-    if config.spaces == ("all",):
-        config = RunConfig(spaces=PAIR_SPACE_ORDER, m=config.m, n=config.n,
-                           samples=config.samples, tol=config.tol,
-                           seed=config.seed, out=config.out, fmt=config.fmt)
-        validate_config(config)
+    if "all" in config.spaces:
+        config = replace(config, spaces=PAIR_SPACE_ORDER)
     elif not set(config.spaces) & set(PAIR_SPACE_ORDER):
         raise ConfigError("the selection has no eigenvalue table row; "
                           f"choose from {PAIR_SPACE_ORDER}")

@@ -36,11 +36,11 @@ def _as_jet(x):
 def gram(a, b, axis: int):
     """sum over the direction ``axis`` of a_j b_k, j and k on the last
     member axes of a and b; earlier member axes pair elementwise, like the
-    leading axes.  Without member axes, the sum of a b."""
+    leading axes.  Without member axes, the sum of a b.  One matmul of
+    (..., j, dirs) by (..., dirs, k)."""
     if a.ndim == axis + 1:
         return gram(a[..., None], b[..., None], axis)[..., 0, 0]
-    a, b = (np.moveaxis(x, axis, -2) for x in (a, b))
-    return np.einsum("...bj,...bk->...jk", a, b)
+    return np.moveaxis(a, axis, -1) @ np.moveaxis(b, axis, -2)
 
 
 class Jet2:

@@ -94,9 +94,10 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
 
 def metric(Z: np.ndarray, W: np.ndarray):
     """Bi-invariant inner product g(Z, W) = Re tr(Z conj(W)^t), over the
-    leading axes of stacked matrices."""
-    Wh = np.swapaxes(W, -1, -2).conj()
-    return np.trace(Z @ Wh, axis1=-2, axis2=-1).real[()]
+    leading axes of stacked matrices: the elementwise sum of
+    Re Z Re W + Im Z Im W, with no n^3 product."""
+    Z, W = np.asarray(Z), np.asarray(W)
+    return (Z.real * W.real + Z.imag * W.imag).sum(axis=(-2, -1))[()]
 
 
 def j_matrix(n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import LieBasisSet, gram_schmidt, group_basis
+from .jets import Jet2
 from .matrices import i_signature, i_signature_doubled, j_matrix
 
 __all__ = ["Involution", "SymmetricPair", "SPACES", "make_pair", "space_label"]
@@ -23,23 +24,76 @@ __all__ = ["Involution", "SymmetricPair", "SPACES", "make_pair", "space_label"]
 class Involution:
     """A group involution q -> sigma(q) acting on points or on jets.
 
-    ``conjugator`` M gives q -> M q M^{-1} (M unitary); ``entrywise_conj``
-    composes with entrywise conjugation first.  Both commute, and their
-    derivative at the identity is the same formula on algebra elements.
+    ``conjugator`` M gives q -> M q M^{-1}; ``entrywise_conj`` composes
+    with entrywise conjugation first.  Both commute, and their derivative
+    at the identity is the same formula on algebra elements.  M must be a
+    signed permutation (one nonzero per row and column, of modulus 1), so
+    the conjugation is applied as one gather of the entries of q and a
+    product with the signs s_i conj(s_j): each entry of M q M^H is
+    s_i q[pi(i), pi(j)] conj(s_j), bit for bit.
     """
 
     conjugator: np.ndarray | None = None
     entrywise_conj: bool = False
+    # flat source index pi(i) n + pi(j) of entry (i, j), and its sign
+    _index: np.ndarray | None = field(init=False, repr=False, default=None)
+    _signs: np.ndarray | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        M = self.conjugator
+        if M is None:
+            return
+        M = np.asarray(M)
+        nonzero = M != 0
+        if (M.ndim != 2 or M.shape[0] != M.shape[1]
+                or np.any(nonzero.sum(axis=0) != 1)
+                or np.any(nonzero.sum(axis=1) != 1)
+                or np.any(np.abs(M[nonzero]) != 1)):
+            raise ValueError("the conjugator must be a signed permutation "
+                             "matrix: one nonzero of modulus 1 per row and "
+                             "per column")
+        n = M.shape[0]
+        perm = nonzero.argmax(axis=1)
+        s = M[np.arange(n), perm]
+        object.__setattr__(self, "_index", perm[:, None] * n + perm)
+        object.__setattr__(self, "_signs", s[:, None] * s.conj())
 
     def __call__(self, q):
-        out = q.conj() if self.entrywise_conj else q
-        if self.conjugator is not None:
-            M = self.conjugator
-            out = M @ out @ M.conj().T
-        return out
+        """M c(q) M^H, c the entrywise conjugation if set; part by part
+        on a Jet2."""
+        return self._apply(q, transpose=False)
 
     # d(sigma) at the identity acts by the same two operations.
     d = __call__
+
+    def inverse(self, q):
+        """sigma(q^H) = M c(q^H) M^H, which is sigma(q)^-1 for unitary q:
+        one gather from q with the transposed index, no copy of q^H."""
+        return self._apply(q, transpose=True)
+
+    def _apply(self, q, transpose):
+        if isinstance(q, Jet2):
+            return type(q)(*(self._apply(a, transpose)
+                             for a in (q.v, q.d1, q.d2)))
+        q = np.asarray(q)
+        conj = self.entrywise_conj != transpose
+        if self.conjugator is None:
+            out = np.swapaxes(q, -1, -2) if transpose else q
+            # a copy, not a view: numpy multiplies q by a transposed view
+            # of itself with syrk, which rounds unlike gemm
+            return out.conj() if conj else out.copy(order="K")
+        n = q.shape[-1]
+        index = self._index.T if transpose else self._index
+        # n * n, not -1: a stack may be empty (dim k = 0).  take, unlike
+        # q[..., index], returns C-contiguous matrices, which BLAS reads
+        # fastest in the jet products that follow; the array is fresh, so
+        # it is conjugated and signed in place
+        out = np.take(q.reshape(q.shape[:-2] + (n * n,)), index, axis=-1)
+        out = out.astype(np.result_type(out, self._signs), copy=False)
+        if conj:
+            np.conjugate(out, out=out)
+        out *= self._signs
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from eigenlab import cartan, catalog, claims
 from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
                              _result, jobs_for, run_claims, validate_config)
+from eigenlab.matrices import i_signature_doubled
 from eigenlab.pairs import make_pair
 
 
@@ -295,3 +297,40 @@ def test_row7_lambda_fails_with_its_sign_flipped(monkeypatch, n):
     assert lam.expected == -table("su-sp", n=n)[0] > 0
     assert not lam.passed and lam.max_residual >= 1e-3
     assert mu.passed
+
+
+def test_each_family_is_built_once(monkeypatch):
+    # table1, the cartan suite and the image pass all read the alpha = 1
+    # family of a space: a run builds each (space, m, n, alpha) once
+    calls = []
+    original = catalog.family_for_space
+
+    def counting(space, m=None, n=None, alpha=1, **kwargs):
+        calls.append((space, m, n, alpha))
+        return original(space, m=m, n=n, alpha=alpha, **kwargs)
+
+    monkeypatch.setattr(catalog, "family_for_space", counting)
+    results = run_claims(RunConfig(samples=4))
+    assert all(r.passed for r in results)
+    assert len(calls) == len(set(calls)) > 0
+
+
+def test_a_wrong_involution_fails_the_cartan_claims(monkeypatch):
+    # negative control: a signed permutation that is not the pair's
+    # involution (the doubled signature with its first sign flipped) keeps
+    # the k/p split but must fail every claim read from Phi's jets
+    make = claims.make_pair
+
+    def wrong(space, m=None, n=None):
+        pair = make(space, m=m, n=n)
+        M = i_signature_doubled(m, n)
+        M[0, 0] = -M[0, 0]
+        return replace(pair, sigma=replace(pair.sigma, conjugator=M))
+
+    monkeypatch.setattr(claims, "make_pair", wrong)
+    results = run_claims(RunConfig(spaces=("sp-grassmannian",), m=1, n=1,
+                                   samples=32), prefix="cartan.")
+    failed = {r.claim_id.split("[")[0]: r.max_residual
+              for r in results if not r.passed}
+    for kind in ("k-invariance", "pullback", "vertical", "casimir"):
+        assert failed[f"cartan.{kind}"] >= 1e-3

@@ -220,6 +220,17 @@ class TestListAndTable:
                             "sp-grassmannian"):
             assert table_space in err
 
+    @pytest.mark.parametrize("argv", [("--space", "all,sphere"),
+                                      ("--space", "all", "--space", "basis")])
+    def test_table_all_in_a_mixed_selection_prints_every_row(self, capsys,
+                                                             argv):
+        # as in verify and list, "all" anywhere in the selection selects
+        # everything: the seven table spaces
+        code, out, _ = run_cli(capsys, "table", *argv, "--samples", "3")
+        assert code == 0
+        for row in range(4, 11):
+            assert f"\n{row} " in out
+
     def test_table_mixed_selection_prints_its_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--space", "sphere,sp-u",
                                "--samples", "3")

@@ -309,3 +309,43 @@ class TestTraceForm:
             for l, (i, j) in enumerate(ij[k]):
                 exact = coef[k, l] * a[..., j, i]
                 assert np.array_equal(got[..., k, l], exact)
+
+
+def einsum_gram(a, b, axis):
+    """The contraction gram replaces: the direction axis moved next to the
+    member axis and summed by einsum; without member axes, sum of a b."""
+    if a.ndim == axis + 1:
+        return (a * b).sum(axis=axis)
+    a, b = (np.moveaxis(x, axis, -2) for x in (a, b))
+    return np.einsum("...bj,...bk->...jk", a, b)
+
+
+class TestGram:
+    """gram is one matmul; the einsum reference differs from it only in
+    the order of summation, so the tolerance is fixed at 1e-12 relative
+    to max(1, |reference|)."""
+
+    RTOL = 1e-12
+
+    def close(self, got, ref):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref)
+                      <= self.RTOL * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("complex_", [True, False])
+    @pytest.mark.parametrize("ashape,bshape,axis", [
+        ((32, 36, 12), (32, 36, 11), 1),        # (points, dirs, members)
+        ((32, 36, 12, 11), (32, 36, 12, 11), 1),  # (alpha, member) grid
+        ((7, 9), (7, 9), 1),                    # no member axis
+        ((9, 4), (9, 5), 0),                    # no leading axis
+        ((2, 1, 6, 3), (1, 4, 6, 5), 2),        # broadcast leading axes
+        ((3, 6, 1, 4), (3, 6, 5, 4), 1),        # broadcast member grid
+    ])
+    def test_matches_einsum(self, ashape, bshape, axis, complex_):
+        rng = np.random.default_rng(19)
+        rand = lambda shape: rng.standard_normal(shape) + (
+            1j * rng.standard_normal(shape) if complex_ else 0.0)
+        a, b = rand(ashape), rand(bshape)
+        got = gram(a, b, axis)
+        assert np.iscomplexobj(got) == complex_
+        self.close(got, einsum_gram(a, b, axis))

@@ -54,6 +54,25 @@ class TestElementary:
         W = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert_allclose(metric(Z, W), np.trace(Z @ W.conj().T).real)
 
+    @pytest.mark.parametrize("zshape,wshape", [
+        ((3, 3), (3, 3)), ((5, 4, 4), (5, 4, 4)), ((2, 1, 6, 6), (3, 6, 6)),
+        ((12, 12), (7, 12, 12))])
+    @pytest.mark.parametrize("kinds", ["complex", "real", "mixed"])
+    def test_metric_matches_the_trace_of_the_product(self, zshape, wshape,
+                                                     kinds):
+        # an elementwise sum against Re tr(Z conj(W)^t) over broadcast
+        # stacks, at 1e-12 relative to max(1, |reference|), fixed beforehand
+        rng = np.random.default_rng(2)
+        rand = lambda shape, cplx: rng.standard_normal(shape) + (
+            1j * rng.standard_normal(shape) if cplx else 0.0)
+        Z = rand(zshape, kinds != "real")
+        W = rand(wshape, kinds == "complex")
+        ref = np.trace(Z @ np.swapaxes(W, -1, -2).conj(),
+                       axis1=-2, axis2=-1).real
+        got = metric(Z, W)
+        assert np.shape(got) == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
 
 class TestExp:
     def test_matches_power_series(self):

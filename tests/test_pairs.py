@@ -5,9 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenlab.bases import gram_matrix, gram_schmidt
-from eigenlab.matrices import metric
-from eigenlab.pairs import SPACES, make_pair, space_label
-from eigenlab.sampling import SampleConfig, random_subgroup_point
+from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
+from eigenlab.jets import JetMatrix
+from eigenlab.matrices import i_signature, metric
+from eigenlab.pairs import SPACES, Involution, make_pair, space_label
+from eigenlab.sampling import (SampleConfig, random_pair_points,
+                               random_subgroup_point)
 
 CASES = [
     ("su-so", None, 2), ("su-so", None, 3),
@@ -132,6 +135,68 @@ def test_discrete_k_split_is_an_empty_stack():
     assert pair.k_basis.shape == (0, 2, 2)
     assert pair.p_basis.shape == (1, 2, 2)
     assert_allclose(gram_matrix(pair.p_basis), np.eye(1), atol=1e-15)
+
+
+# The seven pairs at their default sizes; so-grassmannian(1,1) has
+# dim k = 0, so its k-basis jets are empty stacks.
+DEFAULT_PAIRS = [(space, m, n) for space in PAIR_SPACE_ORDER
+                 for m, n in DEFAULT_SIZES[space]]
+
+
+def conjugation(pair, q):
+    """M c(q) M^H by two matmuls, c the entrywise conjugation if sigma
+    sets it: the reference for the gather of Involution."""
+    M = pair.sigma.conjugator
+    M = np.eye(q.shape[-1]) if M is None else M
+    c = q.conj() if pair.sigma.entrywise_conj else q
+    return M @ c @ M.conj().T
+
+
+def jt(jm):
+    return (jm.v, jm.d1, jm.d2)
+
+
+@pytest.mark.parametrize("space,m,n", DEFAULT_PAIRS)
+def test_sigma_gathers_the_conjugation_exactly(space, m, n):
+    # each entry of M c(q) M^H is one signed entry of q plus exact zeros,
+    # so the gather must agree bit for bit, on points and on every part
+    # of a jet
+    pair = make_pair(space, m=m, n=n)
+    pts = random_pair_points(pair, SampleConfig(seed=7), range(5))
+    h = lambda a: np.swapaxes(a, -1, -2).conj()
+    assert np.array_equal(pair.sigma(pts), conjugation(pair, pts))
+    assert np.array_equal(pair.sigma.inverse(pts), conjugation(pair, h(pts)))
+    for basis in (pair.p_basis, pair.k_basis):
+        jm = JetMatrix.curve(pts[:, None], basis)
+        for got, inv, part in zip(jt(pair.sigma(jm)),
+                                  jt(pair.sigma.inverse(jm)), jt(jm)):
+            assert got.shape == inv.shape == part.shape
+            assert np.array_equal(got, conjugation(pair, part))
+            assert np.array_equal(inv, conjugation(pair, h(part)))
+        assert isinstance(pair.sigma.inverse(jm), JetMatrix)
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]),
+    np.diag([2.0, 0.5]),
+    np.array([[1.0, 1.0], [0.0, 1.0]]),
+    np.array([[0.0, 1.0], [0.0, 1.0]]),
+    np.zeros((2, 2)),
+    np.ones((2, 3)),
+], ids=["rotation", "diag(2,0.5)", "two-in-a-row", "two-in-a-column",
+        "zero", "not-square"])
+def test_involution_rejects_a_conjugator_not_a_signed_permutation(M):
+    with pytest.raises(ValueError, match="signed permutation"):
+        Involution(conjugator=M)
+
+
+def test_involution_accepts_signed_permutations():
+    # a quarter turn is a signed permutation; so are the signatures
+    rng = np.random.default_rng(8)
+    q = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    for M in (np.array([[0.0, -1.0], [1.0, 0.0]]), i_signature(1, 1)):
+        sigma = Involution(conjugator=M)
+        assert np.array_equal(sigma(q), M @ q @ M.conj().T)
 
 
 class TestValidation:
