@@ -5,7 +5,9 @@ The inverse is computed as the conjugate transpose (all supported groups
 are unitary in the chosen representations), guarded by a membership check,
 so sigma(p)^-1 is one gather, sigma.inverse(p).
 Every function takes a single point (n, n) or a stack of points
-(..., n, n).
+(..., n, n).  The jet routes push Laplacian jets (jets.LaplacianJet):
+the claims read Z(Phi) per direction and only the sum of Z^2(Phi) over
+the directions.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import square_sum
-from .jets import JetMatrix
+from .jets import JetMatrix, LaplacianJet
 from .matrices import membership_residual, metric
 
 __all__ = [
@@ -51,6 +53,8 @@ def cartan_map_jet(pair, jm: JetMatrix) -> JetMatrix:
     Along curves inside the group, the inverse jet is the entrywise
     conjugate transpose jet, so sigma of the inverse is sigma.inverse of
     the jet, part by part, and Phi lifts to jets with no extra machinery.
+    ``jm`` may be a JetMatrix or a LaplacianJet; the product is that of
+    its type.
     """
     return jm @ pair.sigma.inverse(jm)
 
@@ -96,8 +100,8 @@ def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
     harmonic_residual for the tangential part.
     """
     p = np.asarray(p, dtype=complex)
-    jm = JetMatrix.curve(p[..., None, :, :], pair.ambient.elements)
-    return cartan_map_jet(pair, jm).d2.sum(axis=-3)
+    jm = LaplacianJet.curve(p[..., None, :, :], pair.ambient.elements)
+    return cartan_map_jet(pair, jm).d2[..., 0, :, :]
 
 
 def tangential_residual(pair, y: np.ndarray, H: np.ndarray):
@@ -132,9 +136,17 @@ def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
     is returned instead of the undefined ratio.
     """
     _check_member(pair, p)
-    p = np.asarray(p, dtype=complex)[..., None, :, :] if np.ndim(X) == 3 else p
-    dX = cartan_map_jet(pair, JetMatrix.curve(p, X)).d1
-    dY = dX if Y is X else cartan_map_jet(pair, JetMatrix.curve(p, Y)).d1
+    p = np.asarray(p, dtype=complex)[..., None, :, :]
+    one = np.ndim(X) == 2
+
+    def dphi(Z):
+        # one direction gets a direction axis of length 1
+        jm = LaplacianJet.curve(p, np.asarray(Z)[None] if one else Z)
+        d1 = cartan_map_jet(pair, jm).d1
+        return d1[..., 0, :, :] if one else d1
+
+    dX = dphi(X)
+    dY = dX if Y is X else dphi(Y)
     return pullback_ratio(dX, dY, X, Y)
 
 

@@ -24,7 +24,7 @@ from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
                        product_ops)
-from .jets import Jet2, JetMatrix, gram, trace_form
+from .jets import Jet2, LaplacianJet, gram, trace_form
 from .matrices import basis_D, basis_X, basis_Y
 from .operators import image_ops
 from .pairs import SPACES, make_pair, space_label
@@ -349,8 +349,9 @@ def _product_ops(pair, PF, p1, p2):
 
 def _cartan_pass(pair, forms, points):
     """What the cartan claims read of the 2-jets of Phi at ``points``,
-    from one p-basis and one k-basis Cartan pass.  The two bases together
-    are orthonormal, so their second derivatives sum to the raw map
+    from one p-basis and one k-basis Cartan pass of Laplacian jets: Z(Phi)
+    per direction and the sum of Z^2(Phi) over each basis.  The two bases
+    together are orthonormal, so those two sums add up to the raw map
     tension over the ambient basis.
 
     Returns Phi, the pullback ratios along the p- and the k-basis, the
@@ -358,9 +359,9 @@ def _cartan_pass(pair, forms, points):
     casimir residual: per point, the largest entry of the error of
     cartan_jets_closed against the jets."""
     X, V = pair.p_basis, pair.k_basis
-    jp, jk = (cartan_map_jet(pair, JetMatrix.curve(points[:, None], Z))
+    jp, jk = (cartan_map_jet(pair, LaplacianJet.curve(points[:, None], Z))
               for Z in (X, V))
-    raw = jp.d2.sum(axis=1) + jk.d2.sum(axis=1)
+    raw = (jp.d2 + jk.d2)[:, 0]
     phi, dphi, tension = cartan_jets_closed(pair, points)
     casimir = np.maximum(np.abs(jp.d1 - dphi).max(axis=(1, 2, 3)),
                          np.abs(raw - tension).max(axis=(1, 2)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Jet2", "JetMatrix", "trace_form", "gram"]
+__all__ = ["Jet2", "JetMatrix", "LaplacianJet", "trace_form", "gram"]
 
 
 def trace_form(a, B):
@@ -27,10 +27,16 @@ def trace_form(a, B):
     return (a.reshape(lead + (n2,)) @ Bt).reshape(lead + B.shape[:-2])
 
 
-def _as_jet(x):
-    if isinstance(x, Jet2):
-        return x
-    return Jet2(x, 0.0, 0.0)
+def _as_jet(x, like):
+    """``x`` as a jet to combine with the jet ``like``: a constant jet if
+    it is not one.  A jet whose second derivative is summed over the
+    directions does not mix with one that keeps it per direction."""
+    if not isinstance(x, Jet2):
+        return Jet2(x, 0.0, 0.0)
+    if x._summed != like._summed:
+        raise TypeError(f"cannot combine a {type(like).__name__} with a "
+                        f"{type(x).__name__}")
+    return x
 
 
 def gram(a, b, axis: int):
@@ -59,6 +65,9 @@ class Jet2:
     """
 
     __slots__ = ("v", "d1", "d2")
+
+    # True where d2 is already summed over the directions (LaplacianJet)
+    _summed = False
 
     # Keep numpy from absorbing us in mixed expressions like ndarray * jet.
     __array_ufunc__ = None
@@ -100,7 +109,7 @@ class Jet2:
             self.v, self.d1, self.d2)))
 
     def __add__(self, other):
-        o = _as_jet(other)
+        o = _as_jet(other, self)
         return type(self)(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
 
     __radd__ = __add__
@@ -109,15 +118,15 @@ class Jet2:
         return type(self)(-self.v, -self.d1, -self.d2)
 
     def __sub__(self, other):
-        o = _as_jet(other)
+        o = _as_jet(other, self)
         return type(self)(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
 
     def __rsub__(self, other):
-        o = _as_jet(other)
+        o = _as_jet(other, self)
         return type(self)(o.v - self.v, o.d1 - self.d1, o.d2 - self.d2)
 
     def __mul__(self, other):
-        o = _as_jet(other)
+        o = _as_jet(other, self)
         return type(self)(
             self.v * o.v,
             self.d1 * o.v + self.v * o.d1,
@@ -127,14 +136,14 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_jet(other)
+        o = _as_jet(other, self)
         v = self.v / o.v
         d1 = (self.d1 - v * o.d1) / o.v
         d2 = (self.d2 - 2.0 * d1 * o.d1 - v * o.d2) / o.v
         return type(self)(v, d1, d2)
 
     def __rtruediv__(self, other):
-        return _as_jet(other) / self
+        return _as_jet(other, self) / self
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -199,21 +208,30 @@ class JetMatrix(Jet2):
     @property
     def T(self):
         sw = lambda a: np.swapaxes(a, -1, -2)
-        return JetMatrix(sw(self.v), sw(self.d1), sw(self.d2))
+        return type(self)(sw(self.v), sw(self.d1), sw(self.d2))
+
+    @staticmethod
+    def _cross(a, b):
+        """The cross term a.d1 @ b.d1 of the product rule."""
+        return a @ b
 
     def __matmul__(self, other):
-        if isinstance(other, JetMatrix):
-            return JetMatrix(
+        if isinstance(other, Jet2):
+            if type(other) is not type(self):
+                raise TypeError(f"cannot multiply a {type(self).__name__} "
+                                f"by a {type(other).__name__}")
+            return type(self)(
                 self.v @ other.v,
                 self.d1 @ other.v + self.v @ other.d1,
-                self.d2 @ other.v + 2.0 * (self.d1 @ other.d1) + self.v @ other.d2,
+                self.d2 @ other.v + 2.0 * self._cross(self.d1, other.d1)
+                + self.v @ other.d2,
             )
         other = np.asarray(other, dtype=complex)
-        return JetMatrix(self.v @ other, self.d1 @ other, self.d2 @ other)
+        return type(self)(self.v @ other, self.d1 @ other, self.d2 @ other)
 
     def __rmatmul__(self, other):
         other = np.asarray(other, dtype=complex)
-        return JetMatrix(other @ self.v, other @ self.d1, other @ self.d2)
+        return type(self)(other @ self.v, other @ self.d1, other @ self.d2)
 
     def trace(self):
         # batch axes may live on d1/d2 only: broadcast before reducing
@@ -224,3 +242,92 @@ class JetMatrix(Jet2):
         """The Jet2 of tr(self @ B), contracted without forming the product.
         The member axes of a stack or grid of B become trailing axes."""
         return Jet2(*(trace_form(a, B) for a in (self.v, self.d1, self.d2)))
+
+
+class LaplacianJet(JetMatrix):
+    """A JetMatrix whose second derivative is summed over the curve
+    directions before any product: the forward Laplacian of Li et al.
+    (arXiv 2307.08214).
+
+    ``d1`` holds one slice per direction on axis -3; ``v`` and ``d2`` hold
+    that axis at length 1 (or lack it), ``d2`` being sum_Z Z^2 of the
+    quantity.  The matrix product contracts the cross term of the product
+    rule over the directions,
+    (a @ b).d2 = a.d2 @ b.v + 2 sum_Z a.d1 @ b.d1 + a.v @ b.d2,
+    so a product of jets along D directions takes 3 D + 3 matrix products
+    where the full jet takes 5 D + 1.  Sums, differences, multiples by
+    constants, conj, T, matrix products with constant matrices, trace,
+    trace_form, entry indexing and the involutions act part by part
+    without spreading ``v`` or ``d2`` over the directions, and keep the
+    type.  A product of two jets other than ``@``, a quotient by a jet, a
+    power and a square root need each direction's second derivative, so
+    they raise TypeError, as does mixing with per-direction jets.
+    """
+
+    __slots__ = ()
+
+    _summed = True
+
+    @classmethod
+    def curve(cls, p, Z):
+        """The Laplacian jet of s -> p @ expm(s Z) over the directions Z on
+        axis -3: (p, pZ, p @ sum_Z Z^2).
+
+        ``p`` is one point (n, n) or points (..., 1, n, n) with the
+        direction axis; ``Z`` is (..., dirs, n, n).
+        """
+        p = np.asarray(p, dtype=complex)
+        Z = np.asarray(Z, dtype=complex)
+        if p.shape[-1] != Z.shape[-2]:
+            raise ValueError("size mismatch between point and direction")
+        return cls(p, p @ Z, p @ (Z @ Z).sum(axis=-3, keepdims=True))
+
+    @staticmethod
+    def _cross(a, b):
+        """sum over the directions of a.d1 @ b.d1: batched products, then
+        the sum."""
+        return (a @ b).sum(axis=-3, keepdims=True)
+
+    def _map(self, f):
+        return type(self)(f(self.v), f(self.d1), f(self.d2))
+
+    def __getitem__(self, idx):
+        return self._map(lambda a: a[idx])
+
+    def trace(self):
+        return self._map(lambda a: np.trace(a, axis1=-2, axis2=-1))
+
+    def trace_form(self, B):
+        """tr(self @ B) for a stack or grid of B, as in JetMatrix."""
+        return self._map(lambda a: trace_form(a, B))
+
+    def __mul__(self, other):
+        c = _factor(other, "*")
+        return self._map(lambda a: a * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        c = _factor(other, "/")
+        return self._map(lambda a: a / c)
+
+    def __rtruediv__(self, other):
+        _no_rule("/")
+
+    def __pow__(self, k):
+        _no_rule("**")
+
+    def sqrt(self):
+        _no_rule("sqrt")
+
+
+def _factor(c, op):
+    """``c`` as a constant factor of a LaplacianJet; a jet raises."""
+    if isinstance(c, Jet2):
+        _no_rule(op)
+    return np.asarray(c, dtype=complex)
+
+
+def _no_rule(op):
+    raise TypeError(f"{op} of a LaplacianJet needs the second derivative "
+                    "along each direction, which it has summed")

@@ -34,7 +34,6 @@ __all__ = [
     "quotient_ops",
     "image_ops",
     "image_tension",
-    "image_conformality",
     "finite_difference_derivs",
 ]
 
@@ -105,34 +104,22 @@ def quotient_ops(pair, field, p: np.ndarray):
     return horiz, full, kap
 
 
-def _image_jets(pair, eta, p: np.ndarray):
-    # Curves on the image N through Phi(p) with tangents Ad_{sigma(p)} X
-    # over the p-basis.
-    from .cartan import cartan_map
-
-    y = cartan_map(pair, p)
-    s = pair.sigma(np.asarray(p, dtype=complex))[..., None, :, :]
-    W = s @ pair.p_basis @ np.swapaxes(s, -1, -2).conj()
-    return field_jets(eta, y, W)
-
-
 def image_ops(pair, eta, p: np.ndarray):
     """(eta(Phi(p)), tau_N(eta), kappa_N(eta, eta)) from one call of
     eta, for eta a function on the ambient group restricted to the Cartan
     image N: derivatives along the image basis
     {Ad_{sigma(p)} X | X in the p-basis} at Phi(p)."""
-    return _ops(_image_jets(pair, eta, p), np.ndim(p) - 2)
+    from .cartan import cartan_map
+
+    y = cartan_map(pair, p)
+    s = pair.sigma(np.asarray(p, dtype=complex))[..., None, :, :]
+    W = s @ pair.p_basis @ np.swapaxes(s, -1, -2).conj()
+    return _ops(field_jets(eta, y, W), np.ndim(p) - 2)
 
 
 def image_tension(pair, eta, p: np.ndarray):
     """tau_N(eta) at Phi(p); see image_ops."""
     return image_ops(pair, eta, p)[1]
-
-
-def image_conformality(pair, eta, zeta, p: np.ndarray):
-    """kappa_N(eta, zeta) at Phi(p) along the image basis."""
-    a, b = (_image_jets(pair, f, p)[1] for f in (eta, zeta))
-    return gram(a, b, np.ndim(p) - 2)[()]
 
 
 def finite_difference_derivs(field, p: np.ndarray, Z: np.ndarray, h: float = 1e-5):

@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 
 from eigenlab.cartan import (cartan_map, cartan_map_closed, cartan_map_jet,
                              harmonic_residual, map_tension_raw,
-                             pullback_factor, tangential_residual)
-from eigenlab.jets import JetMatrix
+                             pullback_factor, pullback_ratio,
+                             tangential_residual)
+from eigenlab.jets import JetMatrix, LaplacianJet
 from eigenlab.matrices import membership_residual
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (SampleConfig, random_pair_point,
@@ -114,6 +115,16 @@ class TestHarmonicity:
         H = (jm @ jm).d2.sum(axis=1)
         assert tangential_residual(pair, p @ p, H).max() > 1e-2
 
+    def test_negative_control_square_map_laplacian(self, pair):
+        # the same control through Laplacian jets, the route of
+        # map_tension_raw: the direction-summed second derivative of p^2
+        # must leave the same loud residual
+        cfg = SampleConfig(seed=28)
+        p = np.stack([random_pair_point(pair, cfg, i) for i in range(4)])
+        jm = LaplacianJet.curve(p[:, None], pair.ambient.elements)
+        H = (jm @ jm).d2[:, 0]
+        assert tangential_residual(pair, p @ p, H).max() > 1e-2
+
 
 class TestPullback:
     def test_unit_horizontal_gives_four(self, pair):
@@ -133,6 +144,22 @@ class TestPullback:
             p = random_pair_point(pair, cfg, i)
             num = pullback_factor(pair, p, X, Y)  # numerator when g(X,Y)=0
             assert abs(num) < 1e-10
+
+    def test_laplacian_route_keeps_the_full_jet_bits(self, pair):
+        # pullback_factor reads Z(Phi) from Laplacian jets; those come
+        # from the same products as the per-direction jets, bit for bit
+        cfg = SampleConfig(seed=32)
+        pts = np.stack([random_pair_point(pair, cfg, i) for i in range(3)])
+        for basis in (pair.p_basis, pair.k_basis):
+            d = cartan_map_jet(pair, JetMatrix.curve(pts[:, None], basis)).d1
+            assert np.array_equal(pullback_factor(pair, pts, basis, basis),
+                                  pullback_ratio(d, d, basis, basis))
+        X, Y = pair.p_basis[0], pair.p_basis[-1]
+        for p in (pts, pts[0]):
+            dX, dY = (cartan_map_jet(pair, JetMatrix.curve(p, Z)).d1
+                      for Z in (X, Y))
+            assert np.array_equal(pullback_factor(pair, p, X, Y),
+                                  pullback_ratio(dX, dY, X, Y))
 
     def test_vertical_directions_killed(self, pair):
         if pair.dim_k == 0:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenlab.jets import Jet2, JetMatrix, gram, trace_form
+from eigenlab.jets import Jet2, JetMatrix, LaplacianJet, gram, trace_form
+from eigenlab.pairs import make_pair
 
 
 def jt(a):
@@ -349,3 +350,114 @@ class TestGram:
         got = gram(a, b, axis)
         assert np.iscomplexobj(got) == complex_
         self.close(got, einsum_gram(a, b, axis))
+
+
+class TestLaplacianJet:
+    """LaplacianJet against the full per-direction JetMatrix on random
+    general (non-unitary) matrices.  d1 comes from the same products, so
+    it must agree bit for bit; d2 is the full jet's d2 summed over the
+    directions in another order, so it agrees to 1e-12 relative to
+    max(1, |reference|)."""
+
+    RTOL = 1e-12
+
+    def rand(self, rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def close(self, got, ref):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref)
+                      <= self.RTOL * np.maximum(1.0, np.abs(ref)))
+
+    def pair(self, rng, lead=(3, 1), dirs=(5,), n=4):
+        # the Laplacian and the full jets of two curves along the same
+        # directions; the points keep a direction axis of length 1
+        p, q = self.rand(rng, lead + (n, n)), self.rand(rng, lead + (n, n))
+        Z, W = self.rand(rng, dirs + (n, n)), self.rand(rng, dirs + (n, n))
+        return ((LaplacianJet.curve(p, Z), LaplacianJet.curve(q, W)),
+                (JetMatrix.curve(p, Z), JetMatrix.curve(q, W)))
+
+    def agrees(self, lap, full):
+        assert type(lap) is LaplacianJet
+        assert np.array_equal(np.broadcast_to(lap.v, full.v.shape), full.v)
+        assert np.array_equal(lap.d1, full.d1)
+        self.close(lap.d2, full.d2.sum(axis=-3, keepdims=True))
+
+    def test_curve(self):
+        rng = np.random.default_rng(20)
+        (a, _), (A, _) = self.pair(rng)
+        assert a.v.shape == a.d2.shape == (3, 1, 4, 4)
+        assert a.d1.shape == (3, 5, 4, 4)
+        self.agrees(a, A)
+
+    def test_product_rule_summed_over_directions(self):
+        rng = np.random.default_rng(21)
+        (a, b), (A, B) = self.pair(rng)
+        self.agrees(a @ b, A @ B)
+        self.agrees(a @ b @ a, A @ B @ A)
+
+    def test_broadcast_leading_axes(self):
+        # points (2, 1, 1) against point-dependent directions (3, dirs)
+        rng = np.random.default_rng(22)
+        (a, b), (A, B) = self.pair(rng, lead=(2, 1, 1), dirs=(3, 6))
+        assert (a @ b).d2.shape == (2, 3, 1, 4, 4)
+        self.agrees(a @ b, A @ B)
+        # one point (n, n) with no direction axis
+        p, Z = self.rand(rng, (4, 4)), self.rand(rng, (6, 4, 4))
+        a, A = LaplacianJet.curve(p, Z), JetMatrix.curve(p, Z)
+        self.agrees(a @ a, A @ A)
+
+    def test_empty_direction_stack(self):
+        # dim k = 0 (so-grassmannian(1, 1)): no directions, zero Laplacian
+        rng = np.random.default_rng(23)
+        (a, b), (A, B) = self.pair(rng, dirs=(0,))
+        c = a @ b
+        assert c.d1.shape == (3, 0, 4, 4)
+        assert c.d2.shape == (3, 1, 4, 4) and not np.any(c.d2)
+        self.agrees(c, A @ B)
+
+    def test_linear_operations_agree_with_the_full_jet(self):
+        rng = np.random.default_rng(24)
+        (a, b), (A, B) = self.pair(rng)
+        M = self.rand(rng, (4, 4))
+        for lap, full in [(a + b, A + B), (a - b, A - B), (-a, -A),
+                          (a + M, A + M), (M - a, M - A),
+                          (2j * a, 2j * A), (a * 0.5, A * 0.5),
+                          (a * M, A * M), (a / 3.0, A / 3.0),
+                          (a.conj(), A.conj()), (a.T, A.T),
+                          (a @ M, A @ M), (M @ a, M @ A)]:
+            self.agrees(lap, full)
+        Bs = self.rand(rng, (2, 3, 4, 4))
+        for lap, full in [(a.trace(), A.trace()),
+                          (a.trace_form(Bs), A.trace_form(Bs))]:
+            assert type(lap) is LaplacianJet
+            assert np.array_equal(lap.d1, full.d1)
+            assert lap.v.shape == lap.d2.shape
+            self.close(np.broadcast_to(lap.v, full.v.shape), full.v)
+            self.close(lap.d2, full.d2.sum(axis=1, keepdims=True))
+        entry, ref = a[..., 1, 2], A[..., 1, 2]
+        assert np.array_equal(entry.d1, ref.d1)
+        self.close(entry.d2, ref.d2.sum(axis=1, keepdims=True))
+
+    def test_involution_keeps_the_type(self):
+        pair = make_pair("sp-grassmannian", m=1, n=1)
+        rng = np.random.default_rng(25)
+        (a, _), (A, _) = self.pair(rng)
+        for f in (pair.sigma, pair.sigma.inverse):
+            self.agrees(f(a), f(A))
+
+    def test_nonlinear_operations_raise(self):
+        # the direction sum makes the elementwise Leibniz rule wrong for
+        # these: they must raise, not return wrong numbers
+        rng = np.random.default_rng(26)
+        (a, b), (A, _) = self.pair(rng)
+        t = a.trace()
+        for op in (lambda: a * b, lambda: a / b, lambda: 2.0 / a,
+                   lambda: a ** 2, lambda: a ** 1, lambda: a.sqrt(),
+                   lambda: t * t, lambda: t / t, lambda: t.sqrt(),
+                   lambda: a * Jet2.constant(2.0),
+                   lambda: Jet2.constant(2.0) * a,
+                   lambda: a @ A, lambda: A @ a, lambda: a + A,
+                   lambda: A - a, lambda: a.trace() + A.trace()):
+            with pytest.raises(TypeError):
+                op()

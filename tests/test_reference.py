@@ -239,8 +239,6 @@ def test_image_operators(case):
     close(kap, kaps)
     eta = members[0].eta_field()
     close(operators.image_tension(pair, eta, pts), [t[0] for t in taus])
-    close(operators.image_conformality(pair, eta, eta, pts),
-          [k[0][0] for k in kaps])
 
 
 def test_cartan_operators(case):
