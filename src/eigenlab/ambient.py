@@ -45,8 +45,8 @@ class AmbientField:
     """A complex function of n complex coordinates, as a jet evaluator.
 
     ``evaluator`` maps one Jet2 whose last axis holds the n coordinates
-    along a curve (earlier axes are batch axes) to the Jet2 of the
-    function; the function must be homogeneous of degree 0.
+    along a bundle of curves (earlier axes are batch axes) to the Jet2 of
+    the function; the function must be homogeneous of degree 0.
     """
 
     evaluator: Callable
@@ -95,7 +95,8 @@ def rotate_field(f: AmbientField, U: np.ndarray) -> AmbientField:
     Ubar = np.asarray(U, dtype=complex).conj()
 
     def ev(z):
-        return f.evaluator(Jet2(*(a @ Ubar for a in z.broadcast_to(()))))
+        parts = z.broadcast_to((), len(z.d1))
+        return f.evaluator(Jet2(*(a @ Ubar for a in parts)))
 
     return AmbientField(ev, f.n)
 
@@ -151,11 +152,11 @@ def _on_sphere(x) -> np.ndarray:
 
 
 def _axis_jets(x, n):
-    """2-jets of the straight-line curves x + s e along all 2n real
-    coordinate axes of C^n = R^{2n}, with a direction axis (e_1, i e_1,
-    e_2, ...) before the coordinate axis."""
+    """The jet of the straight-line curves x + s e along all 2n real
+    coordinate axes of C^n = R^{2n}, the directions (e_1, i e_1, e_2, ...)
+    leading."""
     E = np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, 1.0j], n)[:, None]
-    return Jet2(x[..., None, :], E)
+    return Jet2(x, E.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,)))
 
 
 def sphere_ops(f: AmbientField, x, other: AmbientField | None = None):
@@ -167,12 +168,11 @@ def sphere_ops(f: AmbientField, x, other: AmbientField | None = None):
     check_homogeneous(f, x)
     if g is not f:
         check_homogeneous(g, x)
-    axis = x.ndim - 1
-    lead = x.shape[:-1] + (2 * f.n,)
+    lead, dirs = x.shape[:-1], 2 * f.n
     z = _axis_jets(x, f.n)
-    _, a, d2 = f.evaluator(z).broadcast_to(lead)
-    b = a if g is f else g.evaluator(z).broadcast_to(lead)[1]
-    return d2.sum(axis=axis)[()], gram(a, b, axis)[()]
+    _, a, tau = f.evaluator(z).broadcast_to(lead, dirs)
+    b = a if g is f else g.evaluator(z).broadcast_to(lead, dirs)[1]
+    return tau[()], gram(a, b, x.ndim - 1)[()]
 
 
 def cpn_ops(f: AmbientField, x, other: AmbientField | None = None):
@@ -184,10 +184,8 @@ def cpn_ops(f: AmbientField, x, other: AmbientField | None = None):
     if g is not f:
         check_circle_invariant(g, x)
     tau, kap = sphere_ops(f, x, other)
-    axis = x.ndim - 1
-    # the 2-jet of the fiber circle s -> e^{is} x
-    z = Jet2(x, 1j * x, -x)
-    _, a, d2 = f.evaluator(z).broadcast_to(x.shape[:-1])
-    b = a if g is f else g.evaluator(z).broadcast_to(x.shape[:-1])[1]
-    fiber = gram(np.expand_dims(a, axis), np.expand_dims(b, axis), axis)
-    return (tau - d2)[()], (kap - fiber)[()]
+    # the 2-jet of the fiber circle s -> e^{is} x, one direction
+    z = Jet2(x, 1j * x[None], -x)
+    _, a, d2 = f.evaluator(z).broadcast_to(x.shape[:-1], 1)
+    b = a if g is f else g.evaluator(z).broadcast_to(x.shape[:-1], 1)[1]
+    return (tau - d2)[()], (kap - gram(a, b, x.ndim - 1))[()]

@@ -5,9 +5,8 @@ The inverse is computed as the conjugate transpose (all supported groups
 are unitary in the chosen representations), guarded by a membership check,
 so sigma(p)^-1 is one gather, sigma.inverse(p).
 Every function takes a single point (n, n) or a stack of points
-(..., n, n).  The jet routes push Laplacian jets (jets.LaplacianJet):
-the claims read Z(Phi) per direction and only the sum of Z^2(Phi) over
-the directions.
+(..., n, n).  The jet routes push JetMatrix.curve jets, which carry
+Z(Phi) per direction and the sum of Z^2(Phi) over the directions.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import square_sum
-from .jets import JetMatrix, LaplacianJet
+from .jets import JetMatrix, directions_first
 from .matrices import membership_residual, metric
 
 __all__ = [
@@ -53,8 +52,6 @@ def cartan_map_jet(pair, jm: JetMatrix) -> JetMatrix:
     Along curves inside the group, the inverse jet is the entrywise
     conjugate transpose jet, so sigma of the inverse is sigma.inverse of
     the jet, part by part, and Phi lifts to jets with no extra machinery.
-    ``jm`` may be a JetMatrix or a LaplacianJet; the product is that of
-    its type.
     """
     return jm @ pair.sigma.inverse(jm)
 
@@ -80,14 +77,15 @@ def cartan_jets_closed(pair, p: np.ndarray):
     form, with no jet pass.
 
     Along p exp(sZ), Phi is p exp(2sZ) sigma(p)^-1 for Z in p and constant
-    for Z in k, so Z(Phi) = 2 p Z sigma(p)^-1 (shape (..., dim p, n, n))
+    for Z in k, so Z(Phi) = 2 p Z sigma(p)^-1 (shape (dim p, ..., n, n),
+    the directions first, as in a jet)
     and sum_Z Z^2(Phi) over the ambient basis is 4 p C_p sigma(p)^-1,
     with C_p the sum of Z^2 over the p-basis: the map_tension_raw of p.
     """
     phi = cartan_map(pair, p)
     p = np.asarray(p, dtype=complex)
     s_inv = pair.sigma.inverse(p)
-    d1 = 2.0 * (p[..., None, :, :] @ pair.p_basis @ s_inv[..., None, :, :])
+    d1 = 2.0 * (p @ directions_first(pair.p_basis, p.ndim) @ s_inv)
     return phi, d1, 4.0 * (p @ square_sum(pair.p_basis) @ s_inv)
 
 
@@ -99,9 +97,8 @@ def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
     matrix space, so it is NOT the tension of the map; see
     harmonic_residual for the tangential part.
     """
-    p = np.asarray(p, dtype=complex)
-    jm = LaplacianJet.curve(p[..., None, :, :], pair.ambient.elements)
-    return cartan_map_jet(pair, jm).d2[..., 0, :, :]
+    jm = JetMatrix.curve(p, pair.ambient.elements)
+    return cartan_map_jet(pair, jm).d2
 
 
 def tangential_residual(pair, y: np.ndarray, H: np.ndarray):
@@ -130,20 +127,18 @@ def harmonic_residual(pair, p: np.ndarray):
 def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
     """g(dPhi(X), dPhi(Y)) / g(X, Y) at p, from first-order jets of Phi.
 
-    ``X`` and ``Y`` may be stacks of directions, paired entry by entry.
+    ``X`` and ``Y`` may be stacks of directions, paired entry by entry;
+    their axis comes last in the result.
     Equals 4 for X, Y horizontal (so the differential scales lengths by 2);
     vanishes identically for X vertical.  Where g(X, Y) = 0 the numerator
     is returned instead of the undefined ratio.
     """
     _check_member(pair, p)
-    p = np.asarray(p, dtype=complex)[..., None, :, :]
     one = np.ndim(X) == 2
 
     def dphi(Z):
-        # one direction gets a direction axis of length 1
-        jm = LaplacianJet.curve(p, np.asarray(Z)[None] if one else Z)
-        d1 = cartan_map_jet(pair, jm).d1
-        return d1[..., 0, :, :] if one else d1
+        d1 = cartan_map_jet(pair, JetMatrix.curve(p, Z)).d1
+        return d1[0] if one else d1
 
     dX = dphi(X)
     dY = dX if Y is X else dphi(Y)
@@ -153,8 +148,13 @@ def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
 def pullback_ratio(dX, dY, X, Y):
     """g(dX, dY) / g(X, Y) for the first derivatives dX, dY of Phi along
     the directions X, Y, entry by entry; the numerator where g(X, Y) = 0.
-    See pullback_factor."""
+    For stacks of directions (dirs, n, n), dX and dY carry them on their
+    leading axis, as jets do, and the result on its last.  See
+    pullback_factor."""
     num = metric(dX, dY)
     den = metric(X, Y)
+    if np.ndim(den):
+        # a C-ordered copy: reductions over the ratios then run point-major
+        num = np.moveaxis(num, 0, -1).copy()
     small = np.abs(den) < 1e-12
     return np.where(small, num, num / np.where(small, 1.0, den))[()]

@@ -24,7 +24,7 @@ from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
                        product_ops)
-from .jets import Jet2, LaplacianJet, gram, trace_form
+from .jets import Jet2, JetMatrix, gram, trace_form
 from .matrices import basis_D, basis_X, basis_Y
 from .operators import image_ops
 from .pairs import SPACES, make_pair, space_label
@@ -112,6 +112,9 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise ConfigError("seed must be non-negative")
     if config.fmt not in FORMATS:
         raise ConfigError(f"unknown format {config.fmt!r}; choose from {FORMATS}")
+    if config.out == "":
+        raise ConfigError("empty output path ''; omit --out to write the "
+                          "report to stdout")
     if config.m is None and config.n is None:
         return config
     # Size overrides bind to a single explicitly selected suite.
@@ -302,39 +305,31 @@ def _factor4_index(members):
     return [0, 1] if len(members) > 1 else [0, 0]
 
 
-def _trace_ops(pair, forms, points):
-    """The trace forms ``forms`` of Phi at stacked ``points`` from the
-    closed-form jets of Phi, the one route of every trace-form suite: the
-    values tr(Phi B) + c, the first derivatives tr(2 p Z sigma(p)^-1 B)
-    along the p-basis (Phi is constant along k) and the tension form
-    tr(4 p C_p sigma(p)^-1 B).  kappa is the Gram product of the first
-    derivatives."""
-    phi, dphi, tension = cartan_jets_closed(pair, points)
-    return (trace_form(phi, forms.B) + forms.c, trace_form(dphi, forms.B),
-            trace_form(tension, forms.B))
-
-
 def _trace_jets(pair, forms, points):
-    """The jets (value, d1, d2) of the trace forms ``forms`` along the
-    p-basis with d2 = 0, plus one zero-velocity direction whose d2 is the
-    tension form.  tau is linear in second derivatives, so summed over
-    this axis the jet arithmetic of any function P of the forms gives
-    tau(P) = sum_i dP/dx_i tau(x_i) + sum_ij d2P/dx_i dx_j kappa(x_i, x_j),
-    and the Gram product of the first derivatives gives kappa."""
-    values, d1, tension = _trace_ops(pair, forms, points)
-    return (values, np.concatenate([d1, np.zeros_like(tension[:, None])], 1),
-            np.concatenate([np.zeros_like(d1), tension[:, None]], 1))
+    """The Jet2 of the trace forms ``forms`` of Phi at stacked ``points``,
+    from the closed-form jets of Phi, the one route of every trace-form
+    suite: the values tr(Phi B) + c, the first derivatives
+    tr(2 p Z sigma(p)^-1 B) along the p-basis (Phi is constant along k)
+    and, as d2, the tension form tr(4 p C_p sigma(p)^-1 B).  The jet
+    arithmetic of any function of the forms then gives its tau, and the
+    Gram product of its first derivatives its kappa."""
+    phi, dphi, tension = cartan_jets_closed(pair, points)
+    return Jet2(trace_form(phi, forms.B) + forms.c, trace_form(dphi, forms.B),
+                trace_form(tension, forms.B))
+
+
+def _jet_ops(j):
+    """(value, tau, kappa) of a Jet2 over one point axis."""
+    return j.v, j.d2, gram(j.d1, j.d1, 1)
 
 
 def _poly_ops(pair, PF, points):
     """Values, tau and kappa of the polynomial family ``PF``: the jet
     arithmetic of its generators on the trace jets of its base members."""
     base = PF.members[0].base
-    v, d1, d2 = _trace_jets(pair, stack_members(base), points)
-    vals = tuple(Jet2(v[:, None, i], d1[..., i], d2[..., i])
-                 for i in range(len(base)))
-    jets = Jet2.stack([mm.generator(vals) for mm in PF.members])
-    return jets.v[:, 0], jets.d2.sum(axis=1), gram(jets.d1, jets.d1, 1)
+    j = _trace_jets(pair, stack_members(base), points)
+    vals = tuple(j[..., i] for i in range(len(base)))
+    return _jet_ops(Jet2.stack([mm.generator(vals) for mm in PF.members]))
 
 
 def _product_ops(pair, PF, p1, p2):
@@ -343,13 +338,13 @@ def _product_ops(pair, PF, p1, p2):
     jets of the factors, stacked over every member."""
     factors = (stack_members(mm.f1 for mm in PF.members),
                stack_members(mm.f2 for mm in PF.members))
-    return product_ops([_trace_jets(pair, f, p)
-                        for f, p in zip(factors, (p1, p2))], 1)
+    jets = (_trace_jets(pair, f, p) for f, p in zip(factors, (p1, p2)))
+    return product_ops([(j.v, j.d1, j.d2) for j in jets], 1)
 
 
 def _cartan_pass(pair, forms, points):
     """What the cartan claims read of the 2-jets of Phi at ``points``,
-    from one p-basis and one k-basis Cartan pass of Laplacian jets: Z(Phi)
+    from one p-basis and one k-basis Cartan pass of curve jets: Z(Phi)
     per direction and the sum of Z^2(Phi) over each basis.  The two bases
     together are orthonormal, so those two sums add up to the raw map
     tension over the ambient basis.
@@ -359,14 +354,14 @@ def _cartan_pass(pair, forms, points):
     casimir residual: per point, the largest entry of the error of
     cartan_jets_closed against the jets."""
     X, V = pair.p_basis, pair.k_basis
-    jp, jk = (cartan_map_jet(pair, LaplacianJet.curve(points[:, None], Z))
+    jp, jk = (cartan_map_jet(pair, JetMatrix.curve(points, Z))
               for Z in (X, V))
-    raw = (jp.d2 + jk.d2)[:, 0]
+    raw = jp.d2 + jk.d2
     phi, dphi, tension = cartan_jets_closed(pair, points)
-    casimir = np.maximum(np.abs(jp.d1 - dphi).max(axis=(1, 2, 3)),
+    casimir = np.maximum(np.abs(jp.d1 - dphi).max(axis=(0, 2, 3)),
                          np.abs(raw - tension).max(axis=(1, 2)))
     d1 = np.concatenate([trace_form(jp.d1, forms.B),
-                         trace_form(jk.d1, forms.B)], axis=1)
+                         trace_form(jk.d1, forms.B)])
     return (phi, pullback_ratio(jp.d1, jp.d1, X, X),
             pullback_ratio(jk.d1, jk.d1, V, V),
             tangential_residual(pair, phi, raw), trace_form(raw, forms.B),
@@ -446,11 +441,9 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     pair = cache.pair(space, m, n)
     forms = stack_members(map(stack_members, blocks))
 
-    def ops(points):
-        values, d1, tau = _trace_ops(pair, forms, points)
-        return values, tau, gram(d1, d1, 1)
-
-    values, tau, kappa = _chunked(ops, cache.points(space, m, n))
+    values, tau, kappa = _chunked(
+        lambda c: _jet_ops(_trace_jets(pair, forms, c)),
+        cache.points(space, m, n))
     first = blocks[0][0]
     out = _eigen_claims(ids[:2], space, params, values, tau, kappa,
                         first.lam, first.mu, tol)

@@ -60,10 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pick(flag, env_name, default, convert):
+    """The flag if given, else the EIGENLAB_* variable, else ``default``;
+    an empty variable counts as unset."""
     if flag is not None:
         return flag
     raw = _env(env_name)
-    if raw is None:
+    if not raw:
         return default
     try:
         return convert(raw)
@@ -73,10 +75,7 @@ def _pick(flag, env_name, default, convert):
 
 
 def config_from_args(args) -> RunConfig:
-    spaces = args.space
-    if spaces is None:
-        raw = _env("SPACE")
-        spaces = raw.split(",") if raw else ["all"]
+    spaces = _pick(args.space, "SPACE", ["all"], lambda raw: raw.split(","))
     flat = []
     for s in spaces:
         flat.extend(t for t in s.split(",") if t)

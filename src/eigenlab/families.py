@@ -8,8 +8,8 @@ kappa(P, Q) = d^2 mu P Q.  On a product M1 x M2, the functions
 phi1(p1) phi2(p2) form a family with eigenvalues (lambda1 + lambda2,
 mu1 + mu2) for the concatenated (disjoint-union) basis.
 
-The product law (``product_ops``) acts on the jets of the two factors,
-with the direction axis at ``axis``, wherever they come from: the
+The product law (``product_ops``) acts on the (value, d1, tau) of the two
+factors, the directions leading in d1, wherever they come from: the
 per-point operators push them through the factors' fields, the claim
 engine reads them from the closed-form jets of the Cartan map.
 """
@@ -232,52 +232,44 @@ def _factor_jets(member, p1, p2, basis1, basis2):
             field_jets(member.f2.as_field(), p2, basis2))
 
 
-def _product_derivs(jets, k: int, axis: int):
-    """The k-th derivatives of phi1(p1) phi2(p2) along basis1, which moves
-    p1 only, then basis2, concatenated on the direction axis."""
-    (v1, *j1), (v2, *j2) = jets
-    return np.concatenate([j1[k - 1] * np.expand_dims(v2, axis),
-                           np.expand_dims(v1, axis) * j2[k - 1]], axis=axis)
+def _product_d1(jets):
+    """The first derivatives of phi1(p1) phi2(p2) along basis1, which
+    moves p1 only, then basis2, concatenated on the direction axis."""
+    (v1, a1, _), (v2, a2, _) = jets
+    return np.concatenate([a1 * v2, v1 * a2])
 
 
-def product_ops(jets, axis: int):
+def product_ops(jets, points: int):
     """(phi, tau(phi), kappa(phi, phi)) of phi1(p1) phi2(p2) from the
-    factors' jets ((v1, d1, d2), (v2, d1, d2)), their directions on
-    ``axis``: the product function's derivatives along the concatenated
-    directions.  The factors' member axes pair elementwise, so factors
-    that stack the factors of a whole product family evaluate that family,
-    and kappa pairs every member with every member."""
-    d1 = _product_derivs(jets, 1, axis)
-    return ((jets[0][0] * jets[1][0])[()],
-            _product_derivs(jets, 2, axis).sum(axis=axis)[()],
-            gram(d1, d1, axis)[()])
+    factors' (value, d1, tau) over ``points`` point axes:
+    tau = tau1 phi2 + phi1 tau2, and kappa the Gram product of the
+    derivatives along the concatenated directions.  The factors' member
+    axes pair elementwise, so factors that stack the factors of a whole
+    product family evaluate that family, and kappa pairs every member with
+    every member."""
+    (v1, _, t1), (v2, _, t2) = jets
+    d1 = _product_d1(jets)
+    return (v1 * v2)[()], (t1 * v2 + v1 * t2)[()], gram(d1, d1, points)[()]
 
 
 def product_tension(member: ProductMember, p1, p2, basis1, basis2):
-    """tau on the product: second derivatives of the full product function
-    along every direction of the concatenated basis.  Also returns the
-    decomposed value tau1(phi1) phi2 + phi1 tau2(phi2) for the identity
-    check."""
-    axis = np.ndim(p1) - 2
+    """tau on the product over the concatenated basis."""
     jets = _factor_jets(member, p1, p2, basis1, basis2)
-    (v1, _, s1), (v2, _, s2) = jets
-    decomposed = s1.sum(axis=axis) * v2 + v1 * s2.sum(axis=axis)
-    return product_ops(jets, axis)[1], decomposed[()]
+    return product_ops(jets, np.ndim(p1) - 2)[1]
 
 
 def product_conformality(ma: ProductMember, mb: ProductMember, p1, p2,
                          basis1, basis2):
     """kappa(phi, psi) on the product over the concatenated basis, plus the
     decomposed value kappa1 psi2 phi2 + kappa2 phi1 psi1."""
-    axis = np.ndim(p1) - 2
+    points = np.ndim(p1) - 2
+    g = lambda a, b: gram(a, b, points)
     ja = _factor_jets(ma, p1, p2, basis1, basis2)
     jb = _factor_jets(mb, p1, p2, basis1, basis2)
-    direct = gram(_product_derivs(ja, 1, axis), _product_derivs(jb, 1, axis),
-                  axis)
+    direct = g(_product_d1(ja), _product_d1(jb))
     (va1, a1, _), (va2, a2, _) = ja
     (vb1, b1, _), (vb2, b2, _) = jb
-    outer = lambda a, b: gram(np.expand_dims(a, axis), np.expand_dims(b, axis),
-                              axis)
-    decomposed = (gram(a1, b1, axis) * outer(va2, vb2)
-                  + outer(va1, vb1) * gram(a2, b2, axis))
+    # the outer product of the values: a Gram product over one direction
+    outer = lambda a, b: g(a[None], b[None])
+    decomposed = g(a1, b1) * outer(va2, vb2) + outer(va1, vb1) * g(a2, b2)
     return direct[()], decomposed[()]

@@ -1,80 +1,104 @@
-"""Order-2 jets: truncated Taylor arithmetic in one real curve parameter.
+"""Order-2 jets along a bundle of curve directions: truncated Taylor
+arithmetic in one real curve parameter per direction.
 
-A jet carries (value, first derivative, second derivative) of a quantity
-along a curve s -> x(s), evaluated at s = 0.  Propagating jets through an
-expression yields the exact first and second derivatives of that expression
-along the curve, with no step-size tuning.
+A jet carries, at s = 0, a quantity's value ``v``, its first derivative
+``d1`` along each curve s -> x_Z(s), one direction Z per slice of the
+leading axis of ``d1``, and ``d2``, the sum over the directions of its
+second derivatives.  That sum is all the operators read: the tension is
+tau = sum_Z Z^2 and the conformality kappa = sum_Z Z(phi) Z(psi).
+Propagating jets through an expression yields these exactly, with no
+step-size tuning.  Summing before the products is the "forward Laplacian"
+of Li et al. (arXiv 2307.08214).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Jet2", "JetMatrix", "LaplacianJet", "trace_form", "gram"]
+__all__ = ["Jet2", "JetMatrix", "trace_form", "gram", "directions_first"]
+
+
+# rows of ``a`` per gemm in trace_form
+_ROWS = 32
 
 
 def trace_form(a, B):
-    """tr(a @ B) = sum_ij a_ij B_ji over the leading axes of ``a``, by one
-    matmul of ``a`` flattened to (..., n*n) against the transposed B
+    """tr(a @ B) = sum_ij a_ij B_ji over the leading axes of ``a``, by
+    matmuls of ``a`` flattened to rows of n*n against the transposed B
     flattened to (n*n, members); the member axes of a stack or grid of B,
     e.g. (A, K, n, n), become trailing axes."""
     a, B = np.asarray(a), np.asarray(B)
-    lead, n2 = a.shape[:-2], a.shape[-2] * a.shape[-1]
+    n2 = a.shape[-2] * a.shape[-1]
     Bt = np.swapaxes(B, -1, -2).reshape(-1, n2).T
-    # numpy runs one gemm per index of all but the last leading axis:
-    # BLAS packs one (rows, n*n) slab at a time, not all of ``a``, which
-    # keeps its per-thread packing buffers small
-    return (a.reshape(lead + (n2,)) @ Bt).reshape(lead + B.shape[:-2])
+    rows = a.reshape(-1, n2)
+    if len(rows) <= _ROWS:
+        out = rows @ Bt
+    else:
+        # gemms of _ROWS rows, one slab of ``a`` packed at a time: for a
+        # few members BLAS keeps each on one thread, where all points of an
+        # image pass in one gemm would start its helper threads, whose spin
+        # after the call costs CPU time and no wall time.  Each row's
+        # result does not depend on how the rows are blocked.
+        cut = len(rows) - len(rows) % _ROWS
+        head = rows[:cut].reshape(-1, _ROWS, n2) @ Bt
+        out = np.concatenate([head.reshape(cut, -1), rows[cut:] @ Bt])
+    return out.reshape(a.shape[:-2] + B.shape[:-2])
 
 
-def _as_jet(x, like):
-    """``x`` as a jet to combine with the jet ``like``: a constant jet if
-    it is not one.  A jet whose second derivative is summed over the
-    directions does not mix with one that keeps it per direction."""
-    if not isinstance(x, Jet2):
-        return Jet2(x, 0.0, 0.0)
-    if x._summed != like._summed:
-        raise TypeError(f"cannot combine a {type(like).__name__} with a "
-                        f"{type(x).__name__}")
-    return x
+def directions_first(Z, ndim: int):
+    """Directions Z (dirs, ..., n, n) with unit axes after the direction
+    axis, so that they broadcast against points of ``ndim`` dimensions
+    (..., n, n) with the directions in front of every point axis."""
+    return Z.reshape(Z.shape[:1] + (1,) * (ndim - Z.ndim + 1) + Z.shape[1:])
 
 
-def gram(a, b, axis: int):
-    """sum over the direction ``axis`` of a_j b_k, j and k on the last
-    member axes of a and b; earlier member axes pair elementwise, like the
-    leading axes.  Without member axes, the sum of a b.  One matmul of
-    (..., j, dirs) by (..., dirs, k)."""
-    if a.ndim == axis + 1:
-        return gram(a[..., None], b[..., None], axis)[..., 0, 0]
-    return np.moveaxis(a, axis, -1) @ np.moveaxis(b, axis, -2)
+def _as_jet(x):
+    """``x`` as a jet: a constant jet if it is not one."""
+    return x if isinstance(x, Jet2) else Jet2(x)
+
+
+def gram(a, b, points: int = 0):
+    """sum over the directions of a_j b_k, for a and b laid out as the
+    first derivatives of a jet: (dirs, *points, *members) with ``points``
+    point axes.  j and k are on the last member axes; earlier member axes
+    pair elementwise, like the point axes.  Without member axes, the sum
+    of a b.  One matmul of (..., j, dirs) by (..., dirs, k)."""
+    if a.ndim == points + 1:
+        return gram(a[..., None], b[..., None], points)[..., 0, 0]
+    return np.moveaxis(a, 0, -1) @ np.moveaxis(b, 0, -2)
 
 
 class Jet2:
-    """A complex quantity with its first and second derivatives.
+    """A complex quantity with its first derivatives along D curve
+    directions and the sum of its second derivatives over them.
 
-    ``v``, ``d1``, ``d2`` are complex arrays whose shapes broadcast against
-    each other: one Jet2 can carry a batch of points, curve directions and
-    family members, and a part may omit axes on which it is constant (a
-    direction-independent value, a constant's zero derivatives).
-    Arithmetic follows the truncated-Taylor rules elementwise; in particular
+    ``v`` and ``d2`` are complex arrays of the batch shape (points, family
+    members, matrix entries, ...); ``d1`` has one more axis in front, one
+    slice per direction.  The parts broadcast against each other, so a
+    part may omit axes on which it is constant; a constant has one
+    direction of zero derivative, which broadcasts to any bundle.
+    Arithmetic follows the truncated-Taylor rules elementwise, with the
+    cross term of the product rule contracted over the directions:
     (a*b).d1 = a.d1*b.v + a.v*b.d1 and
-    (a*b).d2 = a.d2*b.v + 2*a.d1*b.d1 + a.v*b.d2.
-    Conjugation acts componentwise since the curve parameter is real.
-    Each result has the type of the jet whose method made it, so the
-    elementwise operations of a JetMatrix give a JetMatrix.
+    (a*b).d2 = a.d2*b.v + 2 sum_Z a.d1*b.d1 + a.v*b.d2.
+    Each second derivative enters linearly, so this rule and the quotient,
+    power and square-root rules built the same way are exact for the
+    sums.  Conjugation acts componentwise since the curve parameter is
+    real.  Each result has the type of the jet whose method made it, so
+    the elementwise operations of a JetMatrix give a JetMatrix.
     """
 
     __slots__ = ("v", "d1", "d2")
-
-    # True where d2 is already summed over the directions (LaplacianJet)
-    _summed = False
 
     # Keep numpy from absorbing us in mixed expressions like ndarray * jet.
     __array_ufunc__ = None
 
     def __init__(self, v, d1=0.0, d2=0.0):
         self.v = np.asarray(v, dtype=complex)
-        self.d1 = np.asarray(d1, dtype=complex)
+        d1 = np.asarray(d1, dtype=complex)
+        # a number is the first derivative along one direction, at every
+        # batch entry: give it the direction axis in front of the batch
+        self.d1 = d1.reshape((1,) * (self.v.ndim + 1)) if d1.ndim == 0 else d1
         self.d2 = np.asarray(d2, dtype=complex)
 
     @classmethod
@@ -96,20 +120,27 @@ class Jet2:
 
     @property
     def shape(self):
-        return np.broadcast_shapes(self.v.shape, self.d1.shape, self.d2.shape)
+        """The batch shape: every axis but the direction axis of d1."""
+        return np.broadcast_shapes(self.v.shape, self.d1.shape[1:],
+                                   self.d2.shape)
 
-    def broadcast_to(self, shape):
-        """The three parts as arrays of one shape: ``shape`` followed by
-        whatever trailing axes the jet has beyond it."""
+    def broadcast_to(self, shape, dirs):
+        """The three parts as arrays: v and d2 of ``shape`` followed by
+        whatever trailing axes the jet has beyond it, d1 of ``dirs``
+        directions before them (a constant's zeros spread over them)."""
         full = tuple(shape) + self.shape[len(shape):]
-        return tuple(np.broadcast_to(a, full) for a in (self.v, self.d1, self.d2))
+        return (np.broadcast_to(self.v, full),
+                np.broadcast_to(self.d1, (dirs,) + full),
+                np.broadcast_to(self.d2, full))
 
     def __getitem__(self, idx):
-        return type(self)(*(a[idx] for a in np.broadcast_arrays(
-            self.v, self.d1, self.d2)))
+        """Index the batch axes of every part; d1 keeps its directions."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        v, d1, d2 = self.broadcast_to((), len(self.d1))
+        return type(self)(v[idx], d1[(slice(None),) + idx], d2[idx])
 
     def __add__(self, other):
-        o = _as_jet(other, self)
+        o = _as_jet(other)
         return type(self)(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
 
     __radd__ = __add__
@@ -118,32 +149,33 @@ class Jet2:
         return type(self)(-self.v, -self.d1, -self.d2)
 
     def __sub__(self, other):
-        o = _as_jet(other, self)
+        o = _as_jet(other)
         return type(self)(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
 
     def __rsub__(self, other):
-        o = _as_jet(other, self)
+        o = _as_jet(other)
         return type(self)(o.v - self.v, o.d1 - self.d1, o.d2 - self.d2)
 
     def __mul__(self, other):
-        o = _as_jet(other, self)
+        o = _as_jet(other)
         return type(self)(
             self.v * o.v,
             self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
+            self.d2 * o.v + 2.0 * (self.d1 * o.d1).sum(axis=0)
+            + self.v * o.d2,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_jet(other, self)
+        o = _as_jet(other)
         v = self.v / o.v
         d1 = (self.d1 - v * o.d1) / o.v
-        d2 = (self.d2 - 2.0 * d1 * o.d1 - v * o.d2) / o.v
+        d2 = (self.d2 - 2.0 * (d1 * o.d1).sum(axis=0) - v * o.d2) / o.v
         return type(self)(v, d1, d2)
 
     def __rtruediv__(self, other):
-        return _as_jet(other, self) / self
+        return _as_jet(other) / self
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -163,22 +195,22 @@ class Jet2:
     def sqrt(self):
         v = np.sqrt(self.v)
         d1 = self.d1 / (2.0 * v)
-        d2 = (self.d2 - 2.0 * d1 * d1) / (2.0 * v)
+        d2 = (self.d2 - 2.0 * (d1 * d1).sum(axis=0)) / (2.0 * v)
         return type(self)(v, d1, d2)
 
     def __repr__(self):
         name = type(self).__name__
         if self.shape:
-            return f"{name}(shape={self.shape})"
-        return (f"{name}({complex(self.v)!r}, {complex(self.d1)!r}, "
+            return f"{name}(shape={self.shape}, dirs={len(self.d1)})"
+        return (f"{name}({complex(self.v)!r}, {self.d1.tolist()!r}, "
                 f"{complex(self.d2)!r})")
 
 
 class JetMatrix(Jet2):
     """A Jet2 whose parts end in matrix axes (..., n, n), with the matrix
-    products of the truncated-Taylor rule on top of the elementwise Jet2
-    arithmetic.  Leading axes broadcast, so a batch of curve directions
-    can share one value matrix; indexing is part-wise, so ``jm[..., i, j]``
+    product of the truncated-Taylor rule on top of the elementwise Jet2
+    arithmetic.  Leading axes broadcast, so a bundle of curve directions
+    shares one value matrix; indexing is part-wise, so ``jm[..., i, j]``
     is the jet of one entry.
     """
 
@@ -186,44 +218,42 @@ class JetMatrix(Jet2):
 
     @classmethod
     def constant(cls, a):
-        # full-shape zero derivatives: T and @ need matrix-shaped parts
+        # matrix-shaped zero derivatives: T and @ need matrix parts
         a = np.asarray(a, dtype=complex)
         z = np.zeros_like(a)
-        return cls(a, z, z)
+        return cls(a, z[None], z)
 
     @classmethod
     def curve(cls, p, Z):
-        """The 2-jet of s -> p @ expm(s Z) at s = 0: (p, pZ, pZ^2).
+        """The jet of s -> p @ expm(s Z) over the directions Z:
+        (p, pZ, p @ sum_Z Z^2).
 
-        ``Z`` may carry leading batch axes to build jets along many
-        directions at once.
+        ``p`` is a point (n, n) or points (..., n, n).  ``Z`` is one
+        direction (n, n) or a stack (dirs, ..., n, n) whose axes after the
+        first broadcast against the points: a basis (dirs, n, n) serves
+        every point, and (dirs, *points, n, n) pairs point-dependent
+        directions with their points.
         """
         p = np.asarray(p, dtype=complex)
         Z = np.asarray(Z, dtype=complex)
         if p.shape[-1] != Z.shape[-2]:
             raise ValueError("size mismatch between point and direction")
-        pZ = p @ Z
-        return cls(p, pZ, pZ @ Z)
+        if Z.ndim == 2:
+            Z = Z[None]
+        return cls(p, p @ directions_first(Z, p.ndim), p @ (Z @ Z).sum(axis=0))
 
     @property
     def T(self):
         sw = lambda a: np.swapaxes(a, -1, -2)
         return type(self)(sw(self.v), sw(self.d1), sw(self.d2))
 
-    @staticmethod
-    def _cross(a, b):
-        """The cross term a.d1 @ b.d1 of the product rule."""
-        return a @ b
-
     def __matmul__(self, other):
         if isinstance(other, Jet2):
-            if type(other) is not type(self):
-                raise TypeError(f"cannot multiply a {type(self).__name__} "
-                                f"by a {type(other).__name__}")
+            # 3 D + 3 matrix products for D directions
             return type(self)(
                 self.v @ other.v,
                 self.d1 @ other.v + self.v @ other.d1,
-                self.d2 @ other.v + 2.0 * self._cross(self.d1, other.d1)
+                self.d2 @ other.v + 2.0 * (self.d1 @ other.d1).sum(axis=0)
                 + self.v @ other.d2,
             )
         other = np.asarray(other, dtype=complex)
@@ -234,100 +264,10 @@ class JetMatrix(Jet2):
         return type(self)(other @ self.v, other @ self.d1, other @ self.d2)
 
     def trace(self):
-        # batch axes may live on d1/d2 only: broadcast before reducing
         return Jet2(*(np.trace(a, axis1=-2, axis2=-1)
-                      for a in self.broadcast_to(())))
+                      for a in (self.v, self.d1, self.d2)))
 
     def trace_form(self, B):
         """The Jet2 of tr(self @ B), contracted without forming the product.
         The member axes of a stack or grid of B become trailing axes."""
         return Jet2(*(trace_form(a, B) for a in (self.v, self.d1, self.d2)))
-
-
-class LaplacianJet(JetMatrix):
-    """A JetMatrix whose second derivative is summed over the curve
-    directions before any product: the forward Laplacian of Li et al.
-    (arXiv 2307.08214).
-
-    ``d1`` holds one slice per direction on axis -3; ``v`` and ``d2`` hold
-    that axis at length 1 (or lack it), ``d2`` being sum_Z Z^2 of the
-    quantity.  The matrix product contracts the cross term of the product
-    rule over the directions,
-    (a @ b).d2 = a.d2 @ b.v + 2 sum_Z a.d1 @ b.d1 + a.v @ b.d2,
-    so a product of jets along D directions takes 3 D + 3 matrix products
-    where the full jet takes 5 D + 1.  Sums, differences, multiples by
-    constants, conj, T, matrix products with constant matrices, trace,
-    trace_form, entry indexing and the involutions act part by part
-    without spreading ``v`` or ``d2`` over the directions, and keep the
-    type.  A product of two jets other than ``@``, a quotient by a jet, a
-    power and a square root need each direction's second derivative, so
-    they raise TypeError, as does mixing with per-direction jets.
-    """
-
-    __slots__ = ()
-
-    _summed = True
-
-    @classmethod
-    def curve(cls, p, Z):
-        """The Laplacian jet of s -> p @ expm(s Z) over the directions Z on
-        axis -3: (p, pZ, p @ sum_Z Z^2).
-
-        ``p`` is one point (n, n) or points (..., 1, n, n) with the
-        direction axis; ``Z`` is (..., dirs, n, n).
-        """
-        p = np.asarray(p, dtype=complex)
-        Z = np.asarray(Z, dtype=complex)
-        if p.shape[-1] != Z.shape[-2]:
-            raise ValueError("size mismatch between point and direction")
-        return cls(p, p @ Z, p @ (Z @ Z).sum(axis=-3, keepdims=True))
-
-    @staticmethod
-    def _cross(a, b):
-        """sum over the directions of a.d1 @ b.d1: batched products, then
-        the sum."""
-        return (a @ b).sum(axis=-3, keepdims=True)
-
-    def _map(self, f):
-        return type(self)(f(self.v), f(self.d1), f(self.d2))
-
-    def __getitem__(self, idx):
-        return self._map(lambda a: a[idx])
-
-    def trace(self):
-        return self._map(lambda a: np.trace(a, axis1=-2, axis2=-1))
-
-    def trace_form(self, B):
-        """tr(self @ B) for a stack or grid of B, as in JetMatrix."""
-        return self._map(lambda a: trace_form(a, B))
-
-    def __mul__(self, other):
-        c = _factor(other, "*")
-        return self._map(lambda a: a * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = _factor(other, "/")
-        return self._map(lambda a: a / c)
-
-    def __rtruediv__(self, other):
-        _no_rule("/")
-
-    def __pow__(self, k):
-        _no_rule("**")
-
-    def sqrt(self):
-        _no_rule("sqrt")
-
-
-def _factor(c, op):
-    """``c`` as a constant factor of a LaplacianJet; a jet raises."""
-    if isinstance(c, Jet2):
-        _no_rule(op)
-    return np.asarray(c, dtype=complex)
-
-
-def _no_rule(op):
-    raise TypeError(f"{op} of a LaplacianJet needs the second derivative "
-                    "along each direction, which it has summed")

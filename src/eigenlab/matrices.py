@@ -15,7 +15,6 @@ __all__ = [
     "j_matrix",
     "i_signature",
     "i_signature_doubled",
-    "quat_embed",
     "membership_residual",
 ]
 
@@ -117,16 +116,6 @@ def i_signature_doubled(m: int, n: int) -> np.ndarray:
     """diag(I_m, -I_n, I_m, -I_n): the doubled signature block."""
     s = np.concatenate([np.ones(m), -np.ones(n)])
     return np.diag(np.concatenate([s, s])).astype(complex)
-
-
-def quat_embed(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Complex 2n x 2n representation of the quaternionic matrix z + jw:
-    [[z, w], [-conj(w), conj(z)]]."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if z.shape != w.shape or z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise ValueError("z and w must be square matrices of equal size")
-    return np.block([[z, w], [-w.conj(), z.conj()]])
 
 
 def _fro(a):

@@ -7,21 +7,22 @@ correction terms vanish because nabla_Z Z = [Z, Z]/2 = 0 for left-invariant
 fields.  All derivatives are exact order-2 jets; kappa is complex bilinear
 (no conjugation).
 
-A field is its jet evaluator: a callable that maps a JetMatrix (the 2-jets
-of curves through the group, with any leading batch axes) to the Jet2 of
-the function along those curves; on a constant jet it must return a
-constant jet.  Every operator takes a single point (n, n) or a stack of
-points (..., n, n) and pushes all basis directions through one call of
-the field.  A field may return a trailing member axis, so that one call
-evaluates a whole family; kappa is then the pairwise (Gram) matrix over
-the members.
+A field is its jet evaluator: a callable that maps a JetMatrix (the jets
+of curves through the group along a bundle of directions, with any batch
+axes) to the Jet2 of the function along those curves; on a constant jet
+it must return a constant jet.  Every operator takes a single point
+(n, n) or a stack of points (..., n, n) and pushes all basis directions
+through one call of the field: the jet's d1 holds Z(phi) per direction
+and its d2 is tau(phi) already.  A field may return a trailing member
+axis, so that one call evaluates a whole family; kappa is then the
+pairwise (Gram) matrix over the members.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import JetMatrix, gram
+from .jets import JetMatrix, directions_first, gram
 from .matrices import mat_exp
 
 __all__ = [
@@ -45,31 +46,28 @@ def field_value(field, p: np.ndarray):
 
 def direction_derivs(field, p: np.ndarray, Z: np.ndarray):
     """(Z(phi)(p), Z^2(phi)(p)): first and second derivative of phi along
-    the one-parameter subgroup curve p exp(sZ)."""
+    the one-parameter subgroup curve p exp(sZ), one direction (n, n)."""
     j = field(JetMatrix.curve(p, Z))
-    return j.d1[()], j.d2[()]
+    return j.d1[0][()], j.d2[()]
 
 
 def field_jets(field, p: np.ndarray, directions):
-    """phi and its jets along every direction at every point, from one
-    call of the field.
+    """phi, its first derivatives along every direction and tau(phi) at
+    every point, from one call of the field.
 
     ``p`` is (*points, n, n); ``directions`` is (dirs, n, n), a basis, or
-    (*points, dirs, n, n) for point-dependent directions.  Returns the
-    value (*points, *members) and d1, d2 of shape
-    (*points, dirs, *members).
+    (dirs, *points, n, n) for point-dependent directions.  Returns the
+    value and tau of shape (*points, *members), and d1 of shape
+    (dirs, *points, *members).
     """
     p = np.asarray(p, dtype=complex)
     Z = np.asarray(getattr(directions, "elements", directions), dtype=complex)
-    jm = JetMatrix.curve(p[..., None, :, :], Z)
-    lead = jm.d1.shape[:-2]
-    v, d1, d2 = field(jm).broadcast_to(lead)
-    return v[(slice(None),) * (len(lead) - 1) + (0,)], d1, d2
+    return field(JetMatrix.curve(p, Z)).broadcast_to(p.shape[:-2], len(Z))
 
 
-def _ops(jets, axis):
-    v, d1, d2 = jets
-    return v[()], d2.sum(axis=axis)[()], gram(d1, d1, axis)[()]
+def _ops(jets, points: int):
+    v, d1, tau = jets
+    return v[()], tau[()], gram(d1, d1, points)[()]
 
 
 def field_ops(field, p: np.ndarray, basis):
@@ -112,8 +110,9 @@ def image_ops(pair, eta, p: np.ndarray):
     from .cartan import cartan_map
 
     y = cartan_map(pair, p)
-    s = pair.sigma(np.asarray(p, dtype=complex))[..., None, :, :]
-    W = s @ pair.p_basis @ np.swapaxes(s, -1, -2).conj()
+    s = pair.sigma(np.asarray(p, dtype=complex))
+    X = directions_first(pair.p_basis, s.ndim)
+    W = s @ X @ np.swapaxes(s, -1, -2).conj()
     return _ops(field_jets(eta, y, W), np.ndim(p) - 2)
 
 

@@ -24,7 +24,7 @@ from .bases import group_basis
 from .matrices import mat_exp, membership_residual
 
 __all__ = ["SampleConfig", "GENERATOR_NAME", "rng_for",
-           "random_algebra_elements", "random_algebra_element",
+           "random_algebra_elements",
            "random_points", "random_point",
            "random_subgroup_points", "random_subgroup_point",
            "random_pair_points", "random_pair_point",
@@ -83,11 +83,6 @@ def random_algebra_elements(group: str, n: int, cfg: SampleConfig,
     """Samples ``indices`` of the (group, n, cfg) algebra stream, stacked."""
     return _combos(group_basis(group, n).elements, f"{group}:{n}", cfg,
                    indices)
-
-
-def random_algebra_element(group: str, n: int, cfg: SampleConfig,
-                           index: int) -> np.ndarray:
-    return random_algebra_elements(group, n, cfg, (index,))[0]
 
 
 def random_points(group: str, n: int, cfg: SampleConfig, indices) -> np.ndarray:

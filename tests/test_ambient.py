@@ -100,7 +100,7 @@ class TestSphereEigenvalues:
         rng = np.random.default_rng(7)
         f = sphere_phi(n, 1)
         z = random_sphere_point(n, rng)
-        jet = f.evaluator(Jet2(z, z, 0.0))
+        jet = f.evaluator(Jet2(z, z[None], 0.0))
         assert abs(jet.d1) < 1e-10
         assert abs(jet.d2) < 1e-10
 

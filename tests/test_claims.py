@@ -145,8 +145,10 @@ def cartan_passes(monkeypatch):
     original = cartan.cartan_map_jet
 
     def counting(pair, jm):
+        # the directions of the jet, moved after the point axes
         p = np.broadcast_to(jm.v, jm.d1.shape)
-        calls.append(np.swapaxes(p, -1, -2).conj() @ jm.d1)
+        Z = np.swapaxes(p, -1, -2).conj() @ jm.d1
+        calls.append(np.moveaxis(Z, 0, -3))
         return original(pair, jm)
 
     for name, mod in list(sys.modules.items()):

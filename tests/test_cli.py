@@ -135,6 +135,16 @@ class TestEnvPrecedence:
         assert code == 2
         assert "EIGENLAB_SAMPLES" in err
 
+    def test_empty_env_value_means_unset(self, capsys, monkeypatch):
+        # an empty EIGENLAB_OUT writes to stdout, as if it were unset
+        for name in ("OUT", "SAMPLES", "FORMAT", "SEED"):
+            monkeypatch.setenv(f"EIGENLAB_{name}", "")
+        code, out, err = run_cli(capsys, "verify", "--space", "sphere",
+                                 "--samples", "2")
+        assert code == 0
+        assert "claims passed in" in err
+        assert "sphere.lambda" in out
+
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("EIGENLAB_SEED", "9")
         code, out, _ = run_cli(capsys, "verify", "--space", "sphere",
@@ -165,6 +175,14 @@ class TestOutputs:
         assert out == ""
         assert err.startswith(f"eigenlab: cannot write the report to {path}: ")
         assert err.count("\n") == 1
+
+    def test_empty_out_is_a_configuration_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--space", "basis",
+                                 "--out", "")
+        assert code == 2
+        assert out == ""
+        assert err == ("eigenlab: configuration error: empty output path "
+                       "''; omit --out to write the report to stdout\n")
 
     def test_wall_time_on_stderr_only(self, capsys, tmp_path):
         path = tmp_path / "report.jsonl"

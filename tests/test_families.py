@@ -138,7 +138,10 @@ class TestProductFamily:
             p1 = random_pair_point(pair, cfg, i)
             p2 = random_pair_point(pair, cfg, i + 3)
             for mm in F.members[:3]:
-                direct, decomposed = product_tension(mm, p1, p2, B, B)
+                direct = product_tension(mm, p1, p2, B, B)
+                f1, f2 = mm.f1, mm.f2
+                decomposed = (tension(f1.as_field(), p1, B) * f2.value(p2)
+                              + f1.value(p1) * tension(f2.as_field(), p2, B))
                 assert abs(direct - decomposed) <= 1e-9 * max(1, abs(direct))
                 v = mm.value((p1, p2))
                 assert abs(direct - F.lam * v) <= 1e-8 * max(1, abs(v))

@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from eigenlab.matrices import (basis_D, basis_E, basis_X, basis_Y,
                                i_signature, i_signature_doubled, j_matrix,
-                               mat_exp, membership_residual, metric,
-                               quat_embed)
+                               mat_exp, membership_residual, metric)
 from eigenlab.pairs import make_pair
 
 # The seven pairs, up to the largest size the command line accepts.
@@ -166,19 +165,6 @@ class TestStructureMatrices:
         assert_allclose(S, np.diag([1, -1, -1]))
         Sd = i_signature_doubled(1, 2)
         assert_allclose(Sd, np.diag([1, -1, -1, 1, -1, -1]))
-
-    def test_quat_embed_j_compatible(self):
-        # (z, w) -> [[z, w], [-conj(w), conj(z)]] commutes with J as
-        # q J = J conj(q), the quaternionic structure.
-        rng = np.random.default_rng(2)
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        q = quat_embed(z, w)
-        J = j_matrix(2)
-        assert q.shape == (4, 4)
-        assert_allclose(q @ J, J @ q.conj(), atol=1e-14)
-        assert_allclose(q[:2, :2], z)
-        assert_allclose(q[:2, 2:], w)
 
 
 class TestMembership:

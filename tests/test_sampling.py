@@ -11,7 +11,6 @@ from eigenlab.ambient import random_sphere_point
 from eigenlab.matrices import membership_residual
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (GENERATOR_NAME, SampleConfig,
-                               random_algebra_element,
                                random_algebra_elements, random_pair_point,
                                random_pair_points, random_point,
                                random_points, random_sphere_points,
@@ -105,7 +104,7 @@ class TestBatchedDraws:
             lambda i: random_point(group, n, cfg, i),
             lambda idx: random_points(group, n, cfg, idx))
         assert_rows_are_single_draws(
-            lambda i: random_algebra_element(group, n, cfg, i),
+            lambda i: random_algebra_elements(group, n, cfg, (i,))[0],
             lambda idx: random_algebra_elements(group, n, cfg, idx))
 
     @pytest.mark.parametrize("label,n", [("sphere:3", 3), ("cpn:2", 3)])
@@ -141,8 +140,7 @@ class TestMembership:
     def test_algebra_elements_in_algebra(self):
         from eigenlab.bases import algebra_residual
         cfg = SampleConfig(seed=2)
-        for i in range(5):
-            Z = random_algebra_element("sp", 2, cfg, i)
+        for Z in random_algebra_elements("sp", 2, cfg, range(5)):
             assert algebra_residual("sp", Z) < 1e-12
 
     def test_zero_radius_gives_identity(self):
