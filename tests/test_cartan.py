@@ -108,10 +108,19 @@ class TestHarmonicity:
 
     def test_negative_control_square_map(self, pair):
         # p -> p^2 is not harmonic: run the same tangential projection for
-        # it, on the direction-summed second derivative of the route of
-        # map_tension_raw, and expect a loud residual at a generic point.
-        # That sum is the sum of the second derivatives along one
-        # direction at a time.
+        # it and expect a loud residual at a generic point. The second
+        # derivatives are taken along one direction at a time and summed.
+        cfg = SampleConfig(seed=28)
+        p = np.stack([random_pair_point(pair, cfg, i) for i in range(4)])
+        H = sum((j @ j).d2 for j in (JetMatrix.curve(p, Z)
+                                      for Z in pair.ambient.elements))
+        assert tangential_residual(pair, p @ p, H).max() > 1e-2
+
+    def test_negative_control_square_map_laplacian(self, pair):
+        # the same control on the direction-summed jet over the whole
+        # ambient basis, the route of map_tension_raw: its d2 is the sum of
+        # the single-direction second derivatives and leaves the same loud
+        # residual
         cfg = SampleConfig(seed=28)
         p = np.stack([random_pair_point(pair, cfg, i) for i in range(4)])
         jm = JetMatrix.curve(p, pair.ambient.elements)
