@@ -14,7 +14,7 @@ subtract the Hopf-fiber direction from the sphere operators.
 import numpy as np
 
 from eigenlab import (cpn_ops, cpn_phi, random_sphere_point, rotate_field,
-                      sphere_ops, sphere_phi)
+                      sphere_ops, sphere_phi, stack_fields)
 
 rng = np.random.default_rng(42)
 
@@ -31,9 +31,11 @@ for j in range(1, n + 1):
           f"kappa/phi^2 = {(kap / (v * v)).real:>12.8f}")
 print(f"  expected: {-(2 * n - 1)} and -1")
 
-# kappa of two distinct members is -phi_j phi_k: the family is isotropic
+# kappa of two distinct members is -phi_j phi_k: the family is isotropic.
+# kappa pairs the members of one field, so stack the two and read the
+# off-diagonal entry
 f1, f2 = sphere_phi(n, 1), sphere_phi(n, 2)
-_, kap12 = sphere_ops(f1, x, f2)
+kap12 = sphere_ops(stack_fields([f1, f2]), x)[1][0, 1]
 print(f"\nkappa(phi1, phi2) + phi1 phi2 = "
       f"{abs(kap12 + f1.value(x) * f2.value(x)):.2e}")
 

@@ -28,7 +28,7 @@ from .catalog import family_for_space, table_eigenvalues
 from .families import (base_family, polynomial_family, product_family,
                        product_tension)
 from .ambient import (cpn_ops, cpn_phi, random_sphere_point, rotate_field,
-                      sphere_ops, sphere_phi)
+                      sphere_ops, sphere_phi, stack_fields)
 
 __all__ = [
     "__version__",
@@ -45,5 +45,5 @@ __all__ = [
     "family_for_space", "table_eigenvalues",
     "base_family", "polynomial_family", "product_family", "product_tension",
     "cpn_ops", "cpn_phi", "random_sphere_point", "rotate_field",
-    "sphere_ops", "sphere_phi",
+    "sphere_ops", "sphere_phi", "stack_fields",
 ]

@@ -114,26 +114,28 @@ def random_sphere_point(n: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _check_invariant(f: AmbientField, z, moves, tol: float, message: str):
+def _check_invariant(f: AmbientField, z, moves, message: str):
+    """Raise ``message`` unless f(w z) = f(z) to 1e-12 relative to
+    max(1, |f(z)|) for every w in ``moves``."""
     z = np.asarray(z, dtype=complex)
     v = f.value(z)
     scale = np.maximum(1.0, np.abs(v))
     for w in moves:
-        if np.any(np.abs(f.value(w * z) - v) > tol * scale):
+        if np.any(np.abs(f.value(w * z) - v) > 1e-12 * scale):
             raise ValueError(message)
 
 
-def check_homogeneous(f: AmbientField, z, tol: float = 1e-12) -> None:
+def check_homogeneous(f: AmbientField, z) -> None:
     """Reject extensions that are not homogeneous of degree 0:
     f(c z) must equal f(z) for c > 0, at every point of a stack."""
-    _check_invariant(f, z, (0.37, 1.0 + np.pi / 7.0, 2.83), tol,
+    _check_invariant(f, z, (0.37, 1.0 + np.pi / 7.0, 2.83),
                      "field is not homogeneous of degree 0")
 
 
-def check_circle_invariant(f: AmbientField, z, tol: float = 1e-12) -> None:
+def check_circle_invariant(f: AmbientField, z) -> None:
     """Reject functions that do not descend through the Hopf fibration:
     f(e^{i theta} z) must equal f(z), at every point of a stack."""
-    _check_invariant(f, z, np.exp(1j * np.array([0.7, 2.0, 5.1])), tol,
+    _check_invariant(f, z, np.exp(1j * np.array([0.7, 2.0, 5.1])),
                      "field is not S^1-invariant; it does not "
                      "descend to projective space")
 
@@ -159,33 +161,24 @@ def _axis_jets(x, n):
     return Jet2(x, E.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,)))
 
 
-def sphere_ops(f: AmbientField, x, other: AmbientField | None = None):
-    """(tau f, kappa(f, g)) on the unit sphere at x, via the ambient
-    Euclidean second derivatives of the degree-0 extensions summed over the
-    2n coordinate axes.  ``other`` defaults to f."""
+def sphere_ops(f: AmbientField, x):
+    """(tau f, kappa f) on the unit sphere at x, via the ambient Euclidean
+    second derivatives of the degree-0 extension summed over the 2n
+    coordinate axes; kappa pairs every member of f with every member."""
     x = _on_sphere(x)
-    g = f if other is None else other
     check_homogeneous(f, x)
-    if g is not f:
-        check_homogeneous(g, x)
-    lead, dirs = x.shape[:-1], 2 * f.n
-    z = _axis_jets(x, f.n)
-    _, a, tau = f.evaluator(z).broadcast_to(lead, dirs)
-    b = a if g is f else g.evaluator(z).broadcast_to(lead, dirs)[1]
-    return tau[()], gram(a, b, x.ndim - 1)[()]
+    _, a, tau = f.evaluator(_axis_jets(x, f.n)).broadcast_to(
+        x.shape[:-1], 2 * f.n)
+    return tau[()], gram(a, x.ndim - 1)[()]
 
 
-def cpn_ops(f: AmbientField, x, other: AmbientField | None = None):
-    """(tau f, kappa(f, g)) on CP^n at the class of x, via the sphere
+def cpn_ops(f: AmbientField, x):
+    """(tau f, kappa f) on CP^n at the class of x, via the sphere
     operators of the Hopf lift minus the fiber-direction contribution."""
     x = _on_sphere(x)
-    g = f if other is None else other
     check_circle_invariant(f, x)
-    if g is not f:
-        check_circle_invariant(g, x)
-    tau, kap = sphere_ops(f, x, other)
+    tau, kap = sphere_ops(f, x)
     # the 2-jet of the fiber circle s -> e^{is} x, one direction
     z = Jet2(x, 1j * x[None], -x)
     _, a, d2 = f.evaluator(z).broadcast_to(x.shape[:-1], 1)
-    b = a if g is f else g.evaluator(z).broadcast_to(x.shape[:-1], 1)[1]
-    return (tau - d2)[()], (kap - gram(a, b, x.ndim - 1))[()]
+    return (tau - d2)[()], (kap - gram(a, x.ndim - 1))[()]

@@ -58,9 +58,10 @@ class LieBasisSet:
         return self.elements[k]
 
 
-def gram_schmidt(vectors, drop_tol: float = 1e-10) -> np.ndarray:
+def gram_schmidt(vectors) -> np.ndarray:
     """Gram-Schmidt over the real inner product g, with one
-    reorthogonalization pass (CGS2); numerically null vectors are dropped.
+    reorthogonalization pass (CGS2); vectors whose remainder has norm
+    1e-10 or less are dropped.
 
     ``vectors`` is a stack of matrices; the result is the stack of the
     orthonormal ones kept, in order.  g(Z, W) = Re tr(Z conj(W)^t) is the
@@ -77,7 +78,7 @@ def gram_schmidt(vectors, drop_tol: float = 1e-10) -> np.ndarray:
         for _ in range(2):
             w = w - (Q[:kept] @ w) @ Q[:kept]
         nrm = np.sqrt(w @ w)
-        if nrm > drop_tol:
+        if nrm > 1e-10:
             Q[kept] = w / nrm
             kept += 1
     return Q[:kept].view(complex).reshape((kept,) + shape)

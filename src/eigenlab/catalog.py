@@ -96,10 +96,6 @@ class Eigenfunction:
     params: dict = field(default_factory=dict)
     direct: object = field(default=None, repr=False)  # independent closed form
 
-    @property
-    def matrix_size(self) -> int:
-        return self.pair.matrix_size
-
     def eta_value(self, y: np.ndarray):
         """The affine functional on the image, eta(y) = tr(y B) + c."""
         return (trace_form(y, self.B) + self.c)[()]

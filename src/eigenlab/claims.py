@@ -74,6 +74,9 @@ POLY_SPACES = (("sp-grassmannian", 1, 1), ("u-grassmannian", 1, 1))
 POLY_DEGREES = (2, 3)
 PRODUCT_SPACE = ("sp-grassmannian", 1, 1)
 CPN_ALPHA = 1
+# the eigenvalue fits read the samples with |phi| (or |phi psi|) >=
+# 10^FIT_DECADE
+FIT_DECADE = -3
 FORMATS = ("json-lines", "tsv", "human-table")
 
 
@@ -106,8 +109,8 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise ConfigError("empty space selection")
     if config.samples < 1:
         raise ConfigError("samples must be a positive integer")
-    if config.tol is not None and not config.tol > 0:
-        raise ConfigError("tolerance must be positive")
+    if config.tol is not None and not 0 < config.tol < np.inf:
+        raise ConfigError("tolerance must be positive and finite")
     if config.seed < 0:
         raise ConfigError("seed must be non-negative")
     if config.fmt not in FORMATS:
@@ -172,11 +175,12 @@ def _rel(x, ref):
     return np.abs(np.asarray(x) - ref) / np.maximum(1.0, np.abs(ref))
 
 
-def _fit(num, den, floor: float = 1e-3):
-    """Least-squares ratio num/den over entries with |den| >= floor."""
+def _fit(num, den):
+    """Least-squares ratio num/den over entries with
+    |den| >= 10^FIT_DECADE."""
     num = np.asarray(num).ravel()
     den = np.asarray(den).ravel()
-    mask = np.abs(den) >= floor
+    mask = np.abs(den) >= 10.0 ** FIT_DECADE
     if not mask.any():
         return None
     d = den[mask]
@@ -227,7 +231,8 @@ def _eigen_claims(ids, space, params, values, tau, kappa, lam, mu, tol,
         r = _result(cid, space, params, len(values), _rel(x, ev * den), ev,
                     fit, tol, detail)
         out.append(r if fit is not None else replace(
-            r, passed=False, detail=f"no sample had {name} >= 1e-3"))
+            r, passed=False,
+            detail=f"no sample had {name} >= 1e{FIT_DECADE}"))
     return out
 
 
@@ -320,7 +325,7 @@ def _trace_jets(pair, forms, points):
 
 def _jet_ops(j):
     """(value, tau, kappa) of a Jet2 over one point axis."""
-    return j.v, j.d2, gram(j.d1, j.d1, 1)
+    return j.v, j.d2, gram(j.d1, 1)
 
 
 def _poly_ops(pair, PF, points):
@@ -365,7 +370,7 @@ def _cartan_pass(pair, forms, points):
     return (phi, pullback_ratio(jp.d1, jp.d1, X, X),
             pullback_ratio(jk.d1, jk.d1, V, V),
             tangential_residual(pair, phi, raw), trace_form(raw, forms.B),
-            gram(d1, d1, 1), casimir)
+            gram(d1, 1), casimir)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +457,13 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
                          for mm in members]
                         for alpha, members in zip(alphas, blocks)])
         prod = np.einsum("...j,...k->...jk", values, values)
+        # per point: the lambda residuals, then the mu residuals
+        P = len(values)
         out.append(_result(
-            ids[2], space, params, len(values),
-            np.concatenate([_rel(tau, first.lam * values)[:, new].ravel(),
-                            _rel(kappa, first.mu * prod)[:, new].ravel()]),
+            ids[2], space, params, P,
+            np.concatenate([_rel(tau, first.lam * values)[:, new],
+                            _rel(kappa, first.mu * prod)[:, new]
+                            .reshape(P, -1)], axis=1),
             None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
     return out

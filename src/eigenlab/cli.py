@@ -156,26 +156,20 @@ def _cmd_table(config: RunConfig) -> int:
     results = [r for r in run_claims(config, prefix="table1.")
                if r.claim_id.startswith("table1.")]
     wall = time.perf_counter() - start
-    by_key = {}
-    for r in results:
-        key = (ROW_BY_SPACE[r.space], r.space,
-               r.params.get("m"), r.params["n"])
-        by_key.setdefault(key, {})[r.claim_id.split(".")[2].split("[")[0]] = r
     rows = [("ROW", "SPACE", "SIZE", "LAMBDA", "MEASURED",
              "MU", "MEASURED", "STATUS")]
+    fmt_m = lambda r: "-" if r.measured is None \
+        else format(r.measured.real, ".10g")
     ok = True
-    for key in sorted(by_key):
-        row, space, m, n = key
-        pair_claims = by_key[key]
-        lam, mu = pair_claims.get("lambda"), pair_claims.get("mu")
-        passed = all(r.passed for r in pair_claims.values())
+    # the jobs run in row order, each giving its (lambda, mu) pair
+    for lam, mu in zip(results[::2], results[1::2]):
+        passed = lam.passed and mu.passed
         ok = ok and passed
-        fmt_e = lambda r: "-" if r is None or r.expected is None \
-            else format(r.expected, ".10g")
-        fmt_m = lambda r: "-" if r is None or r.measured is None \
-            else format(r.measured.real, ".10g")
-        rows.append((str(row), space, space_label(space, m, n),
-                     fmt_e(lam), fmt_m(lam), fmt_e(mu), fmt_m(mu),
+        space = lam.space
+        rows.append((str(ROW_BY_SPACE[space]), space,
+                     space_label(space, lam.params.get("m"), lam.params["n"]),
+                     format(lam.expected, ".10g"), fmt_m(lam),
+                     format(mu.expected, ".10g"), fmt_m(mu),
                      "ok" if passed else "FAIL"))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = ["eigenvalues on the classical compact symmetric spaces "

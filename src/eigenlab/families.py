@@ -30,14 +30,11 @@ __all__ = [
     "EigenFamily",
     "PolyMember",
     "ProductMember",
-    "ConstantMember",
     "base_family",
-    "constant_family",
     "polynomial_family",
     "product_family",
     "product_ops",
     "product_tension",
-    "product_conformality",
 ]
 
 MONOMIAL_CAP = 200
@@ -68,27 +65,6 @@ def base_family(members) -> EigenFamily:
         if m.space != space or m.lam != lam or m.mu != mu:
             raise ValueError("family members must share space and (lambda, mu)")
     return EigenFamily(space, members, lam, mu)
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantMember:
-    """The constant function 1, a (0, 0)-eigenfunction on any space."""
-
-    pair: object
-    space: str = "constant"
-    name: str = "1"
-    lam: complex = 0.0
-    mu: complex = 0.0
-
-    def value(self, q) -> complex:
-        return 1.0 + 0.0j
-
-    def as_field(self):
-        return lambda jm: Jet2.constant(1.0)
-
-
-def constant_family(pair) -> EigenFamily:
-    return base_family([ConstantMember(pair)])
 
 
 # ---------------------------------------------------------------------------
@@ -227,49 +203,21 @@ def product_family(F1: EigenFamily, F2: EigenFamily) -> EigenFamily:
     return EigenFamily(space, members, lam, mu)
 
 
-def _factor_jets(member, p1, p2, basis1, basis2):
-    return (field_jets(member.f1.as_field(), p1, basis1),
-            field_jets(member.f2.as_field(), p2, basis2))
-
-
-def _product_d1(jets):
-    """The first derivatives of phi1(p1) phi2(p2) along basis1, which
-    moves p1 only, then basis2, concatenated on the direction axis."""
-    (v1, a1, _), (v2, a2, _) = jets
-    return np.concatenate([a1 * v2, v1 * a2])
-
-
 def product_ops(jets, points: int):
     """(phi, tau(phi), kappa(phi, phi)) of phi1(p1) phi2(p2) from the
     factors' (value, d1, tau) over ``points`` point axes:
     tau = tau1 phi2 + phi1 tau2, and kappa the Gram product of the
-    derivatives along the concatenated directions.  The factors' member
-    axes pair elementwise, so factors that stack the factors of a whole
-    product family evaluate that family, and kappa pairs every member with
-    every member."""
-    (v1, _, t1), (v2, _, t2) = jets
-    d1 = _product_d1(jets)
-    return (v1 * v2)[()], (t1 * v2 + v1 * t2)[()], gram(d1, d1, points)[()]
+    derivatives along basis1, which moves p1 only, then basis2.  The
+    factors' member axes pair elementwise, so factors that stack the
+    factors of a whole product family evaluate that family, and kappa
+    pairs every member with every member."""
+    (v1, a1, t1), (v2, a2, t2) = jets
+    d1 = np.concatenate([a1 * v2, v1 * a2])
+    return (v1 * v2)[()], (t1 * v2 + v1 * t2)[()], gram(d1, points)[()]
 
 
 def product_tension(member: ProductMember, p1, p2, basis1, basis2):
     """tau on the product over the concatenated basis."""
-    jets = _factor_jets(member, p1, p2, basis1, basis2)
+    jets = (field_jets(member.f1.as_field(), p1, basis1),
+            field_jets(member.f2.as_field(), p2, basis2))
     return product_ops(jets, np.ndim(p1) - 2)[1]
-
-
-def product_conformality(ma: ProductMember, mb: ProductMember, p1, p2,
-                         basis1, basis2):
-    """kappa(phi, psi) on the product over the concatenated basis, plus the
-    decomposed value kappa1 psi2 phi2 + kappa2 phi1 psi1."""
-    points = np.ndim(p1) - 2
-    g = lambda a, b: gram(a, b, points)
-    ja = _factor_jets(ma, p1, p2, basis1, basis2)
-    jb = _factor_jets(mb, p1, p2, basis1, basis2)
-    direct = g(_product_d1(ja), _product_d1(jb))
-    (va1, a1, _), (va2, a2, _) = ja
-    (vb1, b1, _), (vb2, b2, _) = jb
-    # the outer product of the values: a Gram product over one direction
-    outer = lambda a, b: g(a[None], b[None])
-    decomposed = g(a1, b1) * outer(va2, vb2) + outer(va1, vb1) * g(a2, b2)
-    return direct[()], decomposed[()]

@@ -57,15 +57,17 @@ def _as_jet(x):
     return x if isinstance(x, Jet2) else Jet2(x)
 
 
-def gram(a, b, points: int = 0):
-    """sum over the directions of a_j b_k, for a and b laid out as the
-    first derivatives of a jet: (dirs, *points, *members) with ``points``
-    point axes.  j and k are on the last member axes; earlier member axes
-    pair elementwise, like the point axes.  Without member axes, the sum
-    of a b.  One matmul of (..., j, dirs) by (..., dirs, k)."""
+def gram(a, points: int):
+    """sum over the directions of a_j a_k, for ``a`` laid out as the first
+    derivatives of a jet: (dirs, *points, *members) with ``points`` point
+    axes.  j and k are on the last member axis; earlier member axes pair
+    elementwise, like the point axes.  Without member axes, the sum of
+    a^2.  One matmul of (..., j, dirs) by (..., dirs, k).  To pair two
+    quantities, stack them on a member axis and read the off-diagonal
+    entry."""
     if a.ndim == points + 1:
-        return gram(a[..., None], b[..., None], points)[..., 0, 0]
-    return np.moveaxis(a, 0, -1) @ np.moveaxis(b, 0, -2)
+        return gram(a[..., None], points)[..., 0, 0]
+    return np.moveaxis(a, 0, -1) @ np.moveaxis(a, 0, -2)
 
 
 class Jet2:
@@ -104,11 +106,6 @@ class Jet2:
     @classmethod
     def constant(cls, v):
         return cls(v, 0.0, 0.0)
-
-    @classmethod
-    def variable(cls, v):
-        """The jet of s -> v + s."""
-        return cls(v, 1.0, 0.0)
 
     @classmethod
     def stack(cls, jets):

@@ -67,7 +67,7 @@ def field_jets(field, p: np.ndarray, directions):
 
 def _ops(jets, points: int):
     v, d1, tau = jets
-    return v[()], tau[()], gram(d1, d1, points)[()]
+    return v[()], tau[()], gram(d1, points)[()]
 
 
 def field_ops(field, p: np.ndarray, basis):
@@ -81,11 +81,12 @@ def tension(field, p: np.ndarray, basis):
     return field_ops(field, p, basis)[1]
 
 
-def conformality(field, other, p: np.ndarray, basis):
-    """kappa(phi, psi)(p) = sum over the basis of Z(phi) Z(psi); complex
-    bilinear in both slots, with the member axes of phi then psi."""
-    a, b = (field_jets(f, p, basis)[1] for f in (field, other))
-    return gram(a, b, np.ndim(p) - 2)[()]
+def conformality(field, p: np.ndarray, basis):
+    """kappa(phi, psi)(p) = sum over the basis of Z(phi) Z(psi) for every
+    pair of members of the field: their Gram matrix, complex bilinear.  To
+    pair two functions, stack them into one field and read the
+    off-diagonal entry."""
+    return field_ops(field, p, basis)[2]
 
 
 def quotient_ops(pair, field, p: np.ndarray):

@@ -1,7 +1,7 @@
 """Deterministic pseudo-random points on the classical compact groups.
 
 Points are mat_exp of a random Lie-algebra element with coefficients drawn
-uniformly from [-radius, radius].  Streams are counter-based (Philox keyed
+uniformly from [-RADIUS, RADIUS].  Streams are counter-based (Philox keyed
 by a hash of the stream label and seed, counter = index * 2^64), so sample
 ``index`` of a given configuration is O(1) to reach, stateless, and
 bitwise-reproducible; parallel generation is safe.
@@ -34,17 +34,16 @@ GENERATOR_NAME = "philox-4x64"
 
 _WORD = (1 << 64) - 1
 
+RADIUS = 1.5
+
 
 @dataclass(frozen=True)
 class SampleConfig:
     seed: int = 0
-    radius: float = 1.5
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
 
 
 def _generators(label: str, seed: int, indices):
@@ -73,7 +72,7 @@ def rng_for(label: str, seed: int, index: int) -> np.random.Generator:
 
 def _combos(basis_els: np.ndarray, label: str, cfg: SampleConfig, indices):
     width = basis_els.shape[0]
-    coeff = np.array([rng.uniform(-cfg.radius, cfg.radius, size=width)
+    coeff = np.array([rng.uniform(-RADIUS, RADIUS, size=width)
                       for rng in _generators(label, cfg.seed, indices)])
     return np.einsum("kb,bij->kij", coeff.reshape(-1, width), basis_els)
 

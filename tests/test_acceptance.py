@@ -183,6 +183,7 @@ def test_criterion_10_property_suites():
     # relations of the k/p splits; module tolerances.
     from numpy.testing import assert_allclose
     from eigenlab.bases import gram_matrix, group_basis
+    from eigenlab.jets import Jet2
     from eigenlab.matrices import metric
     from eigenlab.operators import (conformality, field_value,
                                     finite_difference_derivs,
@@ -201,12 +202,14 @@ def test_criterion_10_property_suites():
     f = lambda jm: jm[..., 0, 1]
     g = lambda jm: jm[..., 1, 2]
     fg = lambda jm: jm[..., 0, 1] * jm[..., 1, 2]
+    # kappa(f, g) is the (0, 1) entry of the Gram matrix of [f, g]
+    f_and_g = lambda jm: Jet2.stack([f(jm), g(jm)])
     cfg = SampleConfig(seed=99)
     for i in range(10):
         p = random_point("su", n, cfg, i)
         lhs = tension(fg, p, B)
         rhs = (tension(f, p, B) * field_value(g, p)
-               + 2 * conformality(f, g, p, B)
+               + 2 * conformality(f_and_g, p, B)[0, 1]
                + field_value(f, p) * tension(g, p, B))
         assert abs(lhs - rhs) <= 1e-9 * max(1, abs(rhs))
 

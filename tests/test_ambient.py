@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from eigenlab.ambient import (AmbientField, check_circle_invariant,
                               check_homogeneous, cpn_ops, cpn_phi,
                               random_sphere_point, rotate_field, sphere_ops,
-                              sphere_phi)
+                              sphere_phi, stack_fields)
 from eigenlab.jets import Jet2
 
 
@@ -90,7 +90,7 @@ class TestSphereEigenvalues:
         f, g = sphere_phi(n, 1), sphere_phi(n, 2)
         for _ in range(10):
             z = random_sphere_point(n, rng)
-            _, kap = sphere_ops(f, z, g)
+            kap = sphere_ops(stack_fields([f, g]), z)[1][0, 1]
             prod = f.value(z) * g.value(z)
             assert abs(kap + prod) <= 1e-8 * max(1, abs(prod))
 
@@ -141,7 +141,7 @@ class TestProjectiveEigenvalues:
         f, g = cpn_phi(n, 1, 2), cpn_phi(n, 1, 3)
         for _ in range(10):
             z = random_sphere_point(n + 1, rng)
-            _, kap = cpn_ops(f, z, g)
+            kap = cpn_ops(stack_fields([f, g]), z)[1][0, 1]
             prod = f.value(z) * g.value(z)
             assert abs(kap + 4 * prod) <= 1e-8 * max(1, abs(prod))
 

@@ -46,6 +46,7 @@ def claim_ids(config):
     (RunConfig(spaces=("cpn",), m=2), "'cpn' takes --n only"),
     (RunConfig(spaces=("su-sp",), n=1), "'su-sp' requires n >= 2"),
     (RunConfig(spaces=("so-u",), n=1), "'so-u' requires n >= 2"),
+    (RunConfig(tol=float("inf")), "tolerance must be positive and finite"),
 ])
 def test_config_rules(config, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -315,6 +316,25 @@ def test_each_family_is_built_once(monkeypatch):
     results = run_claims(RunConfig(samples=4))
     assert all(r.passed for r in results)
     assert len(calls) == len(set(calls)) > 0
+
+
+def test_sampled_claims_score_residuals_point_major(monkeypatch):
+    # every claim read from samples hands _result its residuals with the
+    # sample axis first, so they can be read point by point
+    shapes = {}
+    original = claims._result
+
+    def recording(claim_id, space, params, samples, residuals, *args,
+                  **kwargs):
+        if samples > 0:
+            shapes[claim_id] = np.shape(residuals)
+        return original(claim_id, space, params, samples, residuals, *args,
+                        **kwargs)
+
+    monkeypatch.setattr(claims, "_result", recording)
+    run_claims(RunConfig(samples=7))
+    assert shapes
+    assert [c for c, shape in shapes.items() if shape[:1] != (7,)] == []
 
 
 def test_a_wrong_involution_fails_the_cartan_claims(monkeypatch):

@@ -145,6 +145,16 @@ class TestEnvPrecedence:
         assert "claims passed in" in err
         assert "sphere.lambda" in out
 
+    def test_infinite_env_tolerance_exits_two(self, capsys, monkeypatch):
+        # tol = inf would pass every fitted claim and write "tol":inf,
+        # which is not JSON
+        monkeypatch.setenv("EIGENLAB_TOL", "inf")
+        code, out, err = run_cli(capsys, "verify", "--space", "sphere",
+                                 "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive and finite" in err
+
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("EIGENLAB_SEED", "9")
         code, out, _ = run_cli(capsys, "verify", "--space", "sphere",

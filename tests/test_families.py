@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from eigenlab.catalog import family_for_space
-from eigenlab.families import (base_family, constant_family,
-                               polynomial_family, product_conformality,
-                               product_family, product_tension)
-from eigenlab.operators import field_value, tension
+from eigenlab.catalog import family_for_space, stack_members
+from eigenlab.families import (base_family, polynomial_family,
+                               product_family, product_ops, product_tension)
+from eigenlab.operators import conformality, field_jets, field_value, tension
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import SampleConfig, random_pair_point
 
@@ -109,15 +108,6 @@ class TestProductFamily:
         b = product_family(other, quat11)
         assert (a.lam, a.mu) == (b.lam, b.mu)
 
-    def test_constant_factor_neutral(self, quat11):
-        pair = quat11.members[0].pair
-        F = product_family(quat11, constant_family(pair))
-        assert (F.lam, F.mu) == (quat11.lam, quat11.mu)
-        cfg = SampleConfig(seed=52)
-        p = random_pair_point(pair, cfg, 0)
-        for mm, base in zip(F, quat11):
-            assert abs(mm.value((p, p)) - base.value(p)) < 1e-14
-
     def test_member_values_multiply(self, quat11):
         F = product_family(quat11, quat11)
         cfg = SampleConfig(seed=53)
@@ -154,18 +144,19 @@ class TestProductFamily:
         p1 = random_pair_point(pair, cfg, 0)
         p2 = random_pair_point(pair, cfg, 1)
         ma, mb = F.members[0], F.members[4]
-        direct, decomposed = product_conformality(ma, mb, p1, p2, B, B)
+        # kappa(phi, psi) is the off-diagonal entry of the product law on
+        # factors stacked over the two members
+        f1, f2 = (stack_members([getattr(ma, f), getattr(mb, f)])
+                  for f in ("f1", "f2"))
+        jets = (field_jets(f1.as_field(), p1, B),
+                field_jets(f2.as_field(), p2, B))
+        direct = product_ops(jets, 0)[2][0, 1]
+        # kappa1(phi1, psi1) phi2 psi2 + phi1 psi1 kappa2(phi2, psi2)
+        k1 = conformality(f1.as_field(), p1, B)[0, 1]
+        k2 = conformality(f2.as_field(), p2, B)[0, 1]
+        decomposed = (k1 * ma.f2.value(p2) * mb.f2.value(p2)
+                      + ma.f1.value(p1) * mb.f1.value(p1) * k2)
         assert abs(direct - decomposed) <= 1e-9 * max(1, abs(direct))
         prod = ma.value((p1, p2)) * mb.value((p1, p2))
         assert abs(direct - F.mu * prod) <= 1e-8 * max(1, abs(prod))
 
-
-class TestConstantFamily:
-    def test_constant_member(self):
-        pair = make_pair("su-so", n=2)
-        F = constant_family(pair)
-        assert (F.lam, F.mu) == (0.0, 0.0)
-        mm = F.members[0]
-        assert mm.value(np.eye(2)) == 1.0
-        t = tension(mm.as_field(), np.eye(2), pair.ambient)
-        assert t == 0

@@ -97,7 +97,7 @@ class TestJet2:
     def test_variable_chain(self):
         # f(s) = (x + s)^2 at s=0: value x^2, d1 = 2x, d2 = 2.
         x = 1.7 - 0.3j
-        f = Jet2.variable(x) ** 2
+        f = Jet2(x, 1.0) ** 2
         assert_allclose(jt(f), (x * x, 2 * x, 2), atol=1e-15)
 
     def test_constant_has_zero_derivs(self):
@@ -402,21 +402,22 @@ class TestArrayJets:
                                 rtol=1e-13)
 
     def test_gram_pairs_the_last_member_axis_only(self):
-        # (dirs, points, A, K): the A families pair elementwise
+        # (dirs, points, A, K): the A families pair elementwise; a's
+        # members against b's are the off-diagonal block of their stack
         rng = np.random.default_rng(15)
         a, b = self.rand(rng, (6, 2, 3, 4)), self.rand(rng, (6, 2, 3, 5))
-        got = gram(a, b, 1)
-        assert got.shape == (2, 3, 4, 5)
+        s = np.concatenate([a, b], axis=-1)
+        got = gram(s, 1)
+        assert got.shape == (2, 3, 9, 9)
         for i in range(3):
-            ref = gram(a[:, :, i], b[:, :, i], 1)
-            assert ref.shape == (2, 4, 5)
+            ref = gram(s[:, :, i], 1)
+            assert ref.shape == (2, 9, 9)
             assert_allclose(got[:, i], ref, rtol=1e-13)
-            assert_allclose(ref, np.einsum("bpj,bpk->pjk", a[:, :, i],
-                                           b[:, :, i]), rtol=1e-13)
-        flat = gram(a[..., 0, 0], b[..., 0, 0], 1)
+            assert_allclose(ref[:, :4, 4:], np.einsum(
+                "bpj,bpk->pjk", a[:, :, i], b[:, :, i]), rtol=1e-13)
+        flat = gram(a[..., 0, 0], 1)
         assert flat.shape == (2,)
-        assert_allclose(flat, (a[..., 0, 0] * b[..., 0, 0]).sum(axis=0),
-                        rtol=1e-13)
+        assert_allclose(flat, (a[..., 0, 0] ** 2).sum(axis=0), rtol=1e-13)
 
     def test_entry_index_gives_batched_jet2(self):
         rng = np.random.default_rng(13)
@@ -499,6 +500,17 @@ def einsum_gram(a, b, points):
     return np.einsum("b...j,b...k->...jk", a, b)
 
 
+def stacked_pair(a, b, points):
+    """a and b as one derivative stack, b's members after a's (on a member
+    axis of one each if they have none) and the leading axes broadcast;
+    and the index of b's first member."""
+    if a.ndim == points + 1:
+        a, b = a[..., None], b[..., None]
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    parts = [np.broadcast_to(x, lead + x.shape[-1:]) for x in (a, b)]
+    return np.concatenate(parts, axis=-1), a.shape[-1]
+
+
 class TestGram:
     """gram is one matmul; the einsum reference differs from it only in
     the order of summation, so the tolerance is fixed at 1e-12 relative
@@ -525,6 +537,10 @@ class TestGram:
         rand = lambda shape: rng.standard_normal(shape) + (
             1j * rng.standard_normal(shape) if complex_ else 0.0)
         a, b = rand(ashape), rand(bshape)
-        got = gram(a, b, points)
+        got = gram(a, points)
         assert np.iscomplexobj(got) == complex_
-        self.close(got, einsum_gram(a, b, points))
+        self.close(got, einsum_gram(a, a, points))
+        # a against b: the off-diagonal block of their stack's Gram matrix
+        s, j = stacked_pair(a, b, points)
+        ref = einsum_gram(a, b, points)
+        self.close(gram(s, points)[..., :j, j:].reshape(ref.shape), ref)

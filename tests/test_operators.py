@@ -24,6 +24,12 @@ def const_field(group, n, c):
     return lambda jm: Jet2.constant(c)
 
 
+def stacked(*fields):
+    """One field whose members are ``fields``: kappa(f, g) is the (0, 1)
+    entry of its Gram matrix."""
+    return lambda jm: Jet2.stack([f(jm) for f in fields])
+
+
 class TestDirectionDerivs:
     def test_constant(self):
         f = const_field("so", 2, 1.0)
@@ -78,7 +84,7 @@ class TestTension:
             p = random_point("su", n, cfg, i)
             lhs = tension(prod, p, B)
             rhs = (tension(f, p, B) * field_value(g, p)
-                   + 2 * conformality(f, g, p, B)
+                   + 2 * conformality(stacked(f, g), p, B)[0, 1]
                    + field_value(f, p) * tension(g, p, B))
             assert abs(lhs - rhs) <= 1e-9 * max(1, abs(rhs))
 
@@ -89,7 +95,7 @@ class TestConformality:
         f = entry_field("so", 3, 0, 1)
         c = const_field("so", 3, 2.0)
         p = random_point("so", 3, SampleConfig(seed=9), 0)
-        assert conformality(f, c, p, B) == 0
+        assert conformality(stacked(f, c), p, B)[0, 1] == 0
 
     def test_symmetric(self):
         B = group_basis("su", 3)
@@ -98,13 +104,13 @@ class TestConformality:
         cfg = SampleConfig(seed=10)
         for i in range(10):
             p = random_point("su", 3, cfg, i)
-            assert abs(conformality(f, g, p, B)
-                       - conformality(g, f, p, B)) < 1e-12
+            k = conformality(stacked(f, g), p, B)
+            assert abs(k[0, 1] - k[1, 0]) < 1e-12
 
     def test_so2_diagonal_square(self):
         B = group_basis("so", 2)
         f = entry_field("so", 2, 0, 0)
-        k = conformality(f, f, np.eye(2), B)
+        k = conformality(f, np.eye(2), B)
         assert_allclose(k, 0, atol=1e-15)  # (I Y12)_11 = 0
 
 

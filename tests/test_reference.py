@@ -220,7 +220,7 @@ def test_single_member_operators(case):
     close(members[0].value(pts), [field_value(r, p) for p in pts])
     close(operators.tension(f, pts, pair.p_basis),
           [ref_tension(r, p, pair.p_basis) for p in pts])
-    close(operators.conformality(f, f, pts, pair.ambient),
+    close(operators.conformality(f, pts, pair.ambient),
           [ref_conformality(r, r, p, pair.ambient) for p in pts])
     horiz, full, kap = operators.quotient_ops(pair, f, pts)
     close(horiz, [ref_tension(r, p, pair.p_basis) for p in pts])
@@ -297,7 +297,7 @@ def test_phi_bundle(case):
               for alpha in _alpha_range(pair.space, pair.m, pair.n)]
     j = _trace_jets(pair, catalog.stack_members(
         map(catalog.stack_members, blocks)), pts)
-    grid = (j.v, j.d2, gram(j.d1, j.d1))
+    grid = (j.v, j.d2, gram(j.d1, 1))
     for a, members in enumerate(blocks):
         ref = operators.field_ops(catalog.stack_members(members).as_field(),
                                   pts, pair.ambient)
@@ -345,12 +345,14 @@ def test_product_operators(case):
     close(families.product_tension(ma, pts, pts2, els, els),
           [ref_product(ma, ma, p1, p2, els, pair)[0]
            for p1, p2 in zip(pts, pts2)])
-    direct, decomposed = families.product_conformality(ma, mb, pts, pts2,
-                                                       els, els)
-    ref = [ref_product(ma, mb, p1, p2, els, pair)[1]
-           for p1, p2 in zip(pts, pts2)]
-    close(direct, ref)
-    close(decomposed, ref)
+    # the per-point route: the product law on the factors' fields, stacked
+    # over ma and mb, pairs them in the off-diagonal entry
+    factors = ([ma.f1, mb.f1], [ma.f2, mb.f2])
+    jets = [operators.field_jets(catalog.stack_members(f).as_field(), p, els)
+            for f, p in zip(factors, (pts, pts2))]
+    close(families.product_ops(jets, 1)[2][:, 0, 1],
+          [ref_product(ma, mb, p1, p2, els, pair)[1]
+           for p1, p2 in zip(pts, pts2)])
 
 
 GRID_CASES = [(space, m, n)
@@ -400,9 +402,13 @@ def test_sphere_ops(n):
     close(tau, [[ref_sphere_ops(f, f, x)[0] for f in fields] for x in xs])
     close(kap, [[[ref_sphere_ops(f, g, x)[1] for g in fields] for f in fields]
                 for x in xs])
-    tau, kap = ambient.sphere_ops(fields[0], xs, fields[-1])
-    close(tau, [ref_sphere_ops(fields[0], fields[-1], x)[0] for x in xs])
-    close(kap, [ref_sphere_ops(fields[0], fields[-1], x)[1] for x in xs])
+    # two fields pair through their stack, in the off-diagonal entry
+    tau, kap = ambient.sphere_ops(
+        ambient.stack_fields([fields[0], fields[-1]]), xs)
+    close(tau[:, 0], [ref_sphere_ops(fields[0], fields[-1], x)[0]
+                      for x in xs])
+    close(kap[:, 0, 1], [ref_sphere_ops(fields[0], fields[-1], x)[1]
+                         for x in xs])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -416,6 +422,8 @@ def test_cpn_ops(n):
     close(tau, [[ref_cpn_ops(f, f, x)[0] for f in fields] for x in xs])
     close(kap, [[[ref_cpn_ops(f, g, x)[1] for g in fields] for f in fields]
                 for x in xs])
-    tau, kap = ambient.cpn_ops(fields[0], xs, fields[-1])
-    close(tau, [ref_cpn_ops(fields[0], fields[-1], x)[0] for x in xs])
-    close(kap, [ref_cpn_ops(fields[0], fields[-1], x)[1] for x in xs])
+    tau, kap = ambient.cpn_ops(
+        ambient.stack_fields([fields[0], fields[-1]]), xs)
+    close(tau[:, 0], [ref_cpn_ops(fields[0], fields[-1], x)[0] for x in xs])
+    close(kap[:, 0, 1], [ref_cpn_ops(fields[0], fields[-1], x)[1]
+                         for x in xs])

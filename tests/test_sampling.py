@@ -4,13 +4,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from eigenlab import sampling
 from eigenlab.ambient import random_sphere_point
 from eigenlab.matrices import membership_residual
 from eigenlab.pairs import make_pair
-from eigenlab.sampling import (GENERATOR_NAME, SampleConfig,
+from eigenlab.sampling import (GENERATOR_NAME, RADIUS, SampleConfig,
                                random_algebra_elements, random_pair_point,
                                random_pair_points, random_point,
                                random_points, random_sphere_points,
@@ -143,11 +142,6 @@ class TestMembership:
         for Z in random_algebra_elements("sp", 2, cfg, range(5)):
             assert algebra_residual("sp", Z) < 1e-12
 
-    def test_zero_radius_gives_identity(self):
-        cfg = SampleConfig(seed=0, radius=0.0)
-        q = random_point("su", 3, cfg, 0)
-        assert_allclose(q, np.eye(3), atol=1e-15)
-
     def test_subgroup_points_fixed_by_sigma(self):
         pair = make_pair("u-grassmannian", m=1, n=2)
         cfg = SampleConfig(seed=4)
@@ -169,10 +163,5 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SampleConfig(seed=-1)
 
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            SampleConfig(radius=-0.5)
-
     def test_defaults(self):
-        cfg = SampleConfig()
-        assert (cfg.seed, cfg.radius) == (0, 1.5)
+        assert (SampleConfig().seed, RADIUS) == (0, 1.5)
