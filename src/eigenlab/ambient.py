@@ -125,17 +125,22 @@ def _check_invariant(f: AmbientField, z, moves, message: str):
             raise ValueError(message)
 
 
+# the moves the invariance checks try: scalings c > 0, c != 1, and phases
+# e^{i theta}, theta != 0
+_SCALES = np.array([0.37, 1.0 + np.pi / 7.0, 2.83])
+_PHASES = np.exp(1j * np.array([0.7, 2.0, 5.1]))
+
+
 def check_homogeneous(f: AmbientField, z) -> None:
     """Reject extensions that are not homogeneous of degree 0:
     f(c z) must equal f(z) for c > 0, at every point of a stack."""
-    _check_invariant(f, z, (0.37, 1.0 + np.pi / 7.0, 2.83),
-                     "field is not homogeneous of degree 0")
+    _check_invariant(f, z, _SCALES, "field is not homogeneous of degree 0")
 
 
 def check_circle_invariant(f: AmbientField, z) -> None:
     """Reject functions that do not descend through the Hopf fibration:
     f(e^{i theta} z) must equal f(z), at every point of a stack."""
-    _check_invariant(f, z, np.exp(1j * np.array([0.7, 2.0, 5.1])),
+    _check_invariant(f, z, _PHASES,
                      "field is not S^1-invariant; it does not "
                      "descend to projective space")
 
@@ -161,23 +166,34 @@ def _axis_jets(x, n):
     return Jet2(x, E.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,)))
 
 
+def _sphere_ops(f: AmbientField, x):
+    """sphere_ops on points already on the sphere, with no guard."""
+    _, a, tau = f.evaluator(_axis_jets(x, f.n)).broadcast_to(
+        x.shape[:-1], 2 * f.n)
+    return tau[()], gram(a, x.ndim - 1)[()]
+
+
 def sphere_ops(f: AmbientField, x):
     """(tau f, kappa f) on the unit sphere at x, via the ambient Euclidean
     second derivatives of the degree-0 extension summed over the 2n
     coordinate axes; kappa pairs every member of f with every member."""
     x = _on_sphere(x)
     check_homogeneous(f, x)
-    _, a, tau = f.evaluator(_axis_jets(x, f.n)).broadcast_to(
-        x.shape[:-1], 2 * f.n)
-    return tau[()], gram(a, x.ndim - 1)[()]
+    return _sphere_ops(f, x)
 
 
 def cpn_ops(f: AmbientField, x):
     """(tau f, kappa f) on CP^n at the class of x, via the sphere
-    operators of the Hopf lift minus the fiber-direction contribution."""
+    operators of the Hopf lift minus the fiber-direction contribution.
+
+    The lift must be invariant under all of C*: homogeneous of degree 0,
+    for the sphere operators, and S^1-invariant, to descend.  One check
+    over the complex moves c e^{i theta} covers both."""
     x = _on_sphere(x)
-    check_circle_invariant(f, x)
-    tau, kap = sphere_ops(f, x)
+    _check_invariant(f, x, _SCALES * _PHASES,
+                     "field is not invariant under C*: a CP^n lift must "
+                     "be homogeneous of degree 0 and S^1-invariant")
+    tau, kap = _sphere_ops(f, x)
     # the 2-jet of the fiber circle s -> e^{is} x, one direction
     z = Jet2(x, 1j * x[None], -x)
     _, a, d2 = f.evaluator(z).broadcast_to(x.shape[:-1], 1)

@@ -23,14 +23,30 @@ _ROWS = 32
 
 
 def trace_form(a, B):
-    """tr(a @ B) = sum_ij a_ij B_ji over the leading axes of ``a``, by
-    matmuls of ``a`` flattened to rows of n*n against the transposed B
-    flattened to (n*n, members); the member axes of a stack or grid of B,
-    e.g. (A, K, n, n), become trailing axes."""
+    """tr(a @ B) = sum_ij a_ij B_ji over the leading axes of ``a``, with
+    ``a`` flattened to rows of n*n; the member axes of a stack or grid of
+    B, e.g. (A, K, n, n), become trailing axes.
+
+    When every B has exactly one nonzero entry w at (i, j), as every u-
+    and sp-grassmannian B does, tr(a B) is w a_ji: one gathered entry per
+    member and row, O(n^2) per row where a matmul costs O(n^4), and the
+    same bits as the matmul's one nonzero product.  Any other stack is
+    contracted by matmuls against the transposed B flattened to
+    (n*n, members)."""
     a, B = np.asarray(a), np.asarray(B)
     n2 = a.shape[-2] * a.shape[-1]
-    Bt = np.swapaxes(B, -1, -2).reshape(-1, n2).T
     rows = a.reshape(-1, n2)
+    Bt = np.swapaxes(B, -1, -2).reshape(-1, n2)
+    if (np.count_nonzero(Bt, axis=1) == 1).all():
+        member, idx = np.nonzero(Bt)
+        w = Bt[member, idx]
+        # np.take gives a fresh C-ordered array: gram's matmul over the
+        # members then sums in the same order as on the matmuls' output
+        out = np.take(rows, idx, axis=-1).astype(
+            np.result_type(rows, w), copy=False)
+        out *= w
+        return out.reshape(a.shape[:-2] + B.shape[:-2])
+    Bt = Bt.T
     if len(rows) <= _ROWS:
         out = rows @ Bt
     else:

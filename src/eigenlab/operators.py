@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bases import square_sum
 from .jets import JetMatrix, directions_first, gram
 from .matrices import mat_exp
 
@@ -112,9 +113,12 @@ def image_ops(pair, eta, p: np.ndarray):
 
     y = cartan_map(pair, p)
     s = pair.sigma(np.asarray(p, dtype=complex))
-    X = directions_first(pair.p_basis, s.ndim)
-    W = s @ X @ np.swapaxes(s, -1, -2).conj()
-    return _ops(field_jets(eta, y, W), np.ndim(p) - 2)
+    sH = np.swapaxes(s, -1, -2).conj()
+    W = s @ directions_first(pair.p_basis, s.ndim) @ sH
+    # the curve jet (y, y W, y sum_X W^2), where sum_X W^2 = s C_p s^H for
+    # unitary s and C_p the sum of X^2 over the p-basis: no W @ W per point
+    jm = JetMatrix(y, y @ W, y @ (s @ square_sum(pair.p_basis) @ sH))
+    return _ops(eta(jm).broadcast_to(y.shape[:-2], len(W)), np.ndim(p) - 2)
 
 
 def image_tension(pair, eta, p: np.ndarray):

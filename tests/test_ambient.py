@@ -48,6 +48,21 @@ class TestFields:
         with pytest.raises(ValueError):
             check_circle_invariant(sphere_phi(2, 1), z)
 
+    def test_cpn_ops_rejects_each_half_of_c_star_invariance(self):
+        # a CP^n lift must be homogeneous of degree 0 and S^1-invariant;
+        # cpn_ops checks both at once and must reject a field that fails
+        # either one alone
+        rng = np.random.default_rng(5)
+        z = np.stack([random_sphere_point(2, rng) for _ in range(3)])
+        circle_only = AmbientField(lambda w: w[..., 0] * w[..., 1].conj(), 2)
+        homogeneous_only = sphere_phi(2, 1)
+        check_circle_invariant(circle_only, z)
+        check_homogeneous(homogeneous_only, z)
+        for bad in (circle_only, homogeneous_only):
+            with pytest.raises(ValueError, match="invariant under C"):
+                cpn_ops(bad, z)
+        cpn_ops(cpn_phi(1, 1, 2), z)
+
 
 class TestOffSpherePolicy:
     def test_on_sphere_accepted(self):

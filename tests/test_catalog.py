@@ -11,6 +11,7 @@ from eigenlab.catalog import (complex_grassmannian_psi, family_for_space,
                               random_vector, real_grassmannian_psi, so_u_psi,
                               sp_u_phi, su_so_phi, su_sp_phi,
                               table_eigenvalues)
+from eigenlab.claims import DEFAULT_SIZES, _alpha_range
 from eigenlab.matrices import basis_Y, i_signature, j_matrix
 from eigenlab.operators import quotient_ops
 from eigenlab.sampling import SampleConfig, random_pair_point
@@ -195,3 +196,15 @@ class TestTableValues:
             tau, _, _ = quotient_ops(f.pair, f.as_field(), p)
             v = f.value(p)
             assert abs(tau - f.lam * v) <= 1e-9 * max(1, abs(v))
+
+
+@pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian"])
+def test_grassmannian_B_has_one_nonzero(space):
+    # jets.trace_form gathers one entry per trace form when every B has
+    # exactly one nonzero; a denser B would fall back to the matmuls and
+    # slow every table1 run without failing any claim
+    sizes = DEFAULT_SIZES[space] + ((3, 3),)   # and the largest --m/--n
+    for m, n in sizes:
+        for alpha in _alpha_range(space, m, n):
+            for member in family_for_space(space, m=m, n=n, alpha=alpha):
+                assert np.count_nonzero(member.B) == 1, (m, n, alpha)

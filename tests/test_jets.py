@@ -490,6 +490,78 @@ class TestTraceForm:
                 exact = coef[k, l] * a[..., j, i]
                 assert np.array_equal(got[..., k, l], exact)
 
+    @staticmethod
+    def one_hot(members, n, weights, seed):
+        """A stack of B of shape ``members`` + (n, n), each with one
+        nonzero entry, the weights in turn, at a random (i, j); and the
+        (i, j) per member."""
+        rng = np.random.default_rng(seed)
+        B = np.zeros(members + (n, n), dtype=complex)
+        ij = rng.integers(0, n, size=members + (2,))
+        w = np.resize(np.asarray(weights, dtype=complex), members)
+        for k in np.ndindex(*members):
+            B[k + tuple(ij[k])] = w[k]
+        return B, ij, w
+
+    @pytest.mark.parametrize("lead,members", [
+        ((40, 3), (9,)),         # a stack, more rows than one gemm block
+        ((5,), (3, 4)),          # an (A, K) grid
+        ((), (6,)),              # one (n, n) input
+        ((7,), ()),              # a single B
+    ])
+    def test_one_hot_B_gathers_the_entry(self, lead, members):
+        # tr(a B) = w a[..., j, i] for B = w E_ij, into a C-ordered array.
+        # For w = +-1, +-0.5, +-i each part of the product is one exact
+        # real product, so it is bit for bit; for a general complex w,
+        # numpy rounds the complex product differently on its scalar and
+        # array loops, so that one agrees to 5 eps |w a|, twice the
+        # sqrt(5) eps bound of one complex product.
+        rng = np.random.default_rng(19)
+        a = self.rand(rng, lead + (5, 5))
+        B, ij, w = self.one_hot(members, 5,
+                                [1, -1, 0.5, -0.5, 1j, -1j, 0.3 - 0.7j], 20)
+        got = trace_form(a, B)
+        assert got.shape == lead + members
+        assert got.flags.c_contiguous
+        for k in np.ndindex(*members):
+            i, j = ij[k]
+            ref = w[k] * a[..., j, i]
+            if w[k].real and w[k].imag:
+                assert np.all(np.abs(got[(...,) + k] - ref)
+                              <= 5 * np.finfo(float).eps * np.abs(ref))
+            else:
+                assert np.array_equal(got[(...,) + k], ref)
+
+    def test_real_input_against_imaginary_weights(self):
+        # the gather promotes a real input to the weights' complex type
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((3, 4, 4))
+        B, ij, w = self.one_hot((4,), 4, [1j, -0.5, 1, -1j], 22)
+        got = trace_form(a, B)
+        assert got.dtype == complex
+        for k in range(4):
+            i, j = ij[k]
+            assert np.array_equal(got[..., k], w[k] * a[..., j, i])
+
+    @pytest.mark.parametrize("dense", ["one dense member", "one zero member"])
+    def test_not_every_B_one_hot_takes_the_matmuls(self, dense):
+        # a stack with a member of other than one nonzero is contracted
+        # by the blocked matmuls, over every member
+        rng = np.random.default_rng(23)
+        a = self.rand(rng, (40, 2, 4, 4))
+        B, _, _ = self.one_hot((3,), 4, [0.5, -1, 1j], 24)
+        B[1] = self.rand(rng, (4, 4)) if dense == "one dense member" else 0
+        self.close(trace_form(a, B), einsum_trace_form(a, B))
+
+    @pytest.mark.parametrize("one_hot", [True, False])
+    def test_empty_direction_stack(self, one_hot):
+        # no directions (dim k = 0): shape (0, points, members)
+        rng = np.random.default_rng(25)
+        B = (self.one_hot((5,), 3, [1, -0.5], 26)[0] if one_hot
+             else self.rand(rng, (5, 3, 3)))
+        got = trace_form(np.zeros((0, 4, 3, 3), dtype=complex), B)
+        assert got.shape == (0, 4, 5)
+
 
 def einsum_gram(a, b, points):
     """The contraction gram replaces: the leading direction axis summed by
