@@ -37,7 +37,10 @@ def trace_form(a, B):
     n2 = a.shape[-2] * a.shape[-1]
     rows = a.reshape(-1, n2)
     Bt = np.swapaxes(B, -1, -2).reshape(-1, n2)
-    if (np.count_nonzero(Bt, axis=1) == 1).all():
+    # the total count, cheaper than the per-member one, rules out a
+    # dense stack first
+    if (np.count_nonzero(Bt) == len(Bt)
+            and (np.count_nonzero(Bt, axis=1) == 1).all()):
         member, idx = np.nonzero(Bt)
         w = Bt[member, idx]
         # np.take gives a fresh C-ordered array: gram's matmul over the

@@ -437,8 +437,9 @@ def einsum_trace_form(a, B):
 
 
 class TestTraceForm:
-    """trace_form is one matmul; the einsum reference differs from it only
-    in the order of summation, so the tolerance is fixed at 1e-12
+    """trace_form gathers one entry per member when every B is one-hot and
+    runs matmuls otherwise; the einsum reference differs from the matmuls
+    only in the order of summation, so the tolerance is fixed at 1e-12
     relative to max(1, |reference|)."""
 
     RTOL = 1e-12
