@@ -25,7 +25,7 @@ print(f"sample point on S^5, |x| = {np.linalg.norm(x):.15f}\n")
 print("sphere eigenfunctions phi_j = z_j / |z|:")
 for j in range(1, n + 1):
     f = sphere_phi(n, j)
-    tau, kap = sphere_ops(f, x)
+    _, tau, kap = sphere_ops(f, x)
     v = f.value(x)
     print(f"  j={j}: tau/phi = {(tau / v).real:>12.8f}   "
           f"kappa/phi^2 = {(kap / (v * v)).real:>12.8f}")
@@ -35,7 +35,7 @@ print(f"  expected: {-(2 * n - 1)} and -1")
 # kappa pairs the members of one field, so stack the two and read the
 # off-diagonal entry
 f1, f2 = sphere_phi(n, 1), sphere_phi(n, 2)
-kap12 = sphere_ops(stack_fields([f1, f2]), x)[1][0, 1]
+kap12 = sphere_ops(stack_fields([f1, f2]), x)[2][0, 1]
 print(f"\nkappa(phi1, phi2) + phi1 phi2 = "
       f"{abs(kap12 + f1.value(x) * f2.value(x)):.2e}")
 
@@ -44,8 +44,8 @@ print(f"\nkappa(phi1, phi2) + phi1 phi2 = "
 U = np.linalg.qr(rng.standard_normal((n, n))
                  + 1j * rng.standard_normal((n, n)))[0]
 g = rotate_field(f1, U)
-t0, k0 = sphere_ops(f1, x)
-t1, k1 = sphere_ops(g, U @ x)
+_, t0, k0 = sphere_ops(f1, x)
+_, t1, k1 = sphere_ops(g, U @ x)
 print(f"rotation invariance: |d tau| = {abs(t0 - t1):.2e}, "
       f"|d kappa| = {abs(k0 - k1):.2e}")
 
@@ -53,7 +53,7 @@ print(f"rotation invariance: |d tau| = {abs(t0 - t1):.2e}, "
 print(f"\nCP^{n - 1} eigenfunctions phi_jk = z_j conj(z_k) / |z|^2:")
 for (j, k) in [(1, 2), (1, 3), (2, 3)]:
     f = cpn_phi(n - 1, j, k)
-    tau, kap = cpn_ops(f, x)
+    _, tau, kap = cpn_ops(f, x)
     v = f.value(x)
     print(f"  (j,k)=({j},{k}): tau/phi = {(tau / v).real:>12.8f}   "
           f"kappa/phi^2 = {(kap / (v * v)).real:>12.8f}")

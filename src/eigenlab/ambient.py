@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet2, gram
+from .jets import Jet2, jet_ops
 
 __all__ = [
     "AmbientField",
@@ -166,24 +166,26 @@ def _axis_jets(x, n):
     return Jet2(x, E.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,)))
 
 
-def _sphere_ops(f: AmbientField, x):
-    """sphere_ops on points already on the sphere, with no guard."""
-    _, a, tau = f.evaluator(_axis_jets(x, f.n)).broadcast_to(
-        x.shape[:-1], 2 * f.n)
-    return tau[()], gram(a, x.ndim - 1)[()]
+def _ops(f: AmbientField, z: Jet2):
+    """(f, tau f, kappa f) from one call of f on the jet z of curves
+    through the points z.v, (..., n)."""
+    shape = z.v.shape[:-1]
+    return jet_ops(*f.evaluator(z).broadcast_to(shape, len(z.d1)),
+                   len(shape))
 
 
 def sphere_ops(f: AmbientField, x):
-    """(tau f, kappa f) on the unit sphere at x, via the ambient Euclidean
-    second derivatives of the degree-0 extension summed over the 2n
-    coordinate axes; kappa pairs every member of f with every member."""
+    """(f, tau f, kappa f) on the unit sphere at x, via the ambient
+    Euclidean second derivatives of the degree-0 extension summed over
+    the 2n coordinate axes, from one jet pass; kappa pairs every member of
+    f with every member."""
     x = _on_sphere(x)
     check_homogeneous(f, x)
-    return _sphere_ops(f, x)
+    return _ops(f, _axis_jets(x, f.n))
 
 
 def cpn_ops(f: AmbientField, x):
-    """(tau f, kappa f) on CP^n at the class of x, via the sphere
+    """(f, tau f, kappa f) on CP^n at the class of x, via the sphere
     operators of the Hopf lift minus the fiber-direction contribution.
 
     The lift must be invariant under all of C*: homogeneous of degree 0,
@@ -193,8 +195,7 @@ def cpn_ops(f: AmbientField, x):
     _check_invariant(f, x, _SCALES * _PHASES,
                      "field is not invariant under C*: a CP^n lift must "
                      "be homogeneous of degree 0 and S^1-invariant")
-    tau, kap = _sphere_ops(f, x)
+    phi, tau, kap = _ops(f, _axis_jets(x, f.n))
     # the 2-jet of the fiber circle s -> e^{is} x, one direction
-    z = Jet2(x, 1j * x[None], -x)
-    _, a, d2 = f.evaluator(z).broadcast_to(x.shape[:-1], 1)
-    return (tau - d2)[()], (kap - gram(a, x.ndim - 1))[()]
+    _, tau_f, kap_f = _ops(f, Jet2(x, 1j * x[None], -x))
+    return phi, (tau - tau_f)[()], (kap - kap_f)[()]

@@ -24,7 +24,7 @@ from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
                        product_ops)
-from .jets import Jet2, JetMatrix, gram, trace_form
+from .jets import Jet2, JetMatrix, jet_ops, trace_form
 from .matrices import basis_D, basis_X, basis_Y
 from .operators import image_ops
 from .pairs import SPACES, make_pair, space_label
@@ -287,9 +287,11 @@ class _Cache:
         eta(y) = tr(y B) + c of the alpha = 1 family along the image basis
         at Phi(p), for prop7.1 and cartan.factor4.  Image passes push no
         Cartan jets and run on all points at once: freeing their large
-        arrays raises glibc's dynamic trim threshold above the working set
-        of a chunked Cartan pass, whose pages are then reused, not faulted
-        in again every chunk."""
+        arrays, larger than any array of a chunk, raises glibc's dynamic
+        mmap and trim thresholds above the working set of a chunked Cartan
+        pass, whose pages are then reused, not faulted in again every
+        chunk.  Chunked, they make a 300-sample sp-grassmannian(3,3) run
+        fault about six times as often."""
         key = (space, m, n)
         if key not in self._images:
             self._images[key] = image_ops(
@@ -323,18 +325,14 @@ def _trace_jets(pair, forms, points):
                 trace_form(tension, forms.B))
 
 
-def _jet_ops(j):
-    """(value, tau, kappa) of a Jet2 over one point axis."""
-    return j.v, j.d2, gram(j.d1, 1)
-
-
 def _poly_ops(pair, PF, points):
     """Values, tau and kappa of the polynomial family ``PF``: the jet
     arithmetic of its generators on the trace jets of its base members."""
     base = PF.members[0].base
     j = _trace_jets(pair, stack_members(base), points)
     vals = tuple(j[..., i] for i in range(len(base)))
-    return _jet_ops(Jet2.stack([mm.generator(vals) for mm in PF.members]))
+    poly = Jet2.stack([mm.generator(vals) for mm in PF.members])
+    return jet_ops(poly.v, poly.d1, poly.d2, 1)
 
 
 def _product_ops(pair, PF, p1, p2):
@@ -349,9 +347,9 @@ def _product_ops(pair, PF, p1, p2):
 
 def _cartan_pass(pair, forms, points):
     """What the cartan claims read of the 2-jets of Phi at ``points``,
-    from one p-basis and one k-basis Cartan pass of curve jets: Z(Phi)
-    per direction and the sum of Z^2(Phi) over each basis.  The two bases
-    together are orthonormal, so those two sums add up to the raw map
+    from one Cartan pass of curve jets along the p-basis, then the
+    k-basis: Z(Phi) per direction and the sum of Z^2(Phi) over both.  The
+    two bases together are orthonormal, so that sum is the raw map
     tension over the ambient basis.
 
     Returns Phi, the pullback ratios along the p- and the k-basis, the
@@ -359,18 +357,15 @@ def _cartan_pass(pair, forms, points):
     casimir residual: per point, the largest entry of the error of
     cartan_jets_closed against the jets."""
     X, V = pair.p_basis, pair.k_basis
-    jp, jk = (cartan_map_jet(pair, JetMatrix.curve(points, Z))
-              for Z in (X, V))
-    raw = jp.d2 + jk.d2
+    j = cartan_map_jet(pair, JetMatrix.curve(points, np.concatenate([X, V])))
+    dp, dk = j.d1[:len(X)], j.d1[len(X):]
     phi, dphi, tension = cartan_jets_closed(pair, points)
-    casimir = np.maximum(np.abs(jp.d1 - dphi).max(axis=(0, 2, 3)),
-                         np.abs(raw - tension).max(axis=(1, 2)))
-    d1 = np.concatenate([trace_form(jp.d1, forms.B),
-                         trace_form(jk.d1, forms.B)])
-    return (phi, pullback_ratio(jp.d1, jp.d1, X, X),
-            pullback_ratio(jk.d1, jk.d1, V, V),
-            tangential_residual(pair, phi, raw), trace_form(raw, forms.B),
-            gram(d1, 1), casimir)
+    casimir = np.maximum(np.abs(dp - dphi).max(axis=(0, 2, 3)),
+                         np.abs(j.d2 - tension).max(axis=(1, 2)))
+    jf = j.trace_form(forms.B)
+    _, tau, kappa = jet_ops(jf.v, jf.d1, jf.d2, 1)
+    return (phi, pullback_ratio(dp, dp, X, X), pullback_ratio(dk, dk, V, V),
+            tangential_residual(pair, phi, j.d2), tau, kappa, casimir)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +441,11 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     pair = cache.pair(space, m, n)
     forms = stack_members(map(stack_members, blocks))
 
-    values, tau, kappa = _chunked(
-        lambda c: _jet_ops(_trace_jets(pair, forms, c)),
-        cache.points(space, m, n))
+    def ops(c):
+        j = _trace_jets(pair, forms, c)
+        return jet_ops(j.v, j.d1, j.d2, 1)
+
+    values, tau, kappa = _chunked(ops, cache.points(space, m, n))
     first = blocks[0][0]
     out = _eigen_claims(ids[:2], space, params, values, tau, kappa,
                         first.lam, first.mu, tol)
@@ -565,8 +562,7 @@ def _run_sphere(config: RunConfig, cache: _Cache, ids, params, n):
     F = ambient.stack_fields(ambient.sphere_phi(n, j) for j in range(1, n + 1))
     pts = random_sphere_points(n, f"sphere:{n}", cache.scfg,
                                range(config.samples))
-    tau, kappa = ambient.sphere_ops(F, pts)
-    return _eigen_claims(ids, "sphere", params, F.value(pts), tau, kappa,
+    return _eigen_claims(ids, "sphere", params, *ambient.sphere_ops(F, pts),
                          -(2.0 * n - 1.0), -1.0, _tol(config, 1e-8))
 
 
@@ -577,8 +573,7 @@ def _run_cpn(config: RunConfig, cache: _Cache, ids, params, n):
                              for k in range(CPN_ALPHA + 1, n + 2))
     pts = random_sphere_points(n + 1, f"cpn:{n}", cache.scfg,
                                range(config.samples))
-    tau, kappa = ambient.cpn_ops(F, pts)
-    return _eigen_claims(ids, "cpn", params, F.value(pts), tau, kappa,
+    return _eigen_claims(ids, "cpn", params, *ambient.cpn_ops(F, pts),
                          -4.0 * (n + 1), -4.0, _tol(config, 1e-8))
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import stack_members
-from .jets import Jet2, JetMatrix, gram
+from .jets import Jet2, JetMatrix, jet_ops
 from .operators import field_jets
 
 __all__ = [
@@ -117,28 +117,20 @@ class PolyMember:
     lam: complex = 0.0
     mu: complex = 0.0
 
-    @property
-    def pair(self):
-        return self.base[0].pair
-
     def value(self, q) -> complex:
         return self.generator(tuple(m.value(q) for m in self.base))
 
     def as_field(self):
-        return _poly_field(self.base, self.generator)
+        # One stacked pass over the base trace forms; the generator maps
+        # the tuple of base-member jets to the polynomial's jet.
+        field = stack_members(self.base).as_field()
+        k = len(self.base)
 
+        def ev(jm: JetMatrix) -> Jet2:
+            jb = field(jm)
+            return self.generator(tuple(jb[..., i] for i in range(k)))
 
-def _poly_field(base, combine):
-    # One stacked pass over the base trace forms; ``combine`` maps the
-    # tuple of base-member jets to the polynomial's jet.
-    field = stack_members(base).as_field()
-    k = len(base)
-
-    def ev(jm: JetMatrix) -> Jet2:
-        jb = field(jm)
-        return combine(tuple(jb[..., i] for i in range(k)))
-
-    return ev
+        return ev
 
 
 def polynomial_family(F: EigenFamily, d: int, generators=None) -> EigenFamily:
@@ -212,8 +204,8 @@ def product_ops(jets, points: int):
     factors of a whole product family evaluate that family, and kappa
     pairs every member with every member."""
     (v1, a1, t1), (v2, a2, t2) = jets
-    d1 = np.concatenate([a1 * v2, v1 * a2])
-    return (v1 * v2)[()], (t1 * v2 + v1 * t2)[()], gram(d1, points)[()]
+    return jet_ops(v1 * v2, np.concatenate([a1 * v2, v1 * a2]),
+                   t1 * v2 + v1 * t2, points)
 
 
 def product_tension(member: ProductMember, p1, p2, basis1, basis2):

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Jet2", "JetMatrix", "trace_form", "gram", "directions_first"]
+__all__ = ["Jet2", "JetMatrix", "trace_form", "gram", "jet_ops",
+           "directions_first"]
 
 
 # rows of ``a`` per gemm in trace_form
@@ -87,6 +88,14 @@ def gram(a, points: int):
     if a.ndim == points + 1:
         return gram(a[..., None], points)[..., 0, 0]
     return np.moveaxis(a, 0, -1) @ np.moveaxis(a, 0, -2)
+
+
+def jet_ops(v, d1, d2, points: int):
+    """(phi, tau(phi), kappa(phi, phi)) read off the parts of a jet over
+    ``points`` point axes: phi is the value, tau the direction-summed
+    second derivative and kappa the Gram matrix of the first
+    derivatives (see gram)."""
+    return v[()], d2[()], gram(d1, points)[()]
 
 
 class Jet2:

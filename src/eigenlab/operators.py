@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import square_sum
-from .jets import JetMatrix, directions_first, gram
+from .jets import JetMatrix, directions_first, jet_ops
 from .matrices import mat_exp
 
 __all__ = [
@@ -66,15 +66,10 @@ def field_jets(field, p: np.ndarray, directions):
     return field(JetMatrix.curve(p, Z)).broadcast_to(p.shape[:-2], len(Z))
 
 
-def _ops(jets, points: int):
-    v, d1, tau = jets
-    return v[()], tau[()], gram(d1, points)[()]
-
-
 def field_ops(field, p: np.ndarray, basis):
     """(phi, tau(phi), kappa(phi, phi)) at every point from one call of
     the field; kappa pairs every member with every member."""
-    return _ops(field_jets(field, p, basis), np.ndim(p) - 2)
+    return jet_ops(*field_jets(field, p, basis), np.ndim(p) - 2)
 
 
 def tension(field, p: np.ndarray, basis):
@@ -118,7 +113,8 @@ def image_ops(pair, eta, p: np.ndarray):
     # the curve jet (y, y W, y sum_X W^2), where sum_X W^2 = s C_p s^H for
     # unitary s and C_p the sum of X^2 over the p-basis: no W @ W per point
     jm = JetMatrix(y, y @ W, y @ (s @ square_sum(pair.p_basis) @ sH))
-    return _ops(eta(jm).broadcast_to(y.shape[:-2], len(W)), np.ndim(p) - 2)
+    return jet_ops(*eta(jm).broadcast_to(y.shape[:-2], len(W)),
+                   np.ndim(p) - 2)
 
 
 def image_tension(pair, eta, p: np.ndarray):

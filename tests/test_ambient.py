@@ -76,8 +76,8 @@ class TestOffSpherePolicy:
         rng = np.random.default_rng(4)
         z = random_sphere_point(2, rng) * (1 + 5e-7)
         with pytest.warns(UserWarning):
-            t1, k1 = sphere_ops(f, z)
-        t2, k2 = sphere_ops(f, z / np.linalg.norm(z))
+            _, t1, k1 = sphere_ops(f, z)
+        _, t2, k2 = sphere_ops(f, z / np.linalg.norm(z))
         assert abs(t1 - t2) < 1e-12
 
     def test_far_from_sphere_rejected(self):
@@ -95,7 +95,7 @@ class TestSphereEigenvalues:
             f = sphere_phi(n, j)
             for _ in range(10):
                 z = random_sphere_point(n, rng)
-                tau, _ = sphere_ops(f, z)
+                _, tau, _ = sphere_ops(f, z)
                 v = f.value(z)
                 assert abs(tau - lam * v) <= 1e-8 * max(1, abs(v))
 
@@ -105,7 +105,7 @@ class TestSphereEigenvalues:
         f, g = sphere_phi(n, 1), sphere_phi(n, 2)
         for _ in range(10):
             z = random_sphere_point(n, rng)
-            kap = sphere_ops(stack_fields([f, g]), z)[1][0, 1]
+            kap = sphere_ops(stack_fields([f, g]), z)[2][0, 1]
             prod = f.value(z) * g.value(z)
             assert abs(kap + prod) <= 1e-8 * max(1, abs(prod))
 
@@ -130,8 +130,8 @@ class TestSphereEigenvalues:
         for _ in range(5):
             x = random_sphere_point(n, rng)
             assert abs(g.value(U @ x) - f.value(x)) < 1e-12
-            t1, k1 = sphere_ops(f, x)
-            t2, k2 = sphere_ops(g, U @ x)
+            _, t1, k1 = sphere_ops(f, x)
+            _, t2, k2 = sphere_ops(g, U @ x)
             assert abs(t1 - t2) < 1e-10
             assert abs(k1 - k2) < 1e-10
 
@@ -146,7 +146,7 @@ class TestProjectiveEigenvalues:
                 f = cpn_phi(n, j, k)
                 for _ in range(10):
                     z = random_sphere_point(n + 1, rng)
-                    tau, _ = cpn_ops(f, z)
+                    _, tau, _ = cpn_ops(f, z)
                     v = f.value(z)
                     assert abs(tau - lam * v) <= 1e-8 * max(1, abs(v))
 
@@ -156,7 +156,7 @@ class TestProjectiveEigenvalues:
         f, g = cpn_phi(n, 1, 2), cpn_phi(n, 1, 3)
         for _ in range(10):
             z = random_sphere_point(n + 1, rng)
-            kap = cpn_ops(stack_fields([f, g]), z)[1][0, 1]
+            kap = cpn_ops(stack_fields([f, g]), z)[2][0, 1]
             prod = f.value(z) * g.value(z)
             assert abs(kap + 4 * prod) <= 1e-8 * max(1, abs(prod))
 
@@ -168,7 +168,7 @@ class TestProjectiveEigenvalues:
         f = cpn_phi(n, 1, 2)
         for _ in range(5):
             z = random_sphere_point(n + 1, rng)
-            tau, _ = sphere_ops(f, z)
+            _, tau, _ = sphere_ops(f, z)
             expect = -2 * (2 * n + 2) * (z[0] * np.conj(z[1]))
             assert abs(tau - expect) <= 1e-10 * max(1, abs(expect))
 
@@ -178,7 +178,7 @@ class TestConstants:
         one = AmbientField(lambda z: Jet2.constant(1.0), 2)
         rng = np.random.default_rng(12)
         z = random_sphere_point(2, rng)
-        tau, kap = sphere_ops(one, z)
+        _, tau, kap = sphere_ops(one, z)
         assert tau == 0 and kap == 0
-        tau, kap = cpn_ops(one, z)
+        _, tau, kap = cpn_ops(one, z)
         assert tau == 0 and kap == 0

@@ -9,11 +9,12 @@ from eigenlab.cartan import (cartan_map, cartan_map_closed, cartan_map_jet,
                              harmonic_residual, map_tension_raw,
                              pullback_factor, pullback_ratio,
                              tangential_residual)
+from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
 from eigenlab.jets import JetMatrix
 from eigenlab.matrices import membership_residual
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (SampleConfig, random_pair_point,
-                               random_subgroup_point)
+                               random_pair_points, random_subgroup_point)
 
 CASES = [
     ("su-so", None, 3),
@@ -178,3 +179,22 @@ class TestPullback:
             X = pair.k_basis[0]
             jm = cartan_map_jet(pair, JetMatrix.curve(p, X))
             assert np.linalg.norm(jm.d1) < 1e-10
+
+
+@pytest.mark.parametrize("space,m,n", [
+    (space, m, n) for space in PAIR_SPACE_ORDER
+    for m, n in DEFAULT_SIZES[space]])
+def test_one_pass_along_p_then_k_matches_the_two_passes(space, m, n):
+    # the cartan suite's one pass along the p-basis then the k-basis
+    # (dim k = 0 at so-grassmannian(1,1)) carries the first derivatives
+    # of a pass along each basis bit for bit, and as d2 their sum up to
+    # the order of summation
+    pair = make_pair(space, m=m, n=n)
+    pts = random_pair_points(pair, SampleConfig(seed=33), range(32))
+    jp, jk, j = (cartan_map_jet(pair, JetMatrix.curve(pts, Z)) for Z in (
+        pair.p_basis, pair.k_basis,
+        np.concatenate([pair.p_basis, pair.k_basis])))
+    assert np.array_equal(j.d1, np.concatenate([jp.d1, jk.d1]))
+    split = jp.d2 + jk.d2
+    assert np.all(np.abs(j.d2 - split)
+                  <= 1e-12 * np.maximum(1.0, np.abs(split)))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eigenlab import cartan, catalog, claims
+from eigenlab import ambient, cartan, catalog, claims
 from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
                              _result, jobs_for, run_claims, validate_config)
@@ -179,16 +179,18 @@ def test_table1_makes_no_cartan_jet_pass(cartan_passes):
 
 
 def test_full_run_pushes_p_and_k_basis_once(cartan_passes):
-    # the cartan suite reads every claim from one p-basis and one k-basis
-    # pass; no ambient-basis pass is left anywhere in the run
+    # the cartan suite reads every claim from one pass along the p-basis
+    # then the k-basis; no pass along the ambient basis or along one of
+    # the two bases alone is left anywhere in the run
     config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2, samples=CHUNK)
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     pair = make_pair("sp-grassmannian", m=2, n=2)
     assert [passes_along(cartan_passes, basis) for basis in (
-        pair.ambient.elements, pair.p_basis, pair.k_basis)] == [0, 1, 1]
-    assert len(cartan_passes) == 2
+        np.concatenate([pair.p_basis, pair.k_basis]), pair.ambient.elements,
+        pair.p_basis, pair.k_basis)] == [1, 0, 0, 0]
+    assert len(cartan_passes) == 1
 
 
 def test_poly_and_product_make_no_cartan_jet_pass(cartan_passes):
@@ -199,6 +201,41 @@ def test_poly_and_product_make_no_cartan_jet_pass(cartan_passes):
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     assert cartan_passes == []
+
+
+@pytest.mark.parametrize("space,passes", [("sphere", (8, 2)),
+                                          ("cpn", (8, 4))])
+def test_ambient_jobs_read_values_from_the_jet_pass(monkeypatch, space,
+                                                    passes):
+    # (value passes, jet passes) of the stacked fields of the two jobs:
+    # the values come from the jet pass with tau and kappa, so the only
+    # value passes left are the invariance check's 4 per job
+    counts = [0, 0]
+    made = []
+    stack_fields = ambient.stack_fields
+
+    def counting(fields):
+        F = stack_fields(fields)
+        made.append(F)
+
+        def ev(z):
+            counts[bool(np.any(z.d1))] += 1
+            return F.evaluator(z)
+
+        return ambient.AmbientField(ev, F.n)
+
+    monkeypatch.setattr(ambient, "stack_fields", counting)
+    config = RunConfig(spaces=(space,), samples=8)
+    results = run_claims(config)
+    assert [r.claim_id for r in results] == claim_ids(config)
+    assert all(r.passed for r in results)
+    assert tuple(counts) == passes
+    ops = {"sphere": ambient.sphere_ops, "cpn": ambient.cpn_ops}[space]
+    rng = np.random.default_rng(13)
+    for F in made:
+        x = np.stack([ambient.random_sphere_point(F.n, rng)
+                      for _ in range(5)])
+        assert np.array_equal(ops(F, x)[0], F.value(x))
 
 
 def test_prop71_and_factor4_share_one_image_pass(monkeypatch):

@@ -398,12 +398,12 @@ def test_sphere_ops(n):
     xs = sphere_points(n)
     F = ambient.stack_fields(fields)
     close(F.value(xs), [[ref_value(f, x) for f in fields] for x in xs])
-    tau, kap = ambient.sphere_ops(F, xs)
+    _, tau, kap = ambient.sphere_ops(F, xs)
     close(tau, [[ref_sphere_ops(f, f, x)[0] for f in fields] for x in xs])
     close(kap, [[[ref_sphere_ops(f, g, x)[1] for g in fields] for f in fields]
                 for x in xs])
     # two fields pair through their stack, in the off-diagonal entry
-    tau, kap = ambient.sphere_ops(
+    _, tau, kap = ambient.sphere_ops(
         ambient.stack_fields([fields[0], fields[-1]]), xs)
     close(tau[:, 0], [ref_sphere_ops(fields[0], fields[-1], x)[0]
                       for x in xs])
@@ -418,11 +418,11 @@ def test_cpn_ops(n):
     xs = sphere_points(n + 1)
     F = ambient.stack_fields(fields)
     close(F.value(xs), [[ref_value(f, x) for f in fields] for x in xs])
-    tau, kap = ambient.cpn_ops(F, xs)
+    _, tau, kap = ambient.cpn_ops(F, xs)
     close(tau, [[ref_cpn_ops(f, f, x)[0] for f in fields] for x in xs])
     close(kap, [[[ref_cpn_ops(f, g, x)[1] for g in fields] for f in fields]
                 for x in xs])
-    tau, kap = ambient.cpn_ops(
+    _, tau, kap = ambient.cpn_ops(
         ambient.stack_fields([fields[0], fields[-1]]), xs)
     close(tau[:, 0], [ref_cpn_ops(fields[0], fields[-1], x)[0] for x in xs])
     close(kap[:, 0, 1], [ref_cpn_ops(fields[0], fields[-1], x)[1]
