@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bases import square_sum
 from .jets import JetMatrix, directions_first
-from .matrices import membership_residual, metric
+from .matrices import membership_residual, metric, sparse_matmul
 
 __all__ = [
     "cartan_map",
@@ -82,11 +81,11 @@ def cartan_jets_closed(pair, p: np.ndarray):
     and sum_Z Z^2(Phi) over the ambient basis is 4 p C_p sigma(p)^-1,
     with C_p the sum of Z^2 over the p-basis: the map_tension_raw of p.
     """
-    phi = cartan_map(pair, p)
+    _check_member(pair, p)
     p = np.asarray(p, dtype=complex)
     s_inv = pair.sigma.inverse(p)
     d1 = 2.0 * (p @ directions_first(pair.p_basis, p.ndim) @ s_inv)
-    return phi, d1, 4.0 * (p @ square_sum(pair.p_basis) @ s_inv)
+    return p @ s_inv, d1, 4.0 * (p @ pair.p_square @ s_inv)
 
 
 def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
@@ -106,9 +105,11 @@ def tangential_residual(pair, y: np.ndarray, H: np.ndarray):
     space of G at ``y``: H expanded in y times the orthonormal ambient
     basis.  With y = Phi(p) and H = map_tension_raw(pair, p) this is the
     tension of Phi at p; see harmonic_residual."""
-    els = pair.ambient.elements
-    coeff = np.einsum("...ij,bij->...b", _h(y) @ H, els.conj()).real
-    tangential = y @ np.einsum("...b,bij->...ij", coeff.astype(complex), els)
+    A = np.asarray(_h(y) @ H, dtype=complex)
+    # g(A, Z) on interleaved real and imaginary parts, for every Z at once
+    F = pair.ambient.elements.reshape(len(pair.ambient), -1).view(float)
+    coeff = sparse_matmul(A.reshape(-1, F.shape[1] // 2).view(float), F.T)
+    tangential = y @ sparse_matmul(coeff, F).view(complex).reshape(A.shape)
     return np.abs(tangential).max(axis=(-2, -1))[()]
 
 

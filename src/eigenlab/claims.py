@@ -216,20 +216,22 @@ def _eigen_ids(prefix, params):
     return (f"{prefix}.lambda{suffix}", f"{prefix}.mu{suffix}")
 
 
-def _eigen_claims(ids, space, params, values, tau, kappa, lam, mu, tol,
-                  details=("", "")):
-    """The claims tau(phi) = lam phi and kappa(phi, psi) = mu phi psi of
-    one family, from values (P, ..., K), tau (P, ..., K) and kappa
-    (P, ..., K, K).  A claim with no eigenvalue fit fails: its residuals
-    are small only because phi is."""
+def _eigen_residuals(values, tau, kappa, lam, mu):
+    """(x, den, ev, residuals) of tau = lam phi, then kappa = mu phi psi."""
     prod = np.einsum("...j,...k->...jk", values, values)
+    return tuple((x, den, ev, _rel(x, ev * den)) for x, den, ev in
+                 ((tau, values, lam), (kappa, prod, mu)))
+
+
+def _eigen_claims(ids, space, params, residuals, tol, details=("", "")):
+    """The lambda and mu claims of one family from its _eigen_residuals.
+    A claim with no eigenvalue fit fails: its residuals are small only
+    because phi is."""
     out = []
-    for cid, x, den, ev, detail, name in zip(
-            ids, (tau, kappa), (values, prod), (lam, mu), details,
-            ("|phi|", "|phi psi|")):
+    for cid, (x, den, ev, res), detail, name in zip(
+            ids, residuals, details, ("|phi|", "|phi psi|")):
         fit = _fit(x, den)
-        r = _result(cid, space, params, len(values), _rel(x, ev * den), ev,
-                    fit, tol, detail)
+        r = _result(cid, space, params, len(den), res, ev, fit, tol, detail)
         out.append(r if fit is not None else replace(
             r, passed=False,
             detail=f"no sample had {name} >= 1e{FIT_DECADE}"))
@@ -286,12 +288,10 @@ class _Cache:
         """eta values, tau_N and kappa_N of the affine functionals
         eta(y) = tr(y B) + c of the alpha = 1 family along the image basis
         at Phi(p), for prop7.1 and cartan.factor4.  Image passes push no
-        Cartan jets and run on all points at once: freeing their large
-        arrays, larger than any array of a chunk, raises glibc's dynamic
-        mmap and trim thresholds above the working set of a chunked Cartan
-        pass, whose pages are then reused, not faulted in again every
-        chunk.  Chunked, they make a 300-sample sp-grassmannian(3,3) run
-        fault about six times as often."""
+        Cartan jets and run on all points at once: freeing their ~25 MB
+        arrays raises glibc's trim threshold above a chunked Cartan pass's
+        working set, whose pages are then reused; chunked, a 300-sample
+        sp-grassmannian(3,3) run faults six times as often."""
         key = (space, m, n)
         if key not in self._images:
             self._images[key] = image_ops(
@@ -445,22 +445,21 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
         j = _trace_jets(pair, forms, c)
         return jet_ops(j.v, j.d1, j.d2, 1)
 
-    values, tau, kappa = _chunked(ops, cache.points(space, m, n))
     first = blocks[0][0]
-    out = _eigen_claims(ids[:2], space, params, values, tau, kappa,
-                        first.lam, first.mu, tol)
+    eigen = _eigen_residuals(*_chunked(ops, cache.points(space, m, n)),
+                             first.lam, first.mu)
+    out = _eigen_claims(ids[:2], space, params, eigen, tol)
     if space == "sp-grassmannian":
         new = np.array([[alpha > m + n or mm.params["j"] > m + n
                          for mm in members]
                         for alpha, members in zip(alphas, blocks)])
-        prod = np.einsum("...j,...k->...jk", values, values)
+        (*_, res_tau), (*_, res_kappa) = eigen
         # per point: the lambda residuals, then the mu residuals
-        P = len(values)
+        P = len(res_tau)
         out.append(_result(
             ids[2], space, params, P,
-            np.concatenate([_rel(tau, first.lam * values)[:, new],
-                            _rel(kappa, first.mu * prod)[:, new]
-                            .reshape(P, -1)], axis=1),
+            np.concatenate([res_tau[:, new],
+                            res_kappa[:, new].reshape(P, -1)], axis=1),
             None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
     return out
@@ -473,9 +472,8 @@ def _prop71_claim_ids(params):
 
 def _run_prop71(config: RunConfig, cache: _Cache, ids, params, m, n):
     space = "sp-grassmannian"
-    values, tauN, kapN = cache.image(space, m, n)
-    return _eigen_claims(ids, space, params, values, tauN, kapN,
-                         -(m + n) / 2.0, -0.25, _tol(config, 1e-8))
+    return _eigen_claims(ids, space, params, _eigen_residuals(
+        *cache.image(space, m, n), -(m + n) / 2.0, -0.25), _tol(config, 1e-8))
 
 
 def _cartan_kinds(space, m, n):
@@ -539,9 +537,9 @@ def _run_poly(config: RunConfig, cache: _Cache, ids, params, space, m, n, d):
     PF = polynomial_family(base_family(cache.family(space, m, n)), d)
     values, tau, kappa = _chunked(lambda c: _poly_ops(pair, PF, c),
                                   cache.points(space, m, n))
-    return _eigen_claims(
-        ids, space, params, values, tau, kappa, PF.lam, PF.mu,
-        _tol(config, 1e-7), (f"{len(PF.members)} monomials of degree {d}", ""))
+    eigen = _eigen_residuals(values, tau, kappa, PF.lam, PF.mu)
+    return _eigen_claims(ids, space, params, eigen, _tol(config, 1e-7),
+                         (f"{len(PF.members)} monomials of degree {d}", ""))
 
 
 def _run_product(config: RunConfig, cache: _Cache, ids, params, space, m, n):
@@ -554,16 +552,16 @@ def _run_product(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     vals, tau, kappa = _chunked(lambda a, b: _product_ops(pair, PF, a, b),
                                 pts1, pts2)
     detail = f"{space_label(space, m, n)} x {space_label(space, m, n)}"
-    return _eigen_claims(ids, "product", params, vals, tau, kappa, PF.lam,
-                         PF.mu, _tol(config, 1e-8), (detail, detail))
+    return _eigen_claims(ids, "product", params, _eigen_residuals(
+        vals, tau, kappa, PF.lam, PF.mu), _tol(config, 1e-8), (detail, detail))
 
 
 def _run_sphere(config: RunConfig, cache: _Cache, ids, params, n):
     F = ambient.stack_fields(ambient.sphere_phi(n, j) for j in range(1, n + 1))
     pts = random_sphere_points(n, f"sphere:{n}", cache.scfg,
                                range(config.samples))
-    return _eigen_claims(ids, "sphere", params, *ambient.sphere_ops(F, pts),
-                         -(2.0 * n - 1.0), -1.0, _tol(config, 1e-8))
+    return _eigen_claims(ids, "sphere", params, _eigen_residuals(
+        *ambient.sphere_ops(F, pts), -(2.0 * n - 1.0), -1.0), _tol(config, 1e-8))
 
 
 def _run_cpn(config: RunConfig, cache: _Cache, ids, params, n):
@@ -573,8 +571,8 @@ def _run_cpn(config: RunConfig, cache: _Cache, ids, params, n):
                              for k in range(CPN_ALPHA + 1, n + 2))
     pts = random_sphere_points(n + 1, f"cpn:{n}", cache.scfg,
                                range(config.samples))
-    return _eigen_claims(ids, "cpn", params, *ambient.cpn_ops(F, pts),
-                         -4.0 * (n + 1), -4.0, _tol(config, 1e-8))
+    return _eigen_claims(ids, "cpn", params, _eigen_residuals(
+        *ambient.cpn_ops(F, pts), -4.0 * (n + 1), -4.0), _tol(config, 1e-8))
 
 
 # ---------------------------------------------------------------------------

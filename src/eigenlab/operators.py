@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bases import square_sum
 from .jets import JetMatrix, directions_first, jet_ops
 from .matrices import mat_exp
 
@@ -109,11 +108,12 @@ def image_ops(pair, eta, p: np.ndarray):
     y = cartan_map(pair, p)
     s = pair.sigma(np.asarray(p, dtype=complex))
     sH = np.swapaxes(s, -1, -2).conj()
-    W = s @ directions_first(pair.p_basis, s.ndim) @ sH
-    # the curve jet (y, y W, y sum_X W^2), where sum_X W^2 = s C_p s^H for
-    # unitary s and C_p the sum of X^2 over the p-basis: no W @ W per point
-    jm = JetMatrix(y, y @ W, y @ (s @ square_sum(pair.p_basis) @ sH))
-    return jet_ops(*eta(jm).broadcast_to(y.shape[:-2], len(W)),
+    ys = y @ s
+    # the curve jet (y, y W, y sum_X W^2) along W = s X s^H, with y W as
+    # (y s X) s^H and sum_X W^2 = s C_p s^H for unitary s: no W is formed
+    jm = JetMatrix(y, ys @ directions_first(pair.p_basis, s.ndim) @ sH,
+                   ys @ pair.p_square @ sH)
+    return jet_ops(*eta(jm).broadcast_to(y.shape[:-2], pair.dim_p),
                    np.ndim(p) - 2)
 
 

@@ -10,10 +10,11 @@ out by signature conjugations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .bases import LieBasisSet, gram_schmidt, group_basis
+from .bases import LieBasisSet, gram_schmidt, group_basis, square_sum
 from .jets import Jet2
 from .matrices import i_signature, i_signature_doubled, j_matrix
 
@@ -120,6 +121,11 @@ class SymmetricPair:
     @property
     def dim_p(self) -> int:
         return self.p_basis.shape[0]
+
+    @cached_property
+    def p_square(self) -> np.ndarray:
+        """C_p, the sum of X^2 over the p-basis, computed once per pair."""
+        return square_sum(self.p_basis)
 
     def label(self) -> str:
         return space_label(self.space, self.m, self.n)

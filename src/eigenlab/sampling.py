@@ -7,9 +7,9 @@ by a hash of the stream label and seed, counter = index * 2^64), so sample
 bitwise-reproducible; parallel generation is safe.
 
 Each point set is drawn in one call over a sequence of indices: the stream
-key is hashed once, the coefficient rows are contracted with the basis in
-one einsum, and the stack is exponentiated once.  The one-index functions
-are that call with a single index, and give the same matrix bit for bit.
+key is hashed once, the coefficient rows meet the basis in one
+sparse_matmul, and the stack is exponentiated once.  The one-index
+functions are that call with a single index: the same matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .ambient import random_sphere_point
 from .bases import group_basis
-from .matrices import mat_exp, membership_residual
+from .matrices import mat_exp, membership_residual, sparse_matmul
 
 __all__ = ["SampleConfig", "GENERATOR_NAME", "rng_for",
            "random_algebra_elements",
@@ -71,10 +71,11 @@ def rng_for(label: str, seed: int, index: int) -> np.random.Generator:
 
 
 def _combos(basis_els: np.ndarray, label: str, cfg: SampleConfig, indices):
-    width = basis_els.shape[0]
-    coeff = np.array([rng.uniform(-RADIUS, RADIUS, size=width)
-                      for rng in _generators(label, cfg.seed, indices)])
-    return np.einsum("kb,bij->kij", coeff.reshape(-1, width), basis_els)
+    width, n, _ = basis_els.shape
+    rows = [rng.uniform(-RADIUS, RADIUS, size=width)
+            for rng in _generators(label, cfg.seed, indices)]
+    return sparse_matmul(np.array(rows).reshape(len(rows), width),
+                         basis_els.reshape(width, n * n)).reshape(-1, n, n)
 
 
 def random_algebra_elements(group: str, n: int, cfg: SampleConfig,

@@ -198,3 +198,36 @@ def test_one_pass_along_p_then_k_matches_the_two_passes(space, m, n):
     split = jp.d2 + jk.d2
     assert np.all(np.abs(j.d2 - split)
                   <= 1e-12 * np.maximum(1.0, np.abs(split)))
+
+
+def einsum_tangential_residual(pair, y, H):
+    """The projection tangential_residual makes, as two einsums over the
+    ambient basis."""
+    els = pair.ambient.elements
+    coeff = np.einsum("...ij,bij->...b", np.swapaxes(y, -1, -2).conj() @ H,
+                      els.conj()).real
+    tangential = y @ np.einsum("...b,bij->...ij", coeff.astype(complex), els)
+    return np.abs(tangential).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("space,m,n", [
+    (space, m, n) for space in PAIR_SPACE_ORDER
+    for m, n in DEFAULT_SIZES[space]] + [("sp-grassmannian", 3, 3)])
+def test_tangential_residual_matches_the_einsum_projection(space, m, n):
+    # the projection runs as sparse products on interleaved real and
+    # imaginary parts; on stacked points and on one point it is the einsum
+    # projection up to rounding, for Phi and the p -> p^2 control alike
+    pair = make_pair(space, m=m, n=n)
+    p = random_pair_points(pair, SampleConfig(seed=28), range(8))
+    y = cartan_map(pair, p)
+    got = tangential_residual(pair, y, map_tension_raw(pair, p))
+    ref = einsum_tangential_residual(pair, y, map_tension_raw(pair, p))
+    assert got.shape == (8,) and np.abs(got - ref).max() <= 1e-15
+    jm = JetMatrix.curve(p, pair.ambient.elements)
+    H = (jm @ jm).d2
+    got = tangential_residual(pair, p @ p, H)
+    ref = einsum_tangential_residual(pair, p @ p, H)
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, ref))
+    one = tangential_residual(pair, y[0], map_tension_raw(pair, p[0]))
+    ref = einsum_tangential_residual(pair, y[0], map_tension_raw(pair, p[0]))
+    assert np.ndim(one) == 0 and abs(one - ref) <= 1e-15

@@ -10,7 +10,8 @@ import pytest
 from eigenlab import ambient, cartan, catalog, claims
 from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
-                             _result, jobs_for, run_claims, validate_config)
+                             _eigen_residuals, _result, jobs_for, run_claims,
+                             validate_config)
 from eigenlab.matrices import i_signature_doubled
 from eigenlab.pairs import make_pair
 
@@ -121,8 +122,9 @@ def test_eigen_claims_without_evidence_fail():
     values = np.full((6, 3), 1e-6, dtype=complex)
     tau = lam * values
     kappa = mu * np.einsum("pj,pk->pjk", values, values)
-    lam_claim, mu_claim = _eigen_claims(("x.lambda", "x.mu"), "sphere", {},
-                                        values, tau, kappa, lam, mu, 1e-8)
+    lam_claim, mu_claim = _eigen_claims(
+        ("x.lambda", "x.mu"), "sphere", {},
+        _eigen_residuals(values, tau, kappa, lam, mu), 1e-8)
     for r in (lam_claim, mu_claim):
         assert not r.passed
         assert r.max_residual == 0.0
@@ -133,8 +135,9 @@ def test_eigen_claims_without_evidence_fail():
     values = 1e6 * values
     tau = lam * values
     kappa = mu * np.einsum("pj,pk->pjk", values, values)
-    results = _eigen_claims(("x.lambda", "x.mu"), "sphere", {}, values, tau,
-                            kappa, lam, mu, 1e-8)
+    results = _eigen_claims(("x.lambda", "x.mu"), "sphere", {},
+                            _eigen_residuals(values, tau, kappa, lam, mu),
+                            1e-8)
     assert all(r.passed and r.detail == "" for r in results)
 
 
@@ -254,6 +257,28 @@ def test_prop71_and_factor4_share_one_image_pass(monkeypatch):
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     assert len(calls) == 1
+
+
+def test_only_the_eigen_outer_products_call_einsum(monkeypatch):
+    # sampling, the harmonic projection and the image pass contract by
+    # gather or gemm; what is left is the phi psi outer product of each
+    # eigen claim pair and one square_sum for C_p per pair and run
+    callers = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        caller = sys._getframe(1)
+        callers.append((caller.f_globals["__name__"],
+                        caller.f_code.co_name))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for space, m, n in (("sp-grassmannian", 1, 1), ("su-sp", None, 2)):
+        results = run_claims(RunConfig(spaces=(space,), m=m, n=n, samples=8))
+        assert all(r.passed for r in results)
+    # table1 and prop7.1 on sp-grassmannian, table1 on su-sp
+    assert sorted(callers) == [("eigenlab.bases", "square_sum")] * 2 + [
+        ("eigenlab.claims", "_eigen_residuals")] * 3
 
 
 def _half_tension(pair, p):

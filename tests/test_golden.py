@@ -5,7 +5,9 @@ at the default configuration (seed 0).  Refactors must reproduce it: every
 field exactly, except the toolchain versions and the residual statistics,
 which move with the rounding of BLAS sums, and the measured eigenvalues,
 which may move by the same rounding, up to 1e-12 relative to
-max(1, |golden|).
+max(1, |golden|).  The residuals may move, but each max_residual stays
+within max(4 x golden, 1e-15), so a change that loses accuracy on any
+claim shows here long before its tolerance does.
 """
 
 import json
@@ -33,6 +35,9 @@ def test_default_report_matches_the_golden_copy(tmp_path, monkeypatch):
     assert len(got) == len(golden)
     for g, w in zip(got, golden):
         assert g.keys() == w.keys()
+        if "max_residual" in w:
+            bound = max(4.0 * w["max_residual"], 1e-15)
+            assert g["max_residual"] <= bound, (w["claim_id"], "max_residual")
         for key in w.keys() - UNCOMPARED:
             where = (w.get("claim_id", "meta"), key)
             if key in MEASURED and w[key] is not None:

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from eigenlab.matrices import (basis_D, basis_E, basis_X, basis_Y,
                                i_signature, i_signature_doubled, j_matrix,
-                               mat_exp, membership_residual, metric)
+                               mat_exp, membership_residual, metric,
+                               sparse_matmul)
 from eigenlab.pairs import make_pair
 
 # The seven pairs, up to the largest size the command line accepts.
@@ -191,3 +192,24 @@ class TestMembership:
     def test_unknown_group_rejected(self):
         with pytest.raises((KeyError, ValueError)):
             membership_residual("sl", np.eye(2))
+
+
+def test_sparse_matmul_is_the_sequential_product():
+    # columns with no, one and several nonzeros, leading batch axes, a
+    # complex Z against real rows, and an empty Z; each column sums its
+    # nonzero terms in order from zero, as a loop over b does
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal((6, 7)) * (rng.random((6, 7)) < 0.4)
+    Z[:, 0], Z[:, 1] = 0.0, 0.0
+    Z[2, 1] = 1.5
+    Z = Z + 1j * Z[::-1]
+    c = rng.standard_normal((2, 3, 6))
+    ref = np.zeros((2, 3, 7), dtype=complex)
+    for b in range(6):
+        ref += c[..., b, None] * Z[b]
+    got = sparse_matmul(c, Z)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert np.array_equal(sparse_matmul(c[1, 2], Z), ref[1, 2])
+    assert_allclose(got, c @ Z, rtol=0, atol=1e-14)
+    assert sparse_matmul(c[..., :0], Z[:0]).shape == (2, 3, 7)
+    assert not sparse_matmul(c[..., :0], Z[:0]).any()

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenlab.bases import group_basis
-from eigenlab.jets import Jet2
+from eigenlab.bases import group_basis, square_sum
+from eigenlab.cartan import cartan_map
+from eigenlab.catalog import family_for_space, stack_members
+from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
+from eigenlab.jets import Jet2, JetMatrix, directions_first, jet_ops
 from eigenlab.matrices import basis_Y
 from eigenlab.operators import (conformality, direction_derivs,
                                 field_value, finite_difference_derivs,
-                                quotient_ops, tension)
+                                image_ops, quotient_ops, tension)
 from eigenlab.pairs import make_pair
-from eigenlab.sampling import SampleConfig, random_point, random_pair_point
+from eigenlab.sampling import (SampleConfig, random_pair_point,
+                               random_pair_points, random_point)
 
 
 def entry_field(group, n, i, j):
@@ -160,3 +164,33 @@ class TestQuotientOps:
             horiz, full, _ = quotient_ops(pair, f, p)
             diffs.append(abs(horiz - full))
         assert max(diffs) > 1e-3
+
+
+def w_formed_image_ops(pair, eta, p):
+    """image_ops with the image directions W = s X s^H formed first, and
+    the tension term as y (s C_p s^H)."""
+    y = cartan_map(pair, p)
+    s = pair.sigma(p)
+    sH = np.swapaxes(s, -1, -2).conj()
+    W = s @ directions_first(pair.p_basis, s.ndim) @ sH
+    jm = JetMatrix(y, y @ W, y @ (s @ square_sum(pair.p_basis) @ sH))
+    return jet_ops(*eta(jm).broadcast_to(y.shape[:-2], len(W)), 1)
+
+
+@pytest.mark.parametrize("space,m,n", [
+    (space, m, n) for space in PAIR_SPACE_ORDER
+    for m, n in DEFAULT_SIZES[space]])
+def test_image_ops_matches_the_w_formed_jet(space, m, n):
+    # image_ops forms y W as (y s X) s^H and never forms W: the same jet
+    # up to the order of the products, relative to max(1, |reference|)
+    # as every claim residual is
+    pair = make_pair(space, m=m, n=n)
+    eta = stack_members(family_for_space(
+        space, m=m, n=n, alpha=1, rng=np.random.default_rng(4),
+        pair=pair)).eta_field()
+    p = random_pair_points(pair, SampleConfig(seed=17), range(8))
+    for got, ref in zip(image_ops(pair, eta, p),
+                        w_formed_image_ops(pair, eta, p)):
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref)
+                      <= 1e-13 * np.maximum(1.0, np.abs(ref)))

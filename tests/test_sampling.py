@@ -7,6 +7,8 @@ import pytest
 
 from eigenlab import sampling
 from eigenlab.ambient import random_sphere_point
+from eigenlab.bases import group_basis
+from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
 from eigenlab.matrices import membership_residual
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (GENERATOR_NAME, RADIUS, SampleConfig,
@@ -126,6 +128,44 @@ class TestBatchedDraws:
         monkeypatch.setattr(sampling, "mat_exp", off_group_last)
         with pytest.raises(RuntimeError, match="membership"):
             random_points("su", 3, self.cfg, range(5))
+
+
+def einsum_combos(basis_els, label, cfg, indices):
+    """The sums of the basis elements with each sample's coefficient row,
+    as one einsum."""
+    width = len(basis_els)
+    coeff = np.array([rng_for(label, cfg.seed, i).uniform(
+        -RADIUS, RADIUS, size=width) for i in indices])
+    return np.einsum("kb,bij->kij", coeff.reshape(len(indices), width),
+                     basis_els)
+
+
+def combo_bases():
+    """Every default pair's ambient, k- and p-basis (dim k = 0 at
+    so-grassmannian(1,1)), and the su(8), su(12) and sp(6) bases."""
+    for space in PAIR_SPACE_ORDER:
+        for m, n in DEFAULT_SIZES[space]:
+            pair = make_pair(space, m=m, n=n)
+            for part, els in (("g", pair.ambient.elements),
+                              ("k", pair.k_basis), ("p", pair.p_basis)):
+                yield pytest.param(els, id=f"{pair.label()}:{part}")
+    for group, n in (("su", 8), ("su", 12), ("sp", 6)):
+        yield pytest.param(group_basis(group, n).elements,
+                           id=f"{group}({n})")
+
+
+@pytest.mark.parametrize("basis_els", combo_bases())
+def test_combos_are_the_einsum_bit_for_bit(basis_els):
+    # the gather over each entry's nonzero basis elements sums in basis
+    # order from zero, as the einsum does: equal bits, batched or one by one
+    cfg = SampleConfig(seed=7)
+    ref = einsum_combos(basis_els, "combos", cfg, range(9))
+    got = sampling._combos(basis_els, "combos", cfg, range(9))
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert np.array_equal(sampling._combos(basis_els, "combos", cfg, (4,)),
+                          ref[4:5])
+    assert sampling._combos(basis_els, "combos", cfg, ()).shape == \
+        (0,) + basis_els.shape[1:]
 
 
 class TestMembership:
