@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import JetMatrix, directions_first
+from .jets import JetMatrix
 from .matrices import membership_residual, metric, sparse_matmul
 
 __all__ = [
@@ -80,11 +80,13 @@ def cartan_jets_closed(pair, p: np.ndarray):
     the directions first, as in a jet)
     and sum_Z Z^2(Phi) over the ambient basis is 4 p C_p sigma(p)^-1,
     with C_p the sum of Z^2 over the p-basis: the map_tension_raw of p.
+    p Z is a gather (pair.basis_products), so the one product per
+    direction is by 2 sigma(p)^-1, the same bits as 2 (p Z sigma(p)^-1).
     """
     _check_member(pair, p)
     p = np.asarray(p, dtype=complex)
     s_inv = pair.sigma.inverse(p)
-    d1 = 2.0 * (p @ directions_first(pair.p_basis, p.ndim) @ s_inv)
+    d1 = pair.basis_products(p) @ (2.0 * s_inv)
     return p @ s_inv, d1, 4.0 * (p @ pair.p_square @ s_inv)
 
 

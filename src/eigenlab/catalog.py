@@ -14,11 +14,12 @@ Matrix indices j, alpha are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .cartan import cartan_map, cartan_map_jet
-from .jets import trace_form
+from .jets import form_plan, trace_form
 from .matrices import basis_E, i_signature, i_signature_doubled, j_matrix
 from .pairs import SymmetricPair, make_pair
 
@@ -96,9 +97,14 @@ class Eigenfunction:
     params: dict = field(default_factory=dict)
     direct: object = field(default=None, repr=False)  # independent closed form
 
+    @cached_property
+    def plan(self):
+        """B prepared for trace_form, once per function or stack."""
+        return form_plan(self.B)
+
     def eta_value(self, y: np.ndarray):
         """The affine functional on the image, eta(y) = tr(y B) + c."""
-        return (trace_form(y, self.B) + self.c)[()]
+        return (trace_form(y, self.plan) + self.c)[()]
 
     def value(self, q: np.ndarray):
         """psi(q) = eta(Phi(q))."""
@@ -113,12 +119,12 @@ class Eigenfunction:
     def as_field(self):
         """The jet evaluator on the ambient group (for the generic
         operators)."""
-        pair, B, c = self.pair, self.B, self.c
+        pair, B, c = self.pair, self.plan, self.c
         return lambda jm: cartan_map_jet(pair, jm).trace_form(B) + c
 
     def eta_field(self):
         """The jet evaluator of eta itself (a function on the image N)."""
-        B, c = self.B, self.c
+        B, c = self.plan, self.c
         return lambda jm: jm.trace_form(B) + c
 
 

@@ -239,24 +239,32 @@ def _eigen_claims(ids, space, params, residuals, tol, details=("", "")):
 
 
 def _chunked(op, *points):
-    """``op`` over CHUNK points at a time, each item of its output tuple
-    concatenated along the point axis."""
-    outs = [op(*(p[lo:lo + CHUNK] for p in points))
-            for lo in range(0, len(points[0]), CHUNK)]
-    return tuple(np.concatenate(parts) for parts in zip(*outs))
+    """``op`` over CHUNK points at a time, each array of its output tuple
+    (or of its nested tuples) concatenated along the point axis."""
+    def concat(parts):
+        return (tuple(map(concat, zip(*parts))) if type(parts[0]) is tuple
+                else np.concatenate(parts))
+    return concat([op(*(p[lo:lo + CHUNK] for p in points))
+                   for lo in range(0, len(points[0]), CHUNK)])
 
 
 class _Cache:
-    """Per-run cache of pairs, point samples, families and image passes,
-    keyed by (space, m, n) and, for families, alpha."""
+    """Per-run cache of pairs, point samples, families, image passes and
+    sweeps, keyed by (space, m, n) and, for families, alpha.  A sweep of
+    a point set calls cartan_jets_closed once per chunk for both jobs that
+    read it, table1 and the cartan job, if ``jobs`` holds them (their
+    claim ids' first part and space); each half is dropped once read."""
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, jobs):
         self.config = config
         self.scfg = SampleConfig(seed=config.seed)
+        self._jobs = {(job.claim_ids[0].split(".")[0], job.space)
+                      for job in jobs}
         self._pairs = {}
         self._points = {}
         self._families = {}
         self._images = {}
+        self._sweeps = {}
 
     def pair(self, space, m, n):
         key = (space, m, n)
@@ -305,6 +313,30 @@ class _Cache:
         return [self.family(space, m, n, alpha=alpha)
                 for alpha in _alpha_range(space, m, n)]
 
+    def sweep(self, space, m, n, half):
+        """The job ``half``'s ("table1" or "cartan") part of the sweep of
+        (space, m, n): phi, tau and kappa of table1's grid, or what
+        _cartan_pass returns."""
+        held = self._sweeps.setdefault((space, m, n), {})
+        if half not in held:
+            pair, alpha1 = self.pair(space, m, n), self.family(space, m, n)
+            read = {}
+            if half == "table1" or ("table1", space) in self._jobs:
+                grid = stack_members(map(stack_members,
+                                         self.blocks(space, m, n)))
+                read["table1"] = lambda cl, c: jet_ops(
+                    *_trace_jets(cl, grid), 1)
+            if half == "cartan" or ("cartan", space) in self._jobs:
+                forms = stack_members(alpha1[i] for i in _factor4_index(alpha1))
+                read["cartan"] = lambda cl, c: _cartan_pass(pair, forms, c, cl)
+
+            def op(c):
+                closed = cartan_jets_closed(pair, c)
+                return tuple(f(closed, c) for f in read.values())
+
+            held.update(zip(read, _chunked(op, self.points(space, m, n))))
+        return held.pop(half)
+
 
 def _factor4_index(members):
     """The alpha = 1 members the factor-4 claims compare: the first two,
@@ -312,57 +344,59 @@ def _factor4_index(members):
     return [0, 1] if len(members) > 1 else [0, 0]
 
 
-def _trace_jets(pair, forms, points):
-    """The Jet2 of the trace forms ``forms`` of Phi at stacked ``points``,
-    from the closed-form jets of Phi, the one route of every trace-form
-    suite: the values tr(Phi B) + c, the first derivatives
-    tr(2 p Z sigma(p)^-1 B) along the p-basis (Phi is constant along k)
-    and, as d2, the tension form tr(4 p C_p sigma(p)^-1 B).  The jet
-    arithmetic of any function of the forms then gives its tau, and the
-    Gram product of its first derivatives its kappa."""
-    phi, dphi, tension = cartan_jets_closed(pair, points)
-    return Jet2(trace_form(phi, forms.B) + forms.c, trace_form(dphi, forms.B),
-                trace_form(tension, forms.B))
+def _trace_jets(closed, forms):
+    """The jet parts (v, d1, d2) of the trace forms ``forms`` of Phi from
+    ``closed``, the closed-form jets of Phi at stacked points
+    (cartan_jets_closed), the one route of every trace-form suite: the
+    values tr(Phi B) + c, the first derivatives tr(2 p Z sigma(p)^-1 B)
+    along the p-basis (Phi is constant along k) and, as d2, the tension
+    form tr(4 p C_p sigma(p)^-1 B).  The jet arithmetic of any function
+    of the forms then gives its tau, and the Gram product of its first
+    derivatives its kappa."""
+    phi, dphi, tension = closed
+    B = forms.plan
+    return (trace_form(phi, B) + forms.c, trace_form(dphi, B),
+            trace_form(tension, B))
 
 
-def _poly_ops(pair, PF, points):
+def _poly_ops(PF, forms, closed):
     """Values, tau and kappa of the polynomial family ``PF``: the jet
-    arithmetic of its generators on the trace jets of its base members."""
-    base = PF.members[0].base
-    j = _trace_jets(pair, stack_members(base), points)
-    vals = tuple(j[..., i] for i in range(len(base)))
+    arithmetic of its generators on the trace jets of ``forms``, its base
+    members stacked, from the closed-form jets ``closed``."""
+    j = Jet2(*_trace_jets(closed, forms))
+    vals = tuple(j[..., i] for i in range(len(forms.B)))
     poly = Jet2.stack([mm.generator(vals) for mm in PF.members])
     return jet_ops(poly.v, poly.d1, poly.d2, 1)
 
 
-def _product_ops(pair, PF, p1, p2):
-    """Values, tau and kappa of the product family ``PF`` of two families
-    on ``pair`` at the point pairs (p1, p2): the product law on the trace
-    jets of the factors, stacked over every member."""
-    factors = (stack_members(mm.f1 for mm in PF.members),
-               stack_members(mm.f2 for mm in PF.members))
-    jets = (_trace_jets(pair, f, p) for f, p in zip(factors, (p1, p2)))
-    return product_ops([(j.v, j.d1, j.d2) for j in jets], 1)
+def _product_ops(pair, factors, p1, p2):
+    """Values, tau and kappa of a product family on ``pair`` at the point
+    pairs (p1, p2): the product law on the trace jets of the two
+    ``factors``, each stacked over every member."""
+    return product_ops([_trace_jets(cartan_jets_closed(pair, p), f)
+                        for f, p in zip(factors, (p1, p2))], 1)
 
 
-def _cartan_pass(pair, forms, points):
+def _cartan_pass(pair, forms, points, closed):
     """What the cartan claims read of the 2-jets of Phi at ``points``,
     from one Cartan pass of curve jets along the p-basis, then the
     k-basis: Z(Phi) per direction and the sum of Z^2(Phi) over both.  The
     two bases together are orthonormal, so that sum is the raw map
-    tension over the ambient basis.
+    tension over the ambient basis.  The curve jet has the bits of
+    JetMatrix.curve, with p Z gathered (pair.basis_products).
 
     Returns Phi, the pullback ratios along the p- and the k-basis, the
     harmonic residual, tau and kappa of the trace forms ``forms``, and the
     casimir residual: per point, the largest entry of the error of
-    cartan_jets_closed against the jets."""
+    ``closed``, cartan_jets_closed at ``points``, against the jets."""
     X, V = pair.p_basis, pair.k_basis
-    j = cartan_map_jet(pair, JetMatrix.curve(points, np.concatenate([X, V])))
+    j = cartan_map_jet(pair, JetMatrix(points, pair.basis_products(
+        points, with_k=True), points @ pair.pk_square))
     dp, dk = j.d1[:len(X)], j.d1[len(X):]
-    phi, dphi, tension = cartan_jets_closed(pair, points)
+    phi, dphi, tension = closed
     casimir = np.maximum(np.abs(dp - dphi).max(axis=(0, 2, 3)),
                          np.abs(j.d2 - tension).max(axis=(1, 2)))
-    jf = j.trace_form(forms.B)
+    jf = j.trace_form(forms.plan)
     _, tau, kappa = jet_ops(jf.v, jf.d1, jf.d2, 1)
     return (phi, pullback_ratio(dp, dp, X, X), pullback_ratio(dk, dk, V, V),
             tangential_residual(pair, phi, j.d2), tau, kappa, casimir)
@@ -438,15 +472,8 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     # the member axis only
     alphas = _alpha_range(space, m, n)
     blocks = cache.blocks(space, m, n)
-    pair = cache.pair(space, m, n)
-    forms = stack_members(map(stack_members, blocks))
-
-    def ops(c):
-        j = _trace_jets(pair, forms, c)
-        return jet_ops(j.v, j.d1, j.d2, 1)
-
     first = blocks[0][0]
-    eigen = _eigen_residuals(*_chunked(ops, cache.points(space, m, n)),
+    eigen = _eigen_residuals(*cache.sweep(space, m, n, "table1"),
                              first.lam, first.mu)
     out = _eigen_claims(ids[:2], space, params, eigen, tol)
     if space == "sp-grassmannian":
@@ -493,11 +520,9 @@ def _run_cartan(config: RunConfig, cache: _Cache, ids, params, space, m, n,
     P = pts.shape[0]
     # each claim id by its kind, e.g. "harmonic"
     cid = dict(zip(kinds, ids))
-    members = cache.family(space, m, n)
-    idx = _factor4_index(members)
-    forms = stack_members(members[i] for i in idx)
-    phi, ratios, vert, res_h, tauL, kapL, res_c = _chunked(
-        lambda c: _cartan_pass(pair, forms, c), pts)
+    idx = _factor4_index(cache.family(space, m, n))
+    phi, ratios, vert, res_h, tauL, kapL, res_c = cache.sweep(
+        space, m, n, "cartan")
     results = []
 
     if "k-invariance" in cid:
@@ -535,8 +560,10 @@ def _run_cartan(config: RunConfig, cache: _Cache, ids, params, space, m, n,
 def _run_poly(config: RunConfig, cache: _Cache, ids, params, space, m, n, d):
     pair = cache.pair(space, m, n)
     PF = polynomial_family(base_family(cache.family(space, m, n)), d)
-    values, tau, kappa = _chunked(lambda c: _poly_ops(pair, PF, c),
-                                  cache.points(space, m, n))
+    forms = stack_members(PF.members[0].base)
+    values, tau, kappa = _chunked(
+        lambda c: _poly_ops(PF, forms, cartan_jets_closed(pair, c)),
+        cache.points(space, m, n))
     eigen = _eigen_residuals(values, tau, kappa, PF.lam, PF.mu)
     return _eigen_claims(ids, space, params, eigen, _tol(config, 1e-7),
                          (f"{len(PF.members)} monomials of degree {d}", ""))
@@ -549,8 +576,10 @@ def _run_product(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     pts1 = cache.points(space, m, n)
     P = pts1.shape[0]
     pts2 = random_pair_points(pair, cache.scfg, range(P, 2 * P))
-    vals, tau, kappa = _chunked(lambda a, b: _product_ops(pair, PF, a, b),
-                                pts1, pts2)
+    factors = (stack_members(mm.f1 for mm in PF.members),
+               stack_members(mm.f2 for mm in PF.members))
+    vals, tau, kappa = _chunked(
+        lambda a, b: _product_ops(pair, factors, a, b), pts1, pts2)
     detail = f"{space_label(space, m, n)} x {space_label(space, m, n)}"
     return _eigen_claims(ids, "product", params, _eigen_residuals(
         vals, tau, kappa, PF.lam, PF.mu), _tol(config, 1e-8), (detail, detail))
@@ -661,7 +690,7 @@ def run_claims(config: RunConfig, prefix: str | None = None):
     if prefix is not None:
         jobs = [j for j in jobs
                 if any(c.startswith(prefix) for c in j.claim_ids)]
-    cache = _Cache(config)
+    cache = _Cache(config, jobs)
     results = []
     for job in jobs:
         results.extend(job.run(cache))

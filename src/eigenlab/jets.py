@@ -13,20 +13,46 @@ of Li et al. (arXiv 2307.08214).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["Jet2", "JetMatrix", "trace_form", "gram", "jet_ops",
-           "directions_first"]
+__all__ = ["Jet2", "JetMatrix", "FormPlan", "form_plan", "trace_form", "gram",
+           "jet_ops"]
 
 
 # rows of ``a`` per gemm in trace_form
 _ROWS = 32
 
 
+class FormPlan(NamedTuple):
+    """A stack or grid of B prepared for trace_form (form_plan)."""
+
+    members: tuple
+    index: np.ndarray | None
+    weights: np.ndarray
+
+
+def form_plan(B) -> FormPlan:
+    """What trace_form reads off the stack or grid ``B``: its member axes
+    and, if every B is one-hot, the flat index and value of the nonzero
+    of each B^T, else the B^T flattened to (n*n, members)."""
+    B = np.asarray(B)
+    Bt = np.swapaxes(B, -1, -2).reshape(-1, B.shape[-2] * B.shape[-1])
+    # the total count, cheaper than the per-member one, rules out a dense
+    # stack first
+    if (np.count_nonzero(Bt) == len(Bt)
+            and (np.count_nonzero(Bt, axis=1) == 1).all()):
+        member, idx = np.nonzero(Bt)
+        return FormPlan(B.shape[:-2], idx, Bt[member, idx])
+    return FormPlan(B.shape[:-2], None, Bt.T)
+
+
 def trace_form(a, B):
     """tr(a @ B) = sum_ij a_ij B_ji over the leading axes of ``a``, with
     ``a`` flattened to rows of n*n; the member axes of a stack or grid of
-    B, e.g. (A, K, n, n), become trailing axes.
+    B, e.g. (A, K, n, n), become trailing axes.  ``B`` may be given as its
+    form_plan, so that a stack used many times is read once.
 
     When every B has exactly one nonzero entry w at (i, j), as every u-
     and sp-grassmannian B does, tr(a B) is w a_ji: one gathered entry per
@@ -34,25 +60,17 @@ def trace_form(a, B):
     same bits as the matmul's one nonzero product.  Any other stack is
     contracted by matmuls against the transposed B flattened to
     (n*n, members)."""
-    a, B = np.asarray(a), np.asarray(B)
-    n2 = a.shape[-2] * a.shape[-1]
-    rows = a.reshape(-1, n2)
-    Bt = np.swapaxes(B, -1, -2).reshape(-1, n2)
-    # the total count, cheaper than the per-member one, rules out a
-    # dense stack first
-    if (np.count_nonzero(Bt) == len(Bt)
-            and (np.count_nonzero(Bt, axis=1) == 1).all()):
-        member, idx = np.nonzero(Bt)
-        w = Bt[member, idx]
+    members, idx, w = B if isinstance(B, FormPlan) else form_plan(B)
+    a = np.asarray(a)
+    rows = a.reshape(-1, a.shape[-2] * a.shape[-1])
+    if idx is not None:
         # np.take gives a fresh C-ordered array: gram's matmul over the
         # members then sums in the same order as on the matmuls' output
         out = np.take(rows, idx, axis=-1).astype(
             np.result_type(rows, w), copy=False)
         out *= w
-        return out.reshape(a.shape[:-2] + B.shape[:-2])
-    Bt = Bt.T
-    if len(rows) <= _ROWS:
-        out = rows @ Bt
+    elif len(rows) <= _ROWS:
+        out = rows @ w
     else:
         # gemms of _ROWS rows, one slab of ``a`` packed at a time: for a
         # few members BLAS keeps each on one thread, where all points of an
@@ -60,16 +78,9 @@ def trace_form(a, B):
         # after the call costs CPU time and no wall time.  Each row's
         # result does not depend on how the rows are blocked.
         cut = len(rows) - len(rows) % _ROWS
-        head = rows[:cut].reshape(-1, _ROWS, n2) @ Bt
-        out = np.concatenate([head.reshape(cut, -1), rows[cut:] @ Bt])
-    return out.reshape(a.shape[:-2] + B.shape[:-2])
-
-
-def directions_first(Z, ndim: int):
-    """Directions Z (dirs, ..., n, n) with unit axes after the direction
-    axis, so that they broadcast against points of ``ndim`` dimensions
-    (..., n, n) with the directions in front of every point axis."""
-    return Z.reshape(Z.shape[:1] + (1,) * (ndim - Z.ndim + 1) + Z.shape[1:])
+        head = rows[:cut].reshape(-1, _ROWS, rows.shape[1]) @ w
+        out = np.concatenate([head.reshape(cut, -1), rows[cut:] @ w])
+    return out.reshape(a.shape[:-2] + members)
 
 
 def _as_jet(x):
@@ -257,7 +268,8 @@ class JetMatrix(Jet2):
         direction (n, n) or a stack (dirs, ..., n, n) whose axes after the
         first broadcast against the points: a basis (dirs, n, n) serves
         every point, and (dirs, *points, n, n) pairs point-dependent
-        directions with their points.
+        directions with their points.  p Z is a dense product, for any
+        directions; SymmetricPair.basis_products gathers it along a basis.
         """
         p = np.asarray(p, dtype=complex)
         Z = np.asarray(Z, dtype=complex)
@@ -265,7 +277,10 @@ class JetMatrix(Jet2):
             raise ValueError("size mismatch between point and direction")
         if Z.ndim == 2:
             Z = Z[None]
-        return cls(p, p @ directions_first(Z, p.ndim), p @ (Z @ Z).sum(axis=0))
+        # the directions in front of every point axis
+        dirs = Z.reshape(Z.shape[:1] + (1,) * (p.ndim - Z.ndim + 1)
+                         + Z.shape[1:])
+        return cls(p, p @ dirs, p @ (Z @ Z).sum(axis=0))
 
     @property
     def T(self):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import JetMatrix, directions_first, jet_ops
+from .jets import JetMatrix, jet_ops
 from .matrices import mat_exp
 
 __all__ = [
@@ -110,9 +110,9 @@ def image_ops(pair, eta, p: np.ndarray):
     sH = np.swapaxes(s, -1, -2).conj()
     ys = y @ s
     # the curve jet (y, y W, y sum_X W^2) along W = s X s^H, with y W as
-    # (y s X) s^H and sum_X W^2 = s C_p s^H for unitary s: no W is formed
-    jm = JetMatrix(y, ys @ directions_first(pair.p_basis, s.ndim) @ sH,
-                   ys @ pair.p_square @ sH)
+    # (y s X) s^H, y s X a gather, and sum_X W^2 = s C_p s^H for unitary
+    # s: no W is formed
+    jm = JetMatrix(y, pair.basis_products(ys) @ sH, ys @ pair.p_square @ sH)
     return jet_ops(*eta(jm).broadcast_to(y.shape[:-2], pair.dim_p),
                    np.ndim(p) - 2)
 

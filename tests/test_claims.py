@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eigenlab import ambient, cartan, catalog, claims
+from eigenlab import ambient, cartan, catalog, claims, jets
 from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
                              _eigen_residuals, _result, jobs_for, run_claims,
@@ -418,3 +418,53 @@ def test_a_wrong_involution_fails_the_cartan_claims(monkeypatch):
               for r in results if not r.passed}
     for kind in ("k-invariance", "pullback", "vertical", "casimir"):
         assert failed[f"cartan.{kind}"] >= 1e-3
+
+
+def test_full_run_makes_one_closed_form_pass_per_chunk(monkeypatch):
+    # table1 and the cartan job read the closed-form jets of Phi from one
+    # sweep of their point set: at quat-scale, 10 chunks of 300 points
+    # and 10 cartan_jets_closed calls, where one per job would make 20
+    calls = []
+    original = claims.cartan_jets_closed
+
+    def counting(pair, p):
+        calls.append(len(p))
+        return original(pair, p)
+
+    monkeypatch.setattr(claims, "cartan_jets_closed", counting)
+    config = RunConfig(spaces=("sp-grassmannian",), m=3, n=3, samples=300)
+    results = run_claims(config)
+    assert [r.claim_id for r in results] == claim_ids(config)
+    assert all(r.passed for r in results)
+    assert calls == [CHUNK] * 9 + [300 - 9 * CHUNK]
+
+
+def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
+    # the one-hot test and gather index of a stack of B (jets.form_plan)
+    # are made once per stack a job builds, not once per trace_form call:
+    # no B is planned twice within a job, over three chunks per point set
+    planned = []
+    original = jets.form_plan
+
+    def spy(B):
+        planned.append(B)
+        return original(B)
+
+    for mod in (jets, catalog):
+        monkeypatch.setattr(mod, "form_plan", spy)
+    config = RunConfig(samples=2 * CHUNK + 1)
+    jobs = jobs_for(config)
+    cache = claims._Cache(config, jobs)
+    per_job = []
+    for job in jobs:
+        planned.clear()
+        assert all(r.passed for r in job.run(cache))
+        assert len({id(B) for B in planned}) == len(planned)
+        per_job.append(len(planned))
+    # table1 plans its grid and the cartan job's forms, the cartan job the
+    # image pass's stack (but for prop7.1's space), product its two factors
+    kinds = [job.claim_ids[0].split(".")[0] for job in jobs]
+    assert {k: max(c for kk, c in zip(kinds, per_job) if kk == k)
+            for k in kinds} == {"basis": 0, "table1": 2, "prop7": 1,
+                                "cartan": 1, "poly": 1, "product": 2,
+                                "sphere": 0, "cpn": 0}

@@ -294,3 +294,36 @@ def test_verify_runs_without_scipy(tmp_path):
     rep = parse(out.read_text(), "json-lines")
     assert len(rep.results) == 186 and rep.all_passed
     assert "scipy" not in rep.versions
+
+
+# One warm and one timed quat-scale verify in this process; prints the
+# timed run's process CPU time and wall time.  At 64 samples a threaded
+# gemm per chunk in the harmonic projection read CPU = wall; at 300 it
+# read 1.7 x wall.
+CPU_OVER_WALL = """
+import sys, time
+import eigenlab.cli
+argv = ["verify", "--space", "sp-grassmannian", "--m", "3", "--n", "3",
+        "--samples", "300", "--format", "json-lines", "--out", sys.argv[1]]
+assert eigenlab.cli.main(argv) == 0
+wall, cpu = time.perf_counter(), time.process_time()
+assert eigenlab.cli.main(argv) == 0
+print(time.process_time() - cpu, time.perf_counter() - wall)
+"""
+
+
+def test_quat_sized_verify_keeps_to_one_thread(tmp_path):
+    # a BLAS call large enough for OpenBLAS to thread wakes helper threads
+    # that spin after it, costing CPU time and no wall time; single-threaded
+    # CPU time cannot exceed wall time, so host noise cannot fail this
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("EIGENLAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CPU_OVER_WALL, str(tmp_path / "r.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    cpu, wall = map(float, proc.stdout.split())
+    assert cpu <= 1.15 * wall, (cpu, wall)

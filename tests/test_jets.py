@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenlab.cartan import cartan_map_jet
-from eigenlab.jets import Jet2, JetMatrix, gram, trace_form
+from eigenlab.jets import Jet2, JetMatrix, form_plan, gram, trace_form
 from eigenlab.matrices import mat_exp
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import SampleConfig, random_pair_points
@@ -562,6 +562,25 @@ class TestTraceForm:
              else self.rand(rng, (5, 3, 3)))
         got = trace_form(np.zeros((0, 4, 3, 3), dtype=complex), B)
         assert got.shape == (0, 4, 5)
+
+    @pytest.mark.parametrize("one_hot", [True, False])
+    def test_a_plan_made_once_gives_the_same_bits(self, one_hot):
+        # form_plan reads the stack once; trace_form and
+        # JetMatrix.trace_form give the bits of the unplanned call, on
+        # either path, for every input it is reused on
+        rng = np.random.default_rng(27)
+        B = (self.one_hot((2, 3), 4, [1, -0.5, 1j], 28)[0] if one_hot
+             else self.rand(rng, (2, 3, 4, 4)))
+        plan = form_plan(B)
+        assert (plan.index is not None) == one_hot
+        for lead in ((), (5,), (40, 2)):
+            a = self.rand(rng, lead + (4, 4))
+            assert np.array_equal(trace_form(a, plan), trace_form(a, B))
+        jm = JetMatrix(*(self.rand(rng, s + (4, 4))
+                         for s in ((6,), (3, 6), (6,))))
+        got, ref = jm.trace_form(plan), jm.trace_form(B)
+        for part in ("v", "d1", "d2"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
 
 
 def einsum_gram(a, b, points):

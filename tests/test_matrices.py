@@ -60,7 +60,7 @@ class TestElementary:
     @pytest.mark.parametrize("kinds", ["complex", "real", "mixed"])
     def test_metric_matches_the_trace_of_the_product(self, zshape, wshape,
                                                      kinds):
-        # an elementwise sum against Re tr(Z conj(W)^t) over broadcast
+        # metric against Re tr(Z conj(W)^t) over broadcast
         # stacks, at 1e-12 relative to max(1, |reference|), fixed beforehand
         rng = np.random.default_rng(2)
         rand = lambda shape, cplx: rng.standard_normal(shape) + (
@@ -213,3 +213,31 @@ def test_sparse_matmul_is_the_sequential_product():
     assert_allclose(got, c @ Z, rtol=0, atol=1e-14)
     assert sparse_matmul(c[..., :0], Z[:0]).shape == (2, 3, 7)
     assert not sparse_matmul(c[..., :0], Z[:0]).any()
+
+
+def entrywise_metric(Z, W):
+    """g(Z, W) as the elementwise sum of Re Z Re W + Im Z Im W."""
+    return (Z.real * W.real + Z.imag * W.imag).sum(axis=(-2, -1))
+
+
+def test_metric_is_the_entrywise_sum():
+    # one dot product of the real views per pair of matrices against the
+    # elementwise sum, relative to the sum of |Z| |W|; on stacks,
+    # broadcast stacks, single matrices, real input, non-contiguous views
+    # and empty stacks (so-grassmannian(1,1) has dim k = 0)
+    rng = np.random.default_rng(11)
+    Z = rng.standard_normal((6, 5, 4, 4)) + 1j * rng.standard_normal((6, 5, 4, 4))
+    W = rng.standard_normal((6, 5, 4, 4)) + 1j * rng.standard_normal((6, 5, 4, 4))
+    cases = [(Z, W), (Z, W[0, 0]), (Z[2, 3], W[1, 4]), (Z.real, W.real),
+             (Z[:, ::2].swapaxes(-1, -2), W[:, ::2, ::-1]),
+             (Z[::-1, :, ::2, ::2], W[:, :, 1::2, 1::2])]
+    for a, b in cases:
+        ref = entrywise_metric(a, b)
+        got = metric(a, b)
+        assert np.shape(got) == ref.shape
+        assert np.all(np.abs(got - ref)
+                      <= 1e-15 * entrywise_metric(np.abs(a), np.abs(b)))
+    empty = np.zeros((0, 3, 2, 2), dtype=complex)
+    assert metric(empty, empty).shape == (0, 3)
+    assert metric(empty, np.eye(2)).shape == (0, 3)
+    assert metric(empty[:, ::2].swapaxes(-1, -2), empty[:, 1:]).shape == (0, 2)

@@ -9,7 +9,7 @@ from eigenlab.bases import group_basis, square_sum
 from eigenlab.cartan import cartan_map
 from eigenlab.catalog import family_for_space, stack_members
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
-from eigenlab.jets import Jet2, JetMatrix, directions_first, jet_ops
+from eigenlab.jets import Jet2, JetMatrix, jet_ops
 from eigenlab.matrices import basis_Y
 from eigenlab.operators import (conformality, direction_derivs,
                                 field_value, finite_difference_derivs,
@@ -172,7 +172,7 @@ def w_formed_image_ops(pair, eta, p):
     y = cartan_map(pair, p)
     s = pair.sigma(p)
     sH = np.swapaxes(s, -1, -2).conj()
-    W = s @ directions_first(pair.p_basis, s.ndim) @ sH
+    W = s @ pair.p_basis[:, None] @ sH  # p is a stack of points
     jm = JetMatrix(y, y @ W, y @ (s @ square_sum(pair.p_basis) @ sH))
     return jet_ops(*eta(jm).broadcast_to(y.shape[:-2], len(W)), 1)
 

@@ -8,6 +8,7 @@ from eigenlab.bases import gram_matrix, gram_schmidt
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
 from eigenlab.jets import JetMatrix
 from eigenlab.matrices import i_signature, metric
+from eigenlab import pairs
 from eigenlab.pairs import SPACES, Involution, make_pair, space_label
 from eigenlab.sampling import (SampleConfig, random_pair_points,
                                random_subgroup_point)
@@ -228,3 +229,43 @@ class TestValidation:
             "su-so", "sp-u", "so-u", "su-sp",
             "so-grassmannian", "u-grassmannian", "sp-grassmannian",
         }
+
+
+# every size the command line accepts: m, n in 1..3, from each space's
+# smallest size
+CLI_PAIRS = [(space, m, n) for space in PAIR_SPACE_ORDER for m, n in (
+    [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+    if SPACES[space]["params"] == ("m", "n")
+    else [(None, n) for n in range(SPACES[space]["min_size"]["n"], 4)])]
+
+
+@pytest.mark.parametrize("space,m,n", CLI_PAIRS)
+def test_basis_products_gather_the_matmul(space, m, n):
+    # every ambient, p- and k-basis matrix has at most one nonzero per
+    # column, purely real or imaginary, so the gather of basis_products
+    # is p @ Z bit for bit; so-grassmannian(1,1) has an empty k-basis
+    pair = make_pair(space, n=n) if m is None else make_pair(space, m=m, n=n)
+    for Z in (pair.ambient.elements, pair.p_basis, pair.k_basis):
+        assert ((Z != 0).sum(axis=-2) <= 1).all()
+        assert not (Z.real * Z.imag).any()
+    p = random_pair_points(pair, SampleConfig(seed=3), range(5))
+    pk = np.concatenate([pair.p_basis, pair.k_basis])
+    assert np.array_equal(pair.basis_products(p, with_k=True),
+                          p @ pk[:, None])
+    assert np.array_equal(pair.basis_products(p), p @ pair.p_basis[:, None])
+    assert np.array_equal(pair.basis_products(p[0]), p[0] @ pair.p_basis)
+    assert pair.basis_products(p, with_k=True).flags.c_contiguous
+    assert np.array_equal(pair.pk_square, (pk @ pk).sum(axis=0))
+
+
+@pytest.mark.parametrize("mix", [
+    lambda p: np.concatenate([(p[:1] + p[1:2]) / np.sqrt(2.0), p[1:]]),
+    lambda p: np.exp(0.25j * np.pi) * p])
+def test_make_pair_rejects_a_basis_the_gather_cannot_take(monkeypatch, mix):
+    # negative control: two nonzeros in a column, or a nonzero neither
+    # real nor imaginary, and make_pair refuses the split
+    split = pairs._split
+    monkeypatch.setattr(pairs, "_split",
+                        lambda Z, s: (lambda k, p: (k, mix(p)))(*split(Z, s)))
+    with pytest.raises(RuntimeError, match="two nonzeros"):
+        make_pair("sp-grassmannian", m=1, n=1)

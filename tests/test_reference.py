@@ -295,9 +295,10 @@ def test_phi_bundle(case):
                                        alpha=alpha, pair=pair,
                                        rng=np.random.default_rng(3))
               for alpha in _alpha_range(pair.space, pair.m, pair.n)]
-    j = _trace_jets(pair, catalog.stack_members(
-        map(catalog.stack_members, blocks)), pts)
-    grid = (j.v, j.d2, gram(j.d1, 1))
+    v, d1, d2 = _trace_jets(cartan.cartan_jets_closed(pair, pts),
+                            catalog.stack_members(map(catalog.stack_members,
+                                                      blocks)))
+    grid = (v, d2, gram(d1, 1))
     for a, members in enumerate(blocks):
         ref = operators.field_ops(catalog.stack_members(members).as_field(),
                                   pts, pair.ambient)
@@ -321,7 +322,9 @@ def test_polynomial_family(case):
     pair, pts, _, members = case
     for d in (2, 3):
         PF = families.polynomial_family(families.base_family(members), d)
-        for g, r in zip(_poly_ops(pair, PF, pts),
+        forms = catalog.stack_members(PF.members[0].base)
+        for g, r in zip(_poly_ops(PF, forms,
+                                  cartan.cartan_jets_closed(pair, pts)),
                         ref_poly_ops(pair, PF, pts, pair.ambient)):
             close(g, r)
 
@@ -333,7 +336,9 @@ def test_product_operators(case):
     els = pair.ambient.elements
     # the engine's closed-form product ops against jets of the product
     # function along the concatenated ambient basis
-    values, tau, kap = _product_ops(pair, PF, pts, pts2)
+    factors = (catalog.stack_members(mm.f1 for mm in PF.members),
+               catalog.stack_members(mm.f2 for mm in PF.members))
+    values, tau, kap = _product_ops(pair, factors, pts, pts2)
     close(values, [[mm.value((p1, p2)) for mm in PF.members]
                    for p1, p2 in zip(pts, pts2)])
     close(tau, [[ref_product(mm, mm, p1, p2, els, pair)[0]
