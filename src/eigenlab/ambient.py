@@ -34,7 +34,6 @@ __all__ = [
     "stack_fields",
     "random_sphere_point",
     "check_homogeneous",
-    "check_circle_invariant",
     "sphere_ops",
     "cpn_ops",
 ]
@@ -135,14 +134,6 @@ def check_homogeneous(f: AmbientField, z) -> None:
     """Reject extensions that are not homogeneous of degree 0:
     f(c z) must equal f(z) for c > 0, at every point of a stack."""
     _check_invariant(f, z, _SCALES, "field is not homogeneous of degree 0")
-
-
-def check_circle_invariant(f: AmbientField, z) -> None:
-    """Reject functions that do not descend through the Hopf fibration:
-    f(e^{i theta} z) must equal f(z), at every point of a stack."""
-    _check_invariant(f, z, _PHASES,
-                     "field is not S^1-invariant; it does not "
-                     "descend to projective space")
 
 
 def _on_sphere(x) -> np.ndarray:

@@ -150,10 +150,10 @@ def group_basis(group: str, n: int) -> LieBasisSet:
 
 
 def square_sum(basis) -> np.ndarray:
-    """Sum of Z @ Z over the basis elements (a multiple of the identity
-    for the bases built here)."""
+    """Sum of Z @ Z over a basis or the leading axis of a stack (dirs, ...,
+    n, n) (a multiple of the identity for the bases built here)."""
     els = basis.elements if isinstance(basis, LieBasisSet) else np.asarray(basis)
-    return np.einsum("bij,bjk->ik", els, els)
+    return np.einsum("b...ij,b...jk->...ik", els, els)
 
 
 def gram_matrix(basis) -> np.ndarray:

@@ -71,23 +71,21 @@ def cartan_map_closed(pair, p: np.ndarray) -> np.ndarray:
     return p @ M @ pT.conj() @ M
 
 
-def cartan_jets_closed(pair, p: np.ndarray):
-    """(Phi, Z(Phi) along the p-basis, raw map tension) at p in closed
-    form, with no jet pass.
+def cartan_jets_closed(pair, p: np.ndarray) -> JetMatrix:
+    """The 2-jet of Phi along the p-basis at p, in closed form.
 
     Along p exp(sZ), Phi is p exp(2sZ) sigma(p)^-1 for Z in p and constant
-    for Z in k, so Z(Phi) = 2 p Z sigma(p)^-1 (shape (dim p, ..., n, n),
-    the directions first, as in a jet)
-    and sum_Z Z^2(Phi) over the ambient basis is 4 p C_p sigma(p)^-1,
-    with C_p the sum of Z^2 over the p-basis: the map_tension_raw of p.
-    p Z is a gather (pair.basis_products), so the one product per
-    direction is by 2 sigma(p)^-1, the same bits as 2 (p Z sigma(p)^-1).
+    for Z in k, so its jet is the curve jet (p, p Z, p C_p) along the
+    p-basis, C_p the sum of Z^2 over it, times sigma(p)^-1 and 1, 2, 4:
+    Z(Phi) = 2 p Z sigma(p)^-1, and 4 p C_p sigma(p)^-1, which is also the
+    map_tension_raw of p over the ambient basis.  p Z is gathered, so the
+    one product per direction is by 2 sigma(p)^-1, the same bits as
+    2 (p Z sigma(p)^-1).
     """
     _check_member(pair, p)
-    p = np.asarray(p, dtype=complex)
-    s_inv = pair.sigma.inverse(p)
-    d1 = pair.basis_products(p) @ (2.0 * s_inv)
-    return p @ s_inv, d1, 4.0 * (p @ pair.p_square @ s_inv)
+    c = JetMatrix.curve(p, pair.p_plan)
+    s_inv = pair.sigma.inverse(c.v)
+    return JetMatrix(c.v @ s_inv, c.d1 @ (2.0 * s_inv), 4.0 * (c.d2 @ s_inv))
 
 
 def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:

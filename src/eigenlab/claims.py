@@ -24,7 +24,7 @@ from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
                        product_ops)
-from .jets import Jet2, JetMatrix, jet_ops, trace_form
+from .jets import Jet2, JetMatrix, jet_ops
 from .matrices import basis_D, basis_X, basis_Y
 from .operators import image_ops
 from .pairs import SPACES, make_pair, space_label
@@ -296,8 +296,8 @@ class _Cache:
         """eta values, tau_N and kappa_N of the affine functionals
         eta(y) = tr(y B) + c of the alpha = 1 family along the image basis
         at Phi(p), for prop7.1 and cartan.factor4.  Image passes push no
-        Cartan jets and run on all points at once: freeing their ~25 MB
-        arrays raises glibc's trim threshold above a chunked Cartan pass's
+        Cartan jets and run on all points at once: freeing a pass's ~25 MB
+        array raises glibc's trim threshold above a chunked Cartan pass's
         working set, whose pages are then reused; chunked, a 300-sample
         sp-grassmannian(3,3) run faults six times as often."""
         key = (space, m, n)
@@ -324,8 +324,8 @@ class _Cache:
             if half == "table1" or ("table1", space) in self._jobs:
                 grid = stack_members(map(stack_members,
                                          self.blocks(space, m, n)))
-                read["table1"] = lambda cl, c: jet_ops(
-                    *_trace_jets(cl, grid), 1)
+                eta = grid.eta_field()
+                read["table1"] = lambda cl, c: _jet_ops(eta(cl))
             if half == "cartan" or ("cartan", space) in self._jobs:
                 forms = stack_members(alpha1[i] for i in _factor4_index(alpha1))
                 read["cartan"] = lambda cl, c: _cartan_pass(pair, forms, c, cl)
@@ -344,62 +344,49 @@ def _factor4_index(members):
     return [0, 1] if len(members) > 1 else [0, 0]
 
 
-def _trace_jets(closed, forms):
-    """The jet parts (v, d1, d2) of the trace forms ``forms`` of Phi from
-    ``closed``, the closed-form jets of Phi at stacked points
-    (cartan_jets_closed), the one route of every trace-form suite: the
-    values tr(Phi B) + c, the first derivatives tr(2 p Z sigma(p)^-1 B)
-    along the p-basis (Phi is constant along k) and, as d2, the tension
-    form tr(4 p C_p sigma(p)^-1 B).  The jet arithmetic of any function
-    of the forms then gives its tau, and the Gram product of its first
-    derivatives its kappa."""
-    phi, dphi, tension = closed
-    B = forms.plan
-    return (trace_form(phi, B) + forms.c, trace_form(dphi, B),
-            trace_form(tension, B))
+def _jet_ops(j):
+    """(phi, tau, kappa) of the Jet2 ``j`` over one point axis."""
+    return jet_ops(j.v, j.d1, j.d2, 1)
 
 
 def _poly_ops(PF, forms, closed):
     """Values, tau and kappa of the polynomial family ``PF``: the jet
-    arithmetic of its generators on the trace jets of ``forms``, its base
-    members stacked, from the closed-form jets ``closed``."""
-    j = Jet2(*_trace_jets(closed, forms))
+    arithmetic of its generators on the jets of ``forms``, its base
+    members stacked, read off ``closed`` (cartan_jets_closed)."""
+    j = forms.eta_field()(closed)
     vals = tuple(j[..., i] for i in range(len(forms.B)))
-    poly = Jet2.stack([mm.generator(vals) for mm in PF.members])
-    return jet_ops(poly.v, poly.d1, poly.d2, 1)
+    return _jet_ops(Jet2.stack([mm.generator(vals) for mm in PF.members]))
 
 
 def _product_ops(pair, factors, p1, p2):
     """Values, tau and kappa of a product family on ``pair`` at the point
-    pairs (p1, p2): the product law on the trace jets of the two
-    ``factors``, each stacked over every member."""
-    return product_ops([_trace_jets(cartan_jets_closed(pair, p), f)
-                        for f, p in zip(factors, (p1, p2))], 1)
+    pairs (p1, p2): the product law on the jets of the two ``factors``,
+    each stacked over every member."""
+    jets = (f.eta_field()(cartan_jets_closed(pair, p))
+            for f, p in zip(factors, (p1, p2)))
+    return product_ops([(j.v, j.d1, j.d2) for j in jets], 1)
 
 
 def _cartan_pass(pair, forms, points, closed):
     """What the cartan claims read of the 2-jets of Phi at ``points``,
-    from one Cartan pass of curve jets along the p-basis, then the
+    from one Cartan pass of the curve jet along the p-basis, then the
     k-basis: Z(Phi) per direction and the sum of Z^2(Phi) over both.  The
     two bases together are orthonormal, so that sum is the raw map
-    tension over the ambient basis.  The curve jet has the bits of
-    JetMatrix.curve, with p Z gathered (pair.basis_products).
+    tension over the ambient basis.
 
     Returns Phi, the pullback ratios along the p- and the k-basis, the
     harmonic residual, tau and kappa of the trace forms ``forms``, and the
     casimir residual: per point, the largest entry of the error of
     ``closed``, cartan_jets_closed at ``points``, against the jets."""
     X, V = pair.p_basis, pair.k_basis
-    j = cartan_map_jet(pair, JetMatrix(points, pair.basis_products(
-        points, with_k=True), points @ pair.pk_square))
+    j = cartan_map_jet(pair, JetMatrix.curve(points, pair.pk_plan))
     dp, dk = j.d1[:len(X)], j.d1[len(X):]
-    phi, dphi, tension = closed
-    casimir = np.maximum(np.abs(dp - dphi).max(axis=(0, 2, 3)),
-                         np.abs(j.d2 - tension).max(axis=(1, 2)))
-    jf = j.trace_form(forms.plan)
-    _, tau, kappa = jet_ops(jf.v, jf.d1, jf.d2, 1)
-    return (phi, pullback_ratio(dp, dp, X, X), pullback_ratio(dk, dk, V, V),
-            tangential_residual(pair, phi, j.d2), tau, kappa, casimir)
+    casimir = np.maximum(np.abs(dp - closed.d1).max(axis=(0, 2, 3)),
+                         np.abs(j.d2 - closed.d2).max(axis=(1, 2)))
+    _, tau, kappa = _jet_ops(forms.eta_field()(j))
+    return (closed.v, pullback_ratio(dp, dp, X, X),
+            pullback_ratio(dk, dk, V, V),
+            tangential_residual(pair, closed.v, j.d2), tau, kappa, casimir)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Jet2", "JetMatrix", "FormPlan", "form_plan", "trace_form", "gram",
-           "jet_ops"]
+from .bases import square_sum
+
+__all__ = ["Jet2", "JetMatrix", "FormPlan", "form_plan", "CurvePlan",
+           "curve_plan", "trace_form", "gram", "jet_ops"]
 
 
 # rows of ``a`` per gemm in trace_form
@@ -46,6 +48,31 @@ def form_plan(B) -> FormPlan:
         member, idx = np.nonzero(Bt)
         return FormPlan(B.shape[:-2], idx, Bt[member, idx])
     return FormPlan(B.shape[:-2], None, Bt.T)
+
+
+class CurvePlan(NamedTuple):
+    """Curve directions prepared for JetMatrix.curve (curve_plan)."""
+
+    square: np.ndarray
+    rows: np.ndarray | None
+    weights: np.ndarray
+
+
+def curve_plan(Z) -> CurvePlan:
+    """What JetMatrix.curve reads off the directions ``Z``, one (n, n) or
+    a stack (dirs, ..., n, n): the sum of Z^2 over the directions and, if
+    Z is a stack (dirs, n, n) with at most one nonzero per column, each
+    purely real or purely imaginary, the row and value of each column's
+    nonzero (row 0 and value 0 for an empty column), else Z itself."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim == 2:
+        Z = Z[None]
+    if (Z.ndim == 3 and ((Z != 0).sum(axis=-2) <= 1).all()
+            and not (Z.real * Z.imag).any()):
+        rows = np.abs(Z).argmax(axis=-2)
+        return CurvePlan(square_sum(Z), rows,
+                         np.take_along_axis(Z, rows[:, None], axis=-2)[:, 0])
+    return CurvePlan(square_sum(Z), None, Z)
 
 
 def trace_form(a, B):
@@ -176,8 +203,11 @@ class Jet2:
         return type(self)(v[idx], d1[(slice(None),) + idx], d2[idx])
 
     def __add__(self, other):
-        o = _as_jet(other)
-        return type(self)(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+        if not isinstance(other, Jet2):
+            # a constant moves the value only
+            return type(self)(self.v + other, self.d1, self.d2)
+        return type(self)(self.v + other.v, self.d1 + other.d1,
+                          self.d2 + other.d2)
 
     __radd__ = __add__
 
@@ -185,12 +215,14 @@ class Jet2:
         return type(self)(-self.v, -self.d1, -self.d2)
 
     def __sub__(self, other):
-        o = _as_jet(other)
-        return type(self)(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+        if not isinstance(other, Jet2):
+            return type(self)(self.v - other, self.d1, self.d2)
+        return type(self)(self.v - other.v, self.d1 - other.d1,
+                          self.d2 - other.d2)
 
     def __rsub__(self, other):
-        o = _as_jet(other)
-        return type(self)(o.v - self.v, o.d1 - self.d1, o.d2 - self.d2)
+        # only a constant: a jet on the left calls its own __sub__
+        return type(self)(other - self.v, -self.d1, -self.d2)
 
     def __mul__(self, other):
         o = _as_jet(other)
@@ -268,19 +300,28 @@ class JetMatrix(Jet2):
         direction (n, n) or a stack (dirs, ..., n, n) whose axes after the
         first broadcast against the points: a basis (dirs, n, n) serves
         every point, and (dirs, *points, n, n) pairs point-dependent
-        directions with their points.  p Z is a dense product, for any
-        directions; SymmetricPair.basis_products gathers it along a basis.
+        directions with their points.  ``Z`` may be given as its
+        curve_plan, so that a basis used many times is read once.  Along a
+        basis with at most one nonzero per column, each purely real or
+        imaginary (every pair basis), column j of p Z is column r_j of p
+        times Z[r_j, j], the matmul's one product with a nonzero: D gathers
+        and one product by sum_Z Z^2, the matmul's bits up to the sign of a
+        zero.  Other directions take the dense product.
         """
         p = np.asarray(p, dtype=complex)
-        Z = np.asarray(Z, dtype=complex)
-        if p.shape[-1] != Z.shape[-2]:
+        square, rows, w = Z if isinstance(Z, CurvePlan) else curve_plan(Z)
+        if p.shape[-1] != square.shape[-2]:
             raise ValueError("size mismatch between point and direction")
-        if Z.ndim == 2:
-            Z = Z[None]
-        # the directions in front of every point axis
-        dirs = Z.reshape(Z.shape[:1] + (1,) * (p.ndim - Z.ndim + 1)
-                         + Z.shape[1:])
-        return cls(p, p @ dirs, p @ (Z @ Z).sum(axis=0))
+        if rows is None:
+            # the directions in front of every point axis
+            d1 = p @ w.reshape(w.shape[:1] + (1,) * (p.ndim - w.ndim + 1)
+                               + w.shape[1:])
+        else:
+            d1 = np.empty((len(rows),) + p.shape, complex)
+            for d, r in enumerate(rows):
+                np.take(p, r, axis=-1, out=d1[d], mode="clip")  # unbuffered
+            d1 *= w.reshape(w.shape[:1] + (1,) * (p.ndim - 1) + w.shape[1:])
+        return cls(p, d1, p @ square)
 
     @property
     def T(self):

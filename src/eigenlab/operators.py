@@ -108,11 +108,14 @@ def image_ops(pair, eta, p: np.ndarray):
     y = cartan_map(pair, p)
     s = pair.sigma(np.asarray(p, dtype=complex))
     sH = np.swapaxes(s, -1, -2).conj()
-    ys = y @ s
-    # the curve jet (y, y W, y sum_X W^2) along W = s X s^H, with y W as
-    # (y s X) s^H, y s X a gather, and sum_X W^2 = s C_p s^H for unitary
-    # s: no W is formed
-    jm = JetMatrix(y, pair.basis_products(ys) @ sH, ys @ pair.p_square @ sH)
+    # the curve jet (y, y W, y sum_X W^2) along W = s X s^H is the curve
+    # jet at y s along the p-basis times s^H, as sum_X W^2 = s C_p s^H for
+    # unitary s: no W is formed, and y W = (y s X) s^H is made in place,
+    # a direction at a time, so one (dim p, points, n, n) array is held
+    c = JetMatrix.curve(y @ s, pair.p_plan)
+    for a in c.d1:
+        np.matmul(a, sH, out=a)
+    jm = JetMatrix(y, c.d1, c.d2 @ sH)
     return jet_ops(*eta(jm).broadcast_to(y.shape[:-2], pair.dim_p),
                    np.ndim(p) - 2)
 

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import LieBasisSet, gram_schmidt, group_basis, square_sum
-from .jets import Jet2
+from .bases import LieBasisSet, gram_schmidt, group_basis
+from .jets import CurvePlan, Jet2, curve_plan
 from .matrices import i_signature, i_signature_doubled, j_matrix
 
 __all__ = ["Involution", "SymmetricPair", "SPACES", "make_pair", "space_label"]
@@ -123,36 +123,14 @@ class SymmetricPair:
         return self.p_basis.shape[0]
 
     @cached_property
-    def p_square(self) -> np.ndarray:
-        """C_p, the sum of X^2 over the p-basis, computed once per pair."""
-        return square_sum(self.p_basis)
+    def p_plan(self) -> CurvePlan:
+        """The p-basis as curve directions; its square sum is C_p."""
+        return curve_plan(self.p_basis)
 
     @cached_property
-    def pk_square(self) -> np.ndarray:
-        """The sum of Z^2 over the p-, then the k-basis, once per pair."""
-        Z = np.concatenate([self.p_basis, self.k_basis])
-        return (Z @ Z).sum(axis=0)
-
-    def basis_products(self, q, with_k=False):
-        """q Z for each Z of the p-, then (``with_k``) the k-basis,
-        directions first.  A basis matrix has at most one nonzero per
-        column, real or imaginary (make_pair checks it), so q Z is a gather
-        of columns of q times weights: the matmul's bits, up to signed 0."""
-        dirs = self.dim_p + with_k * self.dim_k
-        rows, w = (a[:dirs] for a in self._gather_plan)
-        q = np.asarray(q, dtype=complex)
-        out = np.empty((dirs,) + q.shape, complex)
-        for d, r in enumerate(rows):
-            np.take(q, r, axis=-1, out=out[d], mode="clip")  # unbuffered
-        out *= w.reshape((dirs,) + (1,) * (q.ndim - 1) + (-1,))
-        return out
-
-    @cached_property
-    def _gather_plan(self):
-        # per column of each basis matrix: its nonzero's row (or 0), value
-        Z = np.concatenate([self.p_basis, self.k_basis])
-        rows = np.abs(Z).argmax(axis=-2)
-        return rows, np.take_along_axis(Z, rows[:, None], axis=-2)[:, 0]
+    def pk_plan(self) -> CurvePlan:
+        """The p-, then the k-basis as curve directions, once per pair."""
+        return curve_plan(np.concatenate([self.p_basis, self.k_basis]))
 
     def label(self) -> str:
         return space_label(self.space, self.m, self.n)
@@ -256,10 +234,10 @@ def make_pair(space: str, m: int | None = None, n: int | None = None) -> Symmetr
             f"k/p split of {space} produced dims ({k_arr.shape[0]}, {p_arr.shape[0]}), "
             f"expected ({dim_k}, {dim_p})"
         )
-    Z = np.concatenate([p_arr, k_arr])
-    if ((Z != 0).sum(axis=-2) > 1).any() or (Z.real * Z.imag).any():
-        raise RuntimeError(f"a basis matrix of {space} has two nonzeros in "
-                           f"a column or a nonzero neither real nor imaginary")
-    return SymmetricPair(space=space, group=group, m=m_out, n=n,
+    pair = SymmetricPair(space=space, group=group, m=m_out, n=n,
                          ambient=ambient, sigma=sigma,
                          k_basis=k_arr, p_basis=p_arr)
+    if pair.pk_plan.rows is None:
+        raise RuntimeError(f"a basis matrix of {space} has two nonzeros in "
+                           f"a column or a nonzero neither real nor imaginary")
+    return pair

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenlab.ambient import (AmbientField, check_circle_invariant,
-                              check_homogeneous, cpn_ops, cpn_phi,
-                              random_sphere_point, rotate_field, sphere_ops,
-                              sphere_phi, stack_fields)
+from eigenlab.ambient import (AmbientField, check_homogeneous, cpn_ops,
+                              cpn_phi, random_sphere_point, rotate_field,
+                              sphere_ops, sphere_phi, stack_fields)
 from eigenlab.jets import Jet2
 
 
@@ -40,14 +39,6 @@ class TestFields:
         with pytest.raises(ValueError):
             check_homogeneous(bad, z)
 
-    def test_circle_invariance(self):
-        rng = np.random.default_rng(2)
-        z = random_sphere_point(2, rng)
-        check_circle_invariant(cpn_phi(1, 1, 2), z)
-        # z_j / |z| picks up the phase, so it must be rejected
-        with pytest.raises(ValueError):
-            check_circle_invariant(sphere_phi(2, 1), z)
-
     def test_cpn_ops_rejects_each_half_of_c_star_invariance(self):
         # a CP^n lift must be homogeneous of degree 0 and S^1-invariant;
         # cpn_ops checks both at once and must reject a field that fails
@@ -56,7 +47,10 @@ class TestFields:
         z = np.stack([random_sphere_point(2, rng) for _ in range(3)])
         circle_only = AmbientField(lambda w: w[..., 0] * w[..., 1].conj(), 2)
         homogeneous_only = sphere_phi(2, 1)
-        check_circle_invariant(circle_only, z)
+        # circle_only is S^1-invariant, homogeneous_only homogeneous
+        for theta in (0.7, 2.0, 5.1):
+            assert_allclose(circle_only.value(np.exp(1j * theta) * z),
+                            circle_only.value(z), rtol=0, atol=1e-12)
         check_homogeneous(homogeneous_only, z)
         for bad in (circle_only, homogeneous_only):
             with pytest.raises(ValueError, match="invariant under C"):

@@ -262,7 +262,8 @@ def test_prop71_and_factor4_share_one_image_pass(monkeypatch):
 def test_only_the_eigen_outer_products_call_einsum(monkeypatch):
     # sampling, the harmonic projection and the image pass contract by
     # gather or gemm; what is left is the phi psi outer product of each
-    # eigen claim pair and one square_sum for C_p per pair and run
+    # eigen claim pair and one square_sum per curve plan of a pair, two
+    # per pair and run
     callers = []
     einsum = np.einsum
 
@@ -277,14 +278,14 @@ def test_only_the_eigen_outer_products_call_einsum(monkeypatch):
         results = run_claims(RunConfig(spaces=(space,), m=m, n=n, samples=8))
         assert all(r.passed for r in results)
     # table1 and prop7.1 on sp-grassmannian, table1 on su-sp
-    assert sorted(callers) == [("eigenlab.bases", "square_sum")] * 2 + [
+    assert sorted(callers) == [("eigenlab.bases", "square_sum")] * 4 + [
         ("eigenlab.claims", "_eigen_residuals")] * 3
 
 
 def _half_tension(pair, p):
     # 2 p C_p sigma(p)^-1: half the closed-form tension
-    phi, d1, tension = cartan.cartan_jets_closed(pair, p)
-    return phi, d1, tension / 2.0
+    j = cartan.cartan_jets_closed(pair, p)
+    return jets.JetMatrix(j.v, j.d1, j.d2 / 2.0)
 
 
 def test_poly_and_product_reject_half_the_tension(monkeypatch):
@@ -302,15 +303,16 @@ def test_poly_and_product_reject_half_the_tension(monkeypatch):
 
 def _halved(pair, p):
     # Z(Phi) = p Z sigma(p)^-1: factor 1 instead of 2
-    phi, d1, tension = cartan.cartan_jets_closed(pair, p)
-    return phi, d1 / 2.0, tension
+    j = cartan.cartan_jets_closed(pair, p)
+    return jets.JetMatrix(j.v, j.d1 / 2.0, j.d2)
 
 
 def _casimir_of_k(pair, p):
     # 4 p C_k sigma(p)^-1: the k-basis square sum in place of C_p
-    phi, d1, _ = cartan.cartan_jets_closed(pair, p)
+    j = cartan.cartan_jets_closed(pair, p)
     s_inv = pair.sigma(np.swapaxes(p, -1, -2).conj())
-    return phi, d1, 4.0 * (p @ square_sum(pair.k_basis) @ s_inv)
+    return jets.JetMatrix(j.v, j.d1,
+                          4.0 * (p @ square_sum(pair.k_basis) @ s_inv))
 
 
 @pytest.mark.parametrize("wrong", [_halved, _casimir_of_k])
@@ -437,6 +439,28 @@ def test_full_run_makes_one_closed_form_pass_per_chunk(monkeypatch):
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     assert calls == [CHUNK] * 9 + [300 - 9 * CHUNK]
+
+
+def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
+    # every curve jet comes from JetMatrix.curve along a pair's plans: per
+    # chunk one for the closed-form jets along the p-basis and one for
+    # the Cartan pass along the p- then the k-basis, and one for the image
+    # pass over all points; sp-grassmannian(1,1) has dim p = 4, dim k = 6
+    calls = []
+    curve = jets.JetMatrix.curve.__func__
+
+    def spy(cls, p, plan):
+        assert plan.rows is not None
+        calls.append((len(p), len(plan.rows)))
+        return curve(cls, p, plan)
+
+    monkeypatch.setattr(jets.JetMatrix, "curve", classmethod(spy))
+    config = RunConfig(spaces=("sp-grassmannian",), m=1, n=1,
+                       samples=3 * CHUNK)
+    results = run_claims(config)
+    assert [r.claim_id for r in results] == claim_ids(config)
+    assert all(r.passed for r in results)
+    assert calls == [(CHUNK, 4), (CHUNK, 10)] * 3 + [(3 * CHUNK, 4)]
 
 
 def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):

@@ -148,6 +148,24 @@ class TestScalarBundles(Bundles):
         for c in (const, Jet2.constant(const)):
             self.agrees(op(a, c), [op(s, c) for s in singles])
 
+    @pytest.mark.parametrize("const", [2.5 - 1j, np.array([1.0, -2.0, 3j])],
+                             ids=["number", "array"])
+    def test_adding_a_constant_moves_the_value_only(self, const):
+        # j + c and j - c keep j's derivative arrays and c - j negates
+        # them, with the parts of the full addition of the constant jet
+        rng = np.random.default_rng(32)
+        a, _ = self.jets(rng)
+        c = Jet2.constant(const)
+        for j in (a + const, const + a, a - const):
+            assert j.d1 is a.d1 and j.d2 is a.d2
+        assert np.array_equal((const - a).d1, -a.d1)
+        assert np.array_equal((const - a).d2, -a.d2)
+        for got, ref in ((a + const, a + c), (const + a, c + a),
+                         (a - const, a - c), (const - a, c - a)):
+            for g, r in zip(got.broadcast_to(ref.shape, self.D),
+                            ref.broadcast_to(ref.shape, self.D)):
+                assert np.array_equal(g, r)
+
     def test_constants_have_no_direction_of_their_own(self):
         c = Jet2.constant(np.arange(3.0))
         assert c.shape == (3,) and c.d1.shape == (1, 1)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from eigenlab.bases import gram_matrix, gram_schmidt
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
-from eigenlab.jets import JetMatrix
+from eigenlab.jets import JetMatrix, curve_plan
 from eigenlab.matrices import i_signature, metric
 from eigenlab import pairs
 from eigenlab.pairs import SPACES, Involution, make_pair, space_label
@@ -242,20 +242,26 @@ CLI_PAIRS = [(space, m, n) for space in PAIR_SPACE_ORDER for m, n in (
 @pytest.mark.parametrize("space,m,n", CLI_PAIRS)
 def test_basis_products_gather_the_matmul(space, m, n):
     # every ambient, p- and k-basis matrix has at most one nonzero per
-    # column, purely real or imaginary, so the gather of basis_products
-    # is p @ Z bit for bit; so-grassmannian(1,1) has an empty k-basis
+    # column, purely real or imaginary, so JetMatrix.curve gathers p Z
+    # along each, bit for bit p @ Z, and its square sum is (Z @ Z).sum
+    # bit for bit; so-grassmannian(1,1) has an empty k-basis.  The pair's
+    # own plans have a gather index, so no pass falls back to the dense
+    # product unseen
     pair = make_pair(space, n=n) if m is None else make_pair(space, m=m, n=n)
-    for Z in (pair.ambient.elements, pair.p_basis, pair.k_basis):
-        assert ((Z != 0).sum(axis=-2) <= 1).all()
-        assert not (Z.real * Z.imag).any()
     p = random_pair_points(pair, SampleConfig(seed=3), range(5))
     pk = np.concatenate([pair.p_basis, pair.k_basis])
-    assert np.array_equal(pair.basis_products(p, with_k=True),
-                          p @ pk[:, None])
-    assert np.array_equal(pair.basis_products(p), p @ pair.p_basis[:, None])
-    assert np.array_equal(pair.basis_products(p[0]), p[0] @ pair.p_basis)
-    assert pair.basis_products(p, with_k=True).flags.c_contiguous
-    assert np.array_equal(pair.pk_square, (pk @ pk).sum(axis=0))
+    assert pair.p_plan.rows is not None and pair.pk_plan.rows is not None
+    for Z, plan in ((pair.ambient.elements, curve_plan(pair.ambient.elements)),
+                    (pair.p_basis, pair.p_plan), (pk, pair.pk_plan)):
+        assert plan.rows is not None
+        assert np.array_equal(plan.square, (Z @ Z).sum(axis=0))
+        jm = JetMatrix.curve(p, plan)
+        assert np.array_equal(jm.d1, p @ Z[:, None])
+        assert np.array_equal(jm.d2, p @ plan.square)
+        assert jm.d1.flags.c_contiguous
+        assert np.array_equal(JetMatrix.curve(p[0], plan).d1, p[0] @ Z)
+    assert np.array_equal(JetMatrix.curve(p, pair.k_basis).d1,
+                          p @ pair.k_basis[:, None])
 
 
 @pytest.mark.parametrize("mix", [

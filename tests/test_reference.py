@@ -14,7 +14,7 @@ import pytest
 from eigenlab import ambient, cartan, catalog, families, operators
 from eigenlab.cartan import cartan_map_jet
 from eigenlab.claims import (DEFAULT_SIZES, _alpha_range, _poly_ops,
-                             _product_ops, _trace_jets)
+                             _product_ops)
 from eigenlab.jets import Jet2, JetMatrix, gram
 from eigenlab.matrices import j_matrix, membership_residual
 from eigenlab.operators import field_value
@@ -266,11 +266,12 @@ def test_cartan_jets_closed(case):
             [[cartan_map_jet(pair, JetMatrix.curve(p, X)).d1[0]
               for p in pts] for X in pair.p_basis],
             [cartan.map_tension_raw(pair, p) for p in pts])
-    for g, r in zip(cartan.cartan_jets_closed(pair, pts), refs):
+    j = cartan.cartan_jets_closed(pair, pts)
+    for g, r in zip((j.v, j.d1, j.d2), refs):
         close(g, r)
-    phi, d1, tension = cartan.cartan_jets_closed(pair, pts[0])
-    for g, r in zip((phi, d1, tension), (refs[0][0], np.array(refs[1])[:, 0],
-                                         refs[2][0])):
+    j = cartan.cartan_jets_closed(pair, pts[0])
+    for g, r in zip((j.v, j.d1, j.d2), (refs[0][0], np.array(refs[1])[:, 0],
+                                        refs[2][0])):
         close(g, r)
 
 
@@ -283,7 +284,7 @@ def test_tangential_residual(case):
     close(cartan.tangential_residual(pair, y,
                                      cartan.map_tension_raw(pair, pts)), ref)
     close(cartan.tangential_residual(
-        pair, y, cartan.cartan_jets_closed(pair, pts)[2]), ref)
+        pair, y, cartan.cartan_jets_closed(pair, pts).d2), ref)
 
 
 def test_phi_bundle(case):
@@ -295,10 +296,10 @@ def test_phi_bundle(case):
                                        alpha=alpha, pair=pair,
                                        rng=np.random.default_rng(3))
               for alpha in _alpha_range(pair.space, pair.m, pair.n)]
-    v, d1, d2 = _trace_jets(cartan.cartan_jets_closed(pair, pts),
-                            catalog.stack_members(map(catalog.stack_members,
-                                                      blocks)))
-    grid = (v, d2, gram(d1, 1))
+    eta = catalog.stack_members(map(catalog.stack_members,
+                                    blocks)).eta_field()
+    j = eta(cartan.cartan_jets_closed(pair, pts))
+    grid = (j.v, j.d2, gram(j.d1, 1))
     for a, members in enumerate(blocks):
         ref = operators.field_ops(catalog.stack_members(members).as_field(),
                                   pts, pair.ambient)
