@@ -96,8 +96,7 @@ def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
     matrix space, so it is NOT the tension of the map; see
     harmonic_residual for the tangential part.
     """
-    jm = JetMatrix.curve(p, pair.ambient.elements)
-    return cartan_map_jet(pair, jm).d2
+    return cartan_map_jet(pair, JetMatrix.curve(p, pair.ambient_plan)).d2
 
 
 def tangential_residual(pair, y: np.ndarray, H: np.ndarray):

@@ -3,11 +3,12 @@
 Every identity the library asserts has a stable claim id (for example
 "table1.row10.lambda[m=1,n=1]" or "cartan.harmonic[space=su-so,n=2]") so
 that reports diff meaningfully between runs.  The engine registers the
-claims, samples deterministic pseudo-random points, feeds them CHUNK at a
-time to the batched operators of the library, and scores each claim by
-the relative residual |x - ref| / max(1, |ref|) together with a
+claims, samples deterministic pseudo-random points, feeds them to the
+batched operators of the library in passes sized by the Cartan jets'
+working set (_pass_size: one pass for most point sets), and scores each
+claim by the relative residual |x - ref| / max(1, |ref|) together with a
 least-squares fit of the eigenvalue (the ratio tau(phi)/phi fitted over
-samples with |phi| >= 1e-3).
+samples with |phi| >= 1e-3).  Reports do not depend on the pass size.
 """
 
 from __future__ import annotations
@@ -44,7 +45,15 @@ __all__ = [
     "run_claims",
 ]
 
+# A chunked pass holds about BUDGET entries of Cartan jets (D directions
+# x N^2 entries per point, D = dim k + dim p, N the matrix size) and at
+# least CHUNK points.  BUDGET is the working set of 32 points at
+# sp-grassmannian(2,2), the largest default point set.  The floor keeps
+# 12 x 12 passes at CHUNK points, where more points per pass ran slower;
+# a budget that did that alone would put all 100 points of
+# sp-grassmannian(2,2) in one pass and raise the run's peak memory.
 CHUNK = 32
+BUDGET = 73_728
 
 PAIR_SPACE_ORDER = ("su-so", "sp-u", "so-u", "su-sp",
                     "so-grassmannian", "u-grassmannian", "sp-grassmannian")
@@ -238,20 +247,29 @@ def _eigen_claims(ids, space, params, residuals, tol, details=("", "")):
     return out
 
 
-def _chunked(op, *points):
-    """``op`` over CHUNK points at a time, each array of its output tuple
-    (or of its nested tuples) concatenated along the point axis."""
+def _pass_size(pair):
+    """Points per chunked pass on ``pair``: as many as BUDGET entries of
+    its Cartan jets hold, and at least CHUNK."""
+    D = pair.dim_k + pair.dim_p
+    return max(CHUNK, BUDGET // (D * pair.matrix_size ** 2))
+
+
+def _chunked(pair, op, *points):
+    """``op`` over _pass_size(pair) points at a time, each array of its
+    output tuple (or of its nested tuples) concatenated along the point
+    axis."""
     def concat(parts):
         return (tuple(map(concat, zip(*parts))) if type(parts[0]) is tuple
                 else np.concatenate(parts))
-    return concat([op(*(p[lo:lo + CHUNK] for p in points))
-                   for lo in range(0, len(points[0]), CHUNK)])
+    size = _pass_size(pair)
+    return concat([op(*(p[lo:lo + size] for p in points))
+                   for lo in range(0, len(points[0]), size)])
 
 
 class _Cache:
     """Per-run cache of pairs, point samples, families, image passes and
     sweeps, keyed by (space, m, n) and, for families, alpha.  A sweep of
-    a point set calls cartan_jets_closed once per chunk for both jobs that
+    a point set calls cartan_jets_closed once per pass for both jobs that
     read it, table1 and the cartan job, if ``jobs`` holds them (their
     claim ids' first part and space); each half is dropped once read."""
 
@@ -334,7 +352,8 @@ class _Cache:
                 closed = cartan_jets_closed(pair, c)
                 return tuple(f(closed, c) for f in read.values())
 
-            held.update(zip(read, _chunked(op, self.points(space, m, n))))
+            held.update(zip(read, _chunked(pair, op,
+                                           self.points(space, m, n))))
         return held.pop(half)
 
 
@@ -549,7 +568,7 @@ def _run_poly(config: RunConfig, cache: _Cache, ids, params, space, m, n, d):
     PF = polynomial_family(base_family(cache.family(space, m, n)), d)
     forms = stack_members(PF.members[0].base)
     values, tau, kappa = _chunked(
-        lambda c: _poly_ops(PF, forms, cartan_jets_closed(pair, c)),
+        pair, lambda c: _poly_ops(PF, forms, cartan_jets_closed(pair, c)),
         cache.points(space, m, n))
     eigen = _eigen_residuals(values, tau, kappa, PF.lam, PF.mu)
     return _eigen_claims(ids, space, params, eigen, _tol(config, 1e-7),
@@ -566,7 +585,7 @@ def _run_product(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     factors = (stack_members(mm.f1 for mm in PF.members),
                stack_members(mm.f2 for mm in PF.members))
     vals, tau, kappa = _chunked(
-        lambda a, b: _product_ops(pair, factors, a, b), pts1, pts2)
+        pair, lambda a, b: _product_ops(pair, factors, a, b), pts1, pts2)
     detail = f"{space_label(space, m, n)} x {space_label(space, m, n)}"
     return _eigen_claims(ids, "product", params, _eigen_residuals(
         vals, tau, kappa, PF.lam, PF.mu), _tol(config, 1e-8), (detail, detail))

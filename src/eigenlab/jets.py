@@ -13,6 +13,7 @@ of Li et al. (arXiv 2307.08214).
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -97,7 +98,7 @@ def trace_form(a, B):
             np.result_type(rows, w), copy=False)
         out *= w
     elif len(rows) <= _ROWS:
-        out = rows @ w
+        out = _matmul_rows(rows, w)
     else:
         # gemms of _ROWS rows, one slab of ``a`` packed at a time: for a
         # few members BLAS keeps each on one thread, where all points of an
@@ -106,8 +107,28 @@ def trace_form(a, B):
         # result does not depend on how the rows are blocked.
         cut = len(rows) - len(rows) % _ROWS
         head = rows[:cut].reshape(-1, _ROWS, rows.shape[1]) @ w
-        out = np.concatenate([head.reshape(cut, -1), rows[cut:] @ w])
+        out = np.concatenate([head.reshape(cut, -1),
+                              _matmul_rows(rows[cut:], w)])
     return out.reshape(a.shape[:-2] + members)
+
+
+def _matmul_rows(rows, w):
+    """rows @ w, a lone row by the kernel of several: numpy takes one
+    row through a dot product or gemv, which sum in another order, so a
+    point's bits would depend on the size of its batch."""
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ w)[:1]
+    return rows @ w
+
+
+def _dir_sum(a):
+    """The sum of ``a`` over its leading (direction) axis, in direction
+    order.  numpy sums a contiguous axis pairwise, and the direction axis
+    is one when the batch holds one entry, so that entry is summed by
+    hand, as numpy sums the entries of a larger batch."""
+    if len(a) and a[0].size == 1:
+        return reduce(np.add, a)
+    return a.sum(axis=0)
 
 
 def _as_jet(x):
@@ -229,7 +250,7 @@ class Jet2:
         return type(self)(
             self.v * o.v,
             self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2.0 * (self.d1 * o.d1).sum(axis=0)
+            self.d2 * o.v + 2.0 * _dir_sum(self.d1 * o.d1)
             + self.v * o.d2,
         )
 
@@ -239,7 +260,7 @@ class Jet2:
         o = _as_jet(other)
         v = self.v / o.v
         d1 = (self.d1 - v * o.d1) / o.v
-        d2 = (self.d2 - 2.0 * (d1 * o.d1).sum(axis=0) - v * o.d2) / o.v
+        d2 = (self.d2 - 2.0 * _dir_sum(d1 * o.d1) - v * o.d2) / o.v
         return type(self)(v, d1, d2)
 
     def __rtruediv__(self, other):
@@ -263,7 +284,7 @@ class Jet2:
     def sqrt(self):
         v = np.sqrt(self.v)
         d1 = self.d1 / (2.0 * v)
-        d2 = (self.d2 - 2.0 * (d1 * d1).sum(axis=0)) / (2.0 * v)
+        d2 = (self.d2 - 2.0 * _dir_sum(d1 * d1)) / (2.0 * v)
         return type(self)(v, d1, d2)
 
     def __repr__(self):

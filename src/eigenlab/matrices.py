@@ -159,11 +159,13 @@ def membership_residual(group: str, q: np.ndarray):
 def sparse_matmul(c: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """c @ Z for a sparse Z (k, m), with no BLAS call: each column adds
     c[..., b] Z[b, j] over its nonzero Z[b, j] only, in order of b, to a
-    zero start, so each row of c gets the bits of a sequential sum."""
+    zero start, so each row of c gets the bits of a sequential sum.  The
+    gather is np.take, not c[..., i]: for many rows numpy returns the
+    fancy index F-ordered, and so would the sum be."""
     col, row = np.divmod(np.flatnonzero((Z != 0).T), Z.shape[0])
     rank = np.arange(len(col)) - np.searchsorted(col, col)  # in its column
     idx = np.zeros((rank.max(initial=-1) + 1, Z.shape[1]), dtype=int)
     vals = np.zeros(idx.shape, Z.dtype)  # zero terms where a column ends
     idx[rank, col], vals[rank, col] = row, Z[row, col]
-    return sum((c[..., i] * v for i, v in zip(idx, vals)),
+    return sum((np.take(c, i, axis=-1) * v for i, v in zip(idx, vals)),
                np.zeros(c.shape[:-1] + Z.shape[1:], np.result_type(c, Z)))

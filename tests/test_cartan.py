@@ -9,6 +9,7 @@ from eigenlab.cartan import (cartan_map, cartan_map_closed, cartan_map_jet,
                              harmonic_residual, map_tension_raw,
                              pullback_factor, pullback_ratio,
                              tangential_residual)
+from eigenlab import jets, pairs
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
 from eigenlab.jets import JetMatrix
 from eigenlab.matrices import membership_residual
@@ -231,3 +232,32 @@ def test_tangential_residual_matches_the_einsum_projection(space, m, n):
     one = tangential_residual(pair, y[0], map_tension_raw(pair, p[0]))
     ref = einsum_tangential_residual(pair, y[0], map_tension_raw(pair, p[0]))
     assert np.ndim(one) == 0 and abs(one - ref) <= 1e-15
+
+
+def test_harmonic_residual_on_many_stacked_points_matches_the_chunks():
+    # numpy returns a fancy index over many rows F-ordered; the projection
+    # gathers by np.take, so 128 stacked points (past the size where the
+    # fancy index flipped the order) give the four 32-point results
+    pair = make_pair("sp-grassmannian", m=3, n=3)
+    pts = random_pair_points(pair, SampleConfig(seed=0), range(128))
+    parts = [harmonic_residual(pair, pts[lo:lo + 32])
+             for lo in range(0, 128, 32)]
+    assert np.array_equal(harmonic_residual(pair, pts), np.concatenate(parts))
+
+
+def test_map_tension_raw_plans_the_ambient_basis_once_per_pair(monkeypatch):
+    # the per-point API reads the pair's cached ambient plan: the same
+    # bits as the curve along the bare basis, with one curve_plan call per
+    # pair however often it is called
+    pair = make_pair("sp-grassmannian", m=1, n=2)
+    p = random_pair_points(pair, SampleConfig(seed=4), range(3))
+    ref = cartan_map_jet(pair, JetMatrix.curve(p, pair.ambient.elements)).d2
+    calls = []
+    plan = jets.curve_plan
+    for module in (jets, pairs):
+        monkeypatch.setattr(module, "curve_plan",
+                            lambda Z: calls.append(len(Z)) or plan(Z))
+    assert np.array_equal(map_tension_raw(pair, p), ref)
+    assert np.array_equal(map_tension_raw(pair, p[0]), ref[0])
+    harmonic_residual(pair, p)
+    assert calls == [len(pair.ambient)]

@@ -14,6 +14,7 @@ from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
                              validate_config)
 from eigenlab.matrices import i_signature_doubled
 from eigenlab.pairs import make_pair
+from eigenlab.report import build_report, emit_json_lines
 
 
 def claim_ids(config):
@@ -335,9 +336,11 @@ def test_casimir_rejects_a_wrong_closed_form(monkeypatch, wrong, space, m, n):
 @pytest.mark.parametrize("space,m,n", [("su-so", None, 3),
                                        ("so-grassmannian", 1, 1),
                                        ("sp-grassmannian", 1, 2)])
-def test_cartan_results_do_not_depend_on_table1(space, m, n):
+def test_cartan_results_do_not_depend_on_table1(monkeypatch, space, m, n):
     # the cartan suite reads only its own passes, the same with or
-    # without table1; CHUNK + 5 samples leave a partial last chunk
+    # without table1; with passes of CHUNK points, CHUNK + 5 samples
+    # leave a partial last pass
+    monkeypatch.setattr(claims, "BUDGET", 0)
     config = RunConfig(spaces=(space,), m=m, n=n, samples=CHUNK + 5)
     alone = run_claims(config, prefix="cartan.")
     full = [r for r in run_claims(config)
@@ -424,8 +427,9 @@ def test_a_wrong_involution_fails_the_cartan_claims(monkeypatch):
 
 def test_full_run_makes_one_closed_form_pass_per_chunk(monkeypatch):
     # table1 and the cartan job read the closed-form jets of Phi from one
-    # sweep of their point set: at quat-scale, 10 chunks of 300 points
-    # and 10 cartan_jets_closed calls, where one per job would make 20
+    # sweep of their point set: at quat-scale, 10 passes over 300 points,
+    # at the floor of CHUNK = 32 points each, and 10 cartan_jets_closed
+    # calls, where one per job would make 20
     calls = []
     original = claims.cartan_jets_closed
 
@@ -438,14 +442,15 @@ def test_full_run_makes_one_closed_form_pass_per_chunk(monkeypatch):
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
-    assert calls == [CHUNK] * 9 + [300 - 9 * CHUNK]
+    assert calls == [32] * 9 + [12]
 
 
 def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     # every curve jet comes from JetMatrix.curve along a pair's plans: per
-    # chunk one for the closed-form jets along the p-basis and one for
-    # the Cartan pass along the p- then the k-basis, and one for the image
-    # pass over all points; sp-grassmannian(1,1) has dim p = 4, dim k = 6
+    # pass one for the closed-form jets along the p-basis and one for the
+    # Cartan pass along the p- then the k-basis, and one for the image
+    # pass over all points; sp-grassmannian(1,1) has dim p = 4, dim k = 6,
+    # so its jets hold 160 entries per point and 96 points make one pass
     calls = []
     curve = jets.JetMatrix.curve.__func__
 
@@ -460,13 +465,15 @@ def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
-    assert calls == [(CHUNK, 4), (CHUNK, 10)] * 3 + [(3 * CHUNK, 4)]
+    assert calls == [(3 * CHUNK, 4), (3 * CHUNK, 10), (3 * CHUNK, 4)]
 
 
 def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
     # the one-hot test and gather index of a stack of B (jets.form_plan)
     # are made once per stack a job builds, not once per trace_form call:
-    # no B is planned twice within a job, over three chunks per point set
+    # no B is planned twice within a job, over three passes of CHUNK
+    # points per point set
+    monkeypatch.setattr(claims, "BUDGET", 0)
     planned = []
     original = jets.form_plan
 
@@ -492,3 +499,17 @@ def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
             for k in kinds} == {"basis": 0, "table1": 2, "prop7": 1,
                                 "cartan": 1, "poly": 1, "product": 2,
                                 "sphere": 0, "cpn": 0}
+
+
+def test_reports_do_not_depend_on_the_pass_size(monkeypatch):
+    # the invariant the pass sizing rests on: every default space at 40
+    # samples gives the same json-lines report bytes with passes of one
+    # point, of seven points, of the whole point set and by the rule
+    config = RunConfig(samples=40)
+    texts = set()
+    for chunk, budget in ((1, 0), (7, 0), (40, 0),
+                          (claims.CHUNK, claims.BUDGET)):
+        monkeypatch.setattr(claims, "CHUNK", chunk)
+        monkeypatch.setattr(claims, "BUDGET", budget)
+        texts.add(emit_json_lines(build_report(config, run_claims(config))))
+    assert len(texts) == 1

@@ -654,3 +654,25 @@ class TestGram:
         s, j = stacked_pair(a, b, points)
         ref = einsum_gram(a, b, points)
         self.close(gram(s, points)[..., :j, j:].reshape(ref.shape), ref)
+
+
+@pytest.mark.parametrize("members", [(), (1,), (3,)])
+def test_an_entry_alone_gets_the_bits_it_gets_in_a_batch(members):
+    # a lone row of a dense trace form goes through the kernel of several
+    # rows, also as the tail of _ROWS-row blocks (33 rows), and a lone
+    # entry's sum over the directions runs in direction order, as numpy
+    # sums a batch: a point's bits do not depend on the size of its batch
+    rng = np.random.default_rng(31)
+    B = rand(rng, members + (4, 4))
+    for points in (9, 33):
+        a = rand(rng, (points, 4, 4))
+        got = trace_form(a, B)
+        for i in range(points):
+            assert np.array_equal(trace_form(a[i], B), got[i])
+    x, y = (Jet2(*(rand(rng, s + members) for s in ((9,), (6, 9), (9,))))
+            for _ in range(2))
+    for op in (lambda x, y: x * y, lambda x, y: x / y,
+               lambda x, y: x.sqrt()):
+        got = op(x, y).d2
+        for i in range(9):
+            assert np.array_equal(op(x[i], y[i]).d2, got[i])

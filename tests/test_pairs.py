@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from eigenlab.bases import gram_matrix, gram_schmidt
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
-from eigenlab.jets import JetMatrix, curve_plan
+from eigenlab.jets import JetMatrix
 from eigenlab.matrices import i_signature, metric
 from eigenlab import pairs
 from eigenlab.pairs import SPACES, Involution, make_pair, space_label
@@ -251,7 +251,7 @@ def test_basis_products_gather_the_matmul(space, m, n):
     p = random_pair_points(pair, SampleConfig(seed=3), range(5))
     pk = np.concatenate([pair.p_basis, pair.k_basis])
     assert pair.p_plan.rows is not None and pair.pk_plan.rows is not None
-    for Z, plan in ((pair.ambient.elements, curve_plan(pair.ambient.elements)),
+    for Z, plan in ((pair.ambient.elements, pair.ambient_plan),
                     (pair.p_basis, pair.p_plan), (pk, pair.pk_plan)):
         assert plan.rows is not None
         assert np.array_equal(plan.square, (Z @ Z).sum(axis=0))
