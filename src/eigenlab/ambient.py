@@ -109,7 +109,8 @@ def stack_fields(fields) -> AmbientField:
 
 
 def random_sphere_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = rng.standard_normal(2 * n)  # the real, then the imaginary parts
+    z = x[:n] + 1j * x[n:]
     return z / np.linalg.norm(z)
 
 

@@ -120,7 +120,9 @@ def sp_basis(n: int) -> LieBasisSet:
     z = np.zeros((n, n), dtype=complex)
 
     def blk(a, b, c, d):
-        return np.block([[a, b], [c, d]]) / np.sqrt(2.0)
+        m = np.empty((2 * n, 2 * n), dtype=complex)
+        m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:] = a, b, c, d
+        return m / np.sqrt(2.0)
 
     ya, xa, xb, xc = [], [], [], []
     for r, s in _pairs(n):

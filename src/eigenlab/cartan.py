@@ -106,8 +106,8 @@ def tangential_residual(pair, y: np.ndarray, H: np.ndarray):
     tension of Phi at p; see harmonic_residual."""
     A = np.asarray(_h(y) @ H, dtype=complex)
     # g(A, Z) on interleaved real and imaginary parts, for every Z at once
-    F = pair.ambient.elements.reshape(len(pair.ambient), -1).view(float)
-    coeff = sparse_matmul(A.reshape(-1, F.shape[1] // 2).view(float), F.T)
+    F, n = pair.ambient_sparse, A.shape[-1]
+    coeff = sparse_matmul(A.reshape(-1, n * n).view(float), F.T)
     tangential = y @ sparse_matmul(coeff, F).view(complex).reshape(A.shape)
     return np.abs(tangential).max(axis=(-2, -1))[()]
 

@@ -170,11 +170,21 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class Job:
-    """A unit of verification work producing one or more claim results."""
+    """A unit of verification work producing one or more claim results.
+
+    ``kind`` names its suite, the first part of each of its claim ids:
+    "basis", "table1", "prop7", "cartan", "poly", "product", "sphere" or
+    "cpn".  jobs_for sets it; a Job rebuilt from its first three fields,
+    as a wrapper of ``run`` may do, reads it off its first claim id."""
 
     claim_ids: tuple
     space: str
     run: Callable = field(repr=False)
+    kind: str = ""
+
+    def __post_init__(self):
+        if not self.kind:
+            object.__setattr__(self, "kind", self.claim_ids[0].split(".")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +281,12 @@ class _Cache:
     sweeps, keyed by (space, m, n) and, for families, alpha.  A sweep of
     a point set calls cartan_jets_closed once per pass for both jobs that
     read it, table1 and the cartan job, if ``jobs`` holds them (their
-    claim ids' first part and space); each half is dropped once read."""
+    kind and space); each half is dropped once read."""
 
     def __init__(self, config: RunConfig, jobs):
         self.config = config
         self.scfg = SampleConfig(seed=config.seed)
-        self._jobs = {(job.claim_ids[0].split(".")[0], job.space)
-                      for job in jobs}
+        self._jobs = {(job.kind, job.space) for job in jobs}
         self._pairs = {}
         self._points = {}
         self._families = {}
@@ -632,26 +641,26 @@ def jobs_for(config: RunConfig):
     config = validate_config(config)
     jobs = []
 
-    def add(space, ids, run, *args):
+    def add(kind, space, ids, run, *args):
         jobs.append(Job(ids, space,
-                        lambda cache: run(config, cache, ids, *args)))
+                        lambda cache: run(config, cache, ids, *args), kind))
 
     if _selected(config, "basis"):
-        add("basis", _basis_claim_ids(), _run_basis)
+        add("basis", "basis", _basis_claim_ids(), _run_basis)
 
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
             continue
         for m, n in _sizes(config, space, DEFAULT_SIZES[space]):
             params = _size_params(m, n)
-            add(space, _table1_claim_ids(space, params), _run_table1,
+            add("table1", space, _table1_claim_ids(space, params), _run_table1,
                 params, space, m, n)
 
     if _selected(config, "sp-grassmannian"):
         for m, n in _sizes(config, "sp-grassmannian", PROP71_SIZES):
             params = {"m": m, "n": n}
-            add("sp-grassmannian", _prop71_claim_ids(params), _run_prop71,
-                params, m, n)
+            add("prop7", "sp-grassmannian", _prop71_claim_ids(params),
+                _run_prop71, params, m, n)
 
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
@@ -659,31 +668,32 @@ def jobs_for(config: RunConfig):
         for m, n in _sizes(config, space, DEFAULT_SIZES[space]):
             params = {"space": space, **_size_params(m, n)}
             kinds = _cartan_kinds(space, m, n)
-            add(space, tuple(f"cartan.{kind}{_suffix(params)}"
-                             for kind in kinds),
+            add("cartan", space, tuple(f"cartan.{kind}{_suffix(params)}"
+                                       for kind in kinds),
                 _run_cartan, params, space, m, n, kinds)
 
     if _selected(config, "polynomial"):
         for space, m, n in POLY_SPACES:
             for d in POLY_DEGREES:
                 params = {"space": space, "m": m, "n": n, "d": d}
-                add("polynomial", _eigen_ids(f"poly.d{d}", params), _run_poly,
-                    params, space, m, n, d)
+                add("poly", "polynomial", _eigen_ids(f"poly.d{d}", params),
+                    _run_poly, params, space, m, n, d)
 
     if _selected(config, "product"):
         space, m, n = PRODUCT_SPACE
         params = {"m": m, "n": n}
-        add("product", _eigen_ids("product", params), _run_product, params,
-            space, m, n)
+        add("product", "product", _eigen_ids("product", params),
+            _run_product, params, space, m, n)
 
     if _selected(config, "sphere"):
         for _, n in _sizes(config, "sphere", DEFAULT_SIZES["sphere"]):
-            add("sphere", _eigen_ids("sphere", {"n": n}), _run_sphere,
-                {"n": n}, n)
+            add("sphere", "sphere", _eigen_ids("sphere", {"n": n}),
+                _run_sphere, {"n": n}, n)
 
     if _selected(config, "cpn"):
         for _, n in _sizes(config, "cpn", DEFAULT_SIZES["cpn"]):
-            add("cpn", _eigen_ids("cpn", {"n": n}), _run_cpn, {"n": n}, n)
+            add("cpn", "cpn", _eigen_ids("cpn", {"n": n}), _run_cpn,
+                {"n": n}, n)
 
     return jobs
 

@@ -3,6 +3,8 @@ group-membership residuals for the classical compact matrix groups."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
@@ -16,6 +18,9 @@ __all__ = [
     "i_signature",
     "i_signature_doubled",
     "membership_residual",
+    "real_rows",
+    "SparsePlan",
+    "sparse_plan",
     "sparse_matmul",
 ]
 
@@ -156,16 +161,60 @@ def membership_residual(group: str, q: np.ndarray):
     raise ValueError(f"unknown group {group!r}")
 
 
-def sparse_matmul(c: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """c @ Z for a sparse Z (k, m), with no BLAS call: each column adds
-    c[..., b] Z[b, j] over its nonzero Z[b, j] only, in order of b, to a
-    zero start, so each row of c gets the bits of a sequential sum.  The
-    gather is np.take, not c[..., i]: for many rows numpy returns the
-    fancy index F-ordered, and so would the sum be."""
+def real_rows(Z) -> np.ndarray:
+    """A (k, n, n) stack as the real (k, 2 n^2) matrix of each matrix's
+    interleaved real and imaginary parts: g(Z_a, Z_b) is the dot product
+    of rows a and b."""
+    Z = np.ascontiguousarray(Z, dtype=complex)
+    return Z.reshape(Z.shape[0], Z.shape[-2] * Z.shape[-1]).view(float)
+
+
+class SparsePlan(NamedTuple):
+    """A matrix Z (k, m) prepared for sparse_matmul (sparse_plan): for Z
+    and for Z^T, the (rows, values) of each column's r-th nonzero, in
+    arrays of shape (r, columns); row 0 and value 0 past a column's last
+    nonzero."""
+
+    columns: tuple
+    columns_t: tuple
+
+    @property
+    def shape(self) -> tuple:
+        """(k, m), the shape of Z."""
+        return self.columns_t[0].shape[1], self.columns[0].shape[1]
+
+    @property
+    def T(self) -> SparsePlan:
+        """The plan of Z^T."""
+        return SparsePlan(self.columns_t, self.columns)
+
+
+def _columns(Z):
+    """The row and value of each column's r-th nonzero, as SparsePlan."""
     col, row = np.divmod(np.flatnonzero((Z != 0).T), Z.shape[0])
     rank = np.arange(len(col)) - np.searchsorted(col, col)  # in its column
     idx = np.zeros((rank.max(initial=-1) + 1, Z.shape[1]), dtype=int)
     vals = np.zeros(idx.shape, Z.dtype)  # zero terms where a column ends
     idx[rank, col], vals[rank, col] = row, Z[row, col]
+    return idx, vals
+
+
+def sparse_plan(Z) -> SparsePlan:
+    """What sparse_matmul reads off the sparse matrix ``Z`` (k, m) for
+    products with Z and, through the plan's T, with Z^T: a matrix used
+    many times is scanned once."""
+    Z = np.asarray(Z)
+    return SparsePlan(_columns(Z), _columns(Z.T))
+
+
+def sparse_matmul(c: np.ndarray, Z) -> np.ndarray:
+    """c @ Z for a sparse Z (k, m), given as the matrix or as its
+    sparse_plan, with no BLAS call: each column adds c[..., b] Z[b, j]
+    over its nonzero Z[b, j] only, in order of b, to a zero start, so
+    each row of c gets the bits of a sequential sum.  The gather is
+    np.take, not c[..., i]: for many rows numpy returns the fancy index
+    F-ordered, and so would the sum be."""
+    idx, vals = (Z if isinstance(Z, SparsePlan) else sparse_plan(Z)).columns
     return sum((np.take(c, i, axis=-1) * v for i, v in zip(idx, vals)),
-               np.zeros(c.shape[:-1] + Z.shape[1:], np.result_type(c, Z)))
+               np.zeros(c.shape[:-1] + vals.shape[1:],
+                        np.result_type(c, vals)))

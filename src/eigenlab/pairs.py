@@ -16,7 +16,8 @@ import numpy as np
 
 from .bases import LieBasisSet, gram_schmidt, group_basis
 from .jets import CurvePlan, Jet2, curve_plan
-from .matrices import i_signature, i_signature_doubled, j_matrix
+from .matrices import (SparsePlan, i_signature, i_signature_doubled,
+                       j_matrix, real_rows, sparse_plan)
 
 __all__ = ["Involution", "SymmetricPair", "SPACES", "make_pair", "space_label"]
 
@@ -137,6 +138,19 @@ class SymmetricPair:
         """The p-, then the k-basis as curve directions, once per pair."""
         return curve_plan(np.concatenate([self.p_basis, self.k_basis]))
 
+    @cached_property
+    def ambient_sparse(self) -> SparsePlan:
+        """The ambient basis's real rows (matrices.real_rows) planned for
+        sparse_matmul, once per pair: for point draws and the tangential
+        projection."""
+        return sparse_plan(real_rows(self.ambient.elements))
+
+    @cached_property
+    def k_sparse(self) -> SparsePlan:
+        """The k-basis's real rows planned for sparse_matmul, once per
+        pair: for draws of K points."""
+        return sparse_plan(real_rows(self.k_basis))
+
     def label(self) -> str:
         return space_label(self.space, self.m, self.n)
 
@@ -149,10 +163,33 @@ def space_label(space: str, m, n) -> str:
 
 def _split(ambient: LieBasisSet, sigma: Involution):
     """Project the ambient basis onto the dsigma eigenspaces and
-    re-orthonormalize, dropping numerically null vectors."""
+    orthonormalize the projections.
+
+    sigma.d maps each ambient element to +- another one, but for su's
+    traceless diagonal block, whose elements share their support and
+    which sigma mixes.  So outside su the projections are zero, or
+    parallel to an earlier one on the same support, or disjoint from all
+    kept ones: _disjoint keeps them, and gives gram_schmidt's bits."""
     Z = ambient.elements
     s = sigma.d(Z)
-    return gram_schmidt((Z + s) / 2.0), gram_schmidt((Z - s) / 2.0)
+    orthonormal = gram_schmidt if ambient.group == "su" else _disjoint
+    return orthonormal((Z + s) / 2.0), orthonormal((Z - s) / 2.0)
+
+
+def _disjoint(vectors) -> np.ndarray:
+    """The nonzero matrices of a stack that share no nonzero entry of
+    their real rows (matrices.real_rows) with an earlier nonzero one, each
+    normalized as w / sqrt(w @ w).  Where any two supports are equal or
+    disjoint, as for the projections outside su, this keeps the first of
+    each support.  Disjoint supports are exactly orthogonal: gram_schmidt
+    subtracts zeros from them and gives the same bits."""
+    R = real_rows(vectors)
+    nonzero = R != 0
+    first = nonzero.argmax(axis=0)  # each column's first nonzero row
+    later = nonzero & (first != np.arange(len(R))[:, None])
+    Q = R[nonzero.any(axis=1) & ~later.any(axis=1)]
+    Q /= np.sqrt(np.vecdot(Q, Q))[:, None]
+    return Q.view(complex).reshape((len(Q),) + vectors.shape[1:])
 
 
 # space id -> (group, params, matrix size, sigma builder, dim k, dim p)

@@ -6,22 +6,27 @@ by a hash of the stream label and seed, counter = index * 2^64), so sample
 ``index`` of a given configuration is O(1) to reach, stateless, and
 bitwise-reproducible; parallel generation is safe.
 
-Each point set is drawn in one call over a sequence of indices: the stream
-key is hashed once, the coefficient rows meet the basis in one
-sparse_matmul, and the stack is exponentiated once.  The one-index
-functions are that call with a single index: the same matrix bit for bit.
+Each point set is drawn in one call over a sequence of indices (each below
+2^64): every coefficient row comes from one array evaluation of Philox
+over all the indices, equal bit for bit to each sample's own generator,
+the rows meet the pair's planned basis in one sparse_matmul, and the stack
+is exponentiated once.  The one-index functions are that call with a
+single index: the same matrix bit for bit.  Sphere points and family
+parameters draw from each sample's numpy Generator (rng_for).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import random_sphere_point
 from .bases import group_basis
-from .matrices import mat_exp, membership_residual, sparse_matmul
+from .matrices import (SparsePlan, mat_exp, membership_residual, real_rows,
+                       sparse_matmul, sparse_plan)
 
 __all__ = ["SampleConfig", "GENERATOR_NAME", "rng_for",
            "random_algebra_elements",
@@ -46,16 +51,18 @@ class SampleConfig:
             raise ValueError("seed must be a non-negative integer")
 
 
+def _key(label: str, seed: int) -> int:
+    return int.from_bytes(
+        hashlib.sha256(f"{label}:{seed}".encode()).digest()[:16], "little")
+
+
 def _generators(label: str, seed: int, indices):
     """The generator of each sample in ``indices`` of one stream, in order.
 
     The key is hashed once and one Philox generator is moved to each
     sample's counter in turn, so each yielded generator is valid only
     until the next one is drawn."""
-    key = int.from_bytes(
-        hashlib.sha256(f"{label}:{seed}".encode()).digest()[:16], "little"
-    )
-    bitgen = np.random.Philox(key=key)
+    bitgen = np.random.Philox(key=_key(label, seed))
     state = bitgen.state
     counter = state["state"]["counter"]
     rng = np.random.Generator(bitgen)
@@ -70,12 +77,65 @@ def rng_for(label: str, seed: int, index: int) -> np.random.Generator:
     return next(_generators(label, seed, (index,)))
 
 
-def _combos(basis_els: np.ndarray, label: str, cfg: SampleConfig, indices):
-    width, n, _ = basis_els.shape
-    rows = [rng.uniform(-RADIUS, RADIUS, size=width)
-            for rng in _generators(label, cfg.seed, indices)]
-    return sparse_matmul(np.array(rows).reshape(len(rows), width),
-                         basis_els.reshape(width, n * n)).reshape(-1, n, n)
+# Philox4x64-10 (Salmon et al., SC 2011), as numpy's Philox computes it:
+# the multipliers of counter words 0 and 2, and the key's Weyl increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _uniform_rows(label: str, seed: int, indices, width: int) -> np.ndarray:
+    """Row r: the first ``width`` draws of rng_for(label, seed,
+    indices[r]).uniform(-RADIUS, RADIUS), bit for bit, for indices below
+    2^64, all in one pass: Philox4x64-10 of the counters (block, index, 0,
+    0) for the blocks 1..ceil(width / 4), each 64-bit output word w read
+    as -RADIUS + 2 RADIUS ((w >> 11) 2^-53)."""
+    index = np.fromiter(indices, np.uint64)
+    blocks = -(-width // 4)
+    # counter words 0 and 2, which a round multiplies, and 1 and 3, which
+    # it xors, for every (index, block); every operand has their shape,
+    # since numpy broadcasts a scalar or a short axis slower than it runs
+    # a small draw's arithmetic
+    shape = (2, len(index) * blocks)
+    mul = np.zeros(shape, np.uint64)
+    mul[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(index))
+    xor = np.zeros(shape, np.uint64)
+    xor[0] = np.repeat(index, blocks)
+
+    def full(words):
+        return np.repeat(np.array(words, np.uint64)[..., None], shape[1], -1)
+
+    m, low, s32 = full(_PHILOX_M), full((0xFFFFFFFF,) * 2), full((32, 32))
+    m_lo, m_hi = m & low, m >> s32
+    key = [_key(label, seed) >> 64 * i & _WORD for i in range(2)]
+    keys = []
+    for _ in range(_PHILOX_ROUNDS):
+        keys.append(key)
+        key = [(k + inc) & _WORD for k, inc in zip(key, _PHILOX_W)]
+    for key in full(keys):
+        # the high words of m mul from 32-bit halves: no partial product
+        # or sum overflows
+        x_lo, x_hi = mul & low, mul >> s32
+        t = m_lo * x_lo
+        u = m_hi * x_lo + (t >> s32)
+        v = m_lo * x_hi + (u & low)
+        hi = m_hi * x_hi + (u >> s32) + (v >> s32)
+        mul, xor = hi[::-1] ^ xor ^ key, (m * mul)[::-1]
+    words = np.stack([mul[0], xor[0], mul[1], xor[1]], axis=-1)
+    words = words.reshape(len(index), 4 * blocks)[:, :width]
+    return -RADIUS + 2 * RADIUS * ((words >> np.uint64(11)) * 2.0 ** -53)
+
+
+def _combos(basis, label: str, cfg: SampleConfig, indices):
+    """Each sample's combination of a (width, n, n) basis stack, given as
+    the stack or as its real rows' sparse_plan, with its coefficient row
+    of _uniform_rows."""
+    if not isinstance(basis, SparsePlan):
+        basis = sparse_plan(real_rows(basis))
+    width, cols = basis.shape
+    n = math.isqrt(cols // 2)
+    coeff = _uniform_rows(label, cfg.seed, indices, width)
+    return sparse_matmul(coeff, basis).view(complex).reshape(-1, n, n)
 
 
 def random_algebra_elements(group: str, n: int, cfg: SampleConfig,
@@ -103,7 +163,7 @@ def random_point(group: str, n: int, cfg: SampleConfig, index: int) -> np.ndarra
 def random_subgroup_points(pair, cfg: SampleConfig, indices) -> np.ndarray:
     """Points of the fixed-point subgroup K of a SymmetricPair, obtained by
     exponentiating random elements of k; one per index, stacked."""
-    return mat_exp(_combos(pair.k_basis, f"{pair.label()}:k", cfg, indices))
+    return mat_exp(_combos(pair.k_sparse, f"{pair.label()}:k", cfg, indices))
 
 
 def random_subgroup_point(pair, cfg: SampleConfig, index: int) -> np.ndarray:
@@ -114,7 +174,7 @@ def random_subgroup_point(pair, cfg: SampleConfig, index: int) -> np.ndarray:
 def random_pair_points(pair, cfg: SampleConfig, indices) -> np.ndarray:
     """Points of the ambient group G of a SymmetricPair; one per index,
     stacked."""
-    return mat_exp(_combos(pair.ambient.elements, f"{pair.label()}:g", cfg,
+    return mat_exp(_combos(pair.ambient_sparse, f"{pair.label()}:g", cfg,
                            indices))
 
 

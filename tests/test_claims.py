@@ -494,7 +494,7 @@ def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
         per_job.append(len(planned))
     # table1 plans its grid and the cartan job's forms, the cartan job the
     # image pass's stack (but for prop7.1's space), product its two factors
-    kinds = [job.claim_ids[0].split(".")[0] for job in jobs]
+    kinds = [job.kind for job in jobs]
     assert {k: max(c for kk, c in zip(kinds, per_job) if kk == k)
             for k in kinds} == {"basis": 0, "table1": 2, "prop7": 1,
                                 "cartan": 1, "poly": 1, "product": 2,
@@ -513,3 +513,46 @@ def test_reports_do_not_depend_on_the_pass_size(monkeypatch):
         monkeypatch.setattr(claims, "BUDGET", budget)
         texts.add(emit_json_lines(build_report(config, run_claims(config))))
     assert len(texts) == 1
+
+
+def test_jobs_carry_their_kind():
+    # jobs_for names each job's suite; the sweep halves are found by it.
+    # A Job rebuilt from its first three fields, as a wrapper of its run
+    # may build it, reads its kind off its first claim id
+    jobs = jobs_for(RunConfig())
+    assert [job.kind for job in jobs] == [
+        job.claim_ids[0].split(".")[0] for job in jobs]
+    assert {job.kind for job in jobs} == {
+        "basis", "table1", "prop7", "cartan", "poly", "product", "sphere",
+        "cpn"}
+    rebuilt = [claims.Job(job.claim_ids, job.space, job.run) for job in jobs]
+    assert [job.kind for job in rebuilt] == [job.kind for job in jobs]
+
+
+def test_one_sparse_plan_per_basis_and_pair(monkeypatch):
+    # a three-pass sp-grassmannian(2,2) run plans the pair's ambient and
+    # k-basis once each, for every draw and every tangential projection
+    from eigenlab import matrices, pairs, sampling
+    planned = []
+    original = matrices.sparse_plan
+
+    def spy(Z):
+        planned.append(np.array(Z))
+        return original(Z)
+
+    for mod in (matrices, pairs, sampling):
+        monkeypatch.setattr(mod, "sparse_plan", spy)
+    config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2,
+                       samples=3 * CHUNK)
+    pair = make_pair("sp-grassmannian", m=2, n=2)
+    assert claims._pass_size(pair) == CHUNK
+    tangential = []
+    monkeypatch.setattr(claims, "tangential_residual",
+                        lambda *args: tangential.append(1)
+                        or cartan.tangential_residual(*args))
+    assert all(r.passed for r in run_claims(config))
+    assert len(tangential) == 3
+    bases = [matrices.real_rows(b)
+             for b in (pair.ambient.elements, pair.k_basis)]
+    assert len(planned) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(planned, bases))

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from eigenlab.matrices import (basis_D, basis_E, basis_X, basis_Y,
                                i_signature, i_signature_doubled, j_matrix,
                                mat_exp, membership_residual, metric,
-                               sparse_matmul)
+                               sparse_matmul, sparse_plan)
 from eigenlab.pairs import make_pair
 
 # The seven pairs, up to the largest size the command line accepts.
@@ -213,6 +213,13 @@ def test_sparse_matmul_is_the_sequential_product():
     assert_allclose(got, c @ Z, rtol=0, atol=1e-14)
     assert sparse_matmul(c[..., :0], Z[:0]).shape == (2, 3, 7)
     assert not sparse_matmul(c[..., :0], Z[:0]).any()
+    # a plan gives the raw matrix's bits, and its T those of Z^T
+    plan = sparse_plan(Z)
+    assert plan.shape == (6, 7) and plan.T.shape == (7, 6)
+    assert sparse_matmul(c, plan).tobytes() == got.tobytes()
+    d = rng.standard_normal((4, 7))
+    assert sparse_matmul(d, plan.T).tobytes() == \
+        sparse_matmul(d, Z.T).tobytes()
 
 
 def entrywise_metric(Z, W):

@@ -275,3 +275,45 @@ def test_make_pair_rejects_a_basis_the_gather_cannot_take(monkeypatch, mix):
                         lambda Z, s: (lambda k, p: (k, mix(p)))(*split(Z, s)))
     with pytest.raises(RuntimeError, match="two nonzeros"):
         make_pair("sp-grassmannian", m=1, n=1)
+
+
+SPLIT_CASES = sorted({(space, m, n) for space in PAIR_SPACE_ORDER
+                      for m, n in DEFAULT_SIZES[space]}
+                     | {(space, 3, 3) for space in SPACES
+                        if SPACES[space]["params"] == ("m", "n")}
+                     | {(space, None, 3) for space in SPACES
+                        if SPACES[space]["params"] == ("n",)}
+                     | {("sp-grassmannian", 8, 8), ("u-grassmannian", 6, 6),
+                        ("so-grassmannian", 5, 5), ("sp-u", None, 6),
+                        ("so-u", None, 8)}, key=str)
+
+
+@pytest.mark.parametrize("space,m,n", SPLIT_CASES)
+def test_split_is_gram_schmidt_bit_for_bit(space, m, n):
+    # outside su the split keeps the disjoint projections, normalized;
+    # Gram-Schmidt (CGS2) of the same projections is the reference
+    pair = make_pair(space, m=m, n=n)
+    Z = pair.ambient.elements
+    s = pair.sigma.d(Z)
+    for raw, got in (((Z + s) / 2.0, pair.k_basis),
+                     ((Z - s) / 2.0, pair.p_basis)):
+        ref = gram_schmidt(raw)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_split_runs_gram_schmidt_only_on_su(space, monkeypatch):
+    from eigenlab import bases
+    calls = []
+
+    def spy(vectors):
+        calls.append(len(vectors))
+        return gram_schmidt(vectors)
+
+    monkeypatch.setattr(pairs, "gram_schmidt", spy)
+    monkeypatch.setattr(bases, "gram_schmidt", spy)
+    if SPACES[space]["params"] == ("n",):
+        pair = make_pair(space, n=3)
+    else:
+        pair = make_pair(space, m=2, n=2)
+    assert (len(calls) > 0) == (pair.group == "su")

@@ -1,6 +1,7 @@
 """Deterministic sampling streams and membership of sampled points."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ def test_combos_are_the_einsum_bit_for_bit(basis_els):
         (0,) + basis_els.shape[1:]
 
 
+@pytest.mark.parametrize("space,m,n", [("sp-grassmannian", 2, 2),
+                                       ("su-so", None, 3),
+                                       ("so-grassmannian", 1, 1)])
+def test_combos_with_the_plan_are_the_raw_basis_draws(space, m, n):
+    # a pair's planned ambient and k-bases draw the bits of the raw
+    # stacks (dim k = 0 at so-grassmannian(1,1))
+    pair = make_pair(space, m=m, n=n)
+    cfg = SampleConfig(seed=12)
+    for plan, els in ((pair.ambient_sparse, pair.ambient.elements),
+                      (pair.k_sparse, pair.k_basis)):
+        got = sampling._combos(plan, "plan", cfg, range(7))
+        ref = sampling._combos(els, "plan", cfg, range(7))
+        assert got.shape == ref.shape == (7,) + els.shape[1:]
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestMembership:
     @pytest.mark.parametrize("group,n", [("so", 3), ("su", 3), ("u", 2), ("sp", 2)])
     def test_points_on_group(self, group, n):
@@ -205,3 +222,59 @@ class TestConfigValidation:
 
     def test_defaults(self):
         assert (SampleConfig().seed, RADIUS) == (0, 1.5)
+
+
+class TestVectorizedDraw:
+    """Every coefficient row of a point set comes from one array
+    evaluation of Philox4x64-10 over the indices, equal bit for bit to
+    each index's own numpy Philox generator."""
+
+    @staticmethod
+    def reference(label, seed, indices, width):
+        key = int.from_bytes(
+            hashlib.sha256(f"{label}:{seed}".encode()).digest()[:16],
+            "little")
+        return np.array([np.random.Generator(
+            np.random.Philox(key=key, counter=index << 64)).uniform(
+                -RADIUS, RADIUS, size=width) for index in indices]
+        ).reshape(len(indices), width)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 40])
+    def test_rows_are_the_per_sample_philox_draws(self, seed):
+        # 2^63 + 5 sets the top bit of counter word 1 and 2^32 + 7 carries
+        # into its high half; widths 1..80 end blocks at every word.  With
+        # warnings as errors, no uint64 product or sum may warn
+        indices = (0, 1, 99, 2 ** 32 + 7, 2 ** 63 + 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for width in range(1, 81):
+                got = sampling._uniform_rows("draw", seed, indices, width)
+                ref = self.reference("draw", seed, indices, width)
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes(), width
+
+    def test_empty_and_one_index_draws(self):
+        ref = self.reference("draw", 3, (7,), 9)
+        assert sampling._uniform_rows("draw", 3, (), 9).shape == (0, 9)
+        assert sampling._uniform_rows("draw", 3, range(4), 0).shape == (4, 0)
+        assert sampling._uniform_rows("draw", 3, (7,), 9).tobytes() == \
+            ref.tobytes()
+
+    def test_indices_past_the_counter_word_are_refused(self):
+        with pytest.raises(OverflowError):
+            sampling._uniform_rows("draw", 3, (2 ** 64,), 4)
+        with pytest.raises(OverflowError):
+            sampling._uniform_rows("draw", 3, (-1,), 4)
+
+
+def test_sphere_point_draws_its_normals_in_one_call():
+    # one standard_normal call of 2n draws reads the same stream as the
+    # real parts' call followed by the imaginary parts'
+    for n in (1, 3, 6):
+        for index in range(5):
+            rng = rng_for("sphere", 2, index)
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            z = x + 1j * y
+            ref = z / np.linalg.norm(z)
+            got = random_sphere_point(n, rng_for("sphere", 2, index))
+            assert got.tobytes() == ref.tobytes()
