@@ -174,17 +174,15 @@ class Job:
 
     ``kind`` names its suite, the first part of each of its claim ids:
     "basis", "table1", "prop7", "cartan", "poly", "product", "sphere" or
-    "cpn".  jobs_for sets it; a Job rebuilt from its first three fields,
-    as a wrapper of ``run`` may do, reads it off its first claim id."""
+    "cpn"."""
 
     claim_ids: tuple
     space: str
     run: Callable = field(repr=False)
-    kind: str = ""
 
-    def __post_init__(self):
-        if not self.kind:
-            object.__setattr__(self, "kind", self.claim_ids[0].split(".")[0])
+    @property
+    def kind(self):
+        return self.claim_ids[0].split(".")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -641,26 +639,26 @@ def jobs_for(config: RunConfig):
     config = validate_config(config)
     jobs = []
 
-    def add(kind, space, ids, run, *args):
+    def add(space, ids, run, *args):
         jobs.append(Job(ids, space,
-                        lambda cache: run(config, cache, ids, *args), kind))
+                        lambda cache: run(config, cache, ids, *args)))
 
     if _selected(config, "basis"):
-        add("basis", "basis", _basis_claim_ids(), _run_basis)
+        add("basis", _basis_claim_ids(), _run_basis)
 
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
             continue
         for m, n in _sizes(config, space, DEFAULT_SIZES[space]):
             params = _size_params(m, n)
-            add("table1", space, _table1_claim_ids(space, params), _run_table1,
+            add(space, _table1_claim_ids(space, params), _run_table1,
                 params, space, m, n)
 
     if _selected(config, "sp-grassmannian"):
         for m, n in _sizes(config, "sp-grassmannian", PROP71_SIZES):
             params = {"m": m, "n": n}
-            add("prop7", "sp-grassmannian", _prop71_claim_ids(params),
-                _run_prop71, params, m, n)
+            add("sp-grassmannian", _prop71_claim_ids(params), _run_prop71,
+                params, m, n)
 
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
@@ -668,32 +666,31 @@ def jobs_for(config: RunConfig):
         for m, n in _sizes(config, space, DEFAULT_SIZES[space]):
             params = {"space": space, **_size_params(m, n)}
             kinds = _cartan_kinds(space, m, n)
-            add("cartan", space, tuple(f"cartan.{kind}{_suffix(params)}"
-                                       for kind in kinds),
+            add(space, tuple(f"cartan.{kind}{_suffix(params)}"
+                             for kind in kinds),
                 _run_cartan, params, space, m, n, kinds)
 
     if _selected(config, "polynomial"):
         for space, m, n in POLY_SPACES:
             for d in POLY_DEGREES:
                 params = {"space": space, "m": m, "n": n, "d": d}
-                add("poly", "polynomial", _eigen_ids(f"poly.d{d}", params),
-                    _run_poly, params, space, m, n, d)
+                add("polynomial", _eigen_ids(f"poly.d{d}", params), _run_poly,
+                    params, space, m, n, d)
 
     if _selected(config, "product"):
         space, m, n = PRODUCT_SPACE
         params = {"m": m, "n": n}
-        add("product", "product", _eigen_ids("product", params),
-            _run_product, params, space, m, n)
+        add("product", _eigen_ids("product", params), _run_product, params,
+            space, m, n)
 
     if _selected(config, "sphere"):
         for _, n in _sizes(config, "sphere", DEFAULT_SIZES["sphere"]):
-            add("sphere", "sphere", _eigen_ids("sphere", {"n": n}),
-                _run_sphere, {"n": n}, n)
+            add("sphere", _eigen_ids("sphere", {"n": n}), _run_sphere,
+                {"n": n}, n)
 
     if _selected(config, "cpn"):
         for _, n in _sizes(config, "cpn", DEFAULT_SIZES["cpn"]):
-            add("cpn", "cpn", _eigen_ids("cpn", {"n": n}), _run_cpn,
-                {"n": n}, n)
+            add("cpn", _eigen_ids("cpn", {"n": n}), _run_cpn, {"n": n}, n)
 
     return jobs
 

@@ -207,14 +207,14 @@ def sparse_plan(Z) -> SparsePlan:
     return SparsePlan(_columns(Z), _columns(Z.T))
 
 
-def sparse_matmul(c: np.ndarray, Z) -> np.ndarray:
-    """c @ Z for a sparse Z (k, m), given as the matrix or as its
-    sparse_plan, with no BLAS call: each column adds c[..., b] Z[b, j]
+def sparse_matmul(c: np.ndarray, plan: SparsePlan) -> np.ndarray:
+    """c @ Z for a sparse Z (k, m), given as its sparse_plan, with no
+    BLAS call: each column adds c[..., b] Z[b, j]
     over its nonzero Z[b, j] only, in order of b, to a zero start, so
     each row of c gets the bits of a sequential sum.  The gather is
     np.take, not c[..., i]: for many rows numpy returns the fancy index
     F-ordered, and so would the sum be."""
-    idx, vals = (Z if isinstance(Z, SparsePlan) else sparse_plan(Z)).columns
+    idx, vals = plan.columns
     return sum((np.take(c, i, axis=-1) * v for i, v in zip(idx, vals)),
                np.zeros(c.shape[:-1] + vals.shape[1:],
                         np.result_type(c, vals)))

@@ -126,12 +126,10 @@ def _uniform_rows(label: str, seed: int, indices, width: int) -> np.ndarray:
     return -RADIUS + 2 * RADIUS * ((words >> np.uint64(11)) * 2.0 ** -53)
 
 
-def _combos(basis, label: str, cfg: SampleConfig, indices):
+def _combos(basis: SparsePlan, label: str, cfg: SampleConfig, indices):
     """Each sample's combination of a (width, n, n) basis stack, given as
-    the stack or as its real rows' sparse_plan, with its coefficient row
-    of _uniform_rows."""
-    if not isinstance(basis, SparsePlan):
-        basis = sparse_plan(real_rows(basis))
+    its real rows' sparse_plan, with its coefficient row of
+    _uniform_rows."""
     width, cols = basis.shape
     n = math.isqrt(cols // 2)
     coeff = _uniform_rows(label, cfg.seed, indices, width)
@@ -141,8 +139,8 @@ def _combos(basis, label: str, cfg: SampleConfig, indices):
 def random_algebra_elements(group: str, n: int, cfg: SampleConfig,
                             indices) -> np.ndarray:
     """Samples ``indices`` of the (group, n, cfg) algebra stream, stacked."""
-    return _combos(group_basis(group, n).elements, f"{group}:{n}", cfg,
-                   indices)
+    basis = sparse_plan(real_rows(group_basis(group, n).elements))
+    return _combos(basis, f"{group}:{n}", cfg, indices)
 
 
 def random_points(group: str, n: int, cfg: SampleConfig, indices) -> np.ndarray:

@@ -12,7 +12,8 @@ from eigenlab.cartan import (cartan_map, cartan_map_closed, cartan_map_jet,
 from eigenlab import jets, pairs
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
 from eigenlab.jets import JetMatrix
-from eigenlab.matrices import membership_residual, real_rows, sparse_matmul
+from eigenlab.matrices import (membership_residual, real_rows, sparse_matmul,
+                               sparse_plan)
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (SampleConfig, random_pair_point,
                                random_pair_points, random_subgroup_point)
@@ -239,14 +240,16 @@ def test_tangential_residual_matches_the_einsum_projection(space, m, n):
                                        ("so-grassmannian", 1, 2)])
 def test_tangential_residual_with_the_plan_is_the_raw_product(space, m, n):
     # the pair's planned ambient basis gives the bits of sparse products
-    # with the raw real rows, each planned on the spot
+    # with plans of the raw real rows, each made on the spot
     pair = make_pair(space, m=m, n=n)
     p = random_pair_points(pair, SampleConfig(seed=3), range(5))
     y, H = cartan_map(pair, p), map_tension_raw(pair, p)
     A = np.swapaxes(y, -1, -2).conj() @ H
     F = real_rows(pair.ambient.elements)
-    coeff = sparse_matmul(A.reshape(len(A), -1).view(float), F.T)
-    ref = np.abs(y @ sparse_matmul(coeff, F).view(complex).reshape(A.shape)
+    coeff = sparse_matmul(A.reshape(len(A), -1).view(float),
+                          sparse_plan(F.T))
+    ref = np.abs(y @ sparse_matmul(coeff, sparse_plan(F)).view(complex)
+                 .reshape(A.shape)
                  ).max(axis=(-2, -1))
     assert np.array_equal(tangential_residual(pair, y, H), ref)
 

@@ -10,7 +10,7 @@ from eigenlab import sampling
 from eigenlab.ambient import random_sphere_point
 from eigenlab.bases import group_basis
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
-from eigenlab.matrices import membership_residual
+from eigenlab.matrices import membership_residual, real_rows, sparse_plan
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (GENERATOR_NAME, RADIUS, SampleConfig,
                                random_algebra_elements, random_pair_point,
@@ -160,12 +160,13 @@ def test_combos_are_the_einsum_bit_for_bit(basis_els):
     # the gather over each entry's nonzero basis elements sums in basis
     # order from zero, as the einsum does: equal bits, batched or one by one
     cfg = SampleConfig(seed=7)
+    plan = sparse_plan(real_rows(basis_els))
     ref = einsum_combos(basis_els, "combos", cfg, range(9))
-    got = sampling._combos(basis_els, "combos", cfg, range(9))
+    got = sampling._combos(plan, "combos", cfg, range(9))
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    assert np.array_equal(sampling._combos(basis_els, "combos", cfg, (4,)),
+    assert np.array_equal(sampling._combos(plan, "combos", cfg, (4,)),
                           ref[4:5])
-    assert sampling._combos(basis_els, "combos", cfg, ()).shape == \
+    assert sampling._combos(plan, "combos", cfg, ()).shape == \
         (0,) + basis_els.shape[1:]
 
 
@@ -173,16 +174,16 @@ def test_combos_are_the_einsum_bit_for_bit(basis_els):
                                        ("su-so", None, 3),
                                        ("so-grassmannian", 1, 1)])
 def test_combos_with_the_plan_are_the_raw_basis_draws(space, m, n):
-    # a pair's planned ambient and k-bases draw the bits of the raw
-    # stacks (dim k = 0 at so-grassmannian(1,1))
+    # a pair's planned ambient and k-bases draw the einsum's bits over
+    # the raw stacks (dim k = 0 at so-grassmannian(1,1))
     pair = make_pair(space, m=m, n=n)
     cfg = SampleConfig(seed=12)
     for plan, els in ((pair.ambient_sparse, pair.ambient.elements),
                       (pair.k_sparse, pair.k_basis)):
         got = sampling._combos(plan, "plan", cfg, range(7))
-        ref = sampling._combos(els, "plan", cfg, range(7))
+        ref = einsum_combos(els, "plan", cfg, range(7))
         assert got.shape == ref.shape == (7,) + els.shape[1:]
-        assert got.tobytes() == ref.tobytes()
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 class TestMembership:
