@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cartan import cartan_map
 from .jets import JetMatrix, jet_ops
 from .matrices import mat_exp
 
@@ -103,8 +104,6 @@ def image_ops(pair, eta, p: np.ndarray):
     eta, for eta a function on the ambient group restricted to the Cartan
     image N: derivatives along the image basis
     {Ad_{sigma(p)} X | X in the p-basis} at Phi(p)."""
-    from .cartan import cartan_map
-
     y = cartan_map(pair, p)
     s = pair.sigma(np.asarray(p, dtype=complex))
     sH = np.swapaxes(s, -1, -2).conj()

@@ -1,4 +1,5 @@
-"""Deterministic pseudo-random points on the classical compact groups.
+"""Deterministic pseudo-random points on the classical compact groups and
+the unit sphere.
 
 Points are mat_exp of a random Lie-algebra element with coefficients drawn
 uniformly from [-RADIUS, RADIUS].  Streams are counter-based (Philox keyed
@@ -10,9 +11,10 @@ Each point set is drawn in one call over a sequence of indices (each below
 2^64): every coefficient row comes from one array evaluation of Philox
 over all the indices, equal bit for bit to each sample's own generator,
 the rows meet the pair's planned basis in one sparse_matmul, and the stack
-is exponentiated once.  The one-index functions are that call with a
-single index: the same matrix bit for bit.  Sphere points and family
-parameters draw from each sample's numpy Generator (rng_for).
+is exponentiated once.  Sphere points are the same rows, normalised.  The
+one-index functions are that call with a single index: the same matrix
+bit for bit.  rng_for gives one sample's numpy Generator, for the single
+family-parameter draw of a pair.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import random_sphere_point
 from .bases import group_basis
 from .matrices import (SparsePlan, mat_exp, membership_residual, real_rows,
                        sparse_matmul, sparse_plan)
@@ -56,25 +57,10 @@ def _key(label: str, seed: int) -> int:
         hashlib.sha256(f"{label}:{seed}".encode()).digest()[:16], "little")
 
 
-def _generators(label: str, seed: int, indices):
-    """The generator of each sample in ``indices`` of one stream, in order.
-
-    The key is hashed once and one Philox generator is moved to each
-    sample's counter in turn, so each yielded generator is valid only
-    until the next one is drawn."""
-    bitgen = np.random.Philox(key=_key(label, seed))
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    rng = np.random.Generator(bitgen)
-    for index in indices:
-        counter[:] = [(index << 64) >> (64 * w) & _WORD for w in range(4)]
-        bitgen.state = state
-        yield rng
-
-
 def rng_for(label: str, seed: int, index: int) -> np.random.Generator:
     """The generator for one sample of one stream."""
-    return next(_generators(label, seed, (index,)))
+    return np.random.Generator(np.random.Philox(key=_key(label, seed),
+                                                counter=int(index) << 64))
 
 
 # Philox4x64-10 (Salmon et al., SC 2011), as numpy's Philox computes it:
@@ -183,8 +169,10 @@ def random_pair_point(pair, cfg: SampleConfig, index: int) -> np.ndarray:
 
 def random_sphere_points(n: int, label: str, cfg: SampleConfig,
                          indices) -> np.ndarray:
-    """Points of the unit sphere in C^n, stacked: the point of sample
-    ``index`` is random_sphere_point(n, rng_for(label, cfg.seed, index))."""
-    return np.array([random_sphere_point(n, rng)
-                     for rng in _generators(label, cfg.seed, indices)]
-                    ).reshape(-1, n)
+    """Points of the unit sphere in C^n, stacked: sample ``index`` is its
+    row of _uniform_rows over 2n columns, read as the real parts, then the
+    imaginary parts, and normalised.  The points are not uniform on the
+    sphere; the identities checked on them hold at every point."""
+    x = _uniform_rows(label, cfg.seed, indices, 2 * n)
+    z = x[:, :n] + 1j * x[:, n:]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)

@@ -66,6 +66,19 @@ class TestDeterminism:
         assert (rng_for("sp:2", 9, index).uniform(size=9)
                 == ref.uniform(size=9)).all()
 
+    # sha256 prefixes of rng_for("sp:2", 5, index).uniform(size=9).tobytes():
+    # the family parameters draw from these streams, so their bits are fixed
+    PINNED = {0: "4d4a3c64e9d8bdd6", 1: "648357aa1367f567",
+              99: "9863acc8d5ce85b1", 2 ** 32 + 7: "fc0bd2275faf0a28",
+              2 ** 63 + 5: "12dcbc80833d3926",
+              2 ** 64 - 1: "d0c6a7b98467babb"}
+
+    @pytest.mark.parametrize("index", sorted(PINNED))
+    def test_stream_bits_are_pinned(self, index):
+        u = rng_for("sp:2", 5, index).uniform(size=9)
+        assert hashlib.sha256(u.tobytes()).hexdigest()[:16] == \
+            self.PINNED[index]
+
 
 # P points per set; the product suite draws its second set at P..2P-1.
 P = 6
@@ -111,11 +124,34 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("label,n", [("sphere:3", 3), ("cpn:2", 3)])
     def test_sphere_and_cpn_points(self, label, n):
+        # each point is its _uniform_rows row over 2n columns, real parts
+        # then imaginary parts, normalised; alone it is its batch row
         cfg = self.cfg
+        pts = random_sphere_points(n, label, cfg, range(2 * P))
+        assert pts.shape == (2 * P, n) and pts.dtype == complex
+        for i, z in enumerate(pts):
+            x = sampling._uniform_rows(label, cfg.seed, (i,), 2 * n)[0]
+            ref = x[:n] + 1j * x[n:]
+            np.testing.assert_allclose(z, ref / np.linalg.norm(ref),
+                                       rtol=1e-15, atol=0)
+            assert abs(np.linalg.norm(z) - 1) <= 1e-15
         assert_rows_are_single_draws(
-            lambda i: random_sphere_point(n, rng_for(label, cfg.seed, i)),
+            lambda i: random_sphere_points(n, label, cfg, (i,))[0],
             lambda idx: random_sphere_points(n, label, cfg, idx))
-        assert random_sphere_points(n, label, cfg, range(4)).shape == (4, n)
+        assert random_sphere_points(n, label, cfg, ()).shape == (0, n)
+
+    def test_numpy_indices_draw_the_python_index_bits(self):
+        # int(index) << 64: np.int64(5) << 64 would be 0, sample 0's stream
+        for index in (5, 2 ** 63 + 5):
+            for np_index in (np.uint64(index), np.array(index, np.uint64)):
+                assert np.array_equal(
+                    rng_for("x", 0, np_index).uniform(size=9),
+                    rng_for("x", 0, index).uniform(size=9))
+        assert np.array_equal(rng_for("x", 0, np.int64(5)).uniform(size=9),
+                              rng_for("x", 0, 5).uniform(size=9))
+        assert np.array_equal(
+            random_sphere_points(3, "sphere:3", self.cfg, np.arange(4)),
+            random_sphere_points(3, "sphere:3", self.cfg, range(4)))
 
     def test_membership_guard_checks_every_point(self, monkeypatch):
         assert random_points("su", 3, self.cfg, range(0)).shape == (0, 3, 3)
