@@ -6,14 +6,16 @@ are unitary in the chosen representations), guarded by a membership check,
 so sigma(p)^-1 is one gather, sigma.inverse(p).
 Every function takes a single point (n, n) or a stack of points
 (..., n, n).  The jet routes push JetMatrix.curve jets, which carry
-Z(Phi) per direction and the sum of Z^2(Phi) over the directions.
+Z(Phi) per direction and the sum of Z^2(Phi) over the directions; a
+Cartan pass pushes first-order jets, a block of directions at a time, and
+forms that sum once (raw_tension).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import JetMatrix
+from .jets import JetMatrix, curve_plan
 from .matrices import membership_residual, metric, sparse_matmul
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "map_tension_raw",
     "pullback_factor",
     "pullback_ratio",
+    "raw_tension",
     "tangential_residual",
 ]
 
@@ -94,9 +97,26 @@ def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
 
     This contains the second-fundamental-form term of the group inside
     matrix space, so it is NOT the tension of the map; see
-    harmonic_residual for the tangential part.
+    harmonic_residual for the tangential part.  It is a Cartan pass of
+    one block: raw_tension of the first-order jets along the whole
+    basis.
     """
-    return cartan_map_jet(pair, JetMatrix.curve(p, pair.ambient_plan)).d2
+    plan = pair.ambient_plan
+    j = cartan_map_jet(pair, JetMatrix.curve(p, plan.block()))
+    return raw_tension(pair, p, plan.square, j.d2.sum(axis=0))
+
+
+def raw_tension(pair, p: np.ndarray, square: np.ndarray, cross: np.ndarray):
+    """sum_Z Z^2(Phi) at ``p`` over directions Z whose squares sum to
+    ``square``, from ``cross``, the sum over the Z of the d2 of Phi's
+    first-order jets along them (cartan_map_jet of JetMatrix.curve along
+    a first-order plan): each is 2 pZ sigma(pZ)^-1, the second derivative
+    but for the curve's own p Z^2, whose sum enters here once, by the
+    product rule of JetMatrix.__matmul__.  Summed in direction order,
+    ``cross`` gives the bits of the d2 of the 2-jet along all of the Z
+    at once, with no array over the directions."""
+    c2 = p @ square
+    return c2 @ pair.sigma.inverse(p) + cross + p @ pair.sigma.inverse(c2)
 
 
 def tangential_residual(pair, y: np.ndarray, H: np.ndarray):
@@ -137,21 +157,21 @@ def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
     one = np.ndim(X) == 2
 
     def dphi(Z):
-        d1 = cartan_map_jet(pair, JetMatrix.curve(p, Z)).d1
-        return d1[0] if one else d1
+        # a Cartan pass of one block of first-order jets
+        j = cartan_map_jet(pair, JetMatrix.curve(p, curve_plan(Z).block()))
+        return j.d1[0, 0] if one else j.d1[0]
 
     dX = dphi(X)
     dY = dX if Y is X else dphi(Y)
-    return pullback_ratio(dX, dY, X, Y)
+    return pullback_ratio(metric(dX, dY), X, Y)
 
 
-def pullback_ratio(dX, dY, X, Y):
-    """g(dX, dY) / g(X, Y) for the first derivatives dX, dY of Phi along
-    the directions X, Y, entry by entry; the numerator where g(X, Y) = 0.
-    For stacks of directions (dirs, n, n), dX and dY carry them on their
-    leading axis, as jets do, and the result on its last.  See
-    pullback_factor."""
-    num = metric(dX, dY)
+def pullback_ratio(num, X, Y):
+    """g(dX, dY) / g(X, Y) from ``num`` = g(dX, dY) (matrices.metric),
+    dX and dY the first derivatives of Phi along the directions X, Y,
+    entry by entry; the numerator where g(X, Y) = 0.  For stacks of
+    directions (dirs, n, n), ``num`` carries them on its leading axis, as
+    jets do, and the result on its last.  See pullback_factor."""
     den = metric(X, Y)
     if np.ndim(den):
         # a C-ordered copy: reductions over the ratios then run point-major

@@ -5,10 +5,12 @@ Every identity the library asserts has a stable claim id (for example
 that reports diff meaningfully between runs.  The engine registers the
 claims, samples deterministic pseudo-random points, feeds them to the
 batched operators of the library in passes sized by the Cartan jets'
-working set (_pass_size: one pass for most point sets), and scores each
-claim by the relative residual |x - ref| / max(1, |ref|) together with a
-least-squares fit of the eigenvalue (the ratio tau(phi)/phi fitted over
-samples with |phi| >= 1e-3).  Reports do not depend on the pass size.
+working set (_pass_size: one pass for most point sets), streams each
+Cartan pass over blocks of directions of the same size (_block_size), and
+scores each claim by the relative residual |x - ref| / max(1, |ref|)
+together with a least-squares fit of the eigenvalue (the ratio
+tau(phi)/phi fitted over samples with |phi| >= 1e-3).  Reports do not
+depend on the pass size nor on the blocks.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import numpy as np
 from . import ambient, catalog
 from .bases import square_sum
 from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
-                     pullback_ratio, tangential_residual)
+                     pullback_ratio, raw_tension, tangential_residual)
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
                        product_ops)
-from .jets import Jet2, JetMatrix, jet_ops
-from .matrices import basis_D, basis_X, basis_Y
+from .jets import Jet2, JetMatrix, gram, jet_ops, trace_form
+from .matrices import basis_D, basis_X, basis_Y, metric
 from .operators import image_ops
 from .pairs import SPACES, make_pair, space_label
 from .sampling import (SampleConfig, random_pair_points, random_sphere_points,
@@ -45,15 +47,21 @@ __all__ = [
     "run_claims",
 ]
 
-# A chunked pass holds about BUDGET entries of Cartan jets (D directions
-# x N^2 entries per point, D = dim k + dim p, N the matrix size) and at
-# least CHUNK points.  BUDGET is the working set of 32 points at
-# sp-grassmannian(2,2), the largest default point set.  The floor keeps
-# 12 x 12 passes at CHUNK points, where more points per pass ran slower;
-# a budget that did that alone would put all 100 points of
-# sp-grassmannian(2,2) in one pass and raise the run's peak memory.
+# A chunked pass takes as many points as BUDGET entries of Cartan jets
+# hold (D directions x N^2 entries per point, D = dim k + dim p, N the
+# matrix size), and at least CHUNK.  BUDGET is the working set of 32
+# points at sp-grassmannian(2,2), the largest default point set.  The
+# floor keeps 12 x 12 passes at CHUNK points, where more points per pass
+# ran slower; a budget that did that alone would put all 100 points of
+# sp-grassmannian(2,2) in one pass and raise the run's peak memory.  A
+# Cartan pass streams its directions in blocks of at most BLOCK entries
+# (_block_size), so no array of it holds more, whatever the floor puts in
+# the pass: a pass of 32 points at sp-grassmannian(3,3), 4.9 BUDGET, makes
+# ten blocks of 8 directions.  Blocks of 16 and of 4 directions ran
+# slower there; the largest default passes make two or three blocks.
 CHUNK = 32
 BUDGET = 73_728
+BLOCK = BUDGET // 2
 
 PAIR_SPACE_ORDER = ("su-so", "sp-u", "so-u", "su-sp",
                     "so-grassmannian", "u-grassmannian", "sp-grassmannian")
@@ -276,10 +284,11 @@ def _chunked(pair, op, *points):
 
 class _Cache:
     """Per-run cache of pairs, point samples, families, image passes and
-    sweeps, keyed by (space, m, n) and, for families, alpha.  A sweep of
-    a point set calls cartan_jets_closed once per pass for both jobs that
-    read it, table1 and the cartan job, if ``jobs`` holds them (their
-    kind and space); each half is dropped once read."""
+    sweeps, keyed by (space, m, n) and, for families, alpha or degree.  A
+    sweep of a point set calls cartan_jets_closed once per pass for every
+    job that reads it: table1, the cartan job and, on their point sets,
+    the polynomial and product jobs, if ``jobs`` holds them (their kind
+    and space); each part is dropped once read."""
 
     def __init__(self, config: RunConfig, jobs):
         self.config = config
@@ -322,9 +331,10 @@ class _Cache:
         eta(y) = tr(y B) + c of the alpha = 1 family along the image basis
         at Phi(p), for prop7.1 and cartan.factor4.  Image passes push no
         Cartan jets and run on all points at once: freeing a pass's ~25 MB
-        array raises glibc's trim threshold above a chunked Cartan pass's
-        working set, whose pages are then reused; chunked, a 300-sample
-        sp-grassmannian(3,3) run faults six times as often."""
+        array raises glibc's trim threshold above the run's other arrays,
+        whose pages are then reused.  Chunked like the sweep, a steady
+        300-sample sp-grassmannian(3,3) run took 8.6k minor faults where
+        it takes 3, and ran 8-27 ms slower (in-process, three runs)."""
         key = (space, m, n)
         if key not in self._images:
             self._images[key] = image_ops(
@@ -338,30 +348,63 @@ class _Cache:
         return [self.family(space, m, n, alpha=alpha)
                 for alpha in _alpha_range(space, m, n)]
 
-    def sweep(self, space, m, n, half):
-        """The job ``half``'s ("table1" or "cartan") part of the sweep of
-        (space, m, n): phi, tau and kappa of table1's grid, or what
-        _cartan_pass returns."""
+    def polynomial(self, space, m, n, d):
+        """The degree-d polynomial family over the alpha = 1 family of a
+        space, built once per run."""
+        key = (space, m, n, f"d{d}")
+        if key not in self._families:
+            self._families[key] = polynomial_family(
+                base_family(self.family(space, m, n)), d)
+        return self._families[key]
+
+    def sweep(self, space, m, n, part):
+        """The job ``part``'s share of the sweep of (space, m, n): what it
+        makes of the closed jets of each pass.  "table1" gets phi, tau and
+        kappa of its grid, "cartan" what _cartan_pass returns, "poly.d2"
+        and "poly.d3" what _poly_ops returns, and "product" what
+        _product_ops returns with these points as the first factor's."""
         held = self._sweeps.setdefault((space, m, n), {})
-        if half not in held:
+        if part not in held:
             pair, alpha1 = self.pair(space, m, n), self.family(space, m, n)
+            points = [self.points(space, m, n)]
             read = {}
-            if half == "table1" or ("table1", space) in self._jobs:
+
+            def wants(name, kind, job_space=space):
+                return part == name or (kind, job_space) in self._jobs
+
+            if wants("table1", "table1"):
                 grid = stack_members(map(stack_members,
                                          self.blocks(space, m, n)))
                 eta = grid.eta_field()
-                read["table1"] = lambda cl, c: _jet_ops(eta(cl))
-            if half == "cartan" or ("cartan", space) in self._jobs:
+                read["table1"] = lambda cl, c, c2: _jet_ops(eta(cl))
+            if wants("cartan", "cartan"):
                 forms = stack_members(alpha1[i] for i in _factor4_index(alpha1))
-                read["cartan"] = lambda cl, c: _cartan_pass(pair, forms, c, cl)
+                read["cartan"] = lambda cl, c, c2: _cartan_pass(pair, forms,
+                                                                c, cl)
+            for d in POLY_DEGREES if (space, m, n) in POLY_SPACES else ():
+                if wants(f"poly.d{d}", "poly", "polynomial"):
+                    PF = self.polynomial(space, m, n, d)
+                    forms_d = stack_members(PF.members[0].base)
+                    read[f"poly.d{d}"] = (lambda cl, c, c2, PF=PF, f=forms_d:
+                                          _poly_ops(PF, f, cl))
+            if (space, m, n) == PRODUCT_SPACE and wants("product", "product",
+                                                        "product"):
+                F = base_family(alpha1)
+                PF = product_family(F, F)
+                factors = (stack_members(mm.f1 for mm in PF.members),
+                           stack_members(mm.f2 for mm in PF.members))
+                P = len(points[0])
+                points.append(random_pair_points(pair, self.scfg,
+                                                 range(P, 2 * P)))
+                read["product"] = lambda cl, c, c2: _product_ops(
+                    factors, cl, cartan_jets_closed(pair, c2))
 
-            def op(c):
+            def op(c, c2=None):
                 closed = cartan_jets_closed(pair, c)
-                return tuple(f(closed, c) for f in read.values())
+                return tuple(f(closed, c, c2) for f in read.values())
 
-            held.update(zip(read, _chunked(pair, op,
-                                           self.points(space, m, n))))
-        return held.pop(half)
+            held.update(zip(read, _chunked(pair, op, *points)))
+        return held.pop(part)
 
 
 def _factor4_index(members):
@@ -384,35 +427,67 @@ def _poly_ops(PF, forms, closed):
     return _jet_ops(Jet2.stack([mm.generator(vals) for mm in PF.members]))
 
 
-def _product_ops(pair, factors, p1, p2):
-    """Values, tau and kappa of a product family on ``pair`` at the point
-    pairs (p1, p2): the product law on the jets of the two ``factors``,
-    each stacked over every member."""
-    jets = (f.eta_field()(cartan_jets_closed(pair, p))
-            for f, p in zip(factors, (p1, p2)))
+def _product_ops(factors, closed1, closed2):
+    """Values, tau and kappa of a product family at point pairs (p1, p2):
+    the product law on the jets of the two ``factors``, each stacked over
+    every member, read off ``closed1`` and ``closed2``
+    (cartan_jets_closed at p1 and at p2)."""
+    jets = (f.eta_field()(cl) for f, cl in zip(factors, (closed1, closed2)))
     return product_ops([(j.v, j.d1, j.d2) for j in jets], 1)
+
+
+def _block_size(pair):
+    """Directions per block of a Cartan pass on ``pair``: as many as hold
+    BLOCK entries over _pass_size(pair) points, and at least one.  The
+    blocks move no bit: each direction is reduced on its own, and its
+    cross term is added in direction order."""
+    return max(1, BLOCK // (_pass_size(pair) * pair.matrix_size ** 2))
 
 
 def _cartan_pass(pair, forms, points, closed):
     """What the cartan claims read of the 2-jets of Phi at ``points``,
-    from one Cartan pass of the curve jet along the p-basis, then the
-    k-basis: Z(Phi) per direction and the sum of Z^2(Phi) over both.  The
-    two bases together are orthonormal, so that sum is the raw map
-    tension over the ambient basis.
+    streamed along the p-basis, then the k-basis, in blocks of
+    _block_size(pair) directions: each block's first-order jets of Phi
+    give Z(Phi) per direction, which is reduced as soon as it is made,
+    and their cross terms, added in direction order into the sum of
+    Z^2(Phi) over both bases (cartan.raw_tension).  The two bases
+    together are orthonormal, so that sum is the raw map tension over
+    the ambient basis.  No array spans more than one block of directions.
 
     Returns Phi, the pullback ratios along the p- and the k-basis, the
     harmonic residual, tau and kappa of the trace forms ``forms``, and the
     casimir residual: per point, the largest entry of the error of
     ``closed``, cartan_jets_closed at ``points``, against the jets."""
     X, V = pair.p_basis, pair.k_basis
-    j = cartan_map_jet(pair, JetMatrix.curve(points, pair.pk_plan))
-    dp, dk = j.d1[:len(X)], j.d1[len(X):]
-    casimir = np.maximum(np.abs(dp - closed.d1).max(axis=(0, 2, 3)),
-                         np.abs(j.d2 - closed.d2).max(axis=(1, 2)))
-    _, tau, kappa = _jet_ops(forms.eta_field()(j))
-    return (closed.v, pullback_ratio(dp, dp, X, X),
-            pullback_ratio(dk, dk, V, V),
-            tangential_residual(pair, closed.v, j.d2), tau, kappa, casimir)
+    plan, dp, size = pair.pk_plan, len(X), _block_size(pair)
+    num = np.empty((dp + len(V), len(points)))
+    # the forms' first derivatives, for one Gram product
+    d1_forms = np.empty(num.shape + forms.plan.members, complex)
+    casimir = np.zeros(len(points))
+    cross = None
+    for lo in range(0, len(num), size):
+        block = cartan_map_jet(pair, JetMatrix.curve(points,
+                                                     plan.block(lo, lo + size)))
+        d1, x = block.d1[0], block.d2
+        hi = lo + len(d1)
+        num[lo:hi] = metric(d1, d1)
+        d1_forms[lo:hi] = trace_form(d1, forms.plan)
+        if lo < dp:
+            # the closed form's error, in place: d1 is read no more
+            d1 = d1[:dp - lo]
+            d1 -= closed.d1[lo:hi]
+            np.maximum(casimir, np.abs(d1).max(axis=(0, 2, 3)), out=casimir)
+        # each direction's cross term after the sum of the earlier ones
+        if cross is not None:
+            x[0] += cross
+        cross = x.sum(axis=0)
+        del block, d1, x  # before the next block is made
+    d2 = raw_tension(pair, points, plan.square, cross)
+    np.maximum(casimir, np.abs(d2 - closed.d2).max(axis=(1, 2)), out=casimir)
+    return (closed.v, pullback_ratio(num[:dp], X, X),
+            pullback_ratio(num[dp:], V, V),
+            tangential_residual(pair, closed.v, d2),
+            trace_form(d2, forms.plan), gram(d1_forms, 1), casimir)
 
 
 # ---------------------------------------------------------------------------
@@ -571,31 +646,20 @@ def _run_cartan(config: RunConfig, cache: _Cache, ids, params, space, m, n,
 
 
 def _run_poly(config: RunConfig, cache: _Cache, ids, params, space, m, n, d):
-    pair = cache.pair(space, m, n)
-    PF = polynomial_family(base_family(cache.family(space, m, n)), d)
-    forms = stack_members(PF.members[0].base)
-    values, tau, kappa = _chunked(
-        pair, lambda c: _poly_ops(PF, forms, cartan_jets_closed(pair, c)),
-        cache.points(space, m, n))
-    eigen = _eigen_residuals(values, tau, kappa, PF.lam, PF.mu)
+    PF = cache.polynomial(space, m, n, d)
+    eigen = _eigen_residuals(*cache.sweep(space, m, n, f"poly.d{d}"),
+                             PF.lam, PF.mu)
     return _eigen_claims(ids, space, params, eigen, _tol(config, 1e-7),
                          (f"{len(PF.members)} monomials of degree {d}", ""))
 
 
 def _run_product(config: RunConfig, cache: _Cache, ids, params, space, m, n):
-    pair = cache.pair(space, m, n)
     F = base_family(cache.family(space, m, n))
     PF = product_family(F, F)
-    pts1 = cache.points(space, m, n)
-    P = pts1.shape[0]
-    pts2 = random_pair_points(pair, cache.scfg, range(P, 2 * P))
-    factors = (stack_members(mm.f1 for mm in PF.members),
-               stack_members(mm.f2 for mm in PF.members))
-    vals, tau, kappa = _chunked(
-        pair, lambda a, b: _product_ops(pair, factors, a, b), pts1, pts2)
     detail = f"{space_label(space, m, n)} x {space_label(space, m, n)}"
     return _eigen_claims(ids, "product", params, _eigen_residuals(
-        vals, tau, kappa, PF.lam, PF.mu), _tol(config, 1e-8), (detail, detail))
+        *cache.sweep(space, m, n, "product"), PF.lam, PF.mu),
+        _tol(config, 1e-8), (detail, detail))
 
 
 def _run_sphere(config: RunConfig, cache: _Cache, ids, params, n):

@@ -52,11 +52,19 @@ def form_plan(B) -> FormPlan:
 
 
 class CurvePlan(NamedTuple):
-    """Curve directions prepared for JetMatrix.curve (curve_plan)."""
+    """Curve directions prepared for JetMatrix.curve (curve_plan).  A
+    plan without ``square`` is first-order (CurvePlan.block)."""
 
-    square: np.ndarray
+    square: np.ndarray | None
     rows: np.ndarray | None
     weights: np.ndarray
+
+    def block(self, lo=0, hi=None):
+        """Directions lo..hi-1 (all by default) as a first-order plan: no
+        square sum, so that JetMatrix.curve along it gives one first-order
+        jet per direction."""
+        rows = None if self.rows is None else self.rows[lo:hi]
+        return CurvePlan(None, rows, self.weights[lo:hi])
 
 
 def curve_plan(Z) -> CurvePlan:
@@ -123,9 +131,12 @@ def _matmul_rows(rows, w):
 
 def _dir_sum(a):
     """The sum of ``a`` over its leading (direction) axis, in direction
-    order.  numpy sums a contiguous axis pairwise, and the direction axis
-    is one when the batch holds one entry, so that entry is summed by
-    hand, as numpy sums the entries of a larger batch."""
+    order: for one direction, that direction, uncopied.  numpy sums a
+    contiguous axis pairwise, and the direction axis is one when the
+    batch holds one entry, so that entry is summed by hand, as numpy sums
+    the entries of a larger batch."""
+    if len(a) == 1:
+        return a[0]
     if len(a) and a[0].size == 1:
         return reduce(np.add, a)
     return a.sum(axis=0)
@@ -175,6 +186,16 @@ class Jet2:
     sums.  Conjugation acts componentwise since the curve parameter is
     real.  Each result has the type of the jet whose method made it, so
     the elementwise operations of a JetMatrix give a JetMatrix.
+
+    A first-order jet has the scalar zero as ``d2``: it does not carry
+    its second derivatives.  JetMatrix.curve along a first-order plan
+    gives one such jet per direction, the directions on a batch axis in
+    front of the points, so the d2 of their product is per direction the
+    cross term 2 Z(a) Z(b): the direction's second derivative but for
+    the factors' own, which a caller adds once, for all directions at
+    once (cartan.raw_tension).  Such jets take the elementwise rules, the
+    jet product and an involution (pairs.Involution), what a Cartan pass
+    needs; T, trace and trace_form want a matrix-shaped d2.
     """
 
     __slots__ = ("v", "d1", "d2")
@@ -327,11 +348,13 @@ class JetMatrix(Jet2):
         imaginary (every pair basis), column j of p Z is column r_j of p
         times Z[r_j, j], the matmul's one product with a nonzero: D gathers
         and one product by sum_Z Z^2, the matmul's bits up to the sign of a
-        zero.  Other directions take the dense product.
+        zero.  Other directions take the dense product.  Along a
+        first-order plan (CurvePlan.block) the jets are first-order, one
+        per direction: d1 is (1, dirs, ..., n, n) and d2 the scalar zero.
         """
         p = np.asarray(p, dtype=complex)
         square, rows, w = Z if isinstance(Z, CurvePlan) else curve_plan(Z)
-        if p.shape[-1] != square.shape[-2]:
+        if p.shape[-1] != w.shape[-1]:
             raise ValueError("size mismatch between point and direction")
         if rows is None:
             # the directions in front of every point axis
@@ -342,6 +365,8 @@ class JetMatrix(Jet2):
             for d, r in enumerate(rows):
                 np.take(p, r, axis=-1, out=d1[d], mode="clip")  # unbuffered
             d1 *= w.reshape(w.shape[:1] + (1,) * (p.ndim - 1) + w.shape[1:])
+        if square is None:
+            return cls(p, d1[None])
         return cls(p, d1, p @ square)
 
     @property
@@ -351,13 +376,21 @@ class JetMatrix(Jet2):
 
     def __matmul__(self, other):
         if isinstance(other, Jet2):
-            # 3 D + 3 matrix products for D directions
-            return type(self)(
-                self.v @ other.v,
-                self.d1 @ other.v + self.v @ other.d1,
-                self.d2 @ other.v + 2.0 * (self.d1 @ other.d1).sum(axis=0)
-                + self.v @ other.d2,
-            )
+            # 3 D + 3 matrix products for D directions; the d2 of a
+            # first-order jet is zero and takes no product.  Sums run in
+            # place where the shapes agree, to hold one array less, and
+            # the cross term is doubled as x + x, the bits of 2 x.
+            d1, right = self.d1 @ other.v, self.v @ other.d1
+            d1 = np.add(d1, right, out=d1) if d1.shape == right.shape \
+                else d1 + right
+            del right
+            d2 = _dir_sum(self.d1 @ other.d1)
+            d2 += d2
+            if self.d2.ndim:
+                d2 = self.d2 @ other.v + d2
+            if other.d2.ndim:
+                d2 = d2 + self.v @ other.d2
+            return type(self)(self.v @ other.v, d1, d2)
         other = np.asarray(other, dtype=complex)
         return type(self)(self.v @ other, self.d1 @ other, self.d2 @ other)
 

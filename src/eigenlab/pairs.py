@@ -75,7 +75,8 @@ class Involution:
 
     def _apply(self, q, transpose):
         if isinstance(q, Jet2):
-            return type(q)(*(self._apply(a, transpose)
+            # the scalar zero d2 of a first-order jet is its own image
+            return type(q)(*(self._apply(a, transpose) if a.ndim else a
                              for a in (q.v, q.d1, q.d2)))
         q = np.asarray(q)
         conj = self.entrywise_conj != transpose

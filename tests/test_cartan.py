@@ -12,8 +12,8 @@ from eigenlab.cartan import (cartan_map, cartan_map_closed, cartan_map_jet,
 from eigenlab import jets, pairs
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
 from eigenlab.jets import JetMatrix
-from eigenlab.matrices import (membership_residual, real_rows, sparse_matmul,
-                               sparse_plan)
+from eigenlab.matrices import (membership_residual, metric, real_rows,
+                               sparse_matmul, sparse_plan)
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (SampleConfig, random_pair_point,
                                random_pair_points, random_subgroup_point)
@@ -164,13 +164,13 @@ class TestPullback:
             d = np.array([cartan_map_jet(pair, JetMatrix.curve(pts, Z)).d1[0]
                           for Z in basis]).reshape((len(basis),) + pts.shape)
             assert np.array_equal(pullback_factor(pair, pts, basis, basis),
-                                  pullback_ratio(d, d, basis, basis))
+                                  pullback_ratio(metric(d, d), basis, basis))
         X, Y = pair.p_basis[0], pair.p_basis[-1]
         for p in (pts, pts[0]):
             dX, dY = (cartan_map_jet(pair, JetMatrix.curve(p, Z)).d1[0]
                       for Z in (X, Y))
             assert np.array_equal(pullback_factor(pair, p, X, Y),
-                                  pullback_ratio(dX, dY, X, Y))
+                                  pullback_ratio(metric(dX, dY), X, Y))
 
     def test_vertical_directions_killed(self, pair):
         if pair.dim_k == 0:

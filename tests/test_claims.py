@@ -2,6 +2,7 @@
 
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
                              _eigen_residuals, _result, jobs_for, run_claims,
                              validate_config)
-from eigenlab.matrices import i_signature_doubled
+from eigenlab.matrices import i_signature_doubled, metric
 from eigenlab.pairs import make_pair
 from eigenlab.report import build_report, emit_json_lines
 
@@ -150,9 +151,10 @@ def cartan_passes(monkeypatch):
     original = cartan.cartan_map_jet
 
     def counting(pair, jm):
-        # the directions of the jet, moved after the point axes
-        p = np.broadcast_to(jm.v, jm.d1.shape)
-        Z = np.swapaxes(p, -1, -2).conj() @ jm.d1
+        # the directions of the jet, or of the first-order jets of a
+        # block (d1 of shape (1, dirs, ...)), moved after the point axes
+        d1 = jm.d1.reshape((-1,) + jm.v.shape)
+        Z = np.swapaxes(jm.v, -1, -2).conj() @ d1
         calls.append(np.moveaxis(Z, 0, -3))
         return original(pair, jm)
 
@@ -184,17 +186,22 @@ def test_table1_makes_no_cartan_jet_pass(cartan_passes):
 
 def test_full_run_pushes_p_and_k_basis_once(cartan_passes):
     # the cartan suite reads every claim from one pass along the p-basis
-    # then the k-basis; no pass along the ambient basis or along one of
-    # the two bases alone is left anywhere in the run
-    config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2, samples=CHUNK)
+    # then the k-basis, streamed in blocks of directions: all the Cartan
+    # jets of the run, in order, are along the two bases once at every
+    # point, so no pass along the ambient basis or along one of the two
+    # bases alone is left anywhere in the run.  At sp-grassmannian(3,3) a
+    # pass of CHUNK points holds 9.75 BLOCK, so it makes ten blocks.
+    config = RunConfig(spaces=("sp-grassmannian",), m=3, n=3, samples=CHUNK)
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
-    pair = make_pair("sp-grassmannian", m=2, n=2)
-    assert [passes_along(cartan_passes, basis) for basis in (
+    pair = make_pair("sp-grassmannian", m=3, n=3)
+    size = claims._block_size(pair)
+    assert [Z.shape[-3] for Z in cartan_passes] == [size] * 9 + [78 - 9 * size]
+    directions = [np.concatenate(cartan_passes, axis=-3)]
+    assert [passes_along(directions, basis) for basis in (
         np.concatenate([pair.p_basis, pair.k_basis]), pair.ambient.elements,
         pair.p_basis, pair.k_basis)] == [1, 0, 0, 0]
-    assert len(cartan_passes) == 1
 
 
 def test_poly_and_product_make_no_cartan_jet_pass(cartan_passes):
@@ -445,18 +452,36 @@ def test_full_run_makes_one_closed_form_pass_per_chunk(monkeypatch):
     assert calls == [32] * 9 + [12]
 
 
+def test_a_default_run_makes_each_closed_jet_once(monkeypatch):
+    # the sweep hands each pass's closed jets to every job that reads its
+    # points, the polynomial and product jobs too: a default run makes
+    # 21 cartan_jets_closed calls, none on points already swept
+    calls = []
+    original = claims.cartan_jets_closed
+
+    def counting(pair, p):
+        calls.append((pair.label(), p.tobytes()))
+        return original(pair, p)
+
+    monkeypatch.setattr(claims, "cartan_jets_closed", counting)
+    config = RunConfig(seed=1)
+    assert all(r.passed for r in run_claims(config))
+    assert len(calls) == len(set(calls)) == 21
+
+
 def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     # every curve jet comes from JetMatrix.curve along a pair's plans: per
-    # pass one for the closed-form jets along the p-basis and one for the
-    # Cartan pass along the p- then the k-basis, and one for the image
-    # pass over all points; sp-grassmannian(1,1) has dim p = 4, dim k = 6,
-    # so its jets hold 160 entries per point and 96 points make one pass
+    # pass one for the closed-form jets along the p-basis, then the
+    # first-order blocks of the Cartan pass, whose directions in order are
+    # the p- then the k-basis once, and one for the image pass over all
+    # points; sp-grassmannian(1,1) has dim p = 4, dim k = 6, so its jets
+    # hold 160 entries per point and 96 points make one pass, of two blocks
     calls = []
     curve = jets.JetMatrix.curve.__func__
 
     def spy(cls, p, plan):
         assert plan.rows is not None
-        calls.append((len(p), len(plan.rows)))
+        calls.append((len(p), plan))
         return curve(cls, p, plan)
 
     monkeypatch.setattr(jets.JetMatrix, "curve", classmethod(spy))
@@ -465,7 +490,17 @@ def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
-    assert calls == [(3 * CHUNK, 4), (3 * CHUNK, 10), (3 * CHUNK, 4)]
+    assert {size for size, _ in calls} == {3 * CHUNK}
+    (_, closed), *blocks, (_, image) = calls
+    pair = make_pair("sp-grassmannian", m=1, n=1)
+    assert len(closed.rows) == len(image.rows) == 4
+    assert closed.square is not None and image.square is not None
+    assert all(plan.square is None for _, plan in blocks)
+    assert np.array_equal(np.concatenate([plan.rows for _, plan in blocks]),
+                          pair.pk_plan.rows)
+    assert np.array_equal(
+        np.concatenate([plan.weights for _, plan in blocks]),
+        pair.pk_plan.weights)
 
 
 def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
@@ -492,13 +527,79 @@ def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
         assert all(r.passed for r in job.run(cache))
         assert len({id(B) for B in planned}) == len(planned)
         per_job.append(len(planned))
-    # table1 plans its grid and the cartan job's forms, the cartan job the
-    # image pass's stack (but for prop7.1's space), product its two factors
+    # table1 plans what the sweep of its points reads: its grid and the
+    # cartan job's forms and, at sp-grassmannian(1,1), the two polynomial
+    # jobs' forms and the product's two factors; the cartan job plans the
+    # image pass's stack (but for prop7.1's space)
     kinds = [job.kind for job in jobs]
     assert {k: max(c for kk, c in zip(kinds, per_job) if kk == k)
-            for k in kinds} == {"basis": 0, "table1": 2, "prop7": 1,
-                                "cartan": 1, "poly": 1, "product": 2,
+            for k in kinds} == {"basis": 0, "table1": 6, "prop7": 1,
+                                "cartan": 1, "poly": 0, "product": 0,
                                 "sphere": 0, "cpn": 0}
+
+
+def _whole_jet_pass(pair, forms, points, closed):
+    """What _cartan_pass returns, read off one whole 2-jet of Phi along
+    the p- then the k-basis, (D, points, N, N) per part: the reference of
+    the streamed pass."""
+    X, V = pair.p_basis, pair.k_basis
+    j = cartan.cartan_map_jet(pair, jets.JetMatrix.curve(points,
+                                                          pair.pk_plan))
+    dp, dk = j.d1[:len(X)], j.d1[len(X):]
+    casimir = np.maximum(np.abs(dp - closed.d1).max(axis=(0, 2, 3)),
+                         np.abs(j.d2 - closed.d2).max(axis=(1, 2)))
+    _, tau, kappa = claims._jet_ops(forms.eta_field()(j))
+    return (closed.v, cartan.pullback_ratio(metric(dp, dp), X, X),
+            cartan.pullback_ratio(metric(dk, dk), V, V),
+            cartan.tangential_residual(pair, closed.v, j.d2), tau, kappa,
+            casimir)
+
+
+@pytest.mark.parametrize("space,m,n,points", [
+    (space, m, n, 40) for space in claims.PAIR_SPACE_ORDER
+    for m, n in claims.DEFAULT_SIZES[space]]
+    + [("sp-grassmannian", 3, 3, 5)])
+def test_streamed_pass_matches_the_whole_jet(monkeypatch, space, m, n,
+                                             points):
+    # the streamed Cartan pass gives, bit for bit, what the readers read
+    # off the whole jet: with one direction per block, with blocks that do
+    # not divide the directions, and with all directions in one block
+    config = RunConfig(samples=points)
+    cache = claims._Cache(config, [])
+    pair, family = cache.pair(space, m, n), cache.family(space, m, n)
+    forms = catalog.stack_members(family[i]
+                                  for i in claims._factor4_index(family))
+    pts = cache.points(space, m, n)
+    closed = cartan.cartan_jets_closed(pair, pts)
+    ref = _whole_jet_pass(pair, forms, pts, closed)
+    D = pair.dim_k + pair.dim_p
+    uneven = next((s for s in range(2, D) if D % s), D)
+    for size in {1, uneven, D}:
+        monkeypatch.setattr(claims, "_block_size", lambda pair: size)
+        got = claims._cartan_pass(pair, forms, pts, closed)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), size
+
+
+def test_a_quat_sized_cartan_pass_holds_less_than_one_whole_jet():
+    # the streamed pass never forms a (D, points, N, N) array: its
+    # traced peak at 32 points of sp-grassmannian(3,3) stays below one
+    # such complex array, 5.48 MiB
+    cache = claims._Cache(RunConfig(samples=CHUNK), [])
+    pair, family = (cache.pair("sp-grassmannian", 3, 3),
+                    cache.family("sp-grassmannian", 3, 3))
+    forms = catalog.stack_members(family[:2])
+    pts = cache.points("sp-grassmannian", 3, 3)
+    closed = cartan.cartan_jets_closed(pair, pts)
+    claims._cartan_pass(pair, forms, pts, closed)
+    tracemalloc.start()
+    try:
+        claims._cartan_pass(pair, forms, pts, closed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = 16 * (pair.dim_k + pair.dim_p) * CHUNK * pair.matrix_size ** 2
+    assert whole == 5_750_784
+    assert peak < whole
 
 
 def test_reports_do_not_depend_on_the_pass_size(monkeypatch):
@@ -517,7 +618,7 @@ def test_reports_do_not_depend_on_the_pass_size(monkeypatch):
 
 def test_jobs_carry_their_kind():
     # each job's kind, the first part of its claim ids, names its suite;
-    # the sweep halves are found by it, also on a Job rebuilt from its
+    # the sweep parts are found by it, also on a Job rebuilt from its
     # fields, as a wrapper of its run may build it
     jobs = jobs_for(RunConfig())
     assert {job.kind for job in jobs} == {

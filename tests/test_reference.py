@@ -339,7 +339,8 @@ def test_product_operators(case):
     # function along the concatenated ambient basis
     factors = (catalog.stack_members(mm.f1 for mm in PF.members),
                catalog.stack_members(mm.f2 for mm in PF.members))
-    values, tau, kap = _product_ops(pair, factors, pts, pts2)
+    values, tau, kap = _product_ops(factors, *(
+        cartan.cartan_jets_closed(pair, p) for p in (pts, pts2)))
     close(values, [[mm.value((p1, p2)) for mm in PF.members]
                    for p1, p2 in zip(pts, pts2)])
     close(tau, [[ref_product(mm, mm, p1, p2, els, pair)[0]
