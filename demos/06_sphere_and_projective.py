@@ -13,13 +13,12 @@ subtract the Hopf-fiber direction from the sphere operators.
 
 import numpy as np
 
-from eigenlab import (cpn_ops, cpn_phi, random_sphere_point, rotate_field,
-                      sphere_ops, sphere_phi, stack_fields)
-
-rng = np.random.default_rng(42)
+from eigenlab import (SampleConfig, cpn_ops, cpn_phi, random_sphere_points,
+                      rotate_field, sphere_ops, sphere_phi, stack_fields)
 
 n = 3
-x = random_sphere_point(n, rng)
+# sample 0 of the "demo" stream at seed 42: a point of C^3 with |x| = 1
+x = random_sphere_points(n, "demo", SampleConfig(seed=42), [0])[0]
 print(f"sample point on S^5, |x| = {np.linalg.norm(x):.15f}\n")
 
 print("sphere eigenfunctions phi_j = z_j / |z|:")
@@ -41,6 +40,7 @@ print(f"\nkappa(phi1, phi2) + phi1 phi2 = "
 
 # the operators are rotation invariant: rotating the field and the point
 # by the same unitary changes nothing
+rng = np.random.default_rng(42)
 U = np.linalg.qr(rng.standard_normal((n, n))
                  + 1j * rng.standard_normal((n, n)))[0]
 g = rotate_field(f1, U)

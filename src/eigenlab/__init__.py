@@ -18,7 +18,7 @@ from .matrices import mat_exp, membership_residual
 from .bases import algebra_residual, gram_matrix, group_basis, square_sum
 from .pairs import make_pair
 from .sampling import (SampleConfig, random_pair_point, random_point,
-                       random_subgroup_point)
+                       random_sphere_points, random_subgroup_point)
 from .operators import (direction_derivs, field_value,
                         finite_difference_derivs, image_tension,
                         quotient_ops, tension)
@@ -27,8 +27,8 @@ from .cartan import (cartan_map, cartan_map_closed, harmonic_residual,
 from .catalog import family_for_space, table_eigenvalues
 from .families import (base_family, polynomial_family, product_family,
                        product_tension)
-from .ambient import (cpn_ops, cpn_phi, random_sphere_point, rotate_field,
-                      sphere_ops, sphere_phi, stack_fields)
+from .ambient import (cpn_ops, cpn_phi, rotate_field, sphere_ops, sphere_phi,
+                      stack_fields)
 
 __all__ = [
     "__version__",
@@ -37,13 +37,13 @@ __all__ = [
     "algebra_residual", "gram_matrix", "group_basis", "square_sum",
     "make_pair",
     "SampleConfig", "random_pair_point", "random_point",
-    "random_subgroup_point",
+    "random_sphere_points", "random_subgroup_point",
     "direction_derivs", "field_value",
     "finite_difference_derivs", "image_tension", "quotient_ops", "tension",
     "cartan_map", "cartan_map_closed", "harmonic_residual",
     "pullback_factor",
     "family_for_space", "table_eigenvalues",
     "base_family", "polynomial_family", "product_family", "product_tension",
-    "cpn_ops", "cpn_phi", "random_sphere_point", "rotate_field",
-    "sphere_ops", "sphere_phi", "stack_fields",
+    "cpn_ops", "cpn_phi", "rotate_field", "sphere_ops", "sphere_phi",
+    "stack_fields",
 ]

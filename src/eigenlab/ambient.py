@@ -32,7 +32,6 @@ __all__ = [
     "cpn_phi",
     "rotate_field",
     "stack_fields",
-    "random_sphere_point",
     "check_homogeneous",
     "sphere_ops",
     "cpn_ops",
@@ -106,12 +105,6 @@ def stack_fields(fields) -> AmbientField:
     fields = tuple(fields)
     return AmbientField(
         lambda z: Jet2.stack([f.evaluator(z) for f in fields]), fields[0].n)
-
-
-def random_sphere_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.standard_normal(2 * n)  # the real, then the imaginary parts
-    z = x[:n] + 1j * x[n:]
-    return z / np.linalg.norm(z)
 
 
 def _check_invariant(f: AmbientField, z, moves, message: str):

@@ -6,9 +6,11 @@ are unitary in the chosen representations), guarded by a membership check,
 so sigma(p)^-1 is one gather, sigma.inverse(p).
 Every function takes a single point (n, n) or a stack of points
 (..., n, n).  The jet routes push JetMatrix.curve jets, which carry
-Z(Phi) per direction and the sum of Z^2(Phi) over the directions; a
-Cartan pass pushes first-order jets, a block of directions at a time, and
-forms that sum once (raw_tension).
+Z(Phi) per direction and the sum of Z^2(Phi) over the directions.  The
+Cartan pass, map_tension_raw, serves the per-point API and the claim
+engine alike: it pushes first-order jets along the p- then the k-basis, a
+block of directions at a time, hands each block's Z(Phi) to its caller,
+and forms the sum of Z^2(Phi) once.
 """
 
 from __future__ import annotations
@@ -27,9 +29,15 @@ __all__ = [
     "map_tension_raw",
     "pullback_factor",
     "pullback_ratio",
-    "raw_tension",
     "tangential_residual",
 ]
+
+# A Cartan pass streams its directions in blocks of at most BLOCK jet
+# entries (directions x points x n^2), so no array of it holds more: a
+# pass of 32 points at sp-grassmannian(3,3) makes ten blocks of 8 of its
+# 78 directions, where blocks of 16 and of 4 ran slower.  It is half the
+# claim engine's pass budget, claims.BUDGET.
+BLOCK = 36_864
 
 
 def _check_member(pair, p):
@@ -80,8 +88,8 @@ def cartan_jets_closed(pair, p: np.ndarray) -> JetMatrix:
     Along p exp(sZ), Phi is p exp(2sZ) sigma(p)^-1 for Z in p and constant
     for Z in k, so its jet is the curve jet (p, p Z, p C_p) along the
     p-basis, C_p the sum of Z^2 over it, times sigma(p)^-1 and 1, 2, 4:
-    Z(Phi) = 2 p Z sigma(p)^-1, and 4 p C_p sigma(p)^-1, which is also the
-    map_tension_raw of p over the ambient basis.  p Z is gathered, so the
+    Z(Phi) = 2 p Z sigma(p)^-1, and 4 p C_p sigma(p)^-1, which is also,
+    up to rounding, map_tension_raw(pair, p).  p Z is gathered, so the
     one product per direction is by 2 sigma(p)^-1, the same bits as
     2 (p Z sigma(p)^-1).
     """
@@ -91,39 +99,50 @@ def cartan_jets_closed(pair, p: np.ndarray) -> JetMatrix:
     return JetMatrix(c.v @ s_inv, c.d1 @ (2.0 * s_inv), 4.0 * (c.d2 @ s_inv))
 
 
-def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
-    """sum_Z d^2/ds^2 Phi(p exp(sZ)) over the full ambient basis: the
-    ambient (flat matrix-space) Laplacian of the entries of Phi.
+def map_tension_raw(pair, p: np.ndarray, each=None) -> np.ndarray:
+    """sum_Z d^2/ds^2 Phi(p exp(sZ)) over an orthonormal basis of the Lie
+    algebra: the ambient (flat matrix-space) Laplacian of the entries of
+    Phi.
 
     This contains the second-fundamental-form term of the group inside
     matrix space, so it is NOT the tension of the map; see
-    harmonic_residual for the tangential part.  It is a Cartan pass of
-    one block: raw_tension of the first-order jets along the whole
-    basis.
+    harmonic_residual for the tangential part.
+
+    It is the Cartan pass: the first-order jets of Phi are pushed along
+    pair.pk_plan, the p- then the k-basis, in blocks of as many directions
+    as hold BLOCK entries at the points given, and at least one.  Each
+    block's Z(Phi), of shape (directions, *points, n, n), goes to
+    ``each(lo, d1)``, lo its first direction, which may overwrite it.  A
+    block's d2 is, per direction, the cross term 2 Z(p) Z(sigma(p)^-1);
+    the cross terms are added in direction order, and the curve's own
+    p Z^2, summed over the basis, enters once, by the product rule of
+    JetMatrix.__matmul__.  So the result has the bits of the d2 of the
+    2-jet along the whole basis at once, however the blocks fall, and no
+    array spans more than one block of directions.
     """
-    plan = pair.ambient_plan
-    j = cartan_map_jet(pair, JetMatrix.curve(p, plan.block()))
-    return raw_tension(pair, p, plan.square, j.d2.sum(axis=0))
-
-
-def raw_tension(pair, p: np.ndarray, square: np.ndarray, cross: np.ndarray):
-    """sum_Z Z^2(Phi) at ``p`` over directions Z whose squares sum to
-    ``square``, from ``cross``, the sum over the Z of the d2 of Phi's
-    first-order jets along them (cartan_map_jet of JetMatrix.curve along
-    a first-order plan): each is 2 pZ sigma(pZ)^-1, the second derivative
-    but for the curve's own p Z^2, whose sum enters here once, by the
-    product rule of JetMatrix.__matmul__.  Summed in direction order,
-    ``cross`` gives the bits of the d2 of the 2-jet along all of the Z
-    at once, with no array over the directions."""
-    c2 = p @ square
+    plan = pair.pk_plan
+    size = max(1, BLOCK // max(1, np.size(p)))
+    cross = None
+    for lo in range(0, len(plan.weights), size):
+        j = cartan_map_jet(pair, JetMatrix.curve(p, plan.block(lo, lo + size)))
+        if each is not None:
+            each(lo, j.d1[0])
+        x = j.d2
+        # each direction's cross term after the sum of the earlier ones
+        if cross is not None:
+            x[0] += cross
+        cross = x.sum(axis=0)
+        del j, x  # before the next block is made
+    c2 = p @ plan.square
     return c2 @ pair.sigma.inverse(p) + cross + p @ pair.sigma.inverse(c2)
 
 
 def tangential_residual(pair, y: np.ndarray, H: np.ndarray):
     """Max entry magnitude of the projection of ``H`` onto the tangent
-    space of G at ``y``: H expanded in y times the orthonormal ambient
-    basis.  With y = Phi(p) and H = map_tension_raw(pair, p) this is the
-    tension of Phi at p; see harmonic_residual."""
+    space of G at ``y``: H expanded in y times an orthonormal basis of the
+    Lie algebra, the pair's ambient basis.  With y = Phi(p) and
+    H = map_tension_raw(pair, p) this is the tension of Phi at p; see
+    harmonic_residual."""
     A = np.asarray(_h(y) @ H, dtype=complex)
     # g(A, Z) on interleaved real and imaginary parts, for every Z at once
     F, n = pair.ambient_sparse, A.shape[-1]

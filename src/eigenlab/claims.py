@@ -5,12 +5,12 @@ Every identity the library asserts has a stable claim id (for example
 that reports diff meaningfully between runs.  The engine registers the
 claims, samples deterministic pseudo-random points, feeds them to the
 batched operators of the library in passes sized by the Cartan jets'
-working set (_pass_size: one pass for most point sets), streams each
-Cartan pass over blocks of directions of the same size (_block_size), and
-scores each claim by the relative residual |x - ref| / max(1, |ref|)
+working set (_pass_size: one pass for most point sets), reads the cartan
+claims off the library's streamed Cartan pass (cartan.map_tension_raw),
+and scores each claim by the relative residual |x - ref| / max(1, |ref|)
 together with a least-squares fit of the eigenvalue (the ratio
 tau(phi)/phi fitted over samples with |phi| >= 1e-3).  Reports do not
-depend on the pass size nor on the blocks.
+depend on the pass size nor on the Cartan pass's blocks.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import numpy as np
 
 from . import ambient, catalog
 from .bases import square_sum
+# cartan_map_jet is not called here; perfbench's tracer test rebinds it here
 from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
-                     pullback_ratio, raw_tension, tangential_residual)
+                     map_tension_raw, pullback_ratio, tangential_residual)
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
                        product_ops)
-from .jets import Jet2, JetMatrix, gram, jet_ops, trace_form
+from .jets import Jet2, gram, jet_ops, trace_form
 from .matrices import basis_D, basis_X, basis_Y, metric
 from .operators import image_ops
 from .pairs import SPACES, make_pair, space_label
@@ -53,15 +54,14 @@ __all__ = [
 # points at sp-grassmannian(2,2), the largest default point set.  The
 # floor keeps 12 x 12 passes at CHUNK points, where more points per pass
 # ran slower; a budget that did that alone would put all 100 points of
-# sp-grassmannian(2,2) in one pass and raise the run's peak memory.  A
-# Cartan pass streams its directions in blocks of at most BLOCK entries
-# (_block_size), so no array of it holds more, whatever the floor puts in
-# the pass: a pass of 32 points at sp-grassmannian(3,3), 4.9 BUDGET, makes
-# ten blocks of 8 directions.  Blocks of 16 and of 4 directions ran
-# slower there; the largest default passes make two or three blocks.
+# sp-grassmannian(2,2) in one pass and raise the run's peak memory.  The
+# Cartan pass streams its directions in blocks of at most cartan.BLOCK
+# entries, half of BUDGET, so no array of it holds more, whatever the
+# floor puts in the pass: a pass of 32 points at sp-grassmannian(3,3),
+# 4.9 BUDGET, makes ten blocks of 8 directions; the largest default
+# passes make two or three.
 CHUNK = 32
 BUDGET = 73_728
-BLOCK = BUDGET // 2
 
 PAIR_SPACE_ORDER = ("su-so", "sp-u", "so-u", "su-sp",
                     "so-grassmannian", "u-grassmannian", "sp-grassmannian")
@@ -436,53 +436,35 @@ def _product_ops(factors, closed1, closed2):
     return product_ops([(j.v, j.d1, j.d2) for j in jets], 1)
 
 
-def _block_size(pair):
-    """Directions per block of a Cartan pass on ``pair``: as many as hold
-    BLOCK entries over _pass_size(pair) points, and at least one.  The
-    blocks move no bit: each direction is reduced on its own, and its
-    cross term is added in direction order."""
-    return max(1, BLOCK // (_pass_size(pair) * pair.matrix_size ** 2))
-
-
 def _cartan_pass(pair, forms, points, closed):
-    """What the cartan claims read of the 2-jets of Phi at ``points``,
-    streamed along the p-basis, then the k-basis, in blocks of
-    _block_size(pair) directions: each block's first-order jets of Phi
-    give Z(Phi) per direction, which is reduced as soon as it is made,
-    and their cross terms, added in direction order into the sum of
-    Z^2(Phi) over both bases (cartan.raw_tension).  The two bases
-    together are orthonormal, so that sum is the raw map tension over
-    the ambient basis.  No array spans more than one block of directions.
+    """What the cartan claims read of the 2-jets of Phi at ``points``, off
+    one Cartan pass (cartan.map_tension_raw) along the p-, then the
+    k-basis: each block's Z(Phi) is reduced as soon as it is made, and
+    the pass returns the raw map tension, the sum of Z^2(Phi) over both
+    bases.
 
     Returns Phi, the pullback ratios along the p- and the k-basis, the
     harmonic residual, tau and kappa of the trace forms ``forms``, and the
     casimir residual: per point, the largest entry of the error of
     ``closed``, cartan_jets_closed at ``points``, against the jets."""
     X, V = pair.p_basis, pair.k_basis
-    plan, dp, size = pair.pk_plan, len(X), _block_size(pair)
+    dp = len(X)
     num = np.empty((dp + len(V), len(points)))
     # the forms' first derivatives, for one Gram product
     d1_forms = np.empty(num.shape + forms.plan.members, complex)
     casimir = np.zeros(len(points))
-    cross = None
-    for lo in range(0, len(num), size):
-        block = cartan_map_jet(pair, JetMatrix.curve(points,
-                                                     plan.block(lo, lo + size)))
-        d1, x = block.d1[0], block.d2
+
+    def each(lo, d1):
         hi = lo + len(d1)
         num[lo:hi] = metric(d1, d1)
         d1_forms[lo:hi] = trace_form(d1, forms.plan)
         if lo < dp:
-            # the closed form's error, in place: d1 is read no more
+            # the closed form's error, in place: the pass reads d1 no more
             d1 = d1[:dp - lo]
             d1 -= closed.d1[lo:hi]
             np.maximum(casimir, np.abs(d1).max(axis=(0, 2, 3)), out=casimir)
-        # each direction's cross term after the sum of the earlier ones
-        if cross is not None:
-            x[0] += cross
-        cross = x.sum(axis=0)
-        del block, d1, x  # before the next block is made
-    d2 = raw_tension(pair, points, plan.square, cross)
+
+    d2 = map_tension_raw(pair, points, each)
     np.maximum(casimir, np.abs(d2 - closed.d2).max(axis=(1, 2)), out=casimir)
     return (closed.v, pullback_ratio(num[:dp], X, X),
             pullback_ratio(num[dp:], V, V),

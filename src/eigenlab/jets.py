@@ -193,9 +193,9 @@ class Jet2:
     front of the points, so the d2 of their product is per direction the
     cross term 2 Z(a) Z(b): the direction's second derivative but for
     the factors' own, which a caller adds once, for all directions at
-    once (cartan.raw_tension).  Such jets take the elementwise rules, the
-    jet product and an involution (pairs.Involution), what a Cartan pass
-    needs; T, trace and trace_form want a matrix-shaped d2.
+    once (cartan.map_tension_raw).  Such jets take the elementwise rules,
+    the jet product and an involution (pairs.Involution), what a Cartan
+    pass needs; T, trace and trace_form want a matrix-shaped d2.
     """
 
     __slots__ = ("v", "d1", "d2")

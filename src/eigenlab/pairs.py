@@ -125,11 +125,6 @@ class SymmetricPair:
         return self.p_basis.shape[0]
 
     @cached_property
-    def ambient_plan(self) -> CurvePlan:
-        """The ambient basis as curve directions, once per pair."""
-        return curve_plan(self.ambient.elements)
-
-    @cached_property
     def p_plan(self) -> CurvePlan:
         """The p-basis as curve directions; its square sum is C_p."""
         return curve_plan(self.p_basis)

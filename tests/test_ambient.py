@@ -5,9 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenlab.ambient import (AmbientField, check_homogeneous, cpn_ops,
-                              cpn_phi, random_sphere_point, rotate_field,
-                              sphere_ops, sphere_phi, stack_fields)
+                              cpn_phi, rotate_field, sphere_ops, sphere_phi,
+                              stack_fields)
 from eigenlab.jets import Jet2
+from eigenlab.sampling import SampleConfig, random_sphere_points
+
+
+def sphere_points(n, seed, count):
+    """``count`` points of the unit sphere in C^n, stacked."""
+    return random_sphere_points(n, "ambient", SampleConfig(seed=seed),
+                                range(count))
 
 
 class TestFields:
@@ -28,14 +35,12 @@ class TestFields:
             cpn_phi(1, 3, 1)
 
     def test_homogeneity_check_passes(self):
-        rng = np.random.default_rng(0)
-        z = random_sphere_point(3, rng)
+        z = sphere_points(3, 0, 1)[0]
         check_homogeneous(sphere_phi(3, 2), z)
 
     def test_homogeneity_check_rejects(self):
         bad = AmbientField(lambda z: z[..., 0], 2)  # degree 1
-        rng = np.random.default_rng(1)
-        z = random_sphere_point(2, rng)
+        z = sphere_points(2, 1, 1)[0]
         with pytest.raises(ValueError):
             check_homogeneous(bad, z)
 
@@ -43,8 +48,7 @@ class TestFields:
         # a CP^n lift must be homogeneous of degree 0 and S^1-invariant;
         # cpn_ops checks both at once and must reject a field that fails
         # either one alone
-        rng = np.random.default_rng(5)
-        z = np.stack([random_sphere_point(2, rng) for _ in range(3)])
+        z = sphere_points(2, 5, 3)
         circle_only = AmbientField(lambda w: w[..., 0] * w[..., 1].conj(), 2)
         homogeneous_only = sphere_phi(2, 1)
         # circle_only is S^1-invariant, homogeneous_only homogeneous
@@ -61,14 +65,12 @@ class TestFields:
 class TestOffSpherePolicy:
     def test_on_sphere_accepted(self):
         f = sphere_phi(2, 1)
-        rng = np.random.default_rng(3)
-        z = random_sphere_point(2, rng)
+        z = sphere_points(2, 3, 1)[0]
         sphere_ops(f, z)  # no warning, no error
 
     def test_near_sphere_warns_and_normalizes(self):
         f = sphere_phi(2, 1)
-        rng = np.random.default_rng(4)
-        z = random_sphere_point(2, rng) * (1 + 5e-7)
+        z = sphere_points(2, 4, 1)[0] * (1 + 5e-7)
         with pytest.warns(UserWarning):
             _, t1, k1 = sphere_ops(f, z)
         _, t2, k2 = sphere_ops(f, z / np.linalg.norm(z))
@@ -83,22 +85,18 @@ class TestOffSpherePolicy:
 class TestSphereEigenvalues:
     @pytest.mark.parametrize("n", [2, 3])
     def test_tension(self, n):
-        rng = np.random.default_rng(5)
         lam = -(2 * n - 1)
         for j in range(1, n + 1):
             f = sphere_phi(n, j)
-            for _ in range(10):
-                z = random_sphere_point(n, rng)
+            for z in sphere_points(n, 5, 10):
                 _, tau, _ = sphere_ops(f, z)
                 v = f.value(z)
                 assert abs(tau - lam * v) <= 1e-8 * max(1, abs(v))
 
     def test_conformality(self):
         n = 2
-        rng = np.random.default_rng(6)
         f, g = sphere_phi(n, 1), sphere_phi(n, 2)
-        for _ in range(10):
-            z = random_sphere_point(n, rng)
+        for z in sphere_points(n, 6, 10):
             kap = sphere_ops(stack_fields([f, g]), z)[2][0, 1]
             prod = f.value(z) * g.value(z)
             assert abs(kap + prod) <= 1e-8 * max(1, abs(prod))
@@ -106,9 +104,8 @@ class TestSphereEigenvalues:
     def test_radial_derivative_vanishes(self):
         # degree-0 extension: the radial direction contributes nothing
         n = 3
-        rng = np.random.default_rng(7)
         f = sphere_phi(n, 1)
-        z = random_sphere_point(n, rng)
+        z = sphere_points(n, 7, 1)[0]
         jet = f.evaluator(Jet2(z, z[None], 0.0))
         assert abs(jet.d1) < 1e-10
         assert abs(jet.d2) < 1e-10
@@ -121,8 +118,7 @@ class TestSphereEigenvalues:
         U, _ = np.linalg.qr(rng.standard_normal((n, n))
                             + 1j * rng.standard_normal((n, n)))
         g = rotate_field(f, U)
-        for _ in range(5):
-            x = random_sphere_point(n, rng)
+        for x in sphere_points(n, 8, 5):
             assert abs(g.value(U @ x) - f.value(x)) < 1e-12
             _, t1, k1 = sphere_ops(f, x)
             _, t2, k2 = sphere_ops(g, U @ x)
@@ -133,23 +129,19 @@ class TestSphereEigenvalues:
 class TestProjectiveEigenvalues:
     @pytest.mark.parametrize("n", [1, 2])
     def test_tension(self, n):
-        rng = np.random.default_rng(9)
         lam = -4 * (n + 1)
         for j in range(1, n + 1):
             for k in range(j + 1, n + 2):
                 f = cpn_phi(n, j, k)
-                for _ in range(10):
-                    z = random_sphere_point(n + 1, rng)
+                for z in sphere_points(n + 1, 9, 10):
                     _, tau, _ = cpn_ops(f, z)
                     v = f.value(z)
                     assert abs(tau - lam * v) <= 1e-8 * max(1, abs(v))
 
     def test_conformality(self):
         n = 2
-        rng = np.random.default_rng(10)
         f, g = cpn_phi(n, 1, 2), cpn_phi(n, 1, 3)
-        for _ in range(10):
-            z = random_sphere_point(n + 1, rng)
+        for z in sphere_points(n + 1, 10, 10):
             kap = cpn_ops(stack_fields([f, g]), z)[2][0, 1]
             prod = f.value(z) * g.value(z)
             assert abs(kap + 4 * prod) <= 1e-8 * max(1, abs(prod))
@@ -158,10 +150,8 @@ class TestProjectiveEigenvalues:
     def test_ambient_laplacian_cross_check(self, n):
         # Delta_{R^{2n+2}} (z_j conj(z_k) |z|^-2) = -2(2n+2) z_j conj(z_k)
         # at |z| = 1; the full ambient Laplacian, no fiber subtraction.
-        rng = np.random.default_rng(11)
         f = cpn_phi(n, 1, 2)
-        for _ in range(5):
-            z = random_sphere_point(n + 1, rng)
+        for z in sphere_points(n + 1, 11, 5):
             _, tau, _ = sphere_ops(f, z)
             expect = -2 * (2 * n + 2) * (z[0] * np.conj(z[1]))
             assert abs(tau - expect) <= 1e-10 * max(1, abs(expect))
@@ -170,8 +160,7 @@ class TestProjectiveEigenvalues:
 class TestConstants:
     def test_constant_field(self):
         one = AmbientField(lambda z: Jet2.constant(1.0), 2)
-        rng = np.random.default_rng(12)
-        z = random_sphere_point(2, rng)
+        z = sphere_points(2, 12, 1)[0]
         _, tau, kap = sphere_ops(one, z)
         assert tau == 0 and kap == 0
         _, tau, kap = cpn_ops(one, z)

@@ -1,6 +1,8 @@
 """Cartan maps: closed forms, structural identities, harmonicity, and the
 metric pullback factor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -121,9 +123,9 @@ class TestHarmonicity:
 
     def test_negative_control_square_map_laplacian(self, pair):
         # the same control on the direction-summed jet over the whole
-        # ambient basis, the route of map_tension_raw: its d2 is the sum of
-        # the single-direction second derivatives and leaves the same loud
-        # residual
+        # ambient basis, whose bits the Cartan pass forms: its d2 is the
+        # sum of the single-direction second derivatives and leaves the
+        # same loud residual
         cfg = SampleConfig(seed=28)
         p = np.stack([random_pair_point(pair, cfg, i) for i in range(4)])
         jm = JetMatrix.curve(p, pair.ambient.elements)
@@ -265,13 +267,15 @@ def test_harmonic_residual_on_many_stacked_points_matches_the_chunks():
     assert np.array_equal(harmonic_residual(pair, pts), np.concatenate(parts))
 
 
-def test_map_tension_raw_plans_the_ambient_basis_once_per_pair(monkeypatch):
-    # the per-point API reads the pair's cached ambient plan: the same
-    # bits as the curve along the bare basis, with one curve_plan call per
-    # pair however often it is called
+def test_map_tension_raw_reads_the_pairs_pk_plan(monkeypatch):
+    # the per-point API is the Cartan pass along the pair's cached plan of
+    # the p-, then the k-basis: the same bits as the whole jet along the
+    # bare stack, with no curve_plan call after make_pair however often it
+    # is called
     pair = make_pair("sp-grassmannian", m=1, n=2)
     p = random_pair_points(pair, SampleConfig(seed=4), range(3))
-    ref = cartan_map_jet(pair, JetMatrix.curve(p, pair.ambient.elements)).d2
+    pk = np.concatenate([pair.p_basis, pair.k_basis])
+    ref = cartan_map_jet(pair, JetMatrix.curve(p, pk)).d2
     calls = []
     plan = jets.curve_plan
     for module in (jets, pairs):
@@ -280,4 +284,22 @@ def test_map_tension_raw_plans_the_ambient_basis_once_per_pair(monkeypatch):
     assert np.array_equal(map_tension_raw(pair, p), ref)
     assert np.array_equal(map_tension_raw(pair, p[0]), ref[0])
     harmonic_residual(pair, p)
-    assert calls == [len(pair.ambient)]
+    assert calls == []
+
+
+def test_harmonic_residual_holds_less_than_one_whole_jet():
+    # the per-point API streams the Cartan pass too: at 128 stacked points
+    # of sp-grassmannian(3,3) its traced peak stays below one complex
+    # (D, points, N, N) array, 21.9 MiB
+    pair = make_pair("sp-grassmannian", m=3, n=3)
+    pts = random_pair_points(pair, SampleConfig(seed=0), range(128))
+    harmonic_residual(pair, pts)
+    tracemalloc.start()
+    try:
+        harmonic_residual(pair, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = 16 * (pair.dim_k + pair.dim_p) * len(pts) * pair.matrix_size ** 2
+    assert whole == 23_003_136
+    assert peak < whole

@@ -16,6 +16,7 @@ from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
 from eigenlab.matrices import i_signature_doubled, metric
 from eigenlab.pairs import make_pair
 from eigenlab.report import build_report, emit_json_lines
+from eigenlab.sampling import SampleConfig, random_sphere_points
 
 
 def claim_ids(config):
@@ -190,13 +191,13 @@ def test_full_run_pushes_p_and_k_basis_once(cartan_passes):
     # jets of the run, in order, are along the two bases once at every
     # point, so no pass along the ambient basis or along one of the two
     # bases alone is left anywhere in the run.  At sp-grassmannian(3,3) a
-    # pass of CHUNK points holds 9.75 BLOCK, so it makes ten blocks.
+    # pass of CHUNK points holds 9.75 cartan.BLOCK, so it makes ten blocks.
     config = RunConfig(spaces=("sp-grassmannian",), m=3, n=3, samples=CHUNK)
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     pair = make_pair("sp-grassmannian", m=3, n=3)
-    size = claims._block_size(pair)
+    size = cartan.BLOCK // (CHUNK * pair.matrix_size ** 2)
     assert [Z.shape[-3] for Z in cartan_passes] == [size] * 9 + [78 - 9 * size]
     directions = [np.concatenate(cartan_passes, axis=-3)]
     assert [passes_along(directions, basis) for basis in (
@@ -242,10 +243,8 @@ def test_ambient_jobs_read_values_from_the_jet_pass(monkeypatch, space,
     assert all(r.passed for r in results)
     assert tuple(counts) == passes
     ops = {"sphere": ambient.sphere_ops, "cpn": ambient.cpn_ops}[space]
-    rng = np.random.default_rng(13)
     for F in made:
-        x = np.stack([ambient.random_sphere_point(F.n, rng)
-                      for _ in range(5)])
+        x = random_sphere_points(F.n, "test", SampleConfig(seed=13), range(5))
         assert np.array_equal(ops(F, x)[0], F.value(x))
 
 
@@ -555,29 +554,51 @@ def _whole_jet_pass(pair, forms, points, closed):
             casimir)
 
 
+def _pass_args(space, m, n, points):
+    """What the cartan job hands _cartan_pass at one point set of
+    ``points`` samples: the pair, the factor-4 forms, the points and
+    their closed jets."""
+    cache = claims._Cache(RunConfig(samples=points), [])
+    pair, family = cache.pair(space, m, n), cache.family(space, m, n)
+    forms = catalog.stack_members(family[i]
+                                  for i in claims._factor4_index(family))
+    pts = cache.points(space, m, n)
+    return pair, forms, pts, cartan.cartan_jets_closed(pair, pts)
+
+
+DEFAULT_PAIR_SETS = [(space, m, n) for space in claims.PAIR_SPACE_ORDER
+                     for m, n in claims.DEFAULT_SIZES[space]]
+
+
 @pytest.mark.parametrize("space,m,n,points", [
-    (space, m, n, 40) for space in claims.PAIR_SPACE_ORDER
-    for m, n in claims.DEFAULT_SIZES[space]]
+    (space, m, n, 40) for space, m, n in DEFAULT_PAIR_SETS]
     + [("sp-grassmannian", 3, 3, 5)])
 def test_streamed_pass_matches_the_whole_jet(monkeypatch, space, m, n,
                                              points):
     # the streamed Cartan pass gives, bit for bit, what the readers read
     # off the whole jet: with one direction per block, with blocks that do
     # not divide the directions, and with all directions in one block
-    config = RunConfig(samples=points)
-    cache = claims._Cache(config, [])
-    pair, family = cache.pair(space, m, n), cache.family(space, m, n)
-    forms = catalog.stack_members(family[i]
-                                  for i in claims._factor4_index(family))
-    pts = cache.points(space, m, n)
-    closed = cartan.cartan_jets_closed(pair, pts)
+    pair, forms, pts, closed = _pass_args(space, m, n, points)
     ref = _whole_jet_pass(pair, forms, pts, closed)
     D = pair.dim_k + pair.dim_p
     uneven = next((s for s in range(2, D) if D % s), D)
     for size in {1, uneven, D}:
-        monkeypatch.setattr(claims, "_block_size", lambda pair: size)
+        monkeypatch.setattr(cartan, "BLOCK", size * pts.size)
         got = claims._cartan_pass(pair, forms, pts, closed)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref)), size
+
+
+@pytest.mark.parametrize("space,m,n", DEFAULT_PAIR_SETS)
+def test_per_point_api_gives_the_engines_pass_bits(space, m, n):
+    # one Cartan jet route: at every default point set the per-point
+    # harmonic_residual and pullback_factor give, bit for bit, the
+    # harmonic residuals and the pullback ratios of the engine's pass
+    pair, forms, pts, closed = _pass_args(space, m, n, 40)
+    _, horizontal, vertical, harmonic = claims._cartan_pass(
+        pair, forms, pts, closed)[:4]
+    assert np.array_equal(cartan.harmonic_residual(pair, pts), harmonic)
+    for B, ratio in ((pair.p_basis, horizontal), (pair.k_basis, vertical)):
+        assert np.array_equal(cartan.pullback_factor(pair, pts, B, B), ratio)
 
 
 def test_a_quat_sized_cartan_pass_holds_less_than_one_whole_jet():

@@ -241,8 +241,8 @@ CLI_PAIRS = [(space, m, n) for space in PAIR_SPACE_ORDER for m, n in (
 
 @pytest.mark.parametrize("space,m,n", CLI_PAIRS)
 def test_basis_products_gather_the_matmul(space, m, n):
-    # every ambient, p- and k-basis matrix has at most one nonzero per
-    # column, purely real or imaginary, so JetMatrix.curve gathers p Z
+    # every p- and k-basis matrix has at most one nonzero per column,
+    # purely real or imaginary, so JetMatrix.curve gathers p Z
     # along each, bit for bit p @ Z, and its square sum is (Z @ Z).sum
     # bit for bit; so-grassmannian(1,1) has an empty k-basis.  The pair's
     # own plans have a gather index, so no pass falls back to the dense
@@ -251,8 +251,7 @@ def test_basis_products_gather_the_matmul(space, m, n):
     p = random_pair_points(pair, SampleConfig(seed=3), range(5))
     pk = np.concatenate([pair.p_basis, pair.k_basis])
     assert pair.p_plan.rows is not None and pair.pk_plan.rows is not None
-    for Z, plan in ((pair.ambient.elements, pair.ambient_plan),
-                    (pair.p_basis, pair.p_plan), (pk, pair.pk_plan)):
+    for Z, plan in ((pair.p_basis, pair.p_plan), (pk, pair.pk_plan)):
         assert plan.rows is not None
         assert np.array_equal(plan.square, (Z @ Z).sum(axis=0))
         jm = JetMatrix.curve(p, plan)

@@ -19,7 +19,8 @@ from eigenlab.jets import Jet2, JetMatrix, gram
 from eigenlab.matrices import j_matrix, membership_residual
 from eigenlab.operators import field_value
 from eigenlab.pairs import make_pair
-from eigenlab.sampling import SampleConfig, random_pair_point
+from eigenlab.sampling import (SampleConfig, random_pair_point,
+                               random_sphere_points)
 
 RTOL = 1e-12
 P = 4
@@ -259,8 +260,8 @@ def test_cartan_operators(case):
 
 def test_cartan_jets_closed(case):
     # the closed form against the jet route: Z(Phi) along the p-basis by
-    # cartan_map_jet, the tension by map_tension_raw over the ambient
-    # basis, at stacked points and at one point
+    # cartan_map_jet, the tension by map_tension_raw over the p- and the
+    # k-basis, at stacked points and at one point
     pair, pts, _, _ = case
     refs = ([p @ pair.sigma(p.conj().T) for p in pts],
             [[cartan_map_jet(pair, JetMatrix.curve(p, X)).d1[0]
@@ -395,8 +396,8 @@ def test_alpha_member_grid(space, m, n):
 # the sphere and CP^n
 
 def sphere_points(n):
-    rng = np.random.default_rng(41)
-    return np.stack([ambient.random_sphere_point(n, rng) for _ in range(P)])
+    return random_sphere_points(n, "reference", SampleConfig(seed=41),
+                                range(P))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from eigenlab import sampling
-from eigenlab.ambient import random_sphere_point
 from eigenlab.bases import group_basis
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
 from eigenlab.matrices import membership_residual, real_rows, sparse_plan
@@ -303,15 +302,3 @@ class TestVectorizedDraw:
         with pytest.raises(OverflowError):
             sampling._uniform_rows("draw", 3, (-1,), 4)
 
-
-def test_sphere_point_draws_its_normals_in_one_call():
-    # one standard_normal call of 2n draws reads the same stream as the
-    # real parts' call followed by the imaginary parts'
-    for n in (1, 3, 6):
-        for index in range(5):
-            rng = rng_for("sphere", 2, index)
-            x, y = rng.standard_normal(n), rng.standard_normal(n)
-            z = x + 1j * y
-            ref = z / np.linalg.norm(z)
-            got = random_sphere_point(n, rng_for("sphere", 2, index))
-            assert got.tobytes() == ref.tobytes()
