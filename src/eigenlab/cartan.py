@@ -10,7 +10,8 @@ Z(Phi) per direction and the sum of Z^2(Phi) over the directions.  The
 Cartan pass, map_tension_raw, serves the per-point API and the claim
 engine alike: it pushes first-order jets along the p- then the k-basis, a
 block of directions at a time, hands each block's Z(Phi) to its caller,
-and forms the sum of Z^2(Phi) once.
+and forms the sum of Z^2(Phi) once, its cross term summed over the
+directions as one gathered product per point.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ __all__ = [
 ]
 
 # A Cartan pass streams its directions in blocks of at most BLOCK jet
-# entries (directions x points x n^2), so no array of it holds more: a
-# pass of 32 points at sp-grassmannian(3,3) makes ten blocks of 8 of its
-# 78 directions, where blocks of 16 and of 4 ran slower.  It is half the
-# claim engine's pass budget, claims.BUDGET.
+# entries (directions x points x n^2), and its cross term in slices of
+# at most BLOCK gathered entries (points x n x terms), so no array of it
+# holds more: a pass of 32 points at sp-grassmannian(3,3) makes ten blocks
+# of 8 of its 78 directions, where blocks of 16 and of 4 ran slower, and
+# three slices of at most 11 points.  It is half the claim engine's pass
+# budget, claims.BUDGET.
 BLOCK = 36_864
 
 
@@ -99,6 +102,12 @@ def cartan_jets_closed(pair, p: np.ndarray) -> JetMatrix:
     return JetMatrix(c.v @ s_inv, c.d1 @ (2.0 * s_inv), 4.0 * (c.d2 @ s_inv))
 
 
+def _block_size(p):
+    """Directions per block of a Cartan pass at the points ``p``: as many
+    as hold BLOCK jet entries, and at least one."""
+    return max(1, BLOCK // max(1, np.size(p)))
+
+
 def map_tension_raw(pair, p: np.ndarray, each=None) -> np.ndarray:
     """sum_Z d^2/ds^2 Phi(p exp(sZ)) over an orthonormal basis of the Lie
     algebra: the ambient (flat matrix-space) Laplacian of the entries of
@@ -108,33 +117,49 @@ def map_tension_raw(pair, p: np.ndarray, each=None) -> np.ndarray:
     matrix space, so it is NOT the tension of the map; see
     harmonic_residual for the tangential part.
 
-    It is the Cartan pass: the first-order jets of Phi are pushed along
-    pair.pk_plan, the p- then the k-basis, in blocks of as many directions
-    as hold BLOCK entries at the points given, and at least one.  Each
-    block's Z(Phi), of shape (directions, *points, n, n), goes to
-    ``each(lo, d1)``, lo its first direction, which may overwrite it.  A
-    block's d2 is, per direction, the cross term 2 Z(p) Z(sigma(p)^-1);
-    the cross terms are added in direction order, and the curve's own
-    p Z^2, summed over the basis, enters once, by the product rule of
-    JetMatrix.__matmul__.  So the result has the bits of the d2 of the
-    2-jet along the whole basis at once, however the blocks fall, and no
-    array spans more than one block of directions.
+    It is the Cartan pass along pair.pk_plan, the p- then the k-basis.
+    Given ``each``, the first-order jets of Phi are pushed in blocks of as
+    many directions as hold BLOCK entries at the points given, and at
+    least one, and each block's Z(Phi), of shape
+    (directions, *points, n, n), goes to ``each(lo, d1)``, lo its first
+    direction, which may overwrite it.  The sum of Z^2(Phi) is the product
+    rule's, formed once: c2 sigma(p)^-1 + cross + p sigma.inverse(c2),
+    c2 = p sum Z^2, with the cross term 2 sum_Z Z(p) Z(sigma(p)^-1) one
+    gathered product per point (pair.cross_plan), over slices of points
+    of at most BLOCK entries.  So a point's bits depend on that point
+    only, and no array spans more than one block or slice.
     """
     plan = pair.pk_plan
-    size = max(1, BLOCK // max(1, np.size(p)))
-    cross = None
-    for lo in range(0, len(plan.weights), size):
-        j = cartan_map_jet(pair, JetMatrix.curve(p, plan.block(lo, lo + size)))
-        if each is not None:
-            each(lo, j.d1[0])
-        x = j.d2
-        # each direction's cross term after the sum of the earlier ones
-        if cross is not None:
-            x[0] += cross
-        cross = x.sum(axis=0)
-        del j, x  # before the next block is made
+    if each is not None:
+        size = _block_size(p)
+        for lo in range(0, len(plan.weights), size):
+            each(lo, cartan_map_jet(
+                pair, JetMatrix.curve(p, plan.block(lo, lo + size))).d1[0])
     c2 = p @ plan.square
-    return c2 @ pair.sigma.inverse(p) + cross + p @ pair.sigma.inverse(c2)
+    return (c2 @ pair.sigma.inverse(p) + _cross(pair, p)
+            + p @ pair.sigma.inverse(c2))
+
+
+def _cross(pair, p):
+    """2 sum_Z (p Z)(sigma.inverse(p Z)) over pair.pk_plan, as L @ R per
+    point: L the weighted columns of p, R the signed rows gathered from
+    it (pairs.SymmetricPair.cross_plan), a slice of points at a time."""
+    cols, left, index, right, conj = pair.cross_plan
+    n = p.shape[-1]
+    pts = np.asarray(p, dtype=complex).reshape(-1, n, n)
+    flat = pts.reshape(-1, n * n)
+    out = np.empty_like(pts)
+    step = max(1, BLOCK // (n * len(cols)))
+    for lo in range(0, len(pts), step):
+        L = np.take(pts[lo:lo + step], cols, axis=-1)
+        L *= left
+        R = np.take(flat[lo:lo + step], index, axis=-1)
+        if conj:
+            np.conjugate(R, out=R)
+        R *= right
+        np.matmul(L, R, out=out[lo:lo + step])
+    out += out
+    return out.reshape(p.shape)
 
 
 def tangential_residual(pair, y: np.ndarray, H: np.ndarray):
@@ -166,23 +191,24 @@ def harmonic_residual(pair, p: np.ndarray):
 def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
     """g(dPhi(X), dPhi(Y)) / g(X, Y) at p, from first-order jets of Phi.
 
-    ``X`` and ``Y`` may be stacks of directions, paired entry by entry;
-    their axis comes last in the result.
+    ``X`` and ``Y`` may be stacks of as many directions, paired entry by
+    entry; their axis comes last in the result.
     Equals 4 for X, Y horizontal (so the differential scales lengths by 2);
     vanishes identically for X vertical.  Where g(X, Y) = 0 the numerator
     is returned instead of the undefined ratio.
     """
     _check_member(pair, p)
-    one = np.ndim(X) == 2
-
-    def dphi(Z):
-        # a Cartan pass of one block of first-order jets
-        j = cartan_map_jet(pair, JetMatrix.curve(p, curve_plan(Z).block()))
-        return j.d1[0, 0] if one else j.d1[0]
-
-    dX = dphi(X)
-    dY = dX if Y is X else dphi(Y)
-    return pullback_ratio(metric(dX, dY), X, Y)
+    plans = [curve_plan(X)] + ([] if Y is X else [curve_plan(Y)])
+    size, dirs = _block_size(p), len(plans[0].weights)
+    if len(plans[-1].weights) != dirs:
+        raise ValueError("X and Y must hold as many directions")
+    num = np.empty((dirs,) + np.shape(p)[:-2])
+    # a Cartan pass of first-order jets, in blocks of map_tension_raw's
+    for lo in range(0, dirs, size):
+        dX, *dY = (cartan_map_jet(pair, JetMatrix.curve(
+            p, plan.block(lo, lo + size))).d1[0] for plan in plans)
+        num[lo:lo + size] = metric(dX, dY[0] if dY else dX)
+    return pullback_ratio(num[0] if np.ndim(X) == 2 else num, X, Y)
 
 
 def pullback_ratio(num, X, Y):

@@ -55,11 +55,12 @@ __all__ = [
 # floor keeps 12 x 12 passes at CHUNK points, where more points per pass
 # ran slower; a budget that did that alone would put all 100 points of
 # sp-grassmannian(2,2) in one pass and raise the run's peak memory.  The
-# Cartan pass streams its directions in blocks of at most cartan.BLOCK
-# entries, half of BUDGET, so no array of it holds more, whatever the
-# floor puts in the pass: a pass of 32 points at sp-grassmannian(3,3),
-# 4.9 BUDGET, makes ten blocks of 8 directions; the largest default
-# passes make two or three.
+# Cartan pass streams its directions in blocks, and the points of its
+# gathered cross term in slices, of at most cartan.BLOCK entries, half of
+# BUDGET, so no array of it holds more, whatever the floor puts in the
+# pass: a pass of 32 points at sp-grassmannian(3,3), 4.9 BUDGET, makes
+# ten blocks of 8 directions and three slices of at most 11 points; the
+# largest default passes make two or three blocks.
 CHUNK = 32
 BUDGET = 73_728
 

@@ -20,12 +20,17 @@ import numpy as np
 
 from .bases import square_sum
 
-__all__ = ["Jet2", "JetMatrix", "FormPlan", "form_plan", "CurvePlan",
-           "curve_plan", "trace_form", "gram", "jet_ops"]
+__all__ = ["Jet2", "JetMatrix", "FIRST_ORDER", "FormPlan", "form_plan",
+           "CurvePlan", "curve_plan", "trace_form", "gram", "jet_ops"]
 
 
 # rows of ``a`` per gemm in trace_form
 _ROWS = 32
+
+# The d2 of a first-order jet (Jet2): a read-only scalar zero, told by
+# identity from the exact zero d2 of a straight line or a constant.
+FIRST_ORDER = np.zeros((), complex)
+FIRST_ORDER.flags.writeable = False
 
 
 class FormPlan(NamedTuple):
@@ -187,15 +192,16 @@ class Jet2:
     real.  Each result has the type of the jet whose method made it, so
     the elementwise operations of a JetMatrix give a JetMatrix.
 
-    A first-order jet has the scalar zero as ``d2``: it does not carry
-    its second derivatives.  JetMatrix.curve along a first-order plan
-    gives one such jet per direction, the directions on a batch axis in
-    front of the points, so the d2 of their product is per direction the
-    cross term 2 Z(a) Z(b): the direction's second derivative but for
-    the factors' own, which a caller adds once, for all directions at
-    once (cartan.map_tension_raw).  Such jets take the elementwise rules,
-    the jet product and an involution (pairs.Involution), what a Cartan
-    pass needs; T, trace and trace_form want a matrix-shaped d2.
+    A first-order jet has the scalar zero FIRST_ORDER as ``d2``: it does
+    not carry its second derivatives, where any other scalar zero d2 is
+    the exact zero of a straight line or a constant.  A product with a
+    first-order factor is first-order, d1 only: the product of
+    JetMatrix.curve jets along a first-order plan, one per direction on a
+    batch axis in front of the points, gives each direction's Z(a b) and
+    no cross term, which a caller forms once, summed over all directions
+    (cartan.map_tension_raw).  Such jets take the jet products and an
+    involution (pairs.Involution), what a Cartan pass needs; the other
+    operations read FIRST_ORDER as a zero.
     """
 
     __slots__ = ("v", "d1", "d2")
@@ -209,7 +215,7 @@ class Jet2:
         # a number is the first derivative along one direction, at every
         # batch entry: give it the direction axis in front of the batch
         self.d1 = d1.reshape((1,) * (self.v.ndim + 1)) if d1.ndim == 0 else d1
-        self.d2 = np.asarray(d2, dtype=complex)
+        self.d2 = np.asarray(d2, dtype=complex)  # keeps FIRST_ORDER
 
     @classmethod
     def constant(cls, v):
@@ -268,12 +274,11 @@ class Jet2:
 
     def __mul__(self, other):
         o = _as_jet(other)
-        return type(self)(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2.0 * _dir_sum(self.d1 * o.d1)
-            + self.v * o.d2,
-        )
+        d2 = FIRST_ORDER  # no cross term
+        if self.d2 is not FIRST_ORDER and o.d2 is not FIRST_ORDER:
+            d2 = (self.d2 * o.v + 2.0 * _dir_sum(self.d1 * o.d1)
+                  + self.v * o.d2)
+        return type(self)(self.v * o.v, self.d1 * o.v + self.v * o.d1, d2)
 
     __rmul__ = __mul__
 
@@ -350,7 +355,7 @@ class JetMatrix(Jet2):
         and one product by sum_Z Z^2, the matmul's bits up to the sign of a
         zero.  Other directions take the dense product.  Along a
         first-order plan (CurvePlan.block) the jets are first-order, one
-        per direction: d1 is (1, dirs, ..., n, n) and d2 the scalar zero.
+        per direction: d1 is (1, dirs, ..., n, n) and d2 FIRST_ORDER.
         """
         p = np.asarray(p, dtype=complex)
         square, rows, w = Z if isinstance(Z, CurvePlan) else curve_plan(Z)
@@ -366,7 +371,7 @@ class JetMatrix(Jet2):
                 np.take(p, r, axis=-1, out=d1[d], mode="clip")  # unbuffered
             d1 *= w.reshape(w.shape[:1] + (1,) * (p.ndim - 1) + w.shape[1:])
         if square is None:
-            return cls(p, d1[None])
+            return cls(p, d1[None], FIRST_ORDER)
         return cls(p, d1, p @ square)
 
     @property
@@ -376,20 +381,19 @@ class JetMatrix(Jet2):
 
     def __matmul__(self, other):
         if isinstance(other, Jet2):
-            # 3 D + 3 matrix products for D directions; the d2 of a
-            # first-order jet is zero and takes no product.  Sums run in
-            # place where the shapes agree, to hold one array less, and
-            # the cross term is doubled as x + x, the bits of 2 x.
+            # 2 D + 1 matrix products for D directions, and D + 2 more
+            # for the second derivatives unless a factor is first-order.
+            # Sums run in place where the shapes agree, to hold one array
+            # less, and the cross term is doubled as x + x, the bits of 2 x.
             d1, right = self.d1 @ other.v, self.v @ other.d1
             d1 = np.add(d1, right, out=d1) if d1.shape == right.shape \
                 else d1 + right
             del right
-            d2 = _dir_sum(self.d1 @ other.d1)
-            d2 += d2
-            if self.d2.ndim:
-                d2 = self.d2 @ other.v + d2
-            if other.d2.ndim:
-                d2 = d2 + self.v @ other.d2
+            d2 = FIRST_ORDER
+            if self.d2 is not FIRST_ORDER and other.d2 is not FIRST_ORDER:
+                d2 = _dir_sum(self.d1 @ other.d1)
+                d2 += d2
+                d2 = self.d2 @ other.v + d2 + self.v @ other.d2
             return type(self)(self.v @ other.v, d1, d2)
         other = np.asarray(other, dtype=complex)
         return type(self)(self.v @ other, self.d1 @ other, self.d2 @ other)

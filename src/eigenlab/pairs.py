@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,22 @@ from .jets import CurvePlan, Jet2, curve_plan
 from .matrices import (SparsePlan, i_signature, i_signature_doubled,
                        j_matrix, real_rows, sparse_plan)
 
-__all__ = ["Involution", "SymmetricPair", "SPACES", "make_pair", "space_label"]
+__all__ = ["Involution", "SymmetricPair", "CrossPlan", "SPACES", "make_pair",
+           "space_label"]
+
+
+class CrossPlan(NamedTuple):
+    """The terms of sum_Z (p Z)(sigma.inverse(p Z)) over a pair's p- and
+    k-basis as gathers of p (SymmetricPair.cross_plan): term k is column
+    ``cols[k]`` of p times ``left[k]``, by the row of the entries
+    ``index[k]`` of the flat p, conjugated if ``conj``, times ``right[k]``.
+    """
+
+    cols: np.ndarray
+    left: np.ndarray
+    index: np.ndarray
+    right: np.ndarray
+    conj: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +88,17 @@ class Involution:
         """sigma(q^H) = M c(q^H) M^H, which is sigma(q)^-1 for unitary q:
         one gather from q with the transposed index, no copy of q^H."""
         return self._apply(q, transpose=True)
+
+    def inverse_gather(self, n):
+        """What sigma.inverse reads of an (n, n) matrix q: entry (i, j) of
+        sigma.inverse(q) is signs[i, j] times entry index[i, j] of the
+        flat q, conjugated first if ``conj``.  Returns
+        (index, signs, conj)."""
+        if self.conjugator is None:
+            index, signs = np.arange(n * n).reshape(n, n).T, np.ones((n, n))
+        else:
+            index, signs = self._index.T, self._signs
+        return index, signs, not self.entrywise_conj
 
     def _apply(self, q, transpose):
         if isinstance(q, Jet2):
@@ -133,6 +160,25 @@ class SymmetricPair:
     def pk_plan(self) -> CurvePlan:
         """The p-, then the k-basis as curve directions, once per pair."""
         return curve_plan(np.concatenate([self.p_basis, self.k_basis]))
+
+    @cached_property
+    def cross_plan(self) -> CrossPlan:
+        """sum_Z (p Z)(sigma.inverse(p Z)) over pk_plan as one product per
+        point, once per pair.  Column c of p Z is column r = rows[Z, c]
+        of p times w = weights[Z, c] (JetMatrix.curve), so the sum is
+        over the nonzero (Z, c): column r of p times w, by row c of
+        sigma.inverse(p Z), whose entry (c, j) is entry
+        (a, b) = index[c, j] of p Z, i.e. p[a, rows[Z, b]] weights[Z, b],
+        signed and conjugated (Involution.inverse_gather).  The terms run
+        in direction order."""
+        rows, w = self.pk_plan.rows, self.pk_plan.weights
+        n = self.matrix_size
+        index, signs, conj = self.sigma.inverse_gather(n)
+        Z, c = np.nonzero(w)
+        a, b = np.divmod(index[c], n)  # (terms, n)
+        right = w[Z[:, None], b]
+        return CrossPlan(rows[Z, c], w[Z, c], a * n + rows[Z[:, None], b],
+                         signs[c] * (right.conj() if conj else right), conj)
 
     @cached_property
     def ambient_sparse(self) -> SparsePlan:

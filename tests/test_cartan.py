@@ -11,9 +11,9 @@ from eigenlab.cartan import (cartan_map, cartan_map_closed, cartan_map_jet,
                              harmonic_residual, map_tension_raw,
                              pullback_factor, pullback_ratio,
                              tangential_residual)
-from eigenlab import jets, pairs
+from eigenlab import cartan, jets, pairs
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
-from eigenlab.jets import JetMatrix
+from eigenlab.jets import FIRST_ORDER, JetMatrix
 from eigenlab.matrices import (membership_residual, metric, real_rows,
                                sparse_matmul, sparse_plan)
 from eigenlab.pairs import make_pair
@@ -268,10 +268,11 @@ def test_harmonic_residual_on_many_stacked_points_matches_the_chunks():
 
 
 def test_map_tension_raw_reads_the_pairs_pk_plan(monkeypatch):
-    # the per-point API is the Cartan pass along the pair's cached plan of
-    # the p-, then the k-basis: the same bits as the whole jet along the
-    # bare stack, with no curve_plan call after make_pair however often it
-    # is called
+    # the per-point API is the Cartan pass along the pair's cached plans of
+    # the p-, then the k-basis: the whole jet's d2 along the bare stack up
+    # to the order of its sums (2e-15 of its largest entry), one point's
+    # bits alone as in the stack, and no curve_plan call after make_pair
+    # however often it is called
     pair = make_pair("sp-grassmannian", m=1, n=2)
     p = random_pair_points(pair, SampleConfig(seed=4), range(3))
     pk = np.concatenate([pair.p_basis, pair.k_basis])
@@ -281,10 +282,71 @@ def test_map_tension_raw_reads_the_pairs_pk_plan(monkeypatch):
     for module in (jets, pairs):
         monkeypatch.setattr(module, "curve_plan",
                             lambda Z: calls.append(len(Z)) or plan(Z))
-    assert np.array_equal(map_tension_raw(pair, p), ref)
-    assert np.array_equal(map_tension_raw(pair, p[0]), ref[0])
+    got = map_tension_raw(pair, p)
+    assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
+    assert np.array_equal(map_tension_raw(pair, p[0]), got[0])
     harmonic_residual(pair, p)
     assert calls == []
+
+
+def test_a_first_order_block_carries_no_second_derivatives():
+    # a block of the Cartan pass is first-order: Z(Phi) of the whole jet
+    # bit for bit, per direction, and the scalar zero FIRST_ORDER as d2
+    pair = make_pair("sp-grassmannian", m=1, n=2)
+    p = random_pair_points(pair, SampleConfig(seed=6), range(3))
+    whole = cartan_map_jet(pair, JetMatrix.curve(p, pair.pk_plan))
+    j = cartan_map_jet(pair, JetMatrix.curve(p, pair.pk_plan.block(2, 5)))
+    assert j.d2 is FIRST_ORDER and j.d2.shape == () and j.d2 == 0
+    assert j.d1.shape == (1, 3) + p.shape
+    assert np.array_equal(j.d1[0], whole.d1[2:5])
+
+
+@pytest.mark.parametrize("space,m,n", [("sp-grassmannian", 3, 3),
+                                       ("su-so", None, 3),
+                                       ("so-u", None, 2),
+                                       ("u-grassmannian", 1, 2)])
+def test_one_point_gives_its_bits_in_any_batch(monkeypatch, space, m, n):
+    # the raw tension of a point depends on that point only: alone, in a
+    # batch of 7, with two point axes, and with the cross term's slices of
+    # points of one, of three (uneven) and of the whole batch
+    pair = make_pair(space, m=m, n=n)
+    p = random_pair_points(pair, SampleConfig(seed=7), range(8))
+    terms = len(pair.cross_plan.cols) * pair.matrix_size
+    alone = np.array([map_tension_raw(pair, q) for q in p])
+    for step in (1, 3, 8):
+        monkeypatch.setattr(cartan, "BLOCK", step * terms)
+        assert np.array_equal(map_tension_raw(pair, p[:7]), alone[:7]), step
+        assert np.array_equal(map_tension_raw(pair, p.reshape(
+            (2, 4) + p.shape[1:])), alone.reshape((2, 4) + p.shape[1:]))
+
+
+def test_pullback_factor_pairs_as_many_directions():
+    # its blocks pair the directions of X and Y entry by entry, so stacks
+    # of different lengths are refused at any number of points
+    pair = make_pair("sp-grassmannian", m=1, n=1)
+    p = random_pair_points(pair, SampleConfig(seed=8), range(2))
+    with pytest.raises(ValueError, match="as many directions"):
+        pullback_factor(pair, p, pair.p_basis, pair.p_basis[:1])
+
+
+def test_pullback_factor_holds_less_than_one_whole_jet():
+    # pullback_factor streams its directions in map_tension_raw's blocks:
+    # along the p-basis at 128 stacked points of sp-grassmannian(3,3) its
+    # traced peak stays below one complex (dim p, points, N, N) array,
+    # 10.1 MiB (one block of all directions peaked at 41.1 MiB)
+    pair = make_pair("sp-grassmannian", m=3, n=3)
+    pts = random_pair_points(pair, SampleConfig(seed=0), range(128))
+    B = pair.p_basis
+    pullback_factor(pair, pts, B, B)
+    tracemalloc.start()
+    try:
+        pullback_factor(pair, pts, B, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = 16 * len(B) * len(pts) * pair.matrix_size ** 2
+    assert whole == 10_616_832
+    assert peak < whole
 
 
 def test_harmonic_residual_holds_less_than_one_whole_jet():

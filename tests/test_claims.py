@@ -431,6 +431,47 @@ def test_a_wrong_involution_fails_the_cartan_claims(monkeypatch):
         assert failed[f"cartan.{kind}"] >= 1e-3
 
 
+def _flipped(plan, dim_p_terms):
+    # each term's row with its sign flipped
+    return plan._replace(right=-plan.right)
+
+
+def _k_dropped(plan, dim_p_terms):
+    # the terms of the k-basis left out
+    return plan._replace(**{f: getattr(plan, f)[:dim_p_terms]
+                            for f in ("cols", "left", "index", "right")})
+
+
+def _mispaired(plan, dim_p_terms):
+    # each column by the row of the term before it
+    return plan._replace(index=np.roll(plan.index, 1, axis=0),
+                         right=np.roll(plan.right, 1, axis=0))
+
+
+@pytest.mark.parametrize("wrong,fails", [
+    (_flipped, {"factor4.tau", "casimir"}),
+    (_k_dropped, {"factor4.tau", "casimir"}),
+    (_mispaired, {"harmonic", "factor4.tau", "casimir"})])
+def test_a_wrong_cross_plan_fails_the_tension_claims(monkeypatch, wrong,
+                                                     fails):
+    # negative control: a corrupted plan of the tension's cross term
+    # fails the claims read from the tension, and only those.  A flipped
+    # or a lost term errs by Phi(p) times a hermitian matrix, which is
+    # normal to the group, so the harmonic claim, the tangential part,
+    # does not see it; terms paired with the wrong rows are seen by all
+    from eigenlab import pairs
+    planned = pairs.SymmetricPair.cross_plan.func
+    monkeypatch.setattr(pairs.SymmetricPair, "cross_plan", property(
+        lambda pair: wrong(planned(pair), np.count_nonzero(
+            pair.pk_plan.weights[:pair.dim_p]))))
+    results = run_claims(RunConfig(spaces=("sp-grassmannian",), m=1, n=1,
+                                   samples=8), prefix="cartan.")
+    failed = {r.claim_id[len("cartan."):].split("[")[0]: r.max_residual
+              for r in results if not r.passed}
+    assert set(failed) == fails
+    assert min(failed.values()) >= 0.1
+
+
 def test_full_run_makes_one_closed_form_pass_per_chunk(monkeypatch):
     # table1 and the cartan job read the closed-form jets of Phi from one
     # sweep of their point set: at quat-scale, 10 passes over 300 points,
@@ -537,13 +578,17 @@ def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
                                 "sphere": 0, "cpn": 0}
 
 
-def _whole_jet_pass(pair, forms, points, closed):
-    """What _cartan_pass returns, read off one whole 2-jet of Phi along
+# The streamed pass's d2 against the whole jet's, relative to the largest
+# entry of the latter: both sum the same products in another order (the
+# worst seen is 7.4e-16, at 300 samples of sp-grassmannian(3,3)).
+D2_RTOL = 2e-15
+
+
+def _whole_jet_pass(pair, forms, j, closed):
+    """What _cartan_pass returns, read off the 2-jet ``j`` of Phi along
     the p- then the k-basis, (D, points, N, N) per part: the reference of
     the streamed pass."""
     X, V = pair.p_basis, pair.k_basis
-    j = cartan.cartan_map_jet(pair, jets.JetMatrix.curve(points,
-                                                          pair.pk_plan))
     dp, dk = j.d1[:len(X)], j.d1[len(X):]
     casimir = np.maximum(np.abs(dp - closed.d1).max(axis=(0, 2, 3)),
                          np.abs(j.d2 - closed.d2).max(axis=(1, 2)))
@@ -576,10 +621,18 @@ DEFAULT_PAIR_SETS = [(space, m, n) for space in claims.PAIR_SPACE_ORDER
 def test_streamed_pass_matches_the_whole_jet(monkeypatch, space, m, n,
                                              points):
     # the streamed Cartan pass gives, bit for bit, what the readers read
-    # off the whole jet: with one direction per block, with blocks that do
-    # not divide the directions, and with all directions in one block
+    # off the whole jet's first derivatives and of map_tension_raw as d2,
+    # and that d2 is the whole jet's up to D2_RTOL: with one direction per
+    # block, with blocks that do not divide the directions, and with all
+    # directions in one block (and so slices of points of every size)
     pair, forms, pts, closed = _pass_args(space, m, n, points)
-    ref = _whole_jet_pass(pair, forms, pts, closed)
+    whole = cartan.cartan_map_jet(pair, jets.JetMatrix.curve(pts,
+                                                             pair.pk_plan))
+    d2 = cartan.map_tension_raw(pair, pts)
+    assert (np.abs(d2 - whole.d2).max()
+            <= D2_RTOL * np.abs(whole.d2).max())
+    ref = _whole_jet_pass(pair, forms,
+                          jets.JetMatrix(whole.v, whole.d1, d2), closed)
     D = pair.dim_k + pair.dim_p
     uneven = next((s for s in range(2, D) if D % s), D)
     for size in {1, uneven, D}:

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenlab.cartan import cartan_map_jet
-from eigenlab.jets import Jet2, JetMatrix, form_plan, gram, trace_form
+from eigenlab.jets import (FIRST_ORDER, Jet2, JetMatrix, curve_plan,
+                           form_plan, gram, trace_form)
 from eigenlab.matrices import mat_exp
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import SampleConfig, random_pair_points
@@ -205,6 +206,24 @@ class TestJetMatrix(Bundles):
         assert_allclose(c.v, p @ q)
         assert_allclose(c.d1, a.d1 @ q + p @ b.d1)
         assert_allclose(c.d2, a.d2 @ q + 2 * a.d1[0] @ b.d1[0] + p @ b.d2)
+
+    def test_first_order_products_carry_d1_only(self):
+        # a product with a first-order factor is first-order: the full
+        # jets' first derivatives, bit for bit, and FIRST_ORDER as d2; a
+        # jet whose scalar d2 is any other zero, a straight line, keeps
+        # its cross term
+        rng = np.random.default_rng(9)
+        p, q = rand(rng, (2, 3, 3)), rand(rng, (2, 3, 3))
+        Z, W = (curve_plan(rand(rng, (4, 3, 3))) for _ in range(2))
+        full = JetMatrix.curve(p, Z) @ JetMatrix.curve(q, W)
+        a, b = JetMatrix.curve(p, Z.block()), JetMatrix.curve(q, W.block())
+        for c in (a @ b, a * b, a * JetMatrix.curve(q, W), 2.0 * a):
+            assert c.d2 is FIRST_ORDER and c.shape == (4, 2, 3, 3)
+        assert np.array_equal((a @ b).d1[0], full.d1)
+        assert np.array_equal((a * b).d1[0], (JetMatrix.curve(p, Z)
+                                              * JetMatrix.curve(q, W)).d1)
+        line = Jet2(rand(rng, (3,)), 1.0, 0.0)
+        assert_allclose((line * line).d2, np.full(3, 2.0))
 
     def test_ndarray_matmul_falls_back(self):
         rng = np.random.default_rng(6)
