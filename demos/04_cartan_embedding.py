@@ -51,7 +51,7 @@ print(f"\n|Phi(k) - I| for k in K: {np.abs(cartan_map(pair, k) - np.eye(3)).max(
 phi = family_for_space("su-so", n=3)[0]
 p = random_pair_point(pair, cfg, 1)
 lhs = tension(phi.as_field(), p, pair.ambient)
-rhs = 4.0 * image_tension(pair, phi.eta_field(), p)
+rhs = 4.0 * image_tension(pair, phi, p)
 print(f"tau(eta o Phi) = {lhs:.10f}")
 print(f"4 tau_N(eta) o Phi = {rhs:.10f}")
 print(f"difference: {abs(lhs - rhs):.2e}")

@@ -36,11 +36,14 @@ __all__ = [
 # A Cartan pass streams its directions in blocks of at most BLOCK jet
 # entries (directions x points x n^2), and its cross term in slices of
 # at most BLOCK gathered entries (points x n x terms), so no array of it
-# holds more: a pass of 32 points at sp-grassmannian(3,3) makes ten blocks
-# of 8 of its 78 directions, where blocks of 16 and of 4 ran slower, and
-# three slices of at most 11 points.  It is half the claim engine's pass
-# budget, claims.BUDGET.
-BLOCK = 36_864
+# holds more: a pass of 32 points at sp-grassmannian(3,3) makes twenty
+# blocks of 4 of its 78 directions and seven slices of at most 5 points.
+# Blocks of 8 took as long, but each block's four arrays of twice the
+# size went back to the system as the block ended and were faulted in
+# again by the next: a steady default run took about 3k minor page
+# faults, and about 660 with blocks of 4.  It is a quarter of the claim
+# engine's pass budget, claims.BUDGET.
+BLOCK = 18_432
 
 
 def _check_member(pair, p):
@@ -94,12 +97,15 @@ def cartan_jets_closed(pair, p: np.ndarray) -> JetMatrix:
     Z(Phi) = 2 p Z sigma(p)^-1, and 4 p C_p sigma(p)^-1, which is also,
     up to rounding, map_tension_raw(pair, p).  p Z is gathered, so the
     one product per direction is by 2 sigma(p)^-1, the same bits as
-    2 (p Z sigma(p)^-1).
+    2 (p Z sigma(p)^-1), made in place a direction at a time.
     """
     _check_member(pair, p)
     c = JetMatrix.curve(p, pair.p_plan)
     s_inv = pair.sigma.inverse(c.v)
-    return JetMatrix(c.v @ s_inv, c.d1 @ (2.0 * s_inv), 4.0 * (c.d2 @ s_inv))
+    two = 2.0 * s_inv
+    for d1 in c.d1:
+        np.matmul(d1, two, out=d1)
+    return JetMatrix(c.v @ s_inv, c.d1, 4.0 * (c.d2 @ s_inv))
 
 
 def _block_size(p):
@@ -143,21 +149,26 @@ def map_tension_raw(pair, p: np.ndarray, each=None) -> np.ndarray:
 def _cross(pair, p):
     """2 sum_Z (p Z)(sigma.inverse(p Z)) over pair.pk_plan, as L @ R per
     point: L the weighted columns of p, R the signed rows gathered from
-    it (pairs.SymmetricPair.cross_plan), a slice of points at a time."""
+    it (pairs.SymmetricPair.cross_plan), a slice of points at a time,
+    into one L and one R made per call."""
     cols, left, index, right, conj = pair.cross_plan
     n = p.shape[-1]
     pts = np.asarray(p, dtype=complex).reshape(-1, n, n)
     flat = pts.reshape(-1, n * n)
     out = np.empty_like(pts)
     step = max(1, BLOCK // (n * len(cols)))
+    L = np.empty((min(step, len(pts)), n, len(cols)), complex)
+    R = np.empty((len(L), len(cols), n), complex)
     for lo in range(0, len(pts), step):
-        L = np.take(pts[lo:lo + step], cols, axis=-1)
-        L *= left
-        R = np.take(flat[lo:lo + step], index, axis=-1)
+        hi = min(lo + step, len(pts))
+        Ls, Rs = L[:hi - lo], R[:hi - lo]
+        np.take(pts[lo:hi], cols, axis=-1, out=Ls, mode="clip")
+        Ls *= left
+        np.take(flat[lo:hi], index, axis=-1, out=Rs, mode="clip")
         if conj:
-            np.conjugate(R, out=R)
-        R *= right
-        np.matmul(L, R, out=out[lo:lo + step])
+            np.conjugate(Rs, out=Rs)
+        Rs *= right
+        np.matmul(Ls, Rs, out=out[lo:hi])
     out += out
     return out.reshape(p.shape)
 

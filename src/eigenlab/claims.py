@@ -15,6 +15,7 @@ depend on the pass size nor on the Cartan pass's blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import ambient, catalog
 from .bases import square_sum
 # cartan_map_jet is not called here; perfbench's tracer test rebinds it here
-from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
+from .cartan import (BLOCK, cartan_jets_closed, cartan_map, cartan_map_jet,
                      map_tension_raw, pullback_ratio, tangential_residual)
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
@@ -56,11 +57,11 @@ __all__ = [
 # ran slower; a budget that did that alone would put all 100 points of
 # sp-grassmannian(2,2) in one pass and raise the run's peak memory.  The
 # Cartan pass streams its directions in blocks, and the points of its
-# gathered cross term in slices, of at most cartan.BLOCK entries, half of
-# BUDGET, so no array of it holds more, whatever the floor puts in the
-# pass: a pass of 32 points at sp-grassmannian(3,3), 4.9 BUDGET, makes
-# ten blocks of 8 directions and three slices of at most 11 points; the
-# largest default passes make two or three blocks.
+# gathered cross term in slices, of at most cartan.BLOCK entries, a
+# quarter of BUDGET, so no array of it holds more, whatever the floor
+# puts in the pass: a pass of 32 points at sp-grassmannian(3,3),
+# 4.9 BUDGET, makes twenty blocks of 4 directions and seven slices of at
+# most 5 points; the largest default passes make up to five blocks.
 CHUNK = 32
 BUDGET = 73_728
 
@@ -201,18 +202,6 @@ def _rel(x, ref):
     return np.abs(np.asarray(x) - ref) / np.maximum(1.0, np.abs(ref))
 
 
-def _fit(num, den):
-    """Least-squares ratio num/den over entries with
-    |den| >= 10^FIT_DECADE."""
-    num = np.asarray(num).ravel()
-    den = np.asarray(den).ravel()
-    mask = np.abs(den) >= 10.0 ** FIT_DECADE
-    if not mask.any():
-        return None
-    d = den[mask]
-    return complex((num[mask] * d.conj()).sum() / (np.abs(d) ** 2).sum())
-
-
 def _result(claim_id, space, params, samples, residuals, expected, measured,
             tol, detail=""):
     res = np.asarray(residuals, dtype=float).ravel()
@@ -242,22 +231,74 @@ def _eigen_ids(prefix, params):
     return (f"{prefix}.lambda{suffix}", f"{prefix}.mu{suffix}")
 
 
+class _EigenScores:
+    """The lambda and mu claims of one family, tau = lam phi and
+    kappa = mu phi psi, scored slice by slice as its points arrive (add),
+    in point order.  Each claim gets, in one float buffer made at the
+    first slice for all ``points``, its residuals _rel(x, ev den), then
+    the terms of the least-squares fit of ev, num conj(den) and |den|^2
+    over the entries with |den| >= 10^FIT_DECADE, in order.  No temporary
+    spans more than a slice, and each reduction runs over the array that
+    the formula over whole arrays reduces, in its order, and gives its
+    bits."""
+
+    def __init__(self, points, lam, mu):
+        self.points, self.evs = points, (lam, mu)
+        self.done, self.counts, self.parts = 0, [0, 0], []
+
+    def add(self, values, tau, kappa):
+        """Score the next len(values) points."""
+        if not self.parts:
+            shapes = [(self.points,) + np.shape(x)[1:] for x in (tau, kappa)]
+            buf = np.empty(4 * sum(map(math.prod, shapes)))
+            at = 0
+            for shape in shapes:
+                size = math.prod(shape)
+                self.parts.append((buf[at:at + size].reshape(shape),
+                                   buf[at + size:at + 3 * size].view(complex),
+                                   buf[at + 3 * size:at + 4 * size]))
+                at += 4 * size
+        lo, self.done = self.done, self.done + len(values)
+        prod = np.einsum("...j,...k->...jk", values, values)
+        for k, (x, den) in enumerate(((tau, values), (kappa, prod))):
+            res, num, sq = self.parts[k]
+            res[lo:self.done] = _rel(x, self.evs[k] * den)
+            mod = np.abs(den)
+            mask = mod >= 10.0 ** FIT_DECADE
+            start = self.counts[k]
+            self.counts[k] += np.count_nonzero(mask)
+            num[start:self.counts[k]] = x[mask] * den[mask].conj()
+            sq[start:self.counts[k]] = mod[mask] ** 2
+
+    def results(self):
+        """(residuals, ev, fit) of each claim; no fit if no entry had
+        |den| large enough."""
+        return [(res, ev, complex(num[:c].sum() / sq[:c].sum()) if c
+                 else None)
+                for (res, num, sq), ev, c in zip(self.parts, self.evs,
+                                                 self.counts)]
+
+
 def _eigen_residuals(values, tau, kappa, lam, mu):
-    """(x, den, ev, residuals) of tau = lam phi, then kappa = mu phi psi."""
-    prod = np.einsum("...j,...k->...jk", values, values)
-    return tuple((x, den, ev, _rel(x, ev * den)) for x, den, ev in
-                 ((tau, values, lam), (kappa, prod, mu)))
+    """The _EigenScores results of tau = lam phi, then of
+    kappa = mu phi psi, in slices of cartan.BLOCK entries of kappa."""
+    P = len(values)
+    step = max(1, BLOCK * P // max(1, np.size(kappa)))
+    scores = _EigenScores(P, lam, mu)
+    for lo in range(0, P, step):
+        scores.add(values[lo:lo + step], tau[lo:lo + step],
+                   kappa[lo:lo + step])
+    return scores.results()
 
 
-def _eigen_claims(ids, space, params, residuals, tol, details=("", "")):
+def _eigen_claims(ids, space, params, scores, tol, details=("", "")):
     """The lambda and mu claims of one family from its _eigen_residuals.
     A claim with no eigenvalue fit fails: its residuals are small only
     because phi is."""
     out = []
-    for cid, (x, den, ev, res), detail, name in zip(
-            ids, residuals, details, ("|phi|", "|phi psi|")):
-        fit = _fit(x, den)
-        r = _result(cid, space, params, len(den), res, ev, fit, tol, detail)
+    for cid, (res, ev, fit), detail, name in zip(
+            ids, scores, details, ("|phi|", "|phi psi|")):
+        r = _result(cid, space, params, len(res), res, ev, fit, tol, detail)
         out.append(r if fit is not None else replace(
             r, passed=False,
             detail=f"no sample had {name} >= 1e{FIT_DECADE}"))
@@ -273,14 +314,26 @@ def _pass_size(pair):
 
 def _chunked(pair, op, *points):
     """``op`` over _pass_size(pair) points at a time, each array of its
-    output tuple (or of its nested tuples) concatenated along the point
-    axis."""
-    def concat(parts):
-        return (tuple(map(concat, zip(*parts))) if type(parts[0]) is tuple
-                else np.concatenate(parts))
-    size = _pass_size(pair)
-    return concat([op(*(p[lo:lo + size] for p in points))
-                   for lo in range(0, len(points[0]), size)])
+    output tuple (or of its nested tuples) written into one array over
+    all points, made at the first pass: no part is held past its pass.
+    A None output, a part that its reader keeps itself, stays None."""
+    size, total = _pass_size(pair), len(points[0])
+
+    def fill(out, part, lo):
+        if part is None:
+            return None
+        if type(part) is tuple:
+            return tuple(fill(o, q, lo) for o, q in
+                         zip(out or (None,) * len(part), part))
+        if out is None:
+            out = np.empty((total,) + part.shape[1:], part.dtype)
+        out[lo:lo + len(part)] = part
+        return out
+
+    out = None
+    for lo in range(0, total, size):
+        out = fill(out, op(*(p[lo:lo + size] for p in points)), lo)
+    return out
 
 
 class _Cache:
@@ -331,16 +384,19 @@ class _Cache:
         """eta values, tau_N and kappa_N of the affine functionals
         eta(y) = tr(y B) + c of the alpha = 1 family along the image basis
         at Phi(p), for prop7.1 and cartan.factor4.  Image passes push no
-        Cartan jets and run on all points at once: freeing a pass's ~25 MB
-        array raises glibc's trim threshold above the run's other arrays,
-        whose pages are then reused.  Chunked like the sweep, a steady
-        300-sample sp-grassmannian(3,3) run took 8.6k minor faults where
-        it takes 3, and ran 8-27 ms slower (in-process, three runs)."""
+        Cartan jets, form no curve jet and stream their points in slices
+        of at most cartan.BLOCK entries (operators.image_ops).  With the
+        sweep filling its outputs in place and table1 scored pass by pass
+        into one buffer, a steady run takes a median of 4 minor page
+        faults at quat-scale (300-sample sp-grassmannian(3,3); 3-1,389,
+        four of 28 runs above 100) and 664 at the default configuration
+        (577-771): getrusage, in-process, four runs under each of seven
+        heap layouts."""
         key = (space, m, n)
         if key not in self._images:
             self._images[key] = image_ops(
                 self.pair(space, m, n),
-                stack_members(self.family(space, m, n)).eta_field(),
+                stack_members(self.family(space, m, n)),
                 self.points(space, m, n))
         return self._images[key]
 
@@ -360,9 +416,10 @@ class _Cache:
 
     def sweep(self, space, m, n, part):
         """The job ``part``'s share of the sweep of (space, m, n): what it
-        makes of the closed jets of each pass.  "table1" gets phi, tau and
-        kappa of its grid, "cartan" what _cartan_pass returns, "poly.d2"
-        and "poly.d3" what _poly_ops returns, and "product" what
+        makes of the closed jets of each pass.  "table1" gets the scores of
+        its grid (_EigenScores.results), made pass by pass so that the
+        grid is never held whole, "cartan" what _cartan_pass returns,
+        "poly.d2" and "poly.d3" what _poly_ops returns, and "product" what
         _product_ops returns with these points as the first factor's."""
         held = self._sweeps.setdefault((space, m, n), {})
         if part not in held:
@@ -377,7 +434,10 @@ class _Cache:
                 grid = stack_members(map(stack_members,
                                          self.blocks(space, m, n)))
                 eta = grid.eta_field()
-                read["table1"] = lambda cl, c, c2: _jet_ops(eta(cl))
+                table1 = _EigenScores(len(points[0]), alpha1[0].lam,
+                                      alpha1[0].mu)
+                read["table1"] = lambda cl, c, c2: table1.add(
+                    *_jet_ops(eta(cl)))
             if wants("cartan", "cartan"):
                 forms = stack_members(alpha1[i] for i in _factor4_index(alpha1))
                 read["cartan"] = lambda cl, c, c2: _cartan_pass(pair, forms,
@@ -405,6 +465,8 @@ class _Cache:
                 return tuple(f(closed, c, c2) for f in read.values())
 
             held.update(zip(read, _chunked(pair, op, *points)))
+            if "table1" in read:
+                held["table1"] = table1.results()
         return held.pop(part)
 
 
@@ -543,15 +605,13 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     # the member axis only
     alphas = _alpha_range(space, m, n)
     blocks = cache.blocks(space, m, n)
-    first = blocks[0][0]
-    eigen = _eigen_residuals(*cache.sweep(space, m, n, "table1"),
-                             first.lam, first.mu)
+    eigen = cache.sweep(space, m, n, "table1")
     out = _eigen_claims(ids[:2], space, params, eigen, tol)
     if space == "sp-grassmannian":
         new = np.array([[alpha > m + n or mm.params["j"] > m + n
                          for mm in members]
                         for alpha, members in zip(alphas, blocks)])
-        (*_, res_tau), (*_, res_kappa) = eigen
+        (res_tau, *_), (res_kappa, *_) = eigen
         # per point: the lambda residuals, then the mu residuals
         P = len(res_tau)
         out.append(_result(

@@ -15,15 +15,18 @@ it must return a constant jet.  Every operator takes a single point
 through one call of the field: the jet's d1 holds Z(phi) per direction
 and its d2 is tau(phi) already.  A field may return a trailing member
 axis, so that one call evaluates a whole family; kappa is then the
-pairwise (Gram) matrix over the members.
+pairwise (Gram) matrix over the members.  The image pass, image_ops,
+takes the catalog's trace forms themselves, not a field: their
+derivatives along the image basis are read off one n x n matrix per
+point and member, with no curve jet.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cartan import cartan_map
-from .jets import JetMatrix, jet_ops
+from .cartan import BLOCK, cartan_map
+from .jets import JetMatrix, jet_ops, trace_form
 from .matrices import mat_exp
 
 __all__ = [
@@ -99,29 +102,80 @@ def quotient_ops(pair, field, p: np.ndarray):
     return horiz, full, kap
 
 
-def image_ops(pair, eta, p: np.ndarray):
-    """(eta(Phi(p)), tau_N(eta), kappa_N(eta, eta)) from one call of
-    eta, for eta a function on the ambient group restricted to the Cartan
-    image N: derivatives along the image basis
-    {Ad_{sigma(p)} X | X in the p-basis} at Phi(p)."""
+def image_ops(pair, phi, p: np.ndarray):
+    """(eta(Phi(p)), tau_N(eta), kappa_N(eta, eta)) for eta(y) = tr(y B) + c,
+    the trace forms of the catalog function or stack_members stack
+    ``phi``, as functions on the Cartan image N: derivatives along the
+    image basis {W = s X s^H | X in the p-basis} at y = Phi(p),
+    s = sigma(p).
+
+    eta is affine, so along y exp(tW) its first derivative is
+    tr(y W B) = tr(X N), N = s^H B (y s), and its tension
+    tr(y s C_p s^H B) = tr(C_p N), C_p the sum of X^2: one n x n matrix N
+    per point and member.  X has one nonzero per column at most
+    (pair.p_plan), so tr(X N) gathers one entry of N per nonzero of X.
+    For one-hot B = w E_ij (every u- and sp-grassmannian member) N is
+    the outer product w s^H[:, i] (y s)[j, :]; any other B takes two
+    products per point and member.  The tension is the trace form of
+    y s C_p s^H.  The points go in slices of at most cartan.BLOCK
+    entries of N, and a point's bits do not depend on its batch.
+    """
+    members, index, weights = phi.plan
+    if len(members) > 1:
+        raise ValueError("image_ops takes a function or a stack of "
+                         "functions, not a grid")
     y = cartan_map(pair, p)
-    s = pair.sigma(np.asarray(p, dtype=complex))
-    sH = np.swapaxes(s, -1, -2).conj()
-    # the curve jet (y, y W, y sum_X W^2) along W = s X s^H is the curve
-    # jet at y s along the p-basis times s^H, as sum_X W^2 = s C_p s^H for
-    # unitary s: no W is formed, and y W = (y s X) s^H is made in place,
-    # a direction at a time, so one (dim p, points, n, n) array is held
-    c = JetMatrix.curve(y @ s, pair.p_plan)
-    for a in c.d1:
-        np.matmul(a, sH, out=a)
-    jm = JetMatrix(y, c.d1, c.d2 @ sH)
-    return jet_ops(*eta(jm).broadcast_to(y.shape[:-2], pair.dim_p),
-                   np.ndim(p) - 2)
+    n = y.shape[-1]
+    pts, ys = (np.reshape(a, (-1, n, n))
+               for a in (np.asarray(p, dtype=complex), y))
+    k = int(np.prod(members))
+    if index is None:
+        B = np.reshape(phi.B, (k, n, n))
+    else:
+        # B[i, j] = w, at flat index j n + i of B^T
+        j, i = np.divmod(index, n)
+        w = weights[:, None]
+    entries, terms = _trace_gather(pair.p_plan, n)
+    tau = np.empty((len(pts),) + members, complex)
+    kappa = np.empty((len(pts), k, k), complex)
+    step = max(1, BLOCK // (k * n * n))
+    for lo in range(0, len(pts), step):
+        s = pair.sigma(pts[lo:lo + step])
+        y_s = ys[lo:lo + step] @ s
+        sH = np.swapaxes(s, -1, -2).conj()
+        tau[lo:lo + step] = trace_form((y_s @ pair.p_plan.square) @ sH,
+                                       phi.plan)
+        if index is None:
+            N = (sH[:, None] @ B) @ y_s[:, None]
+        else:
+            # rows i of s conjugated are the columns i of s^H
+            u = w * np.take(s, i, axis=-2).conj()
+            N = u[..., :, None] * np.take(y_s, j, axis=-2)[..., None, :]
+        d1 = np.take(N.reshape(len(s), k, n * n), entries, axis=-1)
+        d1 *= terms
+        d1 = d1.sum(axis=-1)
+        np.matmul(d1, np.swapaxes(d1, -1, -2), out=kappa[lo:lo + step])
+    value = trace_form(y, phi.plan) + phi.c
+    shape = y.shape[:-2]
+    kappa = kappa.reshape(shape + (k, k) if members else shape)
+    return value[()], tau.reshape(value.shape)[()], kappa[()]
 
 
-def image_tension(pair, eta, p: np.ndarray):
+def _trace_gather(plan, n):
+    """tr(X N) for every direction X of the curve plan ``plan`` as a
+    gather of the flat N: the (dirs, terms) flat indices and weights of
+    each direction's nonzero entries X[r, b], N[b, r] of N, in column
+    order, padded with zero terms."""
+    nonzero = plan.weights != 0
+    width = max(1, nonzero.sum(axis=1).max(initial=0))
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+    rows = np.take_along_axis(plan.rows, cols, axis=1)
+    return cols * n + rows, np.take_along_axis(plan.weights, cols, axis=1)
+
+
+def image_tension(pair, phi, p: np.ndarray):
     """tau_N(eta) at Phi(p); see image_ops."""
-    return image_ops(pair, eta, p)[1]
+    return image_ops(pair, phi, p)[1]
 
 
 def finite_difference_derivs(field, p: np.ndarray, Z: np.ndarray, h: float = 1e-5):

@@ -144,6 +144,74 @@ def test_eigen_claims_without_evidence_fail():
     assert all(r.passed and r.detail == "" for r in results)
 
 
+def unsliced_eigen_scores(values, tau, kappa, lam, mu):
+    """(residuals, ev, fit) of tau = lam phi and kappa = mu phi psi by the
+    formula over whole arrays: the reference the sliced scoring keeps."""
+    prod = np.einsum("...j,...k->...jk", values, values)
+    out = []
+    for x, den, ev in ((tau, values, lam), (kappa, prod, mu)):
+        ref = ev * den
+        res = np.abs(x - ref) / np.maximum(1.0, np.abs(ref))
+        num, den = x.ravel(), den.ravel()
+        mask = np.abs(den) >= 1e-3
+        d = den[mask]
+        out.append((res, ev, complex((num[mask] * d.conj()).sum()
+                                     / (np.abs(d) ** 2).sum())))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 7])
+def test_table1_scored_pass_by_pass_gives_the_unsliced_bits(monkeypatch,
+                                                           chunk):
+    # the quat-sized (300, 12, 11, 11) kappa grid is scored as the sweep
+    # makes it, in passes of CHUNK points or of 7: every field of the three
+    # table1 claims has the bits of the formula over whole arrays
+    monkeypatch.setattr(claims, "CHUNK", chunk)
+    config = RunConfig(spaces=("sp-grassmannian",), m=3, n=3, samples=300)
+    job = next(j for j in jobs_for(config) if j.kind == "table1")
+    cache = claims._Cache(config, [job])
+    got = job.run(cache)
+
+    pair, blocks = (cache.pair("sp-grassmannian", 3, 3),
+                    cache.blocks("sp-grassmannian", 3, 3))
+    grid = catalog.stack_members(map(catalog.stack_members, blocks))
+    closed = cartan.cartan_jets_closed(
+        pair, cache.points("sp-grassmannian", 3, 3))
+    values, tau, kappa = claims._jet_ops(grid.eta_field()(closed))
+    assert kappa.shape == (300, 12, 11, 11)
+    scores = unsliced_eigen_scores(values, tau, kappa, blocks[0][0].lam,
+                                   blocks[0][0].mu)
+    params = {"m": 3, "n": 3}
+    want = claims._eigen_claims(job.claim_ids[:2], "sp-grassmannian",
+                                params, scores, 1e-8)
+    new = np.array([[alpha > 6 or mm.params["j"] > 6 for mm in members]
+                    for alpha, members in enumerate(blocks, 1)])
+    (res_tau, *_), (res_kappa, *_) = scores
+    want.append(claims._result(
+        job.claim_ids[2], "sp-grassmannian", params, 300,
+        np.concatenate([res_tau[:, new],
+                        res_kappa[:, new].reshape(300, -1)], axis=1),
+        None, None, 1e-8, detail="indices j or alpha in 7..12"))
+    assert got == want
+
+
+def test_whole_array_scoring_gives_the_unsliced_bits(monkeypatch):
+    # _eigen_residuals on whole arrays, in slices of cartan.BLOCK entries
+    # of kappa, of one point and of 7: the unsliced bits
+    rng = np.random.default_rng(2)
+    values = rng.normal(size=(50, 3, 4)) + 1j * rng.normal(size=(50, 3, 4))
+    values[::7] *= 1e-4  # some entries below the fit's threshold
+    tau = -3.0 * values + 1e-12 * rng.normal(size=values.shape)
+    kappa = -0.5 * np.einsum("...j,...k->...jk", values, values)
+    want = unsliced_eigen_scores(values, tau, kappa, -3.0, -0.5)
+    for block in (claims.BLOCK, 12, 7 * 48):
+        monkeypatch.setattr(claims, "BLOCK", block)
+        for (res, ev, fit), (r, e, f) in zip(
+                claims._eigen_residuals(values, tau, kappa, -3.0, -0.5),
+                want):
+            assert np.array_equal(res, r) and (ev, fit) == (e, f)
+
+
 @pytest.fixture
 def cartan_passes(monkeypatch):
     """The direction stacks of every cartan_map_jet call, counted in each
@@ -191,14 +259,16 @@ def test_full_run_pushes_p_and_k_basis_once(cartan_passes):
     # jets of the run, in order, are along the two bases once at every
     # point, so no pass along the ambient basis or along one of the two
     # bases alone is left anywhere in the run.  At sp-grassmannian(3,3) a
-    # pass of CHUNK points holds 9.75 cartan.BLOCK, so it makes ten blocks.
+    # pass of CHUNK points holds 19.5 cartan.BLOCK, so it makes twenty
+    # blocks.
     config = RunConfig(spaces=("sp-grassmannian",), m=3, n=3, samples=CHUNK)
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     pair = make_pair("sp-grassmannian", m=3, n=3)
     size = cartan.BLOCK // (CHUNK * pair.matrix_size ** 2)
-    assert [Z.shape[-3] for Z in cartan_passes] == [size] * 9 + [78 - 9 * size]
+    assert [Z.shape[-3] for Z in cartan_passes] == ([size] * 19
+                                                     + [78 - 19 * size])
     directions = [np.concatenate(cartan_passes, axis=-3)]
     assert [passes_along(directions, basis) for basis in (
         np.concatenate([pair.p_basis, pair.k_basis]), pair.ambient.elements,
@@ -284,9 +354,10 @@ def test_only_the_eigen_outer_products_call_einsum(monkeypatch):
     for space, m, n in (("sp-grassmannian", 1, 1), ("su-sp", None, 2)):
         results = run_claims(RunConfig(spaces=(space,), m=m, n=n, samples=8))
         assert all(r.passed for r in results)
-    # table1 and prop7.1 on sp-grassmannian, table1 on su-sp
+    # table1 and prop7.1 on sp-grassmannian, table1 on su-sp, each
+    # scored in one slice
     assert sorted(callers) == [("eigenlab.bases", "square_sum")] * 4 + [
-        ("eigenlab.claims", "_eigen_residuals")] * 3
+        ("eigenlab.claims", "add")] * 3
 
 
 def _half_tension(pair, p):
@@ -513,9 +584,9 @@ def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     # every curve jet comes from JetMatrix.curve along a pair's plans: per
     # pass one for the closed-form jets along the p-basis, then the
     # first-order blocks of the Cartan pass, whose directions in order are
-    # the p- then the k-basis once, and one for the image pass over all
-    # points; sp-grassmannian(1,1) has dim p = 4, dim k = 6, so its jets
-    # hold 160 entries per point and 96 points make one pass, of two blocks
+    # the p- then the k-basis once; the image pass builds none.
+    # sp-grassmannian(1,1) has dim p = 4, dim k = 6, so its jets hold 160
+    # entries per point and 96 points make one pass
     calls = []
     curve = jets.JetMatrix.curve.__func__
 
@@ -531,10 +602,10 @@ def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     assert {size for size, _ in calls} == {3 * CHUNK}
-    (_, closed), *blocks, (_, image) = calls
+    (_, closed), *blocks = calls
     pair = make_pair("sp-grassmannian", m=1, n=1)
-    assert len(closed.rows) == len(image.rows) == 4
-    assert closed.square is not None and image.square is not None
+    assert len(closed.rows) == 4
+    assert closed.square is not None
     assert all(plan.square is None for _, plan in blocks)
     assert np.array_equal(np.concatenate([plan.rows for _, plan in blocks]),
                           pair.pk_plan.rows)

@@ -1,10 +1,13 @@
 """Tension and conformality via jets: worked examples, identities, and the
 finite-difference cross-check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eigenlab import operators
 from eigenlab.bases import group_basis, square_sum
 from eigenlab.cartan import cartan_map
 from eigenlab.catalog import family_for_space, stack_members
@@ -181,16 +184,63 @@ def w_formed_image_ops(pair, eta, p):
     (space, m, n) for space in PAIR_SPACE_ORDER
     for m, n in DEFAULT_SIZES[space]])
 def test_image_ops_matches_the_w_formed_jet(space, m, n):
-    # image_ops forms y W as (y s X) s^H and never forms W: the same jet
-    # up to the order of the products, relative to max(1, |reference|)
-    # as every claim residual is
+    # image_ops reads the derivatives off N = s^H B (y s) and never forms
+    # W: the same jet up to the order of the products, relative to
+    # max(1, |reference|) as every claim residual is; for the family and
+    # for one member
     pair = make_pair(space, m=m, n=n)
-    eta = stack_members(family_for_space(
-        space, m=m, n=n, alpha=1, rng=np.random.default_rng(4),
-        pair=pair)).eta_field()
+    family = family_for_space(space, m=m, n=n, alpha=1,
+                              rng=np.random.default_rng(4), pair=pair)
     p = random_pair_points(pair, SampleConfig(seed=17), range(8))
-    for got, ref in zip(image_ops(pair, eta, p),
-                        w_formed_image_ops(pair, eta, p)):
-        assert got.shape == ref.shape
-        assert np.all(np.abs(got - ref)
-                      <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    for phi in (stack_members(family), family[0]):
+        for got, ref in zip(image_ops(pair, phi, p),
+                            w_formed_image_ops(pair, phi.eta_field(), p)):
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref)
+                          <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("space,m,n", [
+    ("sp-grassmannian", 2, 2), ("su-so", None, 3), ("so-u", None, 3)])
+def test_a_points_image_bits_do_not_depend_on_its_batch(monkeypatch, space,
+                                                         m, n):
+    # one-hot (sp-grassmannian) and dense B alike: a point's value, tau
+    # and kappa are the same bits alone, in a batch, with two point axes,
+    # and at slices of one point, of three and of all points
+    pair = make_pair(space, m=m, n=n)
+    phi = stack_members(family_for_space(
+        space, m=m, n=n, alpha=1, rng=np.random.default_rng(5), pair=pair))
+    p = random_pair_points(pair, SampleConfig(seed=11), range(8))
+    ref = image_ops(pair, phi, p)
+    entries = len(phi.B) * pair.matrix_size ** 2
+    for points in (1, 3, len(p)):
+        monkeypatch.setattr(operators, "BLOCK", points * entries)
+        for got, want in zip(image_ops(pair, phi, p), ref):
+            assert np.array_equal(got, want)
+        grid = p.reshape((2, 4) + p.shape[1:])
+        for got, want in zip(image_ops(pair, phi, grid), ref):
+            assert np.array_equal(got.reshape(want.shape), want)
+        for k in (0, 5):
+            for got, want in zip(image_ops(pair, phi, p[k]), ref):
+                assert np.array_equal(got, want[k])
+
+
+def test_image_ops_holds_less_than_a_quarter_of_one_curve_jet():
+    # at 300 sp-grassmannian(3,3) points one (dim p, points, n, n) complex
+    # array, the curve jet the image pass no longer forms, is 24,883,200
+    # bytes; the pass's traced peak stays below a quarter of it
+    pair = make_pair("sp-grassmannian", m=3, n=3)
+    phi = stack_members(family_for_space(
+        "sp-grassmannian", m=3, n=3, alpha=1, rng=np.random.default_rng(0),
+        pair=pair))
+    p = random_pair_points(pair, SampleConfig(seed=3), range(300))
+    image_ops(pair, phi, p)
+    tracemalloc.start()
+    try:
+        image_ops(pair, phi, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = 16 * pair.dim_p * len(p) * pair.matrix_size ** 2
+    assert whole == 24_883_200
+    assert peak < whole / 4

@@ -234,13 +234,13 @@ def test_image_operators(case):
     etas = [ref_eta(mm) for mm in members]
     taus, kaps = ref_image_ops(pair, etas, pts)
     S = catalog.stack_members(members)
-    values, tau, kap = operators.image_ops(pair, S.eta_field(), pts)
+    values, tau, kap = operators.image_ops(pair, S, pts)
     close(values, [[mm.eta_value(p @ pair.sigma(p.conj().T)) for mm in members]
                    for p in pts])
     close(tau, taus)
     close(kap, kaps)
-    eta = members[0].eta_field()
-    close(operators.image_tension(pair, eta, pts), [t[0] for t in taus])
+    close(operators.image_tension(pair, members[0], pts),
+          [t[0] for t in taus])
 
 
 def test_cartan_operators(case):
