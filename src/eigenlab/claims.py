@@ -7,15 +7,15 @@ claims, samples deterministic pseudo-random points, feeds them to the
 batched operators of the library in passes sized by the Cartan jets'
 working set (_pass_size: one pass for most point sets), reads the cartan
 claims off the library's streamed Cartan pass (cartan.map_tension_raw),
-and scores each claim by the relative residual |x - ref| / max(1, |ref|)
-together with a least-squares fit of the eigenvalue (the ratio
-tau(phi)/phi fitted over samples with |phi| >= 1e-3).  Reports do not
-depend on the pass size nor on the Cartan pass's blocks.
+and scores each claim by the relative residual |x - ref| / max(1, |ref|).
+Every eigenvalue claim is scored by one streaming scorer (_EigenScores),
+which also fits the eigenvalue by least squares (the ratio tau(phi)/phi
+over samples with |phi| >= 1e-3) from sums made per point.  Reports do
+not depend on the pass size nor on the Cartan pass's blocks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import ambient, catalog
 from .bases import square_sum
 # cartan_map_jet is not called here; perfbench's tracer test rebinds it here
-from .cartan import (BLOCK, cartan_jets_closed, cartan_map, cartan_map_jet,
+from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
                      map_tension_raw, pullback_ratio, tangential_residual)
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
@@ -234,60 +234,54 @@ def _eigen_ids(prefix, params):
 class _EigenScores:
     """The lambda and mu claims of one family, tau = lam phi and
     kappa = mu phi psi, scored slice by slice as its points arrive (add),
-    in point order.  Each claim gets, in one float buffer made at the
-    first slice for all ``points``, its residuals _rel(x, ev den), then
-    the terms of the least-squares fit of ev, num conj(den) and |den|^2
-    over the entries with |den| >= 10^FIT_DECADE, in order.  No temporary
-    spans more than a slice, and each reduction runs over the array that
-    the formula over whole arrays reduces, in its order, and gives its
-    bits."""
+    in point order.  Each claim keeps its residuals _rel(x, ev den), point
+    major, and per point the two sums of the least-squares fit of ev,
+    x conj(den) and |den|^2 over the point's entries with
+    |den| >= 10^FIT_DECADE, each reduced along the point's own row;
+    results() sums them over the points.  No temporary spans more than a
+    slice, and no bit depends on how the points are sliced."""
 
     def __init__(self, points, lam, mu):
         self.points, self.evs = points, (lam, mu)
-        self.done, self.counts, self.parts = 0, [0, 0], []
+        self.done, self.parts = 0, []
 
     def add(self, values, tau, kappa):
         """Score the next len(values) points."""
-        if not self.parts:
-            shapes = [(self.points,) + np.shape(x)[1:] for x in (tau, kappa)]
-            buf = np.empty(4 * sum(map(math.prod, shapes)))
-            at = 0
-            for shape in shapes:
-                size = math.prod(shape)
-                self.parts.append((buf[at:at + size].reshape(shape),
-                                   buf[at + size:at + 3 * size].view(complex),
-                                   buf[at + 3 * size:at + 4 * size]))
-                at += 4 * size
         lo, self.done = self.done, self.done + len(values)
         prod = np.einsum("...j,...k->...jk", values, values)
         for k, (x, den) in enumerate(((tau, values), (kappa, prod))):
+            if len(self.parts) == k:
+                self.parts.append((np.empty((self.points,) + np.shape(x)[1:]),
+                                   np.empty(self.points, complex),
+                                   np.empty(self.points)))
             res, num, sq = self.parts[k]
             res[lo:self.done] = _rel(x, self.evs[k] * den)
             mod = np.abs(den)
-            mask = mod >= 10.0 ** FIT_DECADE
-            start = self.counts[k]
-            self.counts[k] += np.count_nonzero(mask)
-            num[start:self.counts[k]] = x[mask] * den[mask].conj()
-            sq[start:self.counts[k]] = mod[mask] ** 2
+            keep = mod >= 10.0 ** FIT_DECADE
+            # not x * den.conj(): numpy may then reuse the temporary conj
+            # and multiply in the other order, which for complex numbers
+            # is not the same bits
+            num[lo:self.done] = _row_sums(
+                np.where(keep, np.multiply(x, den.conj()), 0))
+            sq[lo:self.done] = _row_sums(np.where(keep, mod ** 2, 0.0))
 
     def results(self):
         """(residuals, ev, fit) of each claim; no fit if no entry had
         |den| large enough."""
-        return [(res, ev, complex(num[:c].sum() / sq[:c].sum()) if c
-                 else None)
-                for (res, num, sq), ev, c in zip(self.parts, self.evs,
-                                                 self.counts)]
+        return [(res, ev, complex(num.sum() / sq.sum()) if sq.any() else None)
+                for (res, num, sq), ev in zip(self.parts, self.evs)]
+
+
+def _row_sums(a):
+    """The sum of each point's entries of ``a``, along its own row."""
+    return a.reshape(len(a), -1).sum(axis=1)
 
 
 def _eigen_residuals(values, tau, kappa, lam, mu):
     """The _EigenScores results of tau = lam phi, then of
-    kappa = mu phi psi, in slices of cartan.BLOCK entries of kappa."""
-    P = len(values)
-    step = max(1, BLOCK * P // max(1, np.size(kappa)))
-    scores = _EigenScores(P, lam, mu)
-    for lo in range(0, P, step):
-        scores.add(values[lo:lo + step], tau[lo:lo + step],
-                   kappa[lo:lo + step])
+    kappa = mu phi psi, over whole arrays."""
+    scores = _EigenScores(len(values), lam, mu)
+    scores.add(values, tau, kappa)
     return scores.results()
 
 
@@ -312,37 +306,11 @@ def _pass_size(pair):
     return max(CHUNK, BUDGET // (D * pair.matrix_size ** 2))
 
 
-def _chunked(pair, op, *points):
-    """``op`` over _pass_size(pair) points at a time, each array of its
-    output tuple (or of its nested tuples) written into one array over
-    all points, made at the first pass: no part is held past its pass.
-    A None output, a part that its reader keeps itself, stays None."""
-    size, total = _pass_size(pair), len(points[0])
-
-    def fill(out, part, lo):
-        if part is None:
-            return None
-        if type(part) is tuple:
-            return tuple(fill(o, q, lo) for o, q in
-                         zip(out or (None,) * len(part), part))
-        if out is None:
-            out = np.empty((total,) + part.shape[1:], part.dtype)
-        out[lo:lo + len(part)] = part
-        return out
-
-    out = None
-    for lo in range(0, total, size):
-        out = fill(out, op(*(p[lo:lo + size] for p in points)), lo)
-    return out
-
-
 class _Cache:
     """Per-run cache of pairs, point samples, families, image passes and
     sweeps, keyed by (space, m, n) and, for families, alpha or degree.  A
     sweep of a point set calls cartan_jets_closed once per pass for every
-    job that reads it: table1, the cartan job and, on their point sets,
-    the polynomial and product jobs, if ``jobs`` holds them (their kind
-    and space); each part is dropped once read."""
+    job that reads it (sweep)."""
 
     def __init__(self, config: RunConfig, jobs):
         self.config = config
@@ -385,13 +353,15 @@ class _Cache:
         eta(y) = tr(y B) + c of the alpha = 1 family along the image basis
         at Phi(p), for prop7.1 and cartan.factor4.  Image passes push no
         Cartan jets, form no curve jet and stream their points in slices
-        of at most cartan.BLOCK entries (operators.image_ops).  With the
-        sweep filling its outputs in place and table1 scored pass by pass
-        into one buffer, a steady run takes a median of 4 minor page
-        faults at quat-scale (300-sample sp-grassmannian(3,3); 3-1,389,
-        four of 28 runs above 100) and 664 at the default configuration
-        (577-771): getrusage, in-process, four runs under each of seven
-        heap layouts."""
+        of at most cartan.BLOCK entries (operators.image_ops).  No array
+        of a run is then larger than table1's kappa residuals (3.5 MB at
+        quat-scale, 300-sample sp-grassmannian(3,3)), and glibc, which
+        sizes its mmap and trim thresholds by the largest block freed,
+        maps those afresh and returns the heap's top between runs: a
+        steady run takes a median of 2,097 minor page faults at
+        quat-scale (1,536-3,881) and 3,910 at the default configuration
+        (675-4,472), by getrusage, in-process, nine runs under each of
+        four heap layouts."""
         key = (space, m, n)
         if key not in self._images:
             self._images[key] = image_ops(
@@ -415,58 +385,80 @@ class _Cache:
         return self._families[key]
 
     def sweep(self, space, m, n, part):
-        """The job ``part``'s share of the sweep of (space, m, n): what it
-        makes of the closed jets of each pass.  "table1" gets the scores of
-        its grid (_EigenScores.results), made pass by pass so that the
-        grid is never held whole, "cartan" what _cartan_pass returns,
-        "poly.d2" and "poly.d3" what _poly_ops returns, and "product" what
-        _product_ops returns with these points as the first factor's."""
+        """The job ``part``'s share of the sweep of (space, m, n).  The
+        sweep walks the point set in passes of _pass_size(pair) points and
+        hands each pass's closed jets (one cartan_jets_closed call) to a
+        sink per job that reads them: ``part``'s, and those of the jobs
+        that ``jobs`` holds (their kind and space) among table1, the
+        cartan job and, on their point sets, the polynomial and product
+        jobs.  "table1", "poly.d2", "poly.d3" and "product" (with these
+        points as the first factor's) each feed their own _EigenScores
+        pass by pass and get its results, so no kappa grid is held whole;
+        "cartan" gets what _cartan_pass returns, written in place into one
+        array per output over the point set.  Each share is dropped once
+        read."""
         held = self._sweeps.setdefault((space, m, n), {})
         if part not in held:
             pair, alpha1 = self.pair(space, m, n), self.family(space, m, n)
-            points = [self.points(space, m, n)]
-            read = {}
+            points = self.points(space, m, n)
+            P = len(points)
+            # each sink: (feed(lo, closed, points of the pass), result())
+            sinks = {}
 
             def wants(name, kind, job_space=space):
                 return part == name or (kind, job_space) in self._jobs
 
+            def scored(lam, mu, ops):
+                scores = _EigenScores(P, lam, mu)
+                return (lambda lo, cl, c: scores.add(*ops(lo, cl, c)),
+                        scores.results)
+
             if wants("table1", "table1"):
-                grid = stack_members(map(stack_members,
-                                         self.blocks(space, m, n)))
-                eta = grid.eta_field()
-                table1 = _EigenScores(len(points[0]), alpha1[0].lam,
-                                      alpha1[0].mu)
-                read["table1"] = lambda cl, c, c2: table1.add(
-                    *_jet_ops(eta(cl)))
+                eta = stack_members(map(stack_members, self.blocks(
+                    space, m, n))).eta_field()
+                sinks["table1"] = scored(alpha1[0].lam, alpha1[0].mu,
+                                         lambda lo, cl, c: _jet_ops(eta(cl)))
             if wants("cartan", "cartan"):
                 forms = stack_members(alpha1[i] for i in _factor4_index(alpha1))
-                read["cartan"] = lambda cl, c, c2: _cartan_pass(pair, forms,
-                                                                c, cl)
+                out = []
+
+                def cartan(lo, cl, c):
+                    for i, a in enumerate(_cartan_pass(pair, forms, c, cl)):
+                        if len(out) == i:
+                            out.append(np.empty((P,) + a.shape[1:], a.dtype))
+                        out[i][lo:lo + len(a)] = a
+
+                sinks["cartan"] = (cartan, lambda: tuple(out))
             for d in POLY_DEGREES if (space, m, n) in POLY_SPACES else ():
                 if wants(f"poly.d{d}", "poly", "polynomial"):
                     PF = self.polynomial(space, m, n, d)
                     forms_d = stack_members(PF.members[0].base)
-                    read[f"poly.d{d}"] = (lambda cl, c, c2, PF=PF, f=forms_d:
-                                          _poly_ops(PF, f, cl))
+                    sinks[f"poly.d{d}"] = scored(
+                        PF.lam, PF.mu, lambda lo, cl, c, PF=PF, f=forms_d:
+                        _poly_ops(PF, f, cl))
             if (space, m, n) == PRODUCT_SPACE and wants("product", "product",
                                                         "product"):
                 F = base_family(alpha1)
                 PF = product_family(F, F)
                 factors = (stack_members(mm.f1 for mm in PF.members),
                            stack_members(mm.f2 for mm in PF.members))
-                P = len(points[0])
-                points.append(random_pair_points(pair, self.scfg,
-                                                 range(P, 2 * P)))
-                read["product"] = lambda cl, c, c2: _product_ops(
-                    factors, cl, cartan_jets_closed(pair, c2))
+                second = random_pair_points(pair, self.scfg, range(P, 2 * P))
+                sinks["product"] = scored(
+                    PF.lam, PF.mu, lambda lo, cl, c: _product_ops(
+                        factors, cl, cartan_jets_closed(
+                            pair, second[lo:lo + len(c)])))
 
-            def op(c, c2=None):
+            size = _pass_size(pair)
+            for lo in range(0, P, size):
+                c = points[lo:lo + size]
                 closed = cartan_jets_closed(pair, c)
-                return tuple(f(closed, c, c2) for f in read.values())
-
-            held.update(zip(read, _chunked(pair, op, *points)))
-            if "table1" in read:
-                held["table1"] = table1.results()
+                for feed, _ in sinks.values():
+                    feed(lo, closed, c)
+                # freed before the next pass's jets are made: holding both
+                # at once made quat-scale runs about 8% slower
+                del closed
+            held.update((name, result()) for name, (_, result)
+                        in sinks.items())
         return held.pop(part)
 
 
@@ -690,19 +682,17 @@ def _run_cartan(config: RunConfig, cache: _Cache, ids, params, space, m, n,
 
 def _run_poly(config: RunConfig, cache: _Cache, ids, params, space, m, n, d):
     PF = cache.polynomial(space, m, n, d)
-    eigen = _eigen_residuals(*cache.sweep(space, m, n, f"poly.d{d}"),
-                             PF.lam, PF.mu)
-    return _eigen_claims(ids, space, params, eigen, _tol(config, 1e-7),
+    return _eigen_claims(ids, space, params,
+                         cache.sweep(space, m, n, f"poly.d{d}"),
+                         _tol(config, 1e-7),
                          (f"{len(PF.members)} monomials of degree {d}", ""))
 
 
 def _run_product(config: RunConfig, cache: _Cache, ids, params, space, m, n):
-    F = base_family(cache.family(space, m, n))
-    PF = product_family(F, F)
     detail = f"{space_label(space, m, n)} x {space_label(space, m, n)}"
-    return _eigen_claims(ids, "product", params, _eigen_residuals(
-        *cache.sweep(space, m, n, "product"), PF.lam, PF.mu),
-        _tol(config, 1e-8), (detail, detail))
+    return _eigen_claims(ids, "product", params,
+                         cache.sweep(space, m, n, "product"),
+                         _tol(config, 1e-8), (detail, detail))
 
 
 def _run_sphere(config: RunConfig, cache: _Cache, ids, params, n):

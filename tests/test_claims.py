@@ -146,7 +146,9 @@ def test_eigen_claims_without_evidence_fail():
 
 def unsliced_eigen_scores(values, tau, kappa, lam, mu):
     """(residuals, ev, fit) of tau = lam phi and kappa = mu phi psi by the
-    formula over whole arrays: the reference the sliced scoring keeps."""
+    formula over whole arrays, whose fit sums every entry with
+    |den| >= 1e-3 in one reduction: the scorer's residuals have its bits,
+    its fits agree to FIT_RTOL."""
     prod = np.einsum("...j,...k->...jk", values, values)
     out = []
     for x, den, ev in ((tau, values, lam), (kappa, prod, mu)):
@@ -160,13 +162,48 @@ def unsliced_eigen_scores(values, tau, kappa, lam, mu):
     return out
 
 
-@pytest.mark.parametrize("chunk", [CHUNK, 7])
-def test_table1_scored_pass_by_pass_gives_the_unsliced_bits(monkeypatch,
-                                                           chunk):
+def per_point_eigen_scores(values, tau, kappa, lam, mu):
+    """(residuals, ev, fit) with each point scored alone: its fit's two
+    sums over its own entries with |den| >= 1e-3, then summed over the
+    points.  The reference of the scorer's bits."""
+    parts = [([], [], []), ([], [], [])]
+    for v, t, k in zip(values, tau, kappa):
+        prod = np.einsum("...j,...k->...jk", v, v)
+        for (res, num, sq), x, den, ev in zip(parts, (t, k), (v, prod),
+                                              (lam, mu)):
+            ref = ev * den
+            res.append(np.abs(x - ref) / np.maximum(1.0, np.abs(ref)))
+            x, den = x.ravel(), den.ravel()
+            keep = np.abs(den) >= 1e-3
+            num.append(np.where(keep, np.multiply(x, den.conj()), 0).sum())
+            sq.append(np.where(keep, np.abs(den) ** 2, 0.0).sum())
+    return [(np.array(res), ev, complex(np.sum(num) / np.sum(sq)))
+            for (res, num, sq), ev in zip(parts, (lam, mu))]
+
+
+# The scorer's fits against the whole-array formula's, which sums the same
+# terms in another order (the worst seen is 4e-16, on the default reports
+# at seeds 0 and 1).
+FIT_RTOL = 2e-15
+
+
+def assert_scores_match(got, per_point, unsliced):
+    assert len(got) == len(per_point) == len(unsliced) == 2
+    for (res, ev, fit), (r, e, f), (r0, e0, f0) in zip(got, per_point,
+                                                       unsliced):
+        assert np.array_equal(res, r) and np.array_equal(res, r0)
+        assert ev == e == e0 and fit == f
+        assert abs(fit - f0) <= FIT_RTOL * abs(f0)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 7, 1])
+def test_table1_scores_do_not_depend_on_the_pass_size(monkeypatch, chunk):
     # the quat-sized (300, 12, 11, 11) kappa grid is scored as the sweep
-    # makes it, in passes of CHUNK points or of 7: every field of the three
-    # table1 claims has the bits of the formula over whole arrays
+    # makes it, in passes of CHUNK points, of 7 or of 1: every field of the
+    # three table1 claims has the bits of each point scored alone, and
+    # each fit is the whole-array formula's up to FIT_RTOL
     monkeypatch.setattr(claims, "CHUNK", chunk)
+    monkeypatch.setattr(claims, "BUDGET", 0)
     config = RunConfig(spaces=("sp-grassmannian",), m=3, n=3, samples=300)
     job = next(j for j in jobs_for(config) if j.kind == "table1")
     cache = claims._Cache(config, [job])
@@ -179,8 +216,8 @@ def test_table1_scored_pass_by_pass_gives_the_unsliced_bits(monkeypatch,
         pair, cache.points("sp-grassmannian", 3, 3))
     values, tau, kappa = claims._jet_ops(grid.eta_field()(closed))
     assert kappa.shape == (300, 12, 11, 11)
-    scores = unsliced_eigen_scores(values, tau, kappa, blocks[0][0].lam,
-                                   blocks[0][0].mu)
+    args = (values, tau, kappa, blocks[0][0].lam, blocks[0][0].mu)
+    scores = per_point_eigen_scores(*args)
     params = {"m": 3, "n": 3}
     want = claims._eigen_claims(job.claim_ids[:2], "sp-grassmannian",
                                 params, scores, 1e-8)
@@ -193,23 +230,57 @@ def test_table1_scored_pass_by_pass_gives_the_unsliced_bits(monkeypatch,
                         res_kappa[:, new].reshape(300, -1)], axis=1),
         None, None, 1e-8, detail="indices j or alpha in 7..12"))
     assert got == want
+    assert_scores_match(scores, scores, unsliced_eigen_scores(*args))
 
 
-def test_whole_array_scoring_gives_the_unsliced_bits(monkeypatch):
-    # _eigen_residuals on whole arrays, in slices of cartan.BLOCK entries
-    # of kappa, of one point and of 7: the unsliced bits
+def _noisy_grid(points):
+    """A (points, 12, 11) family grid with its tau and its
+    (points, 12, 11, 11) kappa, off by noise; some entries fall below the
+    fit's threshold."""
     rng = np.random.default_rng(2)
-    values = rng.normal(size=(50, 3, 4)) + 1j * rng.normal(size=(50, 3, 4))
-    values[::7] *= 1e-4  # some entries below the fit's threshold
+    values = (rng.normal(size=(points, 12, 11))
+              + 1j * rng.normal(size=(points, 12, 11)))
+    values[::7] *= 1e-4
     tau = -3.0 * values + 1e-12 * rng.normal(size=values.shape)
     kappa = -0.5 * np.einsum("...j,...k->...jk", values, values)
-    want = unsliced_eigen_scores(values, tau, kappa, -3.0, -0.5)
-    for block in (claims.BLOCK, 12, 7 * 48):
-        monkeypatch.setattr(claims, "BLOCK", block)
-        for (res, ev, fit), (r, e, f) in zip(
-                claims._eigen_residuals(values, tau, kappa, -3.0, -0.5),
-                want):
-            assert np.array_equal(res, r) and (ev, fit) == (e, f)
+    return values, tau, kappa
+
+
+def _scored(points, step, values, tau, kappa):
+    scores = claims._EigenScores(points, -3.0, -0.5)
+    for lo in range(0, points, step):
+        scores.add(values[lo:lo + step], tau[lo:lo + step],
+                   kappa[lo:lo + step])
+    return scores.results()
+
+
+def test_eigen_scores_do_not_depend_on_the_slices():
+    # at a (50, 12, 11, 11) kappa grid, where slices of 12 points or more
+    # put conj(den) over numpy's 256 KB threshold for reusing temporaries,
+    # slices of 1, 7 and 12 points and of all 50 give the bits of each
+    # point scored alone, and _eigen_residuals, one slice, gives them too
+    grid = _noisy_grid(50)
+    per_point = per_point_eigen_scores(*grid, -3.0, -0.5)
+    unsliced = unsliced_eigen_scores(*grid, -3.0, -0.5)
+    for step in (1, 7, 12, 50):
+        assert_scores_match(_scored(50, step, *grid), per_point, unsliced)
+    assert_scores_match(_eigen_residuals(*grid, -3.0, -0.5), per_point,
+                        unsliced)
+
+
+def test_scoring_a_quat_sized_grid_holds_little_past_its_residuals():
+    # scoring the (300, 12, 11, 11) kappa grid in passes of CHUNK points
+    # keeps its residuals, 3.5 MiB, two sums per point and claim and one
+    # pass's temporaries: its tracemalloc peak stays below 8 MiB
+    grid = _noisy_grid(300)
+    _scored(300, CHUNK, *grid)
+    tracemalloc.start()
+    try:
+        _scored(300, CHUNK, *grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.fixture
