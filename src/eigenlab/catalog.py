@@ -161,12 +161,30 @@ def table_eigenvalues(space: str, m=None, n=None):
     raise ValueError(f"unknown space {space!r}")
 
 
-def _check_indices(j, alpha, upper):
-    if not (1 <= j <= upper and 1 <= alpha <= upper):
-        raise ValueError(f"indices must lie in 1..{upper}")
+def _index_form(space: str, m: int, n: int, j: int, alpha: int, pair, S,
+                scale: float) -> Eigenfunction:
+    """psi_{j,alpha}(q) = scale (q S conj(q)^t + I)_{j,alpha}, S a signature,
+    1-based indices, j != alpha: tr(Phi B) with Phi = q S conj(q)^t S and
+    B = scale S_aa E_{alpha j}."""
+    if not (1 <= j <= len(S) and 1 <= alpha <= len(S)):
+        raise ValueError(f"indices must lie in 1..{len(S)}")
     if j == alpha:
         raise ValueError("j = alpha is excluded; the identities are claimed "
                          "only for j, k != alpha")
+    pair = pair or make_pair(space, m=m, n=n)
+    B = scale * S[alpha - 1, alpha - 1] * basis_E(len(S), alpha, j)
+    lam, mu = table_eigenvalues(space, m, n)
+    pos = np.flatnonzero(np.diag(S).real > 0)
+
+    def direct(q):
+        # Expansion in the entries q[., r] with S_rr = +1; uses
+        # unitarity of q, so it is an independent route to the same value.
+        return complex(2 * scale * (q[j - 1, pos] @ q[alpha - 1, pos].conj()))
+
+    return Eigenfunction(
+        space=space, name=f"psi[{j},{alpha}]", pair=pair,
+        B=B, c=0.0, lam=lam, mu=mu,
+        params={"m": m, "n": n, "j": j, "alpha": alpha}, direct=direct)
 
 
 def quat_grassmannian_psi(m: int, n: int, j: int, alpha: int,
@@ -175,46 +193,16 @@ def quat_grassmannian_psi(m: int, n: int, j: int, alpha: int,
     quaternionic Grassmannian, S the doubled signature; 1-based indices,
     j != alpha.  (lambda, mu) = (-2(m+n), -1) on the family of fixed alpha.
     """
-    N = 2 * (m + n)
-    _check_indices(j, alpha, N)
-    pair = pair or make_pair("sp-grassmannian", m=m, n=n)
-    S = i_signature_doubled(m, n)
-    # tr(Phi B): Phi = q S conj(q)^t S, so B = S_aa E_{alpha j} / 2.
-    B = 0.5 * S[alpha - 1, alpha - 1] * basis_E(N, alpha, j)
-    lam, mu = table_eigenvalues("sp-grassmannian", m, n)
-
-    def direct(q):
-        # Expansion in matrix entries; uses unitarity of q, so it is an
-        # independent route to the same value.
-        r1 = slice(0, m)
-        r2 = slice(m + n, 2 * m + n)
-        return complex(q[j - 1, r1] @ q[alpha - 1, r1].conj()
-                       + q[j - 1, r2] @ q[alpha - 1, r2].conj())
-
-    return Eigenfunction(
-        space="sp-grassmannian", name=f"psi[{j},{alpha}]", pair=pair,
-        B=B, c=0.0, lam=lam, mu=mu,
-        params={"m": m, "n": n, "j": j, "alpha": alpha}, direct=direct)
+    return _index_form("sp-grassmannian", m, n, j, alpha, pair,
+                       i_signature_doubled(m, n), 0.5)
 
 
 def complex_grassmannian_psi(m: int, n: int, j: int, alpha: int,
                              pair: SymmetricPair | None = None) -> Eigenfunction:
     """psi_{j,alpha}(z) = (z S conj(z)^t + I)_{j,alpha} on the complex
     Grassmannian, S = diag(I_m, -I_n); (lambda, mu) = (-2(m+n), -2)."""
-    N = m + n
-    _check_indices(j, alpha, N)
-    pair = pair or make_pair("u-grassmannian", m=m, n=n)
-    S = i_signature(m, n)
-    B = S[alpha - 1, alpha - 1] * basis_E(N, alpha, j)
-    lam, mu = table_eigenvalues("u-grassmannian", m, n)
-
-    def direct(z):
-        return complex(2.0 * (z[j - 1, :m] @ z[alpha - 1, :m].conj()))
-
-    return Eigenfunction(
-        space="u-grassmannian", name=f"psi[{j},{alpha}]", pair=pair,
-        B=B, c=0.0, lam=lam, mu=mu,
-        params={"m": m, "n": n, "j": j, "alpha": alpha}, direct=direct)
+    return _index_form("u-grassmannian", m, n, j, alpha, pair,
+                       i_signature(m, n), 1.0)
 
 
 def real_grassmannian_psi(m: int, n: int, a,
@@ -320,16 +308,12 @@ def family_for_space(space: str, m=None, n=None, alpha: int = 1,
     functions come from parameter vectors.  Random parameters come from
     ``rng`` (default: seeded fresh)."""
     rng = rng or np.random.default_rng(2024)
-    if space == "sp-grassmannian":
+    if space in ("sp-grassmannian", "u-grassmannian"):
         pair = pair or make_pair(space, m=m, n=n)
-        N = 2 * (m + n)
-        return [quat_grassmannian_psi(m, n, j, alpha, pair=pair)
-                for j in range(1, N + 1) if j != alpha]
-    if space == "u-grassmannian":
-        pair = pair or make_pair(space, m=m, n=n)
-        N = m + n
-        return [complex_grassmannian_psi(m, n, j, alpha, pair=pair)
-                for j in range(1, N + 1) if j != alpha]
+        quat = space == "sp-grassmannian"
+        psi = quat_grassmannian_psi if quat else complex_grassmannian_psi
+        return [psi(m, n, j, alpha, pair=pair)
+                for j in range(1, (1 + quat) * (m + n) + 1) if j != alpha]
     if space == "so-grassmannian":
         a = random_isotropic_vector(m + n, rng)
         return [real_grassmannian_psi(m, n, a, pair=pair)]

@@ -3,15 +3,16 @@
 Every identity the library asserts has a stable claim id (for example
 "table1.row10.lambda[m=1,n=1]" or "cartan.harmonic[space=su-so,n=2]") so
 that reports diff meaningfully between runs.  The engine registers the
-claims, samples deterministic pseudo-random points, feeds them to the
-batched operators of the library in passes sized by the Cartan jets'
-working set (_pass_size: one pass for most point sets), reads the cartan
-claims off the library's streamed Cartan pass (cartan.map_tension_raw),
-and scores each claim by the relative residual |x - ref| / max(1, |ref|).
-Every eigenvalue claim is scored by one streaming scorer (_EigenScores),
-which also fits the eigenvalue by least squares (the ratio tau(phi)/phi
-over samples with |phi| >= 1e-3) from sums made per point.  Reports do
-not depend on the pass size nor on the Cartan pass's blocks.
+claims and scores each by the relative residual |x - ref| / max(1, |ref|).
+Each point set (space, m, n) of a symmetric pair is drawn once and walked
+once (_Cache.sweep), in passes sized by the Cartan jets' working set
+(_pass_size: one pass for most point sets); every job on the set reads
+its share of each pass: the closed jets, the image pass and the
+library's streamed Cartan pass (cartan.map_tension_raw).  Every
+eigenvalue claim is scored by one streaming scorer (_EigenScores), which
+also fits the eigenvalue by least squares (the ratio tau(phi)/phi over
+samples with |phi| >= 1e-3) from sums made per point.  Reports do not
+depend on the pass size nor on the Cartan pass's blocks.
 """
 
 from __future__ import annotations
@@ -184,10 +185,11 @@ class Job:
 
     ``kind`` names its suite, the first part of each of its claim ids:
     "basis", "table1", "prop7", "cartan", "poly", "product", "sphere" or
-    "cpn"."""
+    "cpn".  ``space`` is the point set (space, m, n) that a job on a
+    symmetric pair reads, else its selector ("basis", "sphere", "cpn")."""
 
     claim_ids: tuple
-    space: str
+    space: str | tuple
     run: Callable = field(repr=False)
 
     @property
@@ -286,7 +288,7 @@ def _eigen_residuals(values, tau, kappa, lam, mu):
 
 
 def _eigen_claims(ids, space, params, scores, tol, details=("", "")):
-    """The lambda and mu claims of one family from its _eigen_residuals.
+    """The lambda and mu claims of one family from its _EigenScores results.
     A claim with no eigenvalue fit fails: its residuals are small only
     because phi is."""
     out = []
@@ -307,68 +309,35 @@ def _pass_size(pair):
 
 
 class _Cache:
-    """Per-run cache of pairs, point samples, families, image passes and
-    sweeps, keyed by (space, m, n) and, for families, alpha or degree.  A
-    sweep of a point set calls cartan_jets_closed once per pass for every
-    job that reads it (sweep)."""
+    """Per-run cache of pairs, families and sweeps, keyed by (space, m, n)
+    and, for families, alpha or degree.  sweep is the one walk over a
+    point set; no runner touches the points."""
 
     def __init__(self, config: RunConfig, jobs):
         self.config = config
         self.scfg = SampleConfig(seed=config.seed)
+        # (kind, point set) of each job; a point set is (space, m, n)
         self._jobs = {(job.kind, job.space) for job in jobs}
-        self._pairs = {}
-        self._points = {}
-        self._families = {}
-        self._images = {}
+        self._built = {}
         self._sweeps = {}
 
-    def pair(self, space, m, n):
-        key = (space, m, n)
-        if key not in self._pairs:
-            self._pairs[key] = (make_pair(space, n=n) if m is None
-                                else make_pair(space, m=m, n=n))
-        return self._pairs[key]
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
-    def points(self, space, m, n):
-        key = (space, m, n)
-        if key not in self._points:
-            pair = self.pair(space, m, n)
-            self._points[key] = random_pair_points(
-                pair, self.scfg, range(self.config.samples))
-        return self._points[key]
+    def pair(self, space, m, n):
+        return self._once((space, m, n), lambda: make_pair(space, n=n)
+                          if m is None else make_pair(space, m=m, n=n))
 
     def family(self, space, m, n, alpha=1):
         """The fixed-alpha family of a space, built once per run: table1,
         the cartan suite and the image pass all read the alpha = 1 one."""
-        key = (space, m, n, alpha)
-        if key not in self._families:
-            pair = self.pair(space, m, n)
-            rng = rng_for(f"{pair.label()}:param", self.config.seed, 0)
-            self._families[key] = tuple(catalog.family_for_space(
-                space, m=m, n=n, alpha=alpha, rng=rng, pair=pair))
-        return self._families[key]
-
-    def image(self, space, m, n):
-        """eta values, tau_N and kappa_N of the affine functionals
-        eta(y) = tr(y B) + c of the alpha = 1 family along the image basis
-        at Phi(p), for prop7.1 and cartan.factor4.  Image passes push no
-        Cartan jets, form no curve jet and stream their points in slices
-        of at most cartan.BLOCK entries (operators.image_ops).  No array
-        of a run is then larger than table1's kappa residuals (3.5 MB at
-        quat-scale, 300-sample sp-grassmannian(3,3)), and glibc, which
-        sizes its mmap and trim thresholds by the largest block freed,
-        maps those afresh and returns the heap's top between runs: a
-        steady run takes a median of 2,097 minor page faults at
-        quat-scale (1,536-3,881) and 3,910 at the default configuration
-        (675-4,472), by getrusage, in-process, nine runs under each of
-        four heap layouts."""
-        key = (space, m, n)
-        if key not in self._images:
-            self._images[key] = image_ops(
-                self.pair(space, m, n),
-                stack_members(self.family(space, m, n)),
-                self.points(space, m, n))
-        return self._images[key]
+        pair = self.pair(space, m, n)
+        return self._once((space, m, n, alpha), lambda: tuple(
+            catalog.family_for_space(space, m=m, n=n, alpha=alpha, pair=pair,
+                                     rng=rng_for(f"{pair.label()}:param",
+                                                 self.config.seed, 0))))
 
     def blocks(self, space, m, n):
         """The fixed-alpha families of a space, one per alpha."""
@@ -378,82 +347,76 @@ class _Cache:
     def polynomial(self, space, m, n, d):
         """The degree-d polynomial family over the alpha = 1 family of a
         space, built once per run."""
-        key = (space, m, n, f"d{d}")
-        if key not in self._families:
-            self._families[key] = polynomial_family(
-                base_family(self.family(space, m, n)), d)
-        return self._families[key]
+        return self._once((space, m, n, f"d{d}"), lambda: polynomial_family(
+            base_family(self.family(space, m, n)), d))
 
     def sweep(self, space, m, n, part):
-        """The job ``part``'s share of the sweep of (space, m, n).  The
-        sweep walks the point set in passes of _pass_size(pair) points and
-        hands each pass's closed jets (one cartan_jets_closed call) to a
-        sink per job that reads them: ``part``'s, and those of the jobs
-        that ``jobs`` holds (their kind and space) among table1, the
-        cartan job and, on their point sets, the polynomial and product
-        jobs.  "table1", "poly.d2", "poly.d3" and "product" (with these
-        points as the first factor's) each feed their own _EigenScores
-        pass by pass and get its results, so no kappa grid is held whole;
-        "cartan" gets what _cartan_pass returns, written in place into one
-        array per output over the point set.  Each share is dropped once
-        read."""
+        """The job ``part``'s share of the sweep of (space, m, n), which
+        draws the point set once (and, for the cartan job, one point of K
+        per point if dim k > 0) and walks it in passes of _pass_size(pair)
+        points.  Each pass makes the closed jets (cartan_jets_closed) and,
+        if prop7.1 or the cartan job reads the set, the image pass of the
+        alpha = 1 stack (image_ops), and feeds them to a sink per job on
+        the set: ``part``'s and those of ``jobs``.  "table1", "prop7.1",
+        "poly.d2", "poly.d3" and "product" (these points as its first
+        factor's) each feed their own _EigenScores, so no kappa grid is
+        held whole; "cartan" gets _cartan_sink's arrays.  Each share is
+        dropped once read."""
         held = self._sweeps.setdefault((space, m, n), {})
         if part not in held:
             pair, alpha1 = self.pair(space, m, n), self.family(space, m, n)
-            points = self.points(space, m, n)
-            P = len(points)
-            # each sink: (feed(lo, closed, points of the pass), result())
+            P = self.config.samples
+            points = random_pair_points(pair, self.scfg, range(P))
+            # each sink: (feed(lo, points, closed, image), result())
             sinks = {}
 
-            def wants(name, kind, job_space=space):
-                return part == name or (kind, job_space) in self._jobs
+            def wants(name, kind):
+                return part == name or (kind, (space, m, n)) in self._jobs
 
             def scored(lam, mu, ops):
                 scores = _EigenScores(P, lam, mu)
-                return (lambda lo, cl, c: scores.add(*ops(lo, cl, c)),
-                        scores.results)
+                return (lambda *a: scores.add(*ops(*a)), scores.results)
 
             if wants("table1", "table1"):
                 eta = stack_members(map(stack_members, self.blocks(
                     space, m, n))).eta_field()
-                sinks["table1"] = scored(alpha1[0].lam, alpha1[0].mu,
-                                         lambda lo, cl, c: _jet_ops(eta(cl)))
+                sinks["table1"] = scored(
+                    alpha1[0].lam, alpha1[0].mu,
+                    lambda lo, c, cl, im: _jet_ops(eta(cl)))
+            if wants("prop7.1", "prop7"):
+                sinks["prop7.1"] = scored(-(m + n) / 2.0, -0.25,
+                                          lambda lo, c, cl, im: im)
             if wants("cartan", "cartan"):
-                forms = stack_members(alpha1[i] for i in _factor4_index(alpha1))
-                out = []
-
-                def cartan(lo, cl, c):
-                    for i, a in enumerate(_cartan_pass(pair, forms, c, cl)):
-                        if len(out) == i:
-                            out.append(np.empty((P,) + a.shape[1:], a.dtype))
-                        out[i][lo:lo + len(a)] = a
-
-                sinks["cartan"] = (cartan, lambda: tuple(out))
-            for d in POLY_DEGREES if (space, m, n) in POLY_SPACES else ():
-                if wants(f"poly.d{d}", "poly", "polynomial"):
+                kpts = (random_subgroup_points(pair, self.scfg, range(P))
+                        if pair.dim_k > 0 else None)
+                sinks["cartan"] = _cartan_sink(pair, alpha1, kpts, P)
+            for d in POLY_DEGREES:
+                if wants(f"poly.d{d}", "poly"):
                     PF = self.polynomial(space, m, n, d)
                     forms_d = stack_members(PF.members[0].base)
                     sinks[f"poly.d{d}"] = scored(
-                        PF.lam, PF.mu, lambda lo, cl, c, PF=PF, f=forms_d:
+                        PF.lam, PF.mu, lambda lo, c, cl, im, PF=PF, f=forms_d:
                         _poly_ops(PF, f, cl))
-            if (space, m, n) == PRODUCT_SPACE and wants("product", "product",
-                                                        "product"):
+            if wants("product", "product"):
                 F = base_family(alpha1)
                 PF = product_family(F, F)
                 factors = (stack_members(mm.f1 for mm in PF.members),
                            stack_members(mm.f2 for mm in PF.members))
                 second = random_pair_points(pair, self.scfg, range(P, 2 * P))
                 sinks["product"] = scored(
-                    PF.lam, PF.mu, lambda lo, cl, c: _product_ops(
+                    PF.lam, PF.mu, lambda lo, c, cl, im: _product_ops(
                         factors, cl, cartan_jets_closed(
                             pair, second[lo:lo + len(c)])))
 
+            stack = (stack_members(alpha1)
+                     if {"prop7.1", "cartan"} & set(sinks) else None)
             size = _pass_size(pair)
             for lo in range(0, P, size):
                 c = points[lo:lo + size]
                 closed = cartan_jets_closed(pair, c)
+                image = None if stack is None else image_ops(pair, stack, c)
                 for feed, _ in sinks.values():
-                    feed(lo, closed, c)
+                    feed(lo, c, closed, image)
                 # freed before the next pass's jets are made: holding both
                 # at once made quat-scale runs about 8% slower
                 del closed
@@ -466,6 +429,34 @@ def _factor4_index(members):
     """The alpha = 1 members the factor-4 claims compare: the first two,
     or the only one twice."""
     return [0, 1] if len(members) > 1 else [0, 0]
+
+
+def _cartan_sink(pair, alpha1, kpts, P):
+    """The cartan job's sink over P points: per point and claim kind, what
+    _cartan_pass reads, the factor-4 residuals against the image pass and,
+    at points ``kpts`` of K, the largest entry of |Phi(p k) - Phi(p)|."""
+    idx = _factor4_index(alpha1)
+    forms = stack_members(alpha1[i] for i in idx)
+    out = {}
+
+    def feed(lo, c, closed, image):
+        (_, ratio_p, ratio_k, harmonic, tauL, kapL,
+         casimir) = _cartan_pass(pair, forms, c, closed)
+        _, tauN, kapN = image
+        parts = {"harmonic": harmonic, "pullback": ratio_p,
+                 "vertical": ratio_k, "casimir": casimir,
+                 "factor4.tau": _rel(tauL, 4.0 * tauN[:, idx]),
+                 "factor4.kappa": _rel(kapL, 4.0 * kapN[:, idx][..., idx])}
+        if kpts is not None:
+            y = cartan_map(pair, c @ kpts[lo:lo + len(c)])
+            parts["k-invariance"] = np.abs(y - closed.v).reshape(
+                len(c), -1).max(axis=1)
+        for name, a in parts.items():
+            if name not in out:
+                out[name] = np.empty((P,) + a.shape[1:], a.dtype)
+            out[name][lo:lo + len(a)] = a
+
+    return feed, lambda: out
 
 
 def _jet_ops(j):
@@ -622,8 +613,9 @@ def _prop71_claim_ids(params):
 
 def _run_prop71(config: RunConfig, cache: _Cache, ids, params, m, n):
     space = "sp-grassmannian"
-    return _eigen_claims(ids, space, params, _eigen_residuals(
-        *cache.image(space, m, n), -(m + n) / 2.0, -0.25), _tol(config, 1e-8))
+    return _eigen_claims(ids, space, params,
+                         cache.sweep(space, m, n, "prop7.1"),
+                         _tol(config, 1e-8))
 
 
 def _cartan_kinds(space, m, n):
@@ -636,48 +628,29 @@ def _cartan_kinds(space, m, n):
             + ("factor4.tau", "factor4.kappa", "casimir"))
 
 
+# each cartan claim kind's tolerance, expected value and detail
+_CARTAN_CLAIMS = {
+    "k-invariance": (1e-12, None, ""),
+    "harmonic": (1e-9, None, ""),
+    "pullback": (1e-8, 4.0, "metric factor 4 = (conformal factor 2)^2"),
+    "vertical": (1e-10, 0.0, ""),
+    "factor4.tau": (1e-8, None, ""),
+    "factor4.kappa": (1e-8, None, ""),
+    "casimir": (1e-10, None, "Z(Phi) = 2 p Z sigma(p)^-1 on p, "
+                             "tau(Phi) = 4 p C_p sigma(p)^-1"),
+}
+
+
 def _run_cartan(config: RunConfig, cache: _Cache, ids, params, space, m, n,
                 kinds):
-    pair = cache.pair(space, m, n)
-    pts = cache.points(space, m, n)
-    P = pts.shape[0]
-    # each claim id by its kind, e.g. "harmonic"
-    cid = dict(zip(kinds, ids))
-    idx = _factor4_index(cache.family(space, m, n))
-    phi, ratios, vert, res_h, tauL, kapL, res_c = cache.sweep(
-        space, m, n, "cartan")
-    results = []
-
-    if "k-invariance" in cid:
-        kpts = random_subgroup_points(pair, cache.scfg, range(P))
-        res_k = np.abs(cartan_map(pair, pts @ kpts)
-                       - phi).reshape(P, -1).max(axis=1)
-        results.append(_result(cid["k-invariance"], space, params, P, res_k,
-                               None, None, _tol(config, 1e-12)))
-
-    results.append(_result(cid["harmonic"], space, params, P, res_h, None,
-                           None, _tol(config, 1e-9)))
-    results.append(_result(cid["pullback"], space, params, P,
-                           np.abs(ratios - 4.0), 4.0,
-                           complex(ratios.mean()), _tol(config, 1e-8),
-                           detail="metric factor 4 = (conformal factor 2)^2"))
-    if "vertical" in cid:
-        results.append(_result(cid["vertical"], space, params, P,
-                               np.sqrt(vert), 0.0, None, _tol(config, 1e-10)))
-
-    _, tauN, kapN = cache.image(space, m, n)
-    tauN, kapN = tauN[:, idx], kapN[:, idx][..., idx]
-    results.append(_result(cid["factor4.tau"], space, params, P,
-                           _rel(tauL, 4.0 * tauN), None, None,
-                           _tol(config, 1e-8)))
-    results.append(_result(cid["factor4.kappa"], space, params, P,
-                           _rel(kapL, 4.0 * kapN), None, None,
-                           _tol(config, 1e-8)))
-    results.append(_result(cid["casimir"], space, params, P, res_c, None,
-                           None, _tol(config, 1e-10),
-                           detail="Z(Phi) = 2 p Z sigma(p)^-1 on p, "
-                                  "tau(Phi) = 4 p C_p sigma(p)^-1"))
-    return results
+    res = cache.sweep(space, m, n, "cartan")
+    ratios = res["pullback"]
+    res.update(pullback=abs(ratios - 4.0), vertical=np.sqrt(res["vertical"]))
+    return [_result(cid, space, params, config.samples, res[kind], expected,
+                    complex(ratios.mean()) if kind == "pullback" else None,
+                    _tol(config, tol), detail)
+            for cid, kind in zip(ids, kinds)
+            for tol, expected, detail in [_CARTAN_CLAIMS[kind]]]
 
 
 def _run_poly(config: RunConfig, cache: _Cache, ids, params, space, m, n, d):
@@ -748,14 +721,14 @@ def jobs_for(config: RunConfig):
             continue
         for m, n in _sizes(config, space, DEFAULT_SIZES[space]):
             params = _size_params(m, n)
-            add(space, _table1_claim_ids(space, params), _run_table1,
-                params, space, m, n)
+            add((space, m, n), _table1_claim_ids(space, params),
+                _run_table1, params, space, m, n)
 
     if _selected(config, "sp-grassmannian"):
         for m, n in _sizes(config, "sp-grassmannian", PROP71_SIZES):
             params = {"m": m, "n": n}
-            add("sp-grassmannian", _prop71_claim_ids(params), _run_prop71,
-                params, m, n)
+            add(("sp-grassmannian", m, n), _prop71_claim_ids(params),
+                _run_prop71, params, m, n)
 
     for space in PAIR_SPACE_ORDER:
         if not _selected(config, space):
@@ -763,22 +736,22 @@ def jobs_for(config: RunConfig):
         for m, n in _sizes(config, space, DEFAULT_SIZES[space]):
             params = {"space": space, **_size_params(m, n)}
             kinds = _cartan_kinds(space, m, n)
-            add(space, tuple(f"cartan.{kind}{_suffix(params)}"
-                             for kind in kinds),
+            add((space, m, n), tuple(f"cartan.{kind}{_suffix(params)}"
+                                     for kind in kinds),
                 _run_cartan, params, space, m, n, kinds)
 
     if _selected(config, "polynomial"):
         for space, m, n in POLY_SPACES:
             for d in POLY_DEGREES:
                 params = {"space": space, "m": m, "n": n, "d": d}
-                add("polynomial", _eigen_ids(f"poly.d{d}", params), _run_poly,
-                    params, space, m, n, d)
+                add((space, m, n), _eigen_ids(f"poly.d{d}", params),
+                    _run_poly, params, space, m, n, d)
 
     if _selected(config, "product"):
         space, m, n = PRODUCT_SPACE
         params = {"m": m, "n": n}
-        add("product", _eigen_ids("product", params), _run_product, params,
-            space, m, n)
+        add(PRODUCT_SPACE, _eigen_ids("product", params), _run_product,
+            params, space, m, n)
 
     if _selected(config, "sphere"):
         for _, n in _sizes(config, "sphere", DEFAULT_SIZES["sphere"]):

@@ -80,7 +80,8 @@ def _jval(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return _f17(v)
+        # NaN and +-Infinity as json.dumps spells them; json.loads reads them
+        return _f17(v) if np.isfinite(v) else json.dumps(v)
     if isinstance(v, str):
         return json.dumps(v, ensure_ascii=True)
     if isinstance(v, dict):

@@ -16,7 +16,8 @@ from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
 from eigenlab.matrices import i_signature_doubled, metric
 from eigenlab.pairs import make_pair
 from eigenlab.report import build_report, emit_json_lines
-from eigenlab.sampling import SampleConfig, random_sphere_points
+from eigenlab.sampling import (SampleConfig, random_pair_points,
+                               random_sphere_points)
 
 
 def claim_ids(config):
@@ -213,7 +214,7 @@ def test_table1_scores_do_not_depend_on_the_pass_size(monkeypatch, chunk):
                     cache.blocks("sp-grassmannian", 3, 3))
     grid = catalog.stack_members(map(catalog.stack_members, blocks))
     closed = cartan.cartan_jets_closed(
-        pair, cache.points("sp-grassmannian", 3, 3))
+        pair, random_pair_points(pair, SampleConfig(seed=0), range(300)))
     values, tau, kappa = claims._jet_ops(grid.eta_field()(closed))
     assert kappa.shape == (300, 12, 11, 11)
     args = (values, tau, kappa, blocks[0][0].lam, blocks[0][0].mu)
@@ -405,6 +406,48 @@ def test_prop71_and_factor4_share_one_image_pass(monkeypatch):
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     assert len(calls) == 1
+
+
+def test_a_point_set_is_drawn_once_and_imaged_pass_by_pass(monkeypatch):
+    # a 300-sample sp-grassmannian(3,3) run draws its points, and its
+    # points of K, once, and makes one image pass per pass of the sweep,
+    # each on at most _pass_size points
+    calls = {name: [] for name in ("random_pair_points",
+                                   "random_subgroup_points", "image_ops")}
+
+    def counting(name):
+        original = getattr(claims, name)
+
+        def spy(*args):
+            calls[name].append(len(args[-1]))
+            return original(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(claims, name, counting(name))
+    config = RunConfig(spaces=("sp-grassmannian",), m=3, n=3, samples=300)
+    results = run_claims(config)
+    assert [r.claim_id for r in results] == claim_ids(config)
+    assert all(r.passed for r in results)
+    size = claims._pass_size(make_pair("sp-grassmannian", m=3, n=3))
+    assert calls["random_pair_points"] == calls["random_subgroup_points"] \
+        == [300]
+    assert len(calls["image_ops"]) == -(-300 // size)
+    assert sum(calls["image_ops"]) == 300
+    assert max(calls["image_ops"]) <= size
+
+
+def test_every_sweep_part_made_is_read():
+    # the sweep makes a part only for a job that reads its point set: after
+    # a default run none is left unread (a prop7.1 part made at every
+    # sp-grassmannian size would be, but at (1,1))
+    config = RunConfig()
+    jobs = jobs_for(config)
+    cache = claims._Cache(config, jobs)
+    for job in jobs:
+        job.run(cache)
+    assert cache._sweeps and not any(cache._sweeps.values())
 
 
 def test_only_the_eigen_outer_products_call_einsum(monkeypatch):
@@ -709,14 +752,14 @@ def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
         assert all(r.passed for r in job.run(cache))
         assert len({id(B) for B in planned}) == len(planned)
         per_job.append(len(planned))
-    # table1 plans what the sweep of its points reads: its grid and the
-    # cartan job's forms and, at sp-grassmannian(1,1), the two polynomial
-    # jobs' forms and the product's two factors; the cartan job plans the
-    # image pass's stack (but for prop7.1's space)
+    # table1 plans what the sweep of its points reads: its grid, the
+    # image pass's stack, the cartan job's forms and, at
+    # sp-grassmannian(1,1), the two polynomial jobs' forms and the
+    # product's two factors
     kinds = [job.kind for job in jobs]
     assert {k: max(c for kk, c in zip(kinds, per_job) if kk == k)
-            for k in kinds} == {"basis": 0, "table1": 6, "prop7": 1,
-                                "cartan": 1, "poly": 0, "product": 0,
+            for k in kinds} == {"basis": 0, "table1": 7, "prop7": 0,
+                                "cartan": 0, "poly": 0, "product": 0,
                                 "sphere": 0, "cpn": 0}
 
 
@@ -749,7 +792,7 @@ def _pass_args(space, m, n, points):
     pair, family = cache.pair(space, m, n), cache.family(space, m, n)
     forms = catalog.stack_members(family[i]
                                   for i in claims._factor4_index(family))
-    pts = cache.points(space, m, n)
+    pts = random_pair_points(pair, SampleConfig(seed=0), range(points))
     return pair, forms, pts, cartan.cartan_jets_closed(pair, pts)
 
 
@@ -804,7 +847,7 @@ def test_a_quat_sized_cartan_pass_holds_less_than_one_whole_jet():
     pair, family = (cache.pair("sp-grassmannian", 3, 3),
                     cache.family("sp-grassmannian", 3, 3))
     forms = catalog.stack_members(family[:2])
-    pts = cache.points("sp-grassmannian", 3, 3)
+    pts = random_pair_points(pair, SampleConfig(seed=0), range(CHUNK))
     closed = cartan.cartan_jets_closed(pair, pts)
     claims._cartan_pass(pair, forms, pts, closed)
     tracemalloc.start()

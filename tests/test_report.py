@@ -1,5 +1,8 @@
 """Report serialization: byte determinism and lossless round-trips."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from eigenlab.claims import ClaimResult, RunConfig, run_claims
@@ -82,6 +85,25 @@ class TestRoundTrip:
                 assert r1.params == r2.params
                 assert r1.max_residual == r2.max_residual  # exact
                 assert r1.passed == r2.passed
+
+    @pytest.mark.parametrize("fmt", ["json-lines", "tsv"])
+    def test_non_finite_numbers_round_trip(self, fmt):
+        # a residual that blows up is a failed claim, not an unreadable
+        # report
+        bad = ClaimResult(claim_id="x.gamma[n=2]", space="x",
+                          params={"n": 2}, samples=3, max_residual=math.inf,
+                          mean_residual=math.nan, expected=-4.0,
+                          measured=complex(-math.inf, math.nan), tol=1e-8,
+                          passed=False, detail="")
+        rep = synthetic_report()
+        rep = replace(rep, results=rep.results + (bad,))
+        text = emit(rep, fmt)
+        back = parse(text, fmt)
+        assert emit(back, fmt) == text
+        r = back.results[-1]
+        assert r.max_residual == math.inf and math.isnan(r.mean_residual)
+        assert r.measured.real == -math.inf and math.isnan(r.measured.imag)
+        assert back.results[:-1] == rep.results[:-1]
 
     def test_human_table_does_not_round_trip(self):
         text = emit(small_report(), "human-table")
