@@ -6,12 +6,14 @@ are unitary in the chosen representations), guarded by a membership check,
 so sigma(p)^-1 is one gather, sigma.inverse(p).
 Every function takes a single point (n, n) or a stack of points
 (..., n, n).  The jet routes push JetMatrix.curve jets, which carry
-Z(Phi) per direction and the sum of Z^2(Phi) over the directions.  The
-Cartan pass, map_tension_raw, serves the per-point API and the claim
-engine alike: it pushes first-order jets along the p- then the k-basis, a
-block of directions at a time, hands each block's Z(Phi) to its caller,
-and forms the sum of Z^2(Phi) once, its cross term summed over the
-directions as one gathered product per point.
+Z(Phi) per direction and the sum of Z^2(Phi) over the directions.  One
+Cartan walk serves the per-point API and the claim engine alike: blocks
+pushes first-order jets along a curve plan, a block of directions at a
+time, and yields each block's Z(Phi) (pullback_factor, and the claim
+engine's pass along the p- then the k-basis); map_tension_raw forms the
+sum of Z^2(Phi) once, its cross term summed over the directions as one
+gathered product per point.  spans is the one rule that cuts directions
+and points into blocks and slices.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ __all__ = [
 
 # A Cartan pass streams its directions in blocks of at most BLOCK jet
 # entries (directions x points x n^2), and its cross term in slices of
-# at most BLOCK gathered entries (points x n x terms), so no array of it
-# holds more: a pass of 32 points at sp-grassmannian(3,3) makes twenty
-# blocks of 4 of its 78 directions and seven slices of at most 5 points.
+# at most BLOCK gathered entries (points x n x terms), both cut by spans,
+# so no array of it holds more: a pass of 32 points at
+# sp-grassmannian(3,3) makes twenty blocks of 4 of its 78 directions and
+# seven slices of at most 5 points.
 # Blocks of 8 took as long, but each block's four arrays of twice the
 # size went back to the system as the block ended and were faulted in
 # again by the next: a steady default run took about 3k minor page
@@ -108,13 +111,25 @@ def cartan_jets_closed(pair, p: np.ndarray) -> JetMatrix:
     return JetMatrix(c.v @ s_inv, c.d1, 4.0 * (c.d2 @ s_inv))
 
 
-def _block_size(p):
-    """Directions per block of a Cartan pass at the points ``p``: as many
-    as hold BLOCK jet entries, and at least one."""
-    return max(1, BLOCK // max(1, np.size(p)))
+def spans(count, per):
+    """``count`` items of ``per`` entries each, cut into consecutive slices
+    of as many items as hold BLOCK entries, and at least one."""
+    step = max(1, BLOCK // max(1, per))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def map_tension_raw(pair, p: np.ndarray, each=None) -> np.ndarray:
+def blocks(pair, p, plan):
+    """The first-order Cartan pass at the points ``p`` along the curve
+    plan ``plan``: (lo, Z(Phi)) for each block of its directions, in
+    order, lo the block's first direction and Z(Phi) of shape
+    (directions, *points, n, n), which the caller may overwrite.  The
+    blocks are spans of the directions at np.size(p) entries each."""
+    for cut in spans(len(plan.weights), np.size(p)):
+        yield cut.start, cartan_map_jet(pair, JetMatrix.curve(
+            p, plan.block(cut.start, cut.stop))).d1[0]
+
+
+def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
     """sum_Z d^2/ds^2 Phi(p exp(sZ)) over an orthonormal basis of the Lie
     algebra: the ambient (flat matrix-space) Laplacian of the entries of
     Phi.
@@ -123,25 +138,14 @@ def map_tension_raw(pair, p: np.ndarray, each=None) -> np.ndarray:
     matrix space, so it is NOT the tension of the map; see
     harmonic_residual for the tangential part.
 
-    It is the Cartan pass along pair.pk_plan, the p- then the k-basis.
-    Given ``each``, the first-order jets of Phi are pushed in blocks of as
-    many directions as hold BLOCK entries at the points given, and at
-    least one, and each block's Z(Phi), of shape
-    (directions, *points, n, n), goes to ``each(lo, d1)``, lo its first
-    direction, which may overwrite it.  The sum of Z^2(Phi) is the product
-    rule's, formed once: c2 sigma(p)^-1 + cross + p sigma.inverse(c2),
-    c2 = p sum Z^2, with the cross term 2 sum_Z Z(p) Z(sigma(p)^-1) one
-    gathered product per point (pair.cross_plan), over slices of points
-    of at most BLOCK entries.  So a point's bits depend on that point
-    only, and no array spans more than one block or slice.
+    It is the sum of Z^2(Phi) over pair.pk_plan, the p- then the k-basis,
+    by the product rule, with no jet: c2 sigma(p)^-1 + cross
+    + p sigma.inverse(c2), c2 = p sum Z^2, with the cross term
+    2 sum_Z Z(p) Z(sigma(p)^-1) one gathered product per point
+    (pair.cross_plan), over spans of points.  So a point's bits depend on
+    that point only, and no array holds more than one span.
     """
-    plan = pair.pk_plan
-    if each is not None:
-        size = _block_size(p)
-        for lo in range(0, len(plan.weights), size):
-            each(lo, cartan_map_jet(
-                pair, JetMatrix.curve(p, plan.block(lo, lo + size))).d1[0])
-    c2 = p @ plan.square
+    c2 = p @ pair.pk_plan.square
     return (c2 @ pair.sigma.inverse(p) + _cross(pair, p)
             + p @ pair.sigma.inverse(c2))
 
@@ -149,26 +153,25 @@ def map_tension_raw(pair, p: np.ndarray, each=None) -> np.ndarray:
 def _cross(pair, p):
     """2 sum_Z (p Z)(sigma.inverse(p Z)) over pair.pk_plan, as L @ R per
     point: L the weighted columns of p, R the signed rows gathered from
-    it (pairs.SymmetricPair.cross_plan), a slice of points at a time,
+    it (pairs.SymmetricPair.cross_plan), a span of points at a time,
     into one L and one R made per call."""
     cols, left, index, right, conj = pair.cross_plan
     n = p.shape[-1]
     pts = np.asarray(p, dtype=complex).reshape(-1, n, n)
     flat = pts.reshape(-1, n * n)
     out = np.empty_like(pts)
-    step = max(1, BLOCK // (n * len(cols)))
-    L = np.empty((min(step, len(pts)), n, len(cols)), complex)
+    cuts = spans(len(pts), n * len(cols))
+    L = np.empty((cuts[0].stop if cuts else 0, n, len(cols)), complex)
     R = np.empty((len(L), len(cols), n), complex)
-    for lo in range(0, len(pts), step):
-        hi = min(lo + step, len(pts))
-        Ls, Rs = L[:hi - lo], R[:hi - lo]
-        np.take(pts[lo:hi], cols, axis=-1, out=Ls, mode="clip")
+    for cut in cuts:
+        Ls, Rs = L[:cut.stop - cut.start], R[:cut.stop - cut.start]
+        np.take(pts[cut], cols, axis=-1, out=Ls, mode="clip")
         Ls *= left
-        np.take(flat[lo:hi], index, axis=-1, out=Rs, mode="clip")
+        np.take(flat[cut], index, axis=-1, out=Rs, mode="clip")
         if conj:
             np.conjugate(Rs, out=Rs)
         Rs *= right
-        np.matmul(Ls, Rs, out=out[lo:hi])
+        np.matmul(Ls, Rs, out=out[cut])
     out += out
     return out.reshape(p.shape)
 
@@ -210,15 +213,13 @@ def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
     """
     _check_member(pair, p)
     plans = [curve_plan(X)] + ([] if Y is X else [curve_plan(Y)])
-    size, dirs = _block_size(p), len(plans[0].weights)
+    dirs = len(plans[0].weights)
     if len(plans[-1].weights) != dirs:
         raise ValueError("X and Y must hold as many directions")
     num = np.empty((dirs,) + np.shape(p)[:-2])
-    # a Cartan pass of first-order jets, in blocks of map_tension_raw's
-    for lo in range(0, dirs, size):
-        dX, *dY = (cartan_map_jet(pair, JetMatrix.curve(
-            p, plan.block(lo, lo + size))).d1[0] for plan in plans)
-        num[lo:lo + size] = metric(dX, dY[0] if dY else dX)
+    # one walk when Y is X, else the walks along X and Y in step
+    for (lo, dX), *dY in zip(*(blocks(pair, p, plan) for plan in plans)):
+        num[lo:lo + len(dX)] = metric(dX, dY[0][1] if dY else dX)
     return pullback_ratio(num[0] if np.ndim(X) == 2 else num, X, Y)
 
 

@@ -8,7 +8,7 @@ Each point set (space, m, n) of a symmetric pair is drawn once and walked
 once (_Cache.sweep), in passes sized by the Cartan jets' working set
 (_pass_size: one pass for most point sets); every job on the set reads
 its share of each pass: the closed jets, the image pass and the
-library's streamed Cartan pass (cartan.map_tension_raw).  Every
+library's one Cartan walk (cartan.blocks, cartan.map_tension_raw).  Every
 eigenvalue claim is scored by one streaming scorer (_EigenScores), which
 also fits the eigenvalue by least squares (the ratio tau(phi)/phi over
 samples with |phi| >= 1e-3) from sums made per point.  Reports do not
@@ -25,7 +25,7 @@ import numpy as np
 from . import ambient, catalog
 from .bases import square_sum
 # cartan_map_jet is not called here; perfbench's tracer test rebinds it here
-from .cartan import (cartan_jets_closed, cartan_map, cartan_map_jet,
+from .cartan import (blocks, cartan_jets_closed, cartan_map, cartan_map_jet,
                      map_tension_raw, pullback_ratio, tangential_residual)
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
@@ -356,8 +356,8 @@ class _Cache:
         per point if dim k > 0) and walks it in passes of _pass_size(pair)
         points.  Each pass makes the closed jets (cartan_jets_closed) and,
         if prop7.1 or the cartan job reads the set, the image pass of the
-        alpha = 1 stack (image_ops), and feeds them to a sink per job on
-        the set: ``part``'s and those of ``jobs``.  "table1", "prop7.1",
+        alpha = 1 stack (image_ops), and feeds them to a sink per job of
+        the cache on the set, ``part``'s among them.  "table1", "prop7.1",
         "poly.d2", "poly.d3" and "product" (these points as its first
         factor's) each feed their own _EigenScores, so no kappa grid is
         held whole; "cartan" gets _cartan_sink's arrays.  Each share is
@@ -369,35 +369,33 @@ class _Cache:
             points = random_pair_points(pair, self.scfg, range(P))
             # each sink: (feed(lo, points, closed, image), result())
             sinks = {}
-
-            def wants(name, kind):
-                return part == name or (kind, (space, m, n)) in self._jobs
+            kinds = {kind for kind, at in self._jobs if at == (space, m, n)}
 
             def scored(lam, mu, ops):
                 scores = _EigenScores(P, lam, mu)
                 return (lambda *a: scores.add(*ops(*a)), scores.results)
 
-            if wants("table1", "table1"):
+            if "table1" in kinds:
                 eta = stack_members(map(stack_members, self.blocks(
                     space, m, n))).eta_field()
                 sinks["table1"] = scored(
                     alpha1[0].lam, alpha1[0].mu,
                     lambda lo, c, cl, im: _jet_ops(eta(cl)))
-            if wants("prop7.1", "prop7"):
+            if "prop7" in kinds:
                 sinks["prop7.1"] = scored(-(m + n) / 2.0, -0.25,
                                           lambda lo, c, cl, im: im)
-            if wants("cartan", "cartan"):
+            if "cartan" in kinds:
                 kpts = (random_subgroup_points(pair, self.scfg, range(P))
                         if pair.dim_k > 0 else None)
                 sinks["cartan"] = _cartan_sink(pair, alpha1, kpts, P)
-            for d in POLY_DEGREES:
-                if wants(f"poly.d{d}", "poly"):
+            if "poly" in kinds:
+                for d in POLY_DEGREES:
                     PF = self.polynomial(space, m, n, d)
                     forms_d = stack_members(PF.members[0].base)
                     sinks[f"poly.d{d}"] = scored(
-                        PF.lam, PF.mu, lambda lo, c, cl, im, PF=PF, f=forms_d:
-                        _poly_ops(PF, f, cl))
-            if wants("product", "product"):
+                        PF.lam, PF.mu, lambda lo, c, cl, im, PF=PF,
+                        f=forms_d: _poly_ops(PF, f, cl))
+            if "product" in kinds:
                 F = base_family(alpha1)
                 PF = product_family(F, F)
                 factors = (stack_members(mm.f1 for mm in PF.members),
@@ -409,7 +407,7 @@ class _Cache:
                             pair, second[lo:lo + len(c)])))
 
             stack = (stack_members(alpha1)
-                     if {"prop7.1", "cartan"} & set(sinks) else None)
+                     if {"prop7", "cartan"} & kinds else None)
             size = _pass_size(pair)
             for lo in range(0, P, size):
                 c = points[lo:lo + size]
@@ -440,13 +438,11 @@ def _cartan_sink(pair, alpha1, kpts, P):
     out = {}
 
     def feed(lo, c, closed, image):
-        (_, ratio_p, ratio_k, harmonic, tauL, kapL,
-         casimir) = _cartan_pass(pair, forms, c, closed)
+        parts = _cartan_pass(pair, forms, c, closed)
         _, tauN, kapN = image
-        parts = {"harmonic": harmonic, "pullback": ratio_p,
-                 "vertical": ratio_k, "casimir": casimir,
-                 "factor4.tau": _rel(tauL, 4.0 * tauN[:, idx]),
-                 "factor4.kappa": _rel(kapL, 4.0 * kapN[:, idx][..., idx])}
+        parts["factor4.tau"] = _rel(parts.pop("tau"), 4.0 * tauN[:, idx])
+        parts["factor4.kappa"] = _rel(parts.pop("kappa"),
+                                      4.0 * kapN[:, idx][..., idx])
         if kpts is not None:
             y = cartan_map(pair, c @ kpts[lo:lo + len(c)])
             parts["k-invariance"] = np.abs(y - closed.v).reshape(
@@ -483,24 +479,23 @@ def _product_ops(factors, closed1, closed2):
 
 
 def _cartan_pass(pair, forms, points, closed):
-    """What the cartan claims read of the 2-jets of Phi at ``points``, off
-    one Cartan pass (cartan.map_tension_raw) along the p-, then the
-    k-basis: each block's Z(Phi) is reduced as soon as it is made, and
-    the pass returns the raw map tension, the sum of Z^2(Phi) over both
-    bases.
+    """What the cartan claims read of the 2-jets of Phi at ``points``: one
+    Cartan walk (cartan.blocks) along the p-, then the k-basis, each
+    block's Z(Phi) reduced as soon as it is made, and the raw map tension
+    (cartan.map_tension_raw), the sum of Z^2(Phi) over both bases.
 
-    Returns Phi, the pullback ratios along the p- and the k-basis, the
-    harmonic residual, tau and kappa of the trace forms ``forms``, and the
-    casimir residual: per point, the largest entry of the error of
-    ``closed``, cartan_jets_closed at ``points``, against the jets."""
+    Returns per point, keyed by claim kind, the pullback ratios along the
+    p-basis ("pullback") and the k-basis ("vertical"), the harmonic
+    residual and the casimir residual, the largest entry of the error of
+    ``closed``, cartan_jets_closed at ``points``, against the jets; and
+    "tau" and "kappa" of the trace forms ``forms``."""
     X, V = pair.p_basis, pair.k_basis
     dp = len(X)
     num = np.empty((dp + len(V), len(points)))
     # the forms' first derivatives, for one Gram product
     d1_forms = np.empty(num.shape + forms.plan.members, complex)
     casimir = np.zeros(len(points))
-
-    def each(lo, d1):
+    for lo, d1 in blocks(pair, points, pair.pk_plan):
         hi = lo + len(d1)
         num[lo:hi] = metric(d1, d1)
         d1_forms[lo:hi] = trace_form(d1, forms.plan)
@@ -509,13 +504,13 @@ def _cartan_pass(pair, forms, points, closed):
             d1 = d1[:dp - lo]
             d1 -= closed.d1[lo:hi]
             np.maximum(casimir, np.abs(d1).max(axis=(0, 2, 3)), out=casimir)
-
-    d2 = map_tension_raw(pair, points, each)
+    d2 = map_tension_raw(pair, points)
     np.maximum(casimir, np.abs(d2 - closed.d2).max(axis=(1, 2)), out=casimir)
-    return (closed.v, pullback_ratio(num[:dp], X, X),
-            pullback_ratio(num[dp:], V, V),
-            tangential_residual(pair, closed.v, d2),
-            trace_form(d2, forms.plan), gram(d1_forms, 1), casimir)
+    return {"pullback": pullback_ratio(num[:dp], X, X),
+            "vertical": pullback_ratio(num[dp:], V, V),
+            "harmonic": tangential_residual(pair, closed.v, d2),
+            "tau": trace_form(d2, forms.plan), "kappa": gram(d1_forms, 1),
+            "casimir": casimir}
 
 
 # ---------------------------------------------------------------------------

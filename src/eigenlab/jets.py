@@ -198,10 +198,11 @@ class Jet2:
     first-order factor is first-order, d1 only: the product of
     JetMatrix.curve jets along a first-order plan, one per direction on a
     batch axis in front of the points, gives each direction's Z(a b) and
-    no cross term, which a caller forms once, summed over all directions
-    (cartan.map_tension_raw).  Such jets take the jet products and an
-    involution (pairs.Involution), what a Cartan pass needs; the other
-    operations read FIRST_ORDER as a zero.
+    no cross term: the Cartan walk pushes them (cartan.blocks), and
+    cartan.map_tension_raw forms the cross term once, summed over all
+    directions.  Such jets take the jet products and an involution
+    (pairs.Involution), what a Cartan pass needs; the other operations
+    read FIRST_ORDER as a zero.
     """
 
     __slots__ = ("v", "d1", "d2")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cartan import BLOCK, cartan_map
+from .cartan import cartan_map, spans
 from .jets import JetMatrix, jet_ops, trace_form
 from .matrices import mat_exp
 
@@ -117,8 +117,8 @@ def image_ops(pair, phi, p: np.ndarray):
     For one-hot B = w E_ij (every u- and sp-grassmannian member) N is
     the outer product w s^H[:, i] (y s)[j, :]; any other B takes two
     products per point and member.  The tension is the trace form of
-    y s C_p s^H.  The points go in slices of at most cartan.BLOCK
-    entries of N, and a point's bits do not depend on its batch.
+    y s C_p s^H.  The points go in spans (cartan.spans) of k n^2 entries
+    of N each, and a point's bits do not depend on its batch.
     """
     members, index, weights = phi.plan
     if len(members) > 1:
@@ -138,13 +138,11 @@ def image_ops(pair, phi, p: np.ndarray):
     entries, terms = _trace_gather(pair.p_plan, n)
     tau = np.empty((len(pts),) + members, complex)
     kappa = np.empty((len(pts), k, k), complex)
-    step = max(1, BLOCK // (k * n * n))
-    for lo in range(0, len(pts), step):
-        s = pair.sigma(pts[lo:lo + step])
-        y_s = ys[lo:lo + step] @ s
+    for cut in spans(len(pts), k * n * n):
+        s = pair.sigma(pts[cut])
+        y_s = ys[cut] @ s
         sH = np.swapaxes(s, -1, -2).conj()
-        tau[lo:lo + step] = trace_form((y_s @ pair.p_plan.square) @ sH,
-                                       phi.plan)
+        tau[cut] = trace_form((y_s @ pair.p_plan.square) @ sH, phi.plan)
         if index is None:
             N = (sH[:, None] @ B) @ y_s[:, None]
         else:
@@ -154,7 +152,7 @@ def image_ops(pair, phi, p: np.ndarray):
         d1 = np.take(N.reshape(len(s), k, n * n), entries, axis=-1)
         d1 *= terms
         d1 = d1.sum(axis=-1)
-        np.matmul(d1, np.swapaxes(d1, -1, -2), out=kappa[lo:lo + step])
+        np.matmul(d1, np.swapaxes(d1, -1, -2), out=kappa[cut])
     value = trace_form(y, phi.plan) + phi.c
     shape = y.shape[:-2]
     kappa = kappa.reshape(shape + (k, k) if members else shape)

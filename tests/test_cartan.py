@@ -329,6 +329,23 @@ def test_pullback_factor_pairs_as_many_directions():
         pullback_factor(pair, p, pair.p_basis, pair.p_basis[:1])
 
 
+def test_pullback_factor_walks_once_when_y_is_x(monkeypatch):
+    # with Y the very stack X, each block of directions is pushed once;
+    # with an equal copy, once along X and once along Y
+    pair = make_pair("sp-grassmannian", m=2, n=2)
+    p = random_pair_points(pair, SampleConfig(seed=9), range(64))
+    X = pair.p_basis
+    calls = []
+    monkeypatch.setattr(cartan, "cartan_map_jet",
+                        lambda pair, jm: calls.append(1) or cartan_map_jet(
+                            pair, jm))
+    pullback_factor(pair, p, X, X)
+    same = len(calls)
+    calls.clear()
+    pullback_factor(pair, p, X, X.copy())
+    assert same > 1 and 2 * same == len(calls)
+
+
 def test_pullback_factor_holds_less_than_one_whole_jet():
     # pullback_factor streams its directions in map_tension_raw's blocks:
     # along the p-basis at 128 stacked points of sp-grassmannian(3,3) its

@@ -778,10 +778,10 @@ def _whole_jet_pass(pair, forms, j, closed):
     casimir = np.maximum(np.abs(dp - closed.d1).max(axis=(0, 2, 3)),
                          np.abs(j.d2 - closed.d2).max(axis=(1, 2)))
     _, tau, kappa = claims._jet_ops(forms.eta_field()(j))
-    return (closed.v, cartan.pullback_ratio(metric(dp, dp), X, X),
-            cartan.pullback_ratio(metric(dk, dk), V, V),
-            cartan.tangential_residual(pair, closed.v, j.d2), tau, kappa,
-            casimir)
+    return {"pullback": cartan.pullback_ratio(metric(dp, dp), X, X),
+            "vertical": cartan.pullback_ratio(metric(dk, dk), V, V),
+            "harmonic": cartan.tangential_residual(pair, closed.v, j.d2),
+            "tau": tau, "kappa": kappa, "casimir": casimir}
 
 
 def _pass_args(space, m, n, points):
@@ -823,7 +823,8 @@ def test_streamed_pass_matches_the_whole_jet(monkeypatch, space, m, n,
     for size in {1, uneven, D}:
         monkeypatch.setattr(cartan, "BLOCK", size * pts.size)
         got = claims._cartan_pass(pair, forms, pts, closed)
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), size
+        assert got.keys() == ref.keys()
+        assert all(np.array_equal(got[k], ref[k]) for k in ref), size
 
 
 @pytest.mark.parametrize("space,m,n", DEFAULT_PAIR_SETS)
@@ -832,10 +833,11 @@ def test_per_point_api_gives_the_engines_pass_bits(space, m, n):
     # harmonic_residual and pullback_factor give, bit for bit, the
     # harmonic residuals and the pullback ratios of the engine's pass
     pair, forms, pts, closed = _pass_args(space, m, n, 40)
-    _, horizontal, vertical, harmonic = claims._cartan_pass(
-        pair, forms, pts, closed)[:4]
-    assert np.array_equal(cartan.harmonic_residual(pair, pts), harmonic)
-    for B, ratio in ((pair.p_basis, horizontal), (pair.k_basis, vertical)):
+    got = claims._cartan_pass(pair, forms, pts, closed)
+    assert np.array_equal(cartan.harmonic_residual(pair, pts),
+                          got["harmonic"])
+    for B, ratio in ((pair.p_basis, got["pullback"]),
+                     (pair.k_basis, got["vertical"])):
         assert np.array_equal(cartan.pullback_factor(pair, pts, B, B), ratio)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, precedence, formats, subcommands."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,3 +328,19 @@ def test_quat_sized_verify_keeps_to_one_thread(tmp_path):
     assert proc.returncode == 0, proc.stderr
     cpu, wall = map(float, proc.stdout.split())
     assert cpu <= 1.15 * wall, (cpu, wall)
+
+
+def test_report_digests_prints_one_md5_per_oracle_report():
+    # tools/report_digests.py digests the eigenlab on its path: six
+    # reports, one line each, the md5 first
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "report_digests.py")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert all(re.fullmatch(r"[0-9a-f]{32} \S.*", ln) for ln in lines), lines

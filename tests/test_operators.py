@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenlab import operators
+from eigenlab import cartan
 from eigenlab.bases import group_basis, square_sum
 from eigenlab.cartan import cartan_map
 from eigenlab.catalog import family_for_space, stack_members
@@ -214,7 +214,7 @@ def test_a_points_image_bits_do_not_depend_on_its_batch(monkeypatch, space,
     ref = image_ops(pair, phi, p)
     entries = len(phi.B) * pair.matrix_size ** 2
     for points in (1, 3, len(p)):
-        monkeypatch.setattr(operators, "BLOCK", points * entries)
+        monkeypatch.setattr(cartan, "BLOCK", points * entries)
         for got, want in zip(image_ops(pair, phi, p), ref):
             assert np.array_equal(got, want)
         grid = p.reshape((2, 4) + p.shape[1:])

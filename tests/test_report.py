@@ -105,6 +105,15 @@ class TestRoundTrip:
         assert r.measured.real == -math.inf and math.isnan(r.measured.imag)
         assert back.results[:-1] == rep.results[:-1]
 
+    @pytest.mark.parametrize("fmt", ["json-lines", "tsv"])
+    def test_string_params_round_trip(self, fmt):
+        # the cartan claims carry space=... next to their integer sizes
+        config = RunConfig(spaces=("su-so",), samples=2)
+        rep = build_report(config, run_claims(config))
+        assert any(isinstance(v, str) for r in rep.results
+                   for v in r.params.values())
+        assert parse(emit(rep, fmt), fmt) == rep
+
     def test_human_table_does_not_round_trip(self):
         text = emit(small_report(), "human-table")
         with pytest.raises(ValueError):
@@ -113,6 +122,30 @@ class TestRoundTrip:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit(small_report(), "yaml")
+
+
+_TSV_HEADER = "\t".join(("claim_id", "space", "params", "samples",
+                          "max_residual", "mean_residual", "expected",
+                          "measured_re", "measured_im", "tol", "passed",
+                          "detail"))
+
+
+@pytest.mark.parametrize("parser,text,message", [
+    (parse_json_lines, "\n \n", "empty report"),
+    (parse_json_lines, '{"kind": "claim"}\n', "missing meta line"),
+    (parse_json_lines, '{"kind": "meta"}\n{"kind": "note"}\n',
+     "unexpected line kind 'note'"),
+    (parse_tsv, "#meta\tseed=0\n", "missing tsv meta/header"),
+    (parse_tsv, "seed=0\n" + _TSV_HEADER + "\n", "missing tsv meta/header"),
+    (parse_tsv, "#meta\tseed=0\nclaim_id\tspace\n",
+     "unexpected tsv header"),
+    (parse_tsv, "#meta\tseed=0\n" + _TSV_HEADER + "\nx.a[n=2]\tx\n",
+     "malformed tsv row"),
+])
+def test_malformed_reports_are_refused(parser, text, message):
+    with pytest.raises(ValueError) as exc:
+        parser(text)
+    assert str(exc.value) == message
 
 
 class TestEmptySelection:
@@ -141,6 +174,14 @@ class TestHumanTable:
         assert "1/2 claims passed" in text
         assert "x.beta[m=1,n=2]" in text
         assert "fail" in text.lower()
+
+    def test_complex_measured_value_shows_its_imaginary_part(self):
+        rep = synthetic_report()
+        r = replace(rep.results[0], measured=complex(-4.0, 0.5))
+        text = emit_human(replace(rep, results=(r,)))
+        assert "-4+0.5i" in text
+        # below 1e-9 the imaginary part is left out
+        assert "-4+" not in emit_human(synthetic_report())
 
     def test_details_listed_as_notes(self):
         text = emit_human(synthetic_report())
