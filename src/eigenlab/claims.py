@@ -8,11 +8,16 @@ Each point set (space, m, n) of a symmetric pair is drawn once and walked
 once (_Cache.sweep), in passes sized by the Cartan jets' working set
 (_pass_size: one pass for most point sets); every job on the set reads
 its share of each pass: the closed jets, the image pass and the
-library's one Cartan walk (cartan.blocks, cartan.map_tension_raw).  Every
-eigenvalue claim is scored by one streaming scorer (_EigenScores), which
-also fits the eigenvalue by least squares (the ratio tau(phi)/phi over
-samples with |phi| >= 1e-3) from sums made per point.  Reports do not
-depend on the pass size nor on the Cartan pass's blocks.
+library's one Cartan walk (cartan.blocks, cartan.map_tension_raw).  On
+the u- and sp-grassmannian, whose table1 grid is one-hot, table1 reads
+kappa off entries of Phi (operators.entry_kappa) and its values and tau
+off the closed jets' value and tension; the entries route shares the
+involution with the jet routes, and C_p through cartan.casimir, which
+checks the closed tension against the Cartan walk.  Every eigenvalue
+claim is scored by one streaming scorer (_EigenScores), which also fits
+the eigenvalue by least squares (the ratio tau(phi)/phi over samples
+with |phi| >= 1e-3) from sums made per point.  Reports do not depend on
+the pass size nor on the Cartan pass's blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .families import (base_family, polynomial_family, product_family,
                        product_ops)
 from .jets import Jet2, gram, jet_ops, trace_form
 from .matrices import basis_D, basis_X, basis_Y, metric
-from .operators import image_ops
+from .operators import entry_kappa, entry_plan, image_ops
 from .pairs import SPACES, make_pair, space_label
 from .sampling import (SampleConfig, random_pair_points, random_sphere_points,
                        random_subgroup_points, rng_for)
@@ -376,11 +381,16 @@ class _Cache:
                 return (lambda *a: scores.add(*ops(*a)), scores.results)
 
             if "table1" in kinds:
-                eta = stack_members(map(stack_members, self.blocks(
-                    space, m, n))).eta_field()
-                sinks["table1"] = scored(
-                    alpha1[0].lam, alpha1[0].mu,
-                    lambda lo, c, cl, im: _jet_ops(eta(cl)))
+                grid = stack_members(map(stack_members, self.blocks(
+                    space, m, n)))
+                if grid.plan.index is None:
+                    eta = grid.eta_field()
+                    ops = lambda lo, c, cl, im: _jet_ops(eta(cl))
+                else:
+                    entries = entry_plan(pair, grid.plan)
+                    ops = lambda lo, c, cl, im: _entry_ops(pair, grid,
+                                                           entries, c, cl)
+                sinks["table1"] = scored(alpha1[0].lam, alpha1[0].mu, ops)
             if "prop7" in kinds:
                 sinks["prop7.1"] = scored(-(m + n) / 2.0, -0.25,
                                           lambda lo, c, cl, im: im)
@@ -458,6 +468,18 @@ def _cartan_sink(pair, alpha1, kpts, P):
 def _jet_ops(j):
     """(phi, tau, kappa) of the Jet2 ``j`` over one point axis."""
     return jet_ops(j.v, j.d1, j.d2, 1)
+
+
+def _entry_ops(pair, grid, entries, points, closed):
+    """Values, tau and kappa of the one-hot stack or grid ``grid`` at
+    ``points``, whose closed jets (cartan_jets_closed) are ``closed``:
+    the values and tau are the trace forms of closed.v and closed.d2, the
+    bits its eta_field reads; kappa is read off entries of
+    Phi = closed.v along the EntryPlan ``entries`` (operators.entry_kappa),
+    with no first derivative."""
+    return (trace_form(closed.v, grid.plan) + grid.c,
+            trace_form(closed.d2, grid.plan),
+            entry_kappa(pair, entries, points, closed.v))
 
 
 def _poly_ops(PF, forms, closed):
@@ -590,13 +612,17 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
                          for mm in members]
                         for alpha, members in zip(alphas, blocks)])
         (res_tau, *_), (res_kappa, *_) = eigen
-        # per point: the lambda residuals, then the mu residuals
-        P = len(res_tau)
+        # per point: the lambda residuals, then the mu residuals, copied
+        # member by member into one array; res_kappa[:, new] and a
+        # concatenate would hold the mu part twice, at the run's peak
+        P, cols, K = len(res_tau), np.flatnonzero(new), res_kappa.shape[-1]
+        res = np.empty((P, len(cols) * (1 + K)))
+        res[:, :len(cols)] = res_tau.reshape(P, -1)[:, cols]
+        kappa = res_kappa.reshape(P, -1, K)
+        for lo, col in zip(range(len(cols), res.shape[1], K), cols):
+            res[:, lo:lo + K] = kappa[:, col]
         out.append(_result(
-            ids[2], space, params, P,
-            np.concatenate([res_tau[:, new],
-                            res_kappa[:, new].reshape(P, -1)], axis=1),
-            None, None, tol,
+            ids[2], space, params, P, res, None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
     return out
 

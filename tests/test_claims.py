@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eigenlab import ambient, cartan, catalog, claims, jets
+from eigenlab import ambient, cartan, catalog, claims, jets, operators
 from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
                              _eigen_residuals, _result, jobs_for, run_claims,
@@ -213,9 +213,10 @@ def test_table1_scores_do_not_depend_on_the_pass_size(monkeypatch, chunk):
     pair, blocks = (cache.pair("sp-grassmannian", 3, 3),
                     cache.blocks("sp-grassmannian", 3, 3))
     grid = catalog.stack_members(map(catalog.stack_members, blocks))
-    closed = cartan.cartan_jets_closed(
-        pair, random_pair_points(pair, SampleConfig(seed=0), range(300)))
-    values, tau, kappa = claims._jet_ops(grid.eta_field()(closed))
+    points = random_pair_points(pair, SampleConfig(seed=0), range(300))
+    values, tau, kappa = claims._entry_ops(
+        pair, grid, operators.entry_plan(pair, grid.plan), points,
+        cartan.cartan_jets_closed(pair, points))
     assert kappa.shape == (300, 12, 11, 11)
     args = (values, tau, kappa, blocks[0][0].lam, blocks[0][0].mu)
     scores = per_point_eigen_scores(*args)
@@ -323,6 +324,97 @@ def test_table1_makes_no_cartan_jet_pass(cartan_passes):
         "catalog.quat.new-range[m=2,n=2]"]
     assert all(r.passed for r in results)
     assert cartan_passes == []
+
+
+# table1's entries route against the closed jets' Gram product, relative
+# to the latter's largest entry: both round differently (the worst seen
+# is 1.2e-15, at sp-grassmannian(3,3))
+ENTRY_RTOL = 2e-15
+
+
+@pytest.mark.parametrize("space,m,n", [
+    (space, m, n) for space in ("u-grassmannian", "sp-grassmannian")
+    for m, n in claims.DEFAULT_SIZES[space]] + [("sp-grassmannian", 3, 3)])
+def test_table1_entries_match_the_closed_jets(space, m, n):
+    # the route table1 takes on one-hot grids is tied to the jets: its
+    # values and tau are the bits of the grid's eta_field on the closed
+    # jets, its kappa their Gram product up to ENTRY_RTOL
+    cache = claims._Cache(RunConfig(samples=40), [])
+    pair = cache.pair(space, m, n)
+    grid = catalog.stack_members(map(catalog.stack_members,
+                                     cache.blocks(space, m, n)))
+    points = random_pair_points(pair, SampleConfig(seed=0), range(40))
+    closed = cartan.cartan_jets_closed(pair, points)
+    (values, tau, kappa), (v, t, k) = (
+        claims._entry_ops(pair, grid, operators.entry_plan(pair, grid.plan),
+                          points, closed),
+        claims._jet_ops(grid.eta_field()(closed)))
+    assert np.array_equal(values, v) and np.array_equal(tau, t)
+    assert kappa.shape == k.shape
+    assert np.abs(kappa - k).max() <= ENTRY_RTOL * np.abs(k).max()
+
+
+def _s_for_j(monkeypatch, pair):
+    # S in place of J: the pair's signature as its symplectic form
+    monkeypatch.setattr(operators, "j_matrix",
+                        lambda size: pair.sigma.conjugator)
+
+
+def _wrong_alpha(monkeypatch, pair):
+    # each member's kappa read off the column of the next alpha
+    planned, N = claims.entry_plan, pair.matrix_size
+
+    def shifted(pair, plan):
+        members, index, w = plan
+        j, i = np.divmod(index, N)
+        return planned(pair, jets.FormPlan(members, j * N + (i + 1) % N, w))
+
+    monkeypatch.setattr(claims, "entry_plan", shifted)
+
+
+@pytest.mark.parametrize("wrong,space", [
+    (_s_for_j, "sp-grassmannian"), (_wrong_alpha, "u-grassmannian"),
+    (_wrong_alpha, "sp-grassmannian")])
+def test_a_wrong_entry_formula_fails_table1(monkeypatch, wrong, space):
+    # negative controls of the entries route: S in place of J, or kappa
+    # read at the wrong alpha, fail table1's mu claim and the new range's
+    # by 1e-3 or more, while lambda, read off the closed jets' values and
+    # tension, passes.  A flipped Q R term cannot fail table1; see
+    # test_a_flipped_q_r_term_fails_the_entry_formula
+    wrong(monkeypatch, make_pair(space, m=1, n=2))
+    lam, *rest = run_claims(RunConfig(spaces=(space,), m=1, n=2, samples=8),
+                            prefix="table1.")
+    assert lam.claim_id.startswith("table1.") and ".lambda" in lam.claim_id
+    assert lam.passed
+    assert len(rest) == 1 + (space == "sp-grassmannian")
+    assert all(not r.passed and r.max_residual >= 1e-3 for r in rest)
+
+
+@pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian"])
+def test_a_quat_sized_table1_pass_forms_no_first_derivative(monkeypatch,
+                                                            space):
+    # on the one-hot grids table1 reads kappa off entries of Phi: a pass
+    # of CHUNK points at (3,3) makes no Gram product and takes trace forms
+    # of the closed jets' values and tension only, not of their first
+    # derivatives
+    grams, forms = [], []
+    gram, trace_form = jets.gram, jets.trace_form
+
+    def spy(a, B):
+        forms.append(np.shape(a))
+        return trace_form(a, B)
+
+    for mod in (jets, claims, operators):
+        if getattr(mod, "gram", None) is gram:
+            monkeypatch.setattr(mod, "gram",
+                                lambda *a: grams.append(a) or gram(*a))
+        monkeypatch.setattr(mod, "trace_form", spy)
+    results = run_claims(RunConfig(spaces=(space,), m=3, n=3, samples=CHUNK),
+                         prefix="table1.")
+    assert all(r.passed for r in results)
+    N = make_pair(space, m=3, n=3).matrix_size
+    assert grams == []
+    assert forms == [(CHUNK, N, N)] * 2
 
 
 def test_full_run_pushes_p_and_k_basis_once(cartan_passes):

@@ -344,3 +344,22 @@ def test_report_digests_prints_one_md5_per_oracle_report():
     lines = proc.stdout.splitlines()
     assert len(lines) == 6
     assert all(re.fullmatch(r"[0-9a-f]{32} \S.*", ln) for ln in lines), lines
+
+
+def test_rss_passes_prints_one_line_per_pass():
+    # tools/rss_passes.py runs one verify argv in its own process, with
+    # perfbench's host probe between passes: one line per pass, with its
+    # wall time, ru_maxrss and minor faults
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "rss_passes.py"), "--passes",
+         "2", "--", "verify", "--space", "sphere", "--n", "2", "--samples",
+         "4"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [ln.split()[:2] for ln in lines] == [["pass", "0"], ["pass", "1"]]
+    assert all(re.fullmatch(r"pass \d+ wall_s [\d.]+ maxrss_mb [\d.]+ "
+                            r"minflt \d+", ln) for ln in lines), lines
