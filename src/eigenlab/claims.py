@@ -10,10 +10,13 @@ once (_Cache.sweep), in passes sized by the Cartan jets' working set
 its share of each pass: the closed jets, the image pass and the
 library's one Cartan walk (cartan.blocks, cartan.map_tension_raw).  On
 the u- and sp-grassmannian, whose table1 grid is one-hot, table1 reads
-kappa off entries of Phi (operators.entry_kappa) and its values and tau
-off the closed jets' value and tension; the entries route shares the
-involution with the jet routes, and C_p through cartan.casimir, which
-checks the closed tension against the Cartan walk.  Every eigenvalue
+its values and tau off the closed jets' value and tension and its kappa
+off the values, kappa = scale phi psi within one alpha
+(operators.one_hot_scale), with no first derivative.  This entries route
+shares with the jet routes the involution, C_p through cartan.casimir
+(which checks Z(Phi) = 2 p Z sigma(p)^-1 and the closed tension against
+the Cartan walk), and the p-basis through the scheme.completeness claim
+(sum_X tr(X U) X = -P_p(U), operators.p_projection).  Every eigenvalue
 claim is scored by one streaming scorer (_EigenScores), which also fits
 the eigenvalue by least squares (the ratio tau(phi)/phi over samples
 with |phi| >= 1e-3) from sums made per point.  Reports do not depend on
@@ -37,7 +40,7 @@ from .families import (base_family, polynomial_family, product_family,
                        product_ops)
 from .jets import Jet2, gram, jet_ops, trace_form
 from .matrices import basis_D, basis_X, basis_Y, metric
-from .operators import entry_kappa, entry_plan, image_ops
+from .operators import image_ops, one_hot_scale, p_projection
 from .pairs import SPACES, make_pair, space_label
 from .sampling import (SampleConfig, random_pair_points, random_sphere_points,
                        random_subgroup_points, rng_for)
@@ -188,10 +191,12 @@ class ClaimResult:
 class Job:
     """A unit of verification work producing one or more claim results.
 
-    ``kind`` names its suite, the first part of each of its claim ids:
+    ``kind`` names its suite, the first part of its first claim id:
     "basis", "table1", "prop7", "cartan", "poly", "product", "sphere" or
-    "cpn".  ``space`` is the point set (space, m, n) that a job on a
-    symmetric pair reads, else its selector ("basis", "sphere", "cpn")."""
+    "cpn"; table1's job on the u- and sp-grassmannian also scores
+    scheme.completeness.  ``space`` is the point set (space, m, n) that a
+    job on a symmetric pair reads, else its selector ("basis", "sphere",
+    "cpn")."""
 
     claim_ids: tuple
     space: str | tuple
@@ -383,13 +388,12 @@ class _Cache:
             if "table1" in kinds:
                 grid = stack_members(map(stack_members, self.blocks(
                     space, m, n)))
-                if grid.plan.index is None:
+                scale = one_hot_scale(pair, grid.plan)
+                if scale is None:
                     eta = grid.eta_field()
                     ops = lambda lo, c, cl, im: _jet_ops(eta(cl))
                 else:
-                    entries = entry_plan(pair, grid.plan)
-                    ops = lambda lo, c, cl, im: _entry_ops(pair, grid,
-                                                           entries, c, cl)
+                    ops = lambda lo, c, cl, im: _entry_ops(grid, scale, cl)
                 sinks["table1"] = scored(alpha1[0].lam, alpha1[0].mu, ops)
             if "prop7" in kinds:
                 sinks["prop7.1"] = scored(-(m + n) / 2.0, -0.25,
@@ -470,16 +474,16 @@ def _jet_ops(j):
     return jet_ops(j.v, j.d1, j.d2, 1)
 
 
-def _entry_ops(pair, grid, entries, points, closed):
-    """Values, tau and kappa of the one-hot stack or grid ``grid`` at
-    ``points``, whose closed jets (cartan_jets_closed) are ``closed``:
-    the values and tau are the trace forms of closed.v and closed.d2, the
-    bits its eta_field reads; kappa is read off entries of
-    Phi = closed.v along the EntryPlan ``entries`` (operators.entry_kappa),
-    with no first derivative."""
-    return (trace_form(closed.v, grid.plan) + grid.c,
-            trace_form(closed.d2, grid.plan),
-            entry_kappa(pair, entries, points, closed.v))
+def _entry_ops(grid, scale, closed):
+    """Values, tau and kappa of the stack or grid ``grid`` over the closed
+    jets ``closed`` (cartan_jets_closed), for grids whose kappa is
+    ``scale`` phi psi (operators.one_hot_scale): the values and tau are
+    the trace forms of closed.v and closed.d2, the bits its eta_field
+    reads; kappa is the product of the forms' values, with no first
+    derivative."""
+    t = trace_form(closed.v, grid.plan)
+    return (t + grid.c, trace_form(closed.d2, grid.plan),
+            scale * t[..., :, None] * t[..., None, :])
 
 
 def _poly_ops(PF, forms, closed):
@@ -585,6 +589,8 @@ def _table1_claim_ids(space, params):
     ids = _eigen_ids(f"table1.row{ROW_BY_SPACE[space]}", params)
     if space == "sp-grassmannian":
         ids += (f"catalog.quat.new-range{_suffix(params)}",)
+    if space in ("u-grassmannian", "sp-grassmannian"):
+        ids += (f"scheme.completeness{_suffix({'space': space, **params})}",)
     return ids
 
 
@@ -624,7 +630,35 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
         out.append(_result(
             ids[2], space, params, P, res, None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
+    if ids[-1].startswith("scheme."):
+        # a check of the built basis, like the basis claims: no samples
+        res = _completeness_residuals(cache.pair(space, m, n))
+        out.append(_result(ids[-1], space, params, 0, res, None, None,
+                           _tol(config, 1e-10),
+                           detail=f"sum_X tr(X U) X = -P_p(U) at the "
+                                  f"{len(res)} U = E_ij"))
     return out
+
+
+def _completeness_residuals(pair):
+    """Per U = E_ij of the pair's size, the largest entry of
+    |sum_X tr(X U) X + P_p(U)| over the pair's built p-basis X, with
+    P_p the closed form of operators.p_projection.  Both sides are linear
+    in U, and the E_ij span every U, so this checks the identity that
+    table1's kappa = scale phi psi rests on (operators.one_hot_scale)
+    for every U."""
+    N = pair.matrix_size
+    X = pair.p_basis.reshape(-1, N * N)
+    # sum_X tr(X E_ij) X = sum_X X[j, i] X: each X adds the products of
+    # its own few nonzeros, at row i N + j of lhs for X[j, i].  A gemm of
+    # the whole basis would be as exact, but OpenBLAS threads it at 12 x 12
+    x, v = np.nonzero(X)
+    a, b = np.nonzero(x[:, None] == x)
+    j, i = np.divmod(v[a], N)
+    lhs = np.zeros((N * N, N * N), complex)
+    np.add.at(lhs, (i * N + j, v[b]), X[x[a], v[a]] * X[x[b], v[b]])
+    E = np.eye(N * N).reshape(-1, N, N)
+    return np.abs(lhs + p_projection(pair, E).reshape(N * N, -1)).max(axis=1)
 
 
 def _prop71_claim_ids(params):

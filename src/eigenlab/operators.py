@@ -19,14 +19,13 @@ pairwise (Gram) matrix over the members.  The image pass, image_ops,
 takes the catalog's trace forms themselves, not a field: their
 derivatives along the image basis are read off one n x n matrix per
 point and member, with no curve jet.  On the u- and sp-grassmannian,
-whose catalog forms are one-hot, entry_kappa reads the kappa grid of
-such forms off entries of Phi and two more n x n matrices per point,
-with no derivative at all.
+whose catalog forms are one-hot, one_hot_scale gives the factor that
+makes the kappa grid of one alpha a product of the forms' values, read
+off Phi with no derivative at all; p_projection is the closed form of the
+p-projection that factor rests on.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +43,8 @@ __all__ = [
     "quotient_ops",
     "image_ops",
     "image_tension",
-    "EntryPlan",
-    "entry_plan",
-    "entry_kappa",
+    "p_projection",
+    "one_hot_scale",
     "finite_difference_derivs",
 ]
 
@@ -184,106 +182,50 @@ def image_tension(pair, phi, p: np.ndarray):
     return image_ops(pair, phi, p)[1]
 
 
-# kappa's factor in front of the entries, per space
-_ENTRY_SCALE = {"u-grassmannian": -2.0, "sp-grassmannian": -1.0}
-
-
-class EntryPlan(NamedTuple):
-    """What entry_kappa reads of a stack or grid of one-hot trace forms
-    (entry_plan).  Each array is over the (member, member) pairs along the
-    last member axis, cut to length 1 along every axis on which it is
-    constant, so that it broadcasts back."""
-
-    members: tuple
-    phi: tuple
-    quat: tuple | None
-    scale: np.ndarray
-    const: np.ndarray | None
-
-
-def entry_plan(pair, plan) -> EntryPlan:
-    """The gathers and constants of entry_kappa for the one-hot trace
-    forms of the jets.FormPlan ``plan`` (a catalog function's, stack's or
-    grid's .plan) on the u- or sp-grassmannian ``pair``, made once per
-    family.  For B1 = w1 E_{i1 j1} and B2 = w2 E_{i2 j2},
-
-      u:  kappa = -2 w1 w2 (Phi[j1,i2] Phi[j2,i1] - S[j1,i2] S[j2,i1]),
-      sp: kappa = -w1 w2 (Phi[j2,i1] Phi[j1,i2] - J^-1[j2,j1] J[i1,i2]
-                          - S[j2,i1] S[j1,i2] + Q[j2,j1] R[i1,i2]),
-
-    S the pair's signature (its involution's conjugator) and, on the
-    sp-grassmannian, J the symplectic form, Q = p S J^-1 p^T and
-    R = s^T J S s with s = sigma(p)^-1.  The plan's ``phi`` holds the
-    flat indices of the two Phi entries, ``scale`` the factor in front and
-    ``const`` the constant terms times it (None if they all vanish);
-    ``quat`` holds the flat indices of Q and R and the matrices S J^-1
-    and J S; it is None on the u-grassmannian and where every pair has i1 = i2,
-    as in a fixed-alpha family: J S is antisymmetric, so R is and
-    R[i, i] = 0."""
-    members, index, w = plan
-    if index is None or pair.space not in _ENTRY_SCALE:
-        raise ValueError("entry_plan takes one-hot trace forms on the u- or "
-                         "sp-grassmannian")
-    n = pair.matrix_size
-    shape = members or (1,)
-    # B[i, j] = w, at flat index j n + i of B^T (form_plan)
-    j, i = np.divmod(index.reshape(shape), n)
-    w = w.reshape(shape)
-    j1, i1, w1 = (a[..., :, None] for a in (j, i, w))
-    j2, i2, w2 = (a[..., None, :] for a in (j, i, w))
-    S = pair.sigma.conjugator
-    scale = _ENTRY_SCALE[pair.space] * w1 * w2
-    const = S[j1, i2] * S[j2, i1]
-    quat = None
-    if pair.space == "sp-grassmannian":
-        J = j_matrix(n // 2)
+def p_projection(pair, U):
+    """P_p(U) on the u- or sp-grassmannian ``pair``: the complex-linear
+    projection of the n x n matrices U (any leading axes) onto p, along
+    the matrices trace-orthogonal to it.  It is (U - dsigma(U)) / 2, with
+    dsigma(U) = S U S the pair's involution (S its signature), then on
+    the sp-grassmannian (V - J^-1 V^T J) / 2, the projection onto sp.
+    Every product is exact: S and J are signed permutations.  The p-basis
+    completes to it, sum_X tr(X U) X = -P_p(U) (the scheme.completeness
+    claim)."""
+    if pair.space not in _ONE_HOT_SCALE:
+        raise ValueError("p_projection takes the u- or sp-grassmannian")
+    V = (U - pair.sigma.d(U)) / 2.0
+    if pair.group == "sp":
+        J = j_matrix(pair.matrix_size // 2)
         # J^-1 = J^T
-        const = const + J.T[j2, j1] * J[i1, i2]
-        if (i1 != i2).any():
-            quat = (_least(j2 * n + j1), _least(i1 * n + i2), S @ J.T, J @ S)
-    return EntryPlan(members, (_least(j1 * n + i2), _least(j2 * n + i1)),
-                     quat, _least(scale),
-                     _least(-scale * const) if const.any() else None)
+        V = (V - J.T @ np.swapaxes(V, -1, -2) @ J) / 2.0
+    return V
 
 
-def _least(a):
-    """``a`` cut to its first entry along every axis on which it is
-    constant: the least array that broadcasts back to it."""
-    for axis in range(a.ndim):
-        first = a[(slice(None),) * axis + (slice(0, 1),)]
-        if (a == first).all():
-            a = first
-    return a
+# With Z(Phi) = 2 p Z s on p (s = sigma(p)^-1, cartan.casimir) and the
+# completeness of the p-basis, kappa(tr Phi A, tr Phi B) =
+# -4 tr(P_p(s A p) s B p).  For A = w1 E_{alpha j1}, B = w2 E_{alpha j2},
+# j1, j2 != alpha, the term of U itself gives w1 w2 Phi[j1, alpha]
+# Phi[j2, alpha]; the others give entries of S at (j, alpha), of J at
+# (alpha, alpha) and of R = s^T J S s at (alpha, alpha), which all
+# vanish.  P_p weighs U by 1/2, and by 1/4 on the sp-grassmannian
+_ONE_HOT_SCALE = {"u-grassmannian": -2.0, "sp-grassmannian": -1.0}
 
 
-def entry_kappa(pair, plan: EntryPlan, p: np.ndarray, y: np.ndarray):
-    """kappa_N(eta, eta) for one-hot trace forms eta(y) = tr(y B) + c on
-    the u- or sp-grassmannian, read off entries along their entry_plan
-    ``plan``: of y = Phi(p) and, where the plan needs them, of
-    Q = p S J^-1 p^T and R = s^T J S s, s = sigma(p)^-1, two products
-    each per point.  No derivative is formed.  Members pair along the
-    last member axis, as in image_ops.  Every term is a product of
-    gathered entries of one point, so a point's bits do not depend on its
-    batch."""
-    p = np.asarray(p, dtype=complex)
-    n = p.shape[-1]
-    ys = np.reshape(y, (-1, n * n))
-    shape = plan.members or (1,)
-    a, b = (np.take(ys, index, axis=-1) for index in plan.phi)
-    kappa = np.multiply(a * plan.scale, b,
-                        out=np.empty((len(ys),) + shape + shape[-1:], complex))
-    if plan.quat is not None:
-        q, r, SJi, JS = plan.quat
-        pts = p.reshape(-1, n, n)
-        s = pair.sigma.inverse(pts)
-        Q = (pts @ SJi) @ np.swapaxes(pts, -1, -2)
-        R = np.swapaxes(s, -1, -2) @ (JS @ s)
-        kappa += (np.take(Q.reshape(-1, n * n), q, axis=-1) * plan.scale
-                  * np.take(R.reshape(-1, n * n), r, axis=-1))
-    if plan.const is not None:
-        kappa += plan.const
-    return kappa.reshape(p.shape[:-2] + plan.members
-                         + plan.members[-1:])[()]
+def one_hot_scale(pair, plan):
+    """The factor in kappa(phi, psi) = scale tr(Phi A) tr(Phi B) over the
+    pairs along the last member axis of the jets.FormPlan ``plan``, or
+    None unless that holds: on the u- or sp-grassmannian ``pair``, for
+    one-hot forms w E_{alpha j} (B[alpha, j] = w, j != alpha) with one
+    alpha along the last member axis, as in the catalog's (alpha, member)
+    grid.  Constant terms of the functions do not enter kappa."""
+    members, index, _ = plan
+    if index is None or pair.space not in _ONE_HOT_SCALE:
+        return None
+    # B[i, j] = w, at flat index j n + i of B^T (form_plan)
+    j, i = np.divmod(np.reshape(index, members or (1,)), pair.matrix_size)
+    if (i != i[..., :1]).any() or (i == j).any():
+        return None
+    return _ONE_HOT_SCALE[pair.space]
 
 
 def finite_difference_derivs(field, p: np.ndarray, Z: np.ndarray, h: float = 1e-5):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eigenlab import ambient, cartan, catalog, claims, jets, operators
+from eigenlab import ambient, cartan, catalog, claims, jets, operators, pairs
 from eigenlab.bases import square_sum
 from eigenlab.claims import (CHUNK, ConfigError, RunConfig, _eigen_claims,
                              _eigen_residuals, _result, jobs_for, run_claims,
@@ -71,6 +71,7 @@ def _cartan_ids(params):
     (RunConfig(spaces=("sp-grassmannian",), m=3, n=1),
      ["table1.row10.lambda[m=3,n=1]", "table1.row10.mu[m=3,n=1]",
       "catalog.quat.new-range[m=3,n=1]",
+      "scheme.completeness[space=sp-grassmannian,m=3,n=1]",
       "prop7.1.tau[m=3,n=1]", "prop7.1.kappa[m=3,n=1]"]
      + _cartan_ids("space=sp-grassmannian,m=3,n=1")),
     (RunConfig(spaces=("sphere",), n=3), ["sphere.lambda[n=3]",
@@ -109,7 +110,7 @@ def test_discrete_k_results_match_registration():
 
 
 def test_default_claim_count():
-    assert len(claim_ids(RunConfig())) == 186
+    assert len(claim_ids(RunConfig())) == 192
 
 
 def test_default_results_carry_the_registered_ids():
@@ -215,7 +216,7 @@ def test_table1_scores_do_not_depend_on_the_pass_size(monkeypatch, chunk):
     grid = catalog.stack_members(map(catalog.stack_members, blocks))
     points = random_pair_points(pair, SampleConfig(seed=0), range(300))
     values, tau, kappa = claims._entry_ops(
-        pair, grid, operators.entry_plan(pair, grid.plan), points,
+        grid, operators.one_hot_scale(pair, grid.plan),
         cartan.cartan_jets_closed(pair, points))
     assert kappa.shape == (300, 12, 11, 11)
     args = (values, tau, kappa, blocks[0][0].lam, blocks[0][0].mu)
@@ -231,6 +232,10 @@ def test_table1_scores_do_not_depend_on_the_pass_size(monkeypatch, chunk):
         np.concatenate([res_tau[:, new],
                         res_kappa[:, new].reshape(300, -1)], axis=1),
         None, None, 1e-8, detail="indices j or alpha in 7..12"))
+    res = claims._completeness_residuals(pair)
+    want.append(claims._result(
+        job.claim_ids[3], "sp-grassmannian", params, 0, res, None, None,
+        1e-10, detail="sum_X tr(X U) X = -P_p(U) at the 144 U = E_ij"))
     assert got == want
     assert_scores_match(scores, scores, unsliced_eigen_scores(*args))
 
@@ -321,7 +326,8 @@ def test_table1_makes_no_cartan_jet_pass(cartan_passes):
     results = run_claims(config, prefix="table1.")
     assert [r.claim_id for r in results] == [
         "table1.row10.lambda[m=2,n=2]", "table1.row10.mu[m=2,n=2]",
-        "catalog.quat.new-range[m=2,n=2]"]
+        "catalog.quat.new-range[m=2,n=2]",
+        "scheme.completeness[space=sp-grassmannian,m=2,n=2]"]
     assert all(r.passed for r in results)
     assert cartan_passes == []
 
@@ -343,51 +349,89 @@ def test_table1_entries_match_the_closed_jets(space, m, n):
     pair = cache.pair(space, m, n)
     grid = catalog.stack_members(map(catalog.stack_members,
                                      cache.blocks(space, m, n)))
-    points = random_pair_points(pair, SampleConfig(seed=0), range(40))
-    closed = cartan.cartan_jets_closed(pair, points)
+    closed = cartan.cartan_jets_closed(
+        pair, random_pair_points(pair, SampleConfig(seed=0), range(40)))
     (values, tau, kappa), (v, t, k) = (
-        claims._entry_ops(pair, grid, operators.entry_plan(pair, grid.plan),
-                          points, closed),
+        claims._entry_ops(grid, operators.one_hot_scale(pair, grid.plan),
+                          closed),
         claims._jet_ops(grid.eta_field()(closed)))
     assert np.array_equal(values, v) and np.array_equal(tau, t)
     assert kappa.shape == k.shape
     assert np.abs(kappa - k).max() <= ENTRY_RTOL * np.abs(k).max()
 
 
-def _s_for_j(monkeypatch, pair):
-    # S in place of J: the pair's signature as its symplectic form
+def _wrong_alpha(monkeypatch):
+    # each member's kappa read off the forms of the next alpha
+    entry_ops = claims._entry_ops
+
+    def shifted(grid, scale, closed):
+        values, tau, kappa = entry_ops(grid, scale, closed)
+        return values, tau, np.roll(kappa, 1, axis=-3)
+
+    monkeypatch.setattr(claims, "_entry_ops", shifted)
+
+
+def _swapped_scale(monkeypatch):
+    # each space's one-hot factor on the other space
+    monkeypatch.setattr(operators, "_ONE_HOT_SCALE", {
+        "u-grassmannian": -1.0, "sp-grassmannian": -2.0})
+
+
+def _s_for_j(monkeypatch):
+    # S in place of J in P_p: sp-grassmannian(1,2)'s signature as its
+    # symplectic form
     monkeypatch.setattr(operators, "j_matrix",
-                        lambda size: pair.sigma.conjugator)
+                        lambda size: i_signature_doubled(1, 2))
 
 
-def _wrong_alpha(monkeypatch, pair):
-    # each member's kappa read off the column of the next alpha
-    planned, N = claims.entry_plan, pair.matrix_size
-
-    def shifted(pair, plan):
-        members, index, w = plan
-        j, i = np.divmod(index, N)
-        return planned(pair, jets.FormPlan(members, j * N + (i + 1) % N, w))
-
-    monkeypatch.setattr(claims, "entry_plan", shifted)
+def _flipped_transpose_term(monkeypatch):
+    # P_p's term in J^-1 U^T J, from which the entry formula's Q R and
+    # J^-1 J terms come, with its sign flipped: i J in place of J
+    j_matrix = operators.j_matrix
+    monkeypatch.setattr(operators, "j_matrix",
+                        lambda size: 1j * j_matrix(size))
 
 
-@pytest.mark.parametrize("wrong,space", [
-    (_s_for_j, "sp-grassmannian"), (_wrong_alpha, "u-grassmannian"),
-    (_wrong_alpha, "sp-grassmannian")])
-def test_a_wrong_entry_formula_fails_table1(monkeypatch, wrong, space):
-    # negative controls of the entries route: S in place of J, or kappa
-    # read at the wrong alpha, fail table1's mu claim and the new range's
-    # by 1e-3 or more, while lambda, read off the closed jets' values and
-    # tension, passes.  A flipped Q R term cannot fail table1; see
-    # test_a_flipped_q_r_term_fails_the_entry_formula
-    wrong(monkeypatch, make_pair(space, m=1, n=2))
-    lam, *rest = run_claims(RunConfig(spaces=(space,), m=1, n=2, samples=8),
-                            prefix="table1.")
-    assert lam.claim_id.startswith("table1.") and ".lambda" in lam.claim_id
-    assert lam.passed
-    assert len(rest) == 1 + (space == "sp-grassmannian")
-    assert all(not r.passed and r.max_residual >= 1e-3 for r in rest)
+@pytest.mark.parametrize("wrong,space,failing", [
+    (_wrong_alpha, "u-grassmannian", ("mu",)),
+    (_wrong_alpha, "sp-grassmannian", ("mu", "new-range")),
+    (_swapped_scale, "u-grassmannian", ("mu",)),
+    (_swapped_scale, "sp-grassmannian", ("mu", "new-range")),
+    (_s_for_j, "sp-grassmannian", ("completeness",)),
+    (_flipped_transpose_term, "sp-grassmannian", ("completeness",))])
+def test_a_wrong_scheme_fails_its_claim(monkeypatch, wrong, space, failing):
+    # negative controls of the entries route.  Kappa read at the wrong
+    # alpha, or with the other space's factor, fails table1's mu claim and
+    # the new range's by 1e-3 or more, while lambda, read off the closed
+    # jets' values and tension, passes.  A P_p with S in place of J, or
+    # with its transpose term flipped, fails scheme.completeness, the
+    # report's check of the identity the factor rests on
+    wrong(monkeypatch)
+    results = run_claims(RunConfig(spaces=(space,), m=1, n=2, samples=8),
+                         prefix="table1.")
+    assert [r.claim_id.split("[")[0].split(".")[-1] for r in results] == (
+        ["lambda", "mu"] + ["new-range"] * (space == "sp-grassmannian")
+        + ["completeness"])
+    for r in results:
+        fails = r.claim_id.split("[")[0].split(".")[-1] in failing
+        assert r.passed != fails, r.claim_id
+        assert not fails or r.max_residual >= 1e-3, r.claim_id
+
+
+@pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian"])
+def test_completeness_fails_a_wrong_basis_or_involution(space):
+    # the built p-basis completes to P_p at every default size up to one
+    # rounding; a p-basis short of one element, or an involution with the
+    # first sign of its signature flipped, misses it by a quarter or more
+    for m, n in claims.DEFAULT_SIZES[space]:
+        pair = make_pair(space, m=m, n=n)
+        assert claims._completeness_residuals(pair).max() <= 4e-16
+    short = replace(pair, p_basis=pair.p_basis[1:])
+    S = pair.sigma.conjugator.copy()
+    S[0, 0] = -S[0, 0]
+    flipped = replace(pair, sigma=pairs.Involution(conjugator=S))
+    for wrong in (short, flipped):
+        assert claims._completeness_residuals(wrong).max() >= 0.25
 
 
 @pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian"])

@@ -293,7 +293,7 @@ def test_verify_runs_without_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rep = parse(out.read_text(), "json-lines")
-    assert len(rep.results) == 186 and rep.all_passed
+    assert len(rep.results) == 192 and rep.all_passed
     assert "scipy" not in rep.versions
 
 

@@ -12,12 +12,12 @@ from eigenlab.bases import group_basis, square_sum
 from eigenlab.cartan import cartan_map
 from eigenlab.catalog import family_for_space, stack_members
 from eigenlab.claims import DEFAULT_SIZES, PAIR_SPACE_ORDER
-from eigenlab.jets import Jet2, JetMatrix, form_plan, gram, jet_ops
+from eigenlab.jets import Jet2, JetMatrix, form_plan, jet_ops
 from eigenlab.matrices import basis_Y
-from eigenlab.operators import (conformality, direction_derivs, entry_kappa,
-                                entry_plan, field_value,
+from eigenlab.operators import (conformality, direction_derivs, field_value,
                                 finite_difference_derivs, image_ops,
-                                quotient_ops, tension)
+                                one_hot_scale, p_projection, quotient_ops,
+                                tension)
 from eigenlab.pairs import make_pair
 from eigenlab.sampling import (SampleConfig, random_pair_point,
                                random_pair_points, random_point)
@@ -247,73 +247,32 @@ def test_image_ops_holds_less_than_a_quarter_of_one_curve_jet():
     assert peak < whole / 4
 
 
-# entry_kappa against the Gram product of the closed jets' first
-# derivatives, relative to the latter's largest entry: both round
-# differently (the worst seen is 1.2e-15, at sp-grassmannian(3,3))
-ENTRY_RTOL = 2e-15
+@pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian"])
+def test_p_projection_keeps_p_and_drops_k(space):
+    # P_p is the identity on the p-basis, zero on the k-basis and
+    # idempotent, bit for bit: its products are with signed permutations
+    pair = make_pair(space, m=1, n=2)
+    assert np.array_equal(p_projection(pair, pair.p_basis), pair.p_basis)
+    assert not p_projection(pair, pair.k_basis).any()
+    U = np.random.default_rng(6).normal(size=(2, 2) + pair.p_basis.shape[1:])
+    assert np.array_equal(p_projection(pair, p_projection(pair, U)),
+                          p_projection(pair, U))
 
 
-def every_one_hot(pair):
-    """Every one-hot B = w E_ij of the pair's size as one stack, with
-    weights of both signs: its pairs take every (i1, j1, i2, j2)."""
-    N = pair.matrix_size
-    i, j = np.divmod(np.arange(N * N), N)
-    B = np.zeros((N * N, N, N), complex)
-    B[np.arange(N * N), i, j] = np.random.default_rng(6).normal(size=N * N)
-    return form_plan(B)
-
-
-def jet_kappa(pair, plan, p):
-    """kappa of the trace forms ``plan`` from the closed jets of Phi."""
-    return gram(cartan.cartan_jets_closed(pair, p).trace_form(plan).d1, 1)
-
-
-@pytest.mark.parametrize("space,m,n", [
-    ("u-grassmannian", 1, 2), ("sp-grassmannian", 1, 1),
-    ("sp-grassmannian", 1, 2)])
-def test_entry_kappa_matches_the_jets_on_every_one_hot_pair(space, m, n):
-    # on the pairs of all E_ij every term of the entry formula is live,
-    # the constants and, on the sp-grassmannian, Q R: the kappa read off
-    # entries is the closed jets' up to ENTRY_RTOL; a point's bits are the
-    # same alone and in a batch with two point axes; one form alone is
-    # read too
-    pair = make_pair(space, m=m, n=n)
-    plan = every_one_hot(pair)
-    entries = entry_plan(pair, plan)
-    assert entries.const is not None
-    assert (entries.quat is not None) == (space == "sp-grassmannian")
-    p = random_pair_points(pair, SampleConfig(seed=9), range(8))
-    y = cartan_map(pair, p)
-    got, ref = entry_kappa(pair, entries, p, y), jet_kappa(pair, plan, p)
-    assert got.shape == ref.shape
-    assert np.abs(got - ref).max() <= ENTRY_RTOL * np.abs(ref).max()
-    assert np.array_equal(entry_kappa(pair, entries, p[3], y[3]), got[3])
-    grid = entry_kappa(pair, entries, *(a.reshape((2, 4) + a.shape[1:])
-                                        for a in (p, y)))
-    assert np.array_equal(grid.reshape(got.shape), got)
-    # one form alone gives kappa(phi, phi), the jets' diagonal entry
-    members, index, w = plan
-    one = entry_plan(pair, plan._replace(members=(), index=index[5:6],
-                                         weights=w[5:6]))
-    assert np.abs(entry_kappa(pair, one, p, y) - ref[:, 5, 5]).max() \
-        <= ENTRY_RTOL * np.abs(ref).max()
-
-
-def test_a_flipped_q_r_term_fails_the_entry_formula(monkeypatch):
-    # negative control: with Q R's sign flipped the entries miss the jets
-    # by a tenth of kappa's largest entry or more on pairs with i1 != i2.
-    # No table1 claim can see it: a fixed-alpha family pairs forms of one
-    # alpha, i1 = i2, where R[i1, i2] vanishes (R is antisymmetric), so
-    # its plan leaves the term out
-    pair = make_pair("sp-grassmannian", m=1, n=1)
-    planned = entry_plan(pair, every_one_hot(pair))
-    q, r, SJi, JS = planned.quat
-    flipped = planned._replace(quat=(q, r, -SJi, JS))
-    p = random_pair_points(pair, SampleConfig(seed=9), range(8))
-    ref = jet_kappa(pair, every_one_hot(pair), p)
-    assert np.abs(entry_kappa(pair, flipped, p, cartan_map(pair, p))
-                  - ref).max() \
-        >= 0.1 * np.abs(ref).max()
-    family = stack_members(family_for_space("sp-grassmannian", m=1, n=1,
+def test_one_hot_scale_takes_one_alpha_per_row():
+    # the factor is read only for one-hot forms w E_{alpha j}, j != alpha,
+    # with one alpha along the last member axis: a catalog family, a stack
+    # of two alphas, a form with j = alpha, a dense form or another space
+    # give the jet route (None)
+    pair = make_pair("u-grassmannian", m=1, n=2)
+    family = stack_members(family_for_space("u-grassmannian", m=1, n=2,
                                             alpha=2, pair=pair))
-    assert entry_plan(pair, family.plan).quat is None
+    assert one_hot_scale(pair, family.plan) == -2.0
+    assert family.plan.index.tolist() == [1, 7]
+    # B[i, j] at flat index j n + i: 1 is E_{1,0}, 6 is E_{0,2}, 4 E_{1,1}
+    for bad in ([1, 6], [1, 4]):
+        assert one_hot_scale(pair, family.plan._replace(
+            index=np.array(bad))) is None
+    assert one_hot_scale(pair, form_plan(np.eye(3)[None])) is None
+    assert one_hot_scale(make_pair("so-grassmannian", m=1, n=2),
+                         family.plan) is None
