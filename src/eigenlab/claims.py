@@ -605,6 +605,16 @@ def _alpha_range(space, m, n):
 
 def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     tol = _tol(config, 1e-8)
+    # a check of the built basis, like the basis claims: no samples.  It
+    # runs before the sweep, so its N^4 temporaries are never held with
+    # the sweep's arrays
+    scheme = []
+    if ids[-1].startswith("scheme."):
+        res = _completeness_residuals(cache.pair(space, m, n))
+        scheme.append(_result(ids[-1], space, params, 0, res, None, None,
+                              _tol(config, 1e-10),
+                              detail=f"sum_X tr(X U) X = -P_p(U) at the "
+                                     f"{len(res)} U = E_ij"))
 
     # kappa couples members only within one fixed-alpha family: the
     # families form an (alpha, member) grid of trace forms, paired along
@@ -630,14 +640,7 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
         out.append(_result(
             ids[2], space, params, P, res, None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
-    if ids[-1].startswith("scheme."):
-        # a check of the built basis, like the basis claims: no samples
-        res = _completeness_residuals(cache.pair(space, m, n))
-        out.append(_result(ids[-1], space, params, 0, res, None, None,
-                           _tol(config, 1e-10),
-                           detail=f"sum_X tr(X U) X = -P_p(U) at the "
-                                  f"{len(res)} U = E_ij"))
-    return out
+    return out + scheme
 
 
 def _completeness_residuals(pair):
