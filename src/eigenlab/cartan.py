@@ -27,8 +27,8 @@ __all__ = [
     "cartan_map",
     "cartan_map_jet",
     "cartan_map_closed",
-    "cartan_jets_closed",
     "harmonic_residual",
+    "map_tension_closed",
     "map_tension_raw",
     "pullback_factor",
     "pullback_ratio",
@@ -40,12 +40,9 @@ __all__ = [
 # at most BLOCK gathered entries (points x n x terms), both cut by spans,
 # so no array of it holds more: a pass of 32 points at
 # sp-grassmannian(3,3) makes twenty blocks of 4 of its 78 directions and
-# seven slices of at most 5 points.
-# Blocks of 8 took as long, but each block's four arrays of twice the
-# size went back to the system as the block ended and were faulted in
-# again by the next: a steady default run took about 3k minor page
-# faults, and about 660 with blocks of 4.  It is a quarter of the claim
-# engine's pass budget, claims.BUDGET.
+# seven slices of at most 5 points.  It is a quarter of the claim
+# engine's pass budget, claims.BUDGET.  Blocks of 8 took as long, but a
+# steady default run faulted their arrays in again, 3k page faults.
 BLOCK = 18_432
 
 
@@ -91,24 +88,16 @@ def cartan_map_closed(pair, p: np.ndarray) -> np.ndarray:
     return p @ M @ pT.conj() @ M
 
 
-def cartan_jets_closed(pair, p: np.ndarray) -> JetMatrix:
-    """The 2-jet of Phi along the p-basis at p, in closed form.
-
-    Along p exp(sZ), Phi is p exp(2sZ) sigma(p)^-1 for Z in p and constant
-    for Z in k, so its jet is the curve jet (p, p Z, p C_p) along the
-    p-basis, C_p the sum of Z^2 over it, times sigma(p)^-1 and 1, 2, 4:
-    Z(Phi) = 2 p Z sigma(p)^-1, and 4 p C_p sigma(p)^-1, which is also,
-    up to rounding, map_tension_raw(pair, p).  p Z is gathered, so the
-    one product per direction is by 2 sigma(p)^-1, the same bits as
-    2 (p Z sigma(p)^-1), made in place a direction at a time.
-    """
+def map_tension_closed(pair, p: np.ndarray):
+    """(Phi, T) at p in closed form.  Along p exp(sZ), Phi is
+    p exp(2sZ) sigma(p)^-1 for Z in p and constant for Z in k, so
+    Z(Phi) = 2 p Z sigma(p)^-1 (operators.form_jets) and the tension is
+    T = 4 p C_p sigma(p)^-1, C_p the sum of Z^2 over the p-basis: up to
+    rounding, map_tension_raw(pair, p)."""
     _check_member(pair, p)
-    c = JetMatrix.curve(p, pair.p_plan)
-    s_inv = pair.sigma.inverse(c.v)
-    two = 2.0 * s_inv
-    for d1 in c.d1:
-        np.matmul(d1, two, out=d1)
-    return JetMatrix(c.v @ s_inv, c.d1, 4.0 * (c.d2 @ s_inv))
+    p = np.asarray(p, dtype=complex)
+    s_inv = pair.sigma.inverse(p)
+    return p @ s_inv, 4.0 * ((p @ pair.p_plan.square) @ s_inv)
 
 
 def spans(count, per):

@@ -122,11 +122,6 @@ class Eigenfunction:
         pair, B, c = self.pair, self.plan, self.c
         return lambda jm: cartan_map_jet(pair, jm).trace_form(B) + c
 
-    def eta_field(self):
-        """The jet evaluator of eta itself (a function on the image N)."""
-        B, c = self.plan, self.c
-        return lambda jm: jm.trace_form(B) + c
-
 
 def stack_members(members) -> Eigenfunction:
     """The trace forms of ``members`` (one space, one pair) as a single

@@ -5,22 +5,19 @@ Every identity the library asserts has a stable claim id (for example
 that reports diff meaningfully between runs.  The engine registers the
 claims and scores each by the relative residual |x - ref| / max(1, |ref|).
 Each point set (space, m, n) of a symmetric pair is drawn once and walked
-once (_Cache.sweep), in passes sized by the Cartan jets' working set
-(_pass_size: one pass for most point sets); every job on the set reads
-its share of each pass: the closed jets, the image pass and the
-library's one Cartan walk (cartan.blocks, cartan.map_tension_raw).  On
-the u- and sp-grassmannian, whose table1 grid is one-hot, table1 reads
-its values and tau off the closed jets' value and tension and its kappa
-off the values, kappa = scale phi psi within one alpha
-(operators.one_hot_scale), with no first derivative.  This entries route
-shares with the jet routes the involution, C_p through cartan.casimir
-(which checks Z(Phi) = 2 p Z sigma(p)^-1 and the closed tension against
-the Cartan walk), and the p-basis through the scheme.completeness claim
-(sum_X tr(X U) X = -P_p(U), operators.p_projection).  Every eigenvalue
-claim is scored by one streaming scorer (_EigenScores), which also fits
-the eigenvalue by least squares (the ratio tau(phi)/phi over samples
-with |phi| >= 1e-3) from sums made per point.  Reports do not depend on
-the pass size nor on the Cartan pass's blocks.
+once (_Cache.sweep), in passes of _pass_size points.  A pass makes Phi and
+its tension T in closed form (cartan.map_tension_closed), and every job
+on the set reads its share: the trace forms' jets along the p-basis
+(operators.form_jets), the image pass, and the library's one Cartan walk
+(cartan.blocks, cartan.map_tension_raw).  On the u- and sp-grassmannian,
+whose table1 grid is one-hot, table1 reads its values and tau off Phi and
+T and its kappa off the values, kappa = scale phi psi within one alpha
+(operators.one_hot_scale).  This entries route shares with the jet routes
+the involution, C_p through cartan.casimir (Z(Phi) = 2 p Z sigma(p)^-1
+and T against the Cartan walk), and the p-basis through the
+scheme.completeness claim (sum_X tr(X U) X = -P_p(U)).  Every eigenvalue
+claim is scored and fitted by one streaming scorer (_EigenScores).
+Reports do not depend on the pass size nor on the Cartan pass's blocks.
 """
 
 from __future__ import annotations
@@ -33,14 +30,14 @@ import numpy as np
 from . import ambient, catalog
 from .bases import square_sum
 # cartan_map_jet is not called here; perfbench's tracer test rebinds it here
-from .cartan import (blocks, cartan_jets_closed, cartan_map, cartan_map_jet,
+from .cartan import (blocks, cartan_map, cartan_map_jet, map_tension_closed,
                      map_tension_raw, pullback_ratio, tangential_residual)
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
                        product_ops)
-from .jets import Jet2, gram, jet_ops, trace_form
+from .jets import Jet2, JetMatrix, gram, jet_ops, trace_form
 from .matrices import basis_D, basis_X, basis_Y, metric
-from .operators import image_ops, one_hot_scale, p_projection
+from .operators import _image_ops, form_jets, one_hot_scale, p_projection
 from .pairs import SPACES, make_pair, space_label
 from .sampling import (SampleConfig, random_pair_points, random_sphere_points,
                        random_subgroup_points, rng_for)
@@ -60,17 +57,12 @@ __all__ = [
 
 # A chunked pass takes as many points as BUDGET entries of Cartan jets
 # hold (D directions x N^2 entries per point, D = dim k + dim p, N the
-# matrix size), and at least CHUNK.  BUDGET is the working set of 32
-# points at sp-grassmannian(2,2), the largest default point set.  The
-# floor keeps 12 x 12 passes at CHUNK points, where more points per pass
-# ran slower; a budget that did that alone would put all 100 points of
-# sp-grassmannian(2,2) in one pass and raise the run's peak memory.  The
-# Cartan pass streams its directions in blocks, and the points of its
-# gathered cross term in slices, of at most cartan.BLOCK entries, a
-# quarter of BUDGET, so no array of it holds more, whatever the floor
-# puts in the pass: a pass of 32 points at sp-grassmannian(3,3),
-# 4.9 BUDGET, makes twenty blocks of 4 directions and seven slices of at
-# most 5 points; the largest default passes make up to five blocks.
+# matrix size), and at least CHUNK: they size a pass's work, not its
+# memory, as the Cartan walk streams its jets in blocks of cartan.BLOCK
+# entries, a quarter of BUDGET, and every other array of a pass holds N^2
+# entries per point, member or direction.  BUDGET is 32 points at
+# sp-grassmannian(2,2), the largest default point set; the floor keeps
+# 12 x 12 passes at CHUNK points, where more points per pass ran slower.
 CHUNK = 32
 BUDGET = 73_728
 
@@ -361,17 +353,13 @@ class _Cache:
             base_family(self.family(space, m, n)), d))
 
     def sweep(self, space, m, n, part):
-        """The job ``part``'s share of the sweep of (space, m, n), which
-        draws the point set once (and, for the cartan job, one point of K
-        per point if dim k > 0) and walks it in passes of _pass_size(pair)
-        points.  Each pass makes the closed jets (cartan_jets_closed) and,
-        if prop7.1 or the cartan job reads the set, the image pass of the
-        alpha = 1 stack (image_ops), and feeds them to a sink per job of
-        the cache on the set, ``part``'s among them.  "table1", "prop7.1",
-        "poly.d2", "poly.d3" and "product" (these points as its first
-        factor's) each feed their own _EigenScores, so no kappa grid is
-        held whole; "cartan" gets _cartan_sink's arrays.  Each share is
-        dropped once read."""
+        """The job ``part``'s share of the sweep of (space, m, n): the
+        point set, drawn once (and, for the cartan job, a point of K per
+        point if dim k > 0), is walked in passes of _pass_size(pair)
+        points; each pass's Phi and tension (map_tension_closed) and, for
+        prop7.1 or the cartan job, its image pass of the alpha = 1 stack
+        go to one sink per job on the set.  The eigen sinks score as the
+        points arrive (_EigenScores), so no kappa grid is held whole."""
         held = self._sweeps.setdefault((space, m, n), {})
         if part not in held:
             pair, alpha1 = self.pair(space, m, n), self.family(space, m, n)
@@ -390,8 +378,8 @@ class _Cache:
                     space, m, n)))
                 scale = one_hot_scale(pair, grid.plan)
                 if scale is None:
-                    eta = grid.eta_field()
-                    ops = lambda lo, c, cl, im: _jet_ops(eta(cl))
+                    ops = lambda lo, c, cl, im: _jet_ops(
+                        form_jets(pair, grid, c, cl))
                 else:
                     ops = lambda lo, c, cl, im: _entry_ops(grid, scale, cl)
                 sinks["table1"] = scored(alpha1[0].lam, alpha1[0].mu, ops)
@@ -408,7 +396,7 @@ class _Cache:
                     forms_d = stack_members(PF.members[0].base)
                     sinks[f"poly.d{d}"] = scored(
                         PF.lam, PF.mu, lambda lo, c, cl, im, PF=PF,
-                        f=forms_d: _poly_ops(PF, f, cl))
+                        f=forms_d: _poly_ops(PF, form_jets(pair, f, c, cl)))
             if "product" in kinds:
                 F = base_family(alpha1)
                 PF = product_family(F, F)
@@ -417,21 +405,18 @@ class _Cache:
                 second = random_pair_points(pair, self.scfg, range(P, 2 * P))
                 sinks["product"] = scored(
                     PF.lam, PF.mu, lambda lo, c, cl, im: _product_ops(
-                        factors, cl, cartan_jets_closed(
-                            pair, second[lo:lo + len(c)])))
+                        pair, factors, c, cl, second[lo:lo + len(c)]))
 
             stack = (stack_members(alpha1)
                      if {"prop7", "cartan"} & kinds else None)
             size = _pass_size(pair)
             for lo in range(0, P, size):
                 c = points[lo:lo + size]
-                closed = cartan_jets_closed(pair, c)
-                image = None if stack is None else image_ops(pair, stack, c)
+                closed = map_tension_closed(pair, c)
+                image = (None if stack is None
+                         else _image_ops(pair, stack, c, closed[0]))
                 for feed, _ in sinks.values():
                     feed(lo, c, closed, image)
-                # freed before the next pass's jets are made: holding both
-                # at once made quat-scale runs about 8% slower
-                del closed
             held.update((name, result()) for name, (_, result)
                         in sinks.items())
         return held.pop(part)
@@ -459,7 +444,7 @@ def _cartan_sink(pair, alpha1, kpts, P):
                                       4.0 * kapN[:, idx][..., idx])
         if kpts is not None:
             y = cartan_map(pair, c @ kpts[lo:lo + len(c)])
-            parts["k-invariance"] = np.abs(y - closed.v).reshape(
+            parts["k-invariance"] = np.abs(y - closed[0]).reshape(
                 len(c), -1).max(axis=1)
         for name, a in parts.items():
             if name not in out:
@@ -475,52 +460,58 @@ def _jet_ops(j):
 
 
 def _entry_ops(grid, scale, closed):
-    """Values, tau and kappa of the stack or grid ``grid`` over the closed
-    jets ``closed`` (cartan_jets_closed), for grids whose kappa is
-    ``scale`` phi psi (operators.one_hot_scale): the values and tau are
-    the trace forms of closed.v and closed.d2, the bits its eta_field
-    reads; kappa is the product of the forms' values, with no first
-    derivative."""
-    t = trace_form(closed.v, grid.plan)
-    return (t + grid.c, trace_form(closed.d2, grid.plan),
+    """Values, tau and kappa of the stack or grid ``grid`` whose kappa is
+    ``scale`` phi psi (operators.one_hot_scale): the trace forms of
+    ``closed`` = (Phi, T), the bits of form_jets, and the product of the
+    values, with no first derivative."""
+    t = trace_form(closed[0], grid.plan)
+    return (t + grid.c, trace_form(closed[1], grid.plan),
             scale * t[..., :, None] * t[..., None, :])
 
 
-def _poly_ops(PF, forms, closed):
-    """Values, tau and kappa of the polynomial family ``PF``: the jet
-    arithmetic of its generators on the jets of ``forms``, its base
-    members stacked, read off ``closed`` (cartan_jets_closed)."""
-    j = forms.eta_field()(closed)
-    vals = tuple(j[..., i] for i in range(len(forms.B)))
+def _poly_ops(PF, j):
+    """Values, tau and kappa of the polynomial family ``PF``: its
+    generators' jet arithmetic on ``j``, its base members' form_jets."""
+    vals = tuple(j[..., i] for i in range(j.shape[-1]))
     return _jet_ops(Jet2.stack([mm.generator(vals) for mm in PF.members]))
 
 
-def _product_ops(factors, closed1, closed2):
-    """Values, tau and kappa of a product family at point pairs (p1, p2):
-    the product law on the jets of the two ``factors``, each stacked over
-    every member, read off ``closed1`` and ``closed2``
-    (cartan_jets_closed at p1 and at p2)."""
-    jets = (f.eta_field()(cl) for f, cl in zip(factors, (closed1, closed2)))
+def _product_ops(pair, factors, p1, closed1, p2):
+    """Values, tau and kappa of a product family at the point pairs
+    (p1, p2): the product law on the form_jets of its two ``factors``,
+    each stacked over every member, at p1 (``closed1`` given) and p2."""
+    jets = (form_jets(pair, factors[0], p1, closed1),
+            form_jets(pair, factors[1], p2, map_tension_closed(pair, p2)))
     return product_ops([(j.v, j.d1, j.d2) for j in jets], 1)
+
+
+def _closed_derivs(pair, points, lo, hi, two):
+    """Z(Phi) = (p Z) two along the p-basis directions lo..hi-1 at
+    ``points``, two = 2 sigma(p)^-1, a direction at a time, in place."""
+    d1 = JetMatrix.curve(points, pair.p_plan.block(lo, hi)).d1[0]
+    for d in d1:
+        np.matmul(d, two, out=d)
+    return d1
 
 
 def _cartan_pass(pair, forms, points, closed):
     """What the cartan claims read of the 2-jets of Phi at ``points``: one
     Cartan walk (cartan.blocks) along the p-, then the k-basis, each
     block's Z(Phi) reduced as soon as it is made, and the raw map tension
-    (cartan.map_tension_raw), the sum of Z^2(Phi) over both bases.
-
-    Returns per point, keyed by claim kind, the pullback ratios along the
-    p-basis ("pullback") and the k-basis ("vertical"), the harmonic
-    residual and the casimir residual, the largest entry of the error of
-    ``closed``, cartan_jets_closed at ``points``, against the jets; and
-    "tau" and "kappa" of the trace forms ``forms``."""
+    (cartan.map_tension_raw).  Returns per point, keyed by claim kind, the
+    pullback ratios along the p-basis ("pullback") and the k-basis
+    ("vertical"), the harmonic residual, the casimir residual, the largest
+    error of each p-block against _closed_derivs and of the tension
+    against T of ``closed`` = (Phi, T) (map_tension_closed), and "tau"
+    and "kappa" of the trace forms ``forms``."""
+    Phi, T = closed
     X, V = pair.p_basis, pair.k_basis
     dp = len(X)
     num = np.empty((dp + len(V), len(points)))
     # the forms' first derivatives, for one Gram product
     d1_forms = np.empty(num.shape + forms.plan.members, complex)
     casimir = np.zeros(len(points))
+    two = 2.0 * pair.sigma.inverse(points)
     for lo, d1 in blocks(pair, points, pair.pk_plan):
         hi = lo + len(d1)
         num[lo:hi] = metric(d1, d1)
@@ -528,13 +519,13 @@ def _cartan_pass(pair, forms, points, closed):
         if lo < dp:
             # the closed form's error, in place: the pass reads d1 no more
             d1 = d1[:dp - lo]
-            d1 -= closed.d1[lo:hi]
+            d1 -= _closed_derivs(pair, points, lo, lo + len(d1), two)
             np.maximum(casimir, np.abs(d1).max(axis=(0, 2, 3)), out=casimir)
     d2 = map_tension_raw(pair, points)
-    np.maximum(casimir, np.abs(d2 - closed.d2).max(axis=(1, 2)), out=casimir)
+    np.maximum(casimir, np.abs(d2 - T).max(axis=(1, 2)), out=casimir)
     return {"pullback": pullback_ratio(num[:dp], X, X),
             "vertical": pullback_ratio(num[dp:], V, V),
-            "harmonic": tangential_residual(pair, closed.v, d2),
+            "harmonic": tangential_residual(pair, Phi, d2),
             "tau": trace_form(d2, forms.plan), "kappa": gram(d1_forms, 1),
             "casimir": casimir}
 

@@ -153,17 +153,19 @@ def _cmd_table(config: RunConfig) -> int:
         raise ConfigError("the selection has no eigenvalue table row; "
                           f"choose from {PAIR_SPACE_ORDER}")
     start = time.perf_counter()
-    results = [r for r in run_claims(config, prefix="table1.")
-               if r.claim_id.startswith("table1.")]
+    results = iter(run_claims(config, prefix="table1."))
     wall = time.perf_counter() - start
     rows = [("ROW", "SPACE", "SIZE", "LAMBDA", "MEASURED",
              "MU", "MEASURED", "STATUS")]
     fmt_m = lambda r: "-" if r.measured is None \
         else format(r.measured.real, ".10g")
     ok = True
-    # the jobs run in row order, each giving its (lambda, mu) pair
-    for lam, mu in zip(results[::2], results[1::2]):
-        passed = lam.passed and mu.passed
+    # the table1 jobs run in row order, each giving its (lambda, mu) pair
+    # first; a row fails with any claim of its job
+    for job in (j for j in jobs_for(config) if j.kind == "table1"):
+        got = [next(results) for _ in job.claim_ids]
+        lam, mu = got[:2]
+        passed = all(r.passed for r in got)
         ok = ok and passed
         space = lam.space
         rows.append((str(ROW_BY_SPACE[space]), space,

@@ -16,13 +16,13 @@ through one call of the field: the jet's d1 holds Z(phi) per direction
 and its d2 is tau(phi) already.  A field may return a trailing member
 axis, so that one call evaluates a whole family; kappa is then the
 pairwise (Gram) matrix over the members.  The image pass, image_ops,
-takes the catalog's trace forms themselves, not a field: their
-derivatives along the image basis are read off one n x n matrix per
-point and member, with no curve jet.  On the u- and sp-grassmannian,
-whose catalog forms are one-hot, one_hot_scale gives the factor that
-makes the kappa grid of one alpha a product of the forms' values, read
-off Phi with no derivative at all; p_projection is the closed form of the
-p-projection that factor rests on.
+and form_jets take the catalog's trace forms themselves, not a field:
+their derivatives along the image basis, or along the p-basis, are read
+off one n x n matrix per point and member, with no curve jet.  On the
+u- and sp-grassmannian, whose catalog forms are one-hot, one_hot_scale
+gives the factor that makes the kappa grid of one alpha a product of the
+forms' values, read off Phi with no derivative at all; p_projection is
+the closed form of the p-projection that factor rests on.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cartan import cartan_map, spans
-from .jets import JetMatrix, jet_ops, trace_form
+from .jets import Jet2, JetMatrix, jet_ops, trace_form
 from .matrices import j_matrix, mat_exp
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "quotient_ops",
     "image_ops",
     "image_tension",
+    "form_jets",
     "p_projection",
     "one_hot_scale",
     "finite_difference_derivs",
@@ -116,24 +117,56 @@ def image_ops(pair, phi, p: np.ndarray):
     s = sigma(p).
 
     eta is affine, so along y exp(tW) its first derivative is
-    tr(y W B) = tr(X N), N = s^H B (y s), and its tension
-    tr(y s C_p s^H B) = tr(C_p N), C_p the sum of X^2: one n x n matrix N
-    per point and member.  X has one nonzero per column at most
-    (pair.p_plan), so tr(X N) gathers one entry of N per nonzero of X.
-    For one-hot B = w E_ij (every u- and sp-grassmannian member) N is
-    the outer product w s^H[:, i] (y s)[j, :]; any other B takes two
-    products per point and member.  The tension is the trace form of
-    y s C_p s^H.  The points go in spans (cartan.spans) of k n^2 entries
-    of N each, and a point's bits do not depend on its batch.
+    tr(y W B) = tr(X N), N = s^H B (y s) (_trace_derivs), and its tension
+    tr(y s C_p s^H B) = tr(C_p N), C_p the sum of X^2: the trace form of
+    y s C_p s^H.  A point's bits do not depend on its batch.
     """
-    members, index, weights = phi.plan
+    return _image_ops(pair, phi, p, cartan_map(pair, p))
+
+
+def _image_ops(pair, phi, p, y):
+    """image_ops, with y = Phi(p) given."""
+    members = phi.plan.members
     if len(members) > 1:
         raise ValueError("image_ops takes a function or a stack of "
                          "functions, not a grid")
-    y = cartan_map(pair, p)
     n = y.shape[-1]
-    pts, ys = (np.reshape(a, (-1, n, n))
-               for a in (np.asarray(p, dtype=complex), y))
+    s = pair.sigma(np.reshape(np.asarray(p, dtype=complex), (-1, n, n)))
+    y_s = np.reshape(y, (-1, n, n)) @ s
+    sH = np.swapaxes(s, -1, -2).conj()
+    value = trace_form(y, phi.plan) + phi.c
+    tau = trace_form((y_s @ pair.p_plan.square) @ sH, phi.plan)
+    d1 = _trace_derivs(pair, phi, sH, y_s)
+    kappa = (d1 @ np.swapaxes(d1, -1, -2)).reshape(value.shape + members)
+    return value[()], tau.reshape(value.shape)[()], kappa[()]
+
+
+def form_jets(pair, phi, p: np.ndarray, closed) -> Jet2:
+    """The Jet2 (tr(Phi B) + c, d1, tr(T B)) of the trace forms of the
+    function, stack or grid ``phi`` along the p-basis at ``p``, from
+    ``closed`` = (Phi, T) at p (cartan.map_tension_closed).  As
+    Z(Phi) = 2 p Z sigma(p)^-1, d1 is 2 tr(Z N), N = sigma(p)^-1 B p, of
+    shape (dirs, *points, *members), C-ordered: sums over the directions
+    then do not depend on the batch."""
+    Phi, T = closed
+    n = Phi.shape[-1]
+    pts = np.reshape(np.asarray(p, dtype=complex), (-1, n, n))
+    d1 = _trace_derivs(pair, phi, pair.sigma.inverse(pts), pts)
+    d1 = np.multiply(np.moveaxis(d1, -1, 0), 2.0, order="C")
+    v = trace_form(Phi, phi.plan) + phi.c
+    return Jet2(v, d1.reshape(d1.shape[:1] + v.shape), trace_form(T, phi.plan))
+
+
+def _trace_derivs(pair, phi, left, right):
+    """tr(X N), N = left B right, for X in the p-basis and B in ``phi``,
+    at the points of ``left`` and ``right`` (points, n, n): of shape
+    (points, members flattened, dirs), gathered (pair.p_gather).  For
+    one-hot B = w E_ij N is the outer product w left[:, i] right[j], else
+    two products per point and member.  The points go in spans
+    (cartan.spans) of k n^2 entries of N; a point's bits do not depend on
+    its batch."""
+    members, index, weights = phi.plan
+    n = left.shape[-1]
     k = int(np.prod(members))
     if index is None:
         B = np.reshape(phi.B, (k, n, n))
@@ -141,40 +174,18 @@ def image_ops(pair, phi, p: np.ndarray):
         # B[i, j] = w, at flat index j n + i of B^T
         j, i = np.divmod(index, n)
         w = weights[:, None]
-    entries, terms = _trace_gather(pair.p_plan, n)
-    tau = np.empty((len(pts),) + members, complex)
-    kappa = np.empty((len(pts), k, k), complex)
-    for cut in spans(len(pts), k * n * n):
-        s = pair.sigma(pts[cut])
-        y_s = ys[cut] @ s
-        sH = np.swapaxes(s, -1, -2).conj()
-        tau[cut] = trace_form((y_s @ pair.p_plan.square) @ sH, phi.plan)
+    entries, terms = pair.p_gather
+    out = np.empty((len(left), k, len(entries)), complex)
+    for cut in spans(len(left), k * n * n):
         if index is None:
-            N = (sH[:, None] @ B) @ y_s[:, None]
+            N = (left[cut, None] @ B) @ right[cut, None]
         else:
-            # rows i of s conjugated are the columns i of s^H
-            u = w * np.take(s, i, axis=-2).conj()
-            N = u[..., :, None] * np.take(y_s, j, axis=-2)[..., None, :]
-        d1 = np.take(N.reshape(len(s), k, n * n), entries, axis=-1)
+            u = w * np.swapaxes(np.take(left[cut], i, axis=-1), -1, -2)
+            N = u[..., :, None] * np.take(right[cut], j, axis=-2)[..., None, :]
+        d1 = np.take(N.reshape(len(N), k, n * n), entries, axis=-1)
         d1 *= terms
-        d1 = d1.sum(axis=-1)
-        np.matmul(d1, np.swapaxes(d1, -1, -2), out=kappa[cut])
-    value = trace_form(y, phi.plan) + phi.c
-    shape = y.shape[:-2]
-    kappa = kappa.reshape(shape + (k, k) if members else shape)
-    return value[()], tau.reshape(value.shape)[()], kappa[()]
-
-
-def _trace_gather(plan, n):
-    """tr(X N) for every direction X of the curve plan ``plan`` as a
-    gather of the flat N: the (dirs, terms) flat indices and weights of
-    each direction's nonzero entries X[r, b], N[b, r] of N, in column
-    order, padded with zero terms."""
-    nonzero = plan.weights != 0
-    width = max(1, nonzero.sum(axis=1).max(initial=0))
-    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
-    rows = np.take_along_axis(plan.rows, cols, axis=1)
-    return cols * n + rows, np.take_along_axis(plan.weights, cols, axis=1)
+        d1.sum(axis=-1, out=out[cut])
+    return out
 
 
 def image_tension(pair, phi, p: np.ndarray):

@@ -181,6 +181,18 @@ class SymmetricPair:
                          signs[c] * (right.conj() if conj else right), conj)
 
     @cached_property
+    def p_gather(self):
+        """tr(X N) for every X of the p-basis as a gather of the flat N,
+        once per pair: the (dirs, terms) flat indices and weights of X's
+        nonzeros X[r, b], N[b, r] of N, by column, padded with zeros."""
+        plan, n = self.p_plan, self.matrix_size
+        nonzero = plan.weights != 0
+        width = max(1, nonzero.sum(axis=1).max(initial=0))
+        cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+        rows = np.take_along_axis(plan.rows, cols, axis=1)
+        return cols * n + rows, np.take_along_axis(plan.weights, cols, axis=1)
+
+    @cached_property
     def ambient_sparse(self) -> SparsePlan:
         """The ambient basis's real rows (matrices.real_rows) planned for
         sparse_matmul, once per pair: for point draws and the tangential

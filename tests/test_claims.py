@@ -217,7 +217,7 @@ def test_table1_scores_do_not_depend_on_the_pass_size(monkeypatch, chunk):
     points = random_pair_points(pair, SampleConfig(seed=0), range(300))
     values, tau, kappa = claims._entry_ops(
         grid, operators.one_hot_scale(pair, grid.plan),
-        cartan.cartan_jets_closed(pair, points))
+        cartan.map_tension_closed(pair, points))
     assert kappa.shape == (300, 12, 11, 11)
     args = (values, tau, kappa, blocks[0][0].lam, blocks[0][0].mu)
     scores = per_point_eigen_scores(*args)
@@ -320,8 +320,8 @@ def passes_along(calls, basis):
 
 
 def test_table1_makes_no_cartan_jet_pass(cartan_passes):
-    # table1 reads Phi and its jets from the closed form
-    # (cartan_jets_closed): no jet goes through cartan_map_jet
+    # table1 reads Phi and its tension from the closed form
+    # (cartan.map_tension_closed): no jet goes through cartan_map_jet
     config = RunConfig(spaces=("sp-grassmannian",), m=2, n=2, samples=CHUNK)
     results = run_claims(config, prefix="table1.")
     assert [r.claim_id for r in results] == [
@@ -332,9 +332,9 @@ def test_table1_makes_no_cartan_jet_pass(cartan_passes):
     assert cartan_passes == []
 
 
-# table1's entries route against the closed jets' Gram product, relative
-# to the latter's largest entry: both round differently (the worst seen
-# is 1.2e-15, at sp-grassmannian(3,3))
+# table1's entries route against the Gram product of the forms' jets
+# (operators.form_jets), relative to the latter's largest entry: both
+# round differently (the worst seen is 1.2e-15, at sp-grassmannian(3,3))
 ENTRY_RTOL = 2e-15
 
 
@@ -343,18 +343,18 @@ ENTRY_RTOL = 2e-15
     for m, n in claims.DEFAULT_SIZES[space]] + [("sp-grassmannian", 3, 3)])
 def test_table1_entries_match_the_closed_jets(space, m, n):
     # the route table1 takes on one-hot grids is tied to the jets: its
-    # values and tau are the bits of the grid's eta_field on the closed
-    # jets, its kappa their Gram product up to ENTRY_RTOL
+    # values and tau are the bits of the grid's form_jets, its kappa
+    # their Gram product up to ENTRY_RTOL
     cache = claims._Cache(RunConfig(samples=40), [])
     pair = cache.pair(space, m, n)
     grid = catalog.stack_members(map(catalog.stack_members,
                                      cache.blocks(space, m, n)))
-    closed = cartan.cartan_jets_closed(
-        pair, random_pair_points(pair, SampleConfig(seed=0), range(40)))
+    pts = random_pair_points(pair, SampleConfig(seed=0), range(40))
+    closed = cartan.map_tension_closed(pair, pts)
     (values, tau, kappa), (v, t, k) = (
         claims._entry_ops(grid, operators.one_hot_scale(pair, grid.plan),
                           closed),
-        claims._jet_ops(grid.eta_field()(closed)))
+        claims._jet_ops(operators.form_jets(pair, grid, pts, closed)))
     assert np.array_equal(values, v) and np.array_equal(tau, t)
     assert kappa.shape == k.shape
     assert np.abs(kappa - k).max() <= ENTRY_RTOL * np.abs(k).max()
@@ -403,7 +403,7 @@ def test_a_wrong_scheme_fails_its_claim(monkeypatch, wrong, space, failing):
     # negative controls of the entries route.  Kappa read at the wrong
     # alpha, or with the other space's factor, fails table1's mu claim and
     # the new range's by 1e-3 or more, while lambda, read off the closed
-    # jets' values and tension, passes.  A P_p with S in place of J, or
+    # forms of Phi and of its tension, passes.  A P_p with S in place of J, or
     # with its transpose term flipped, fails scheme.completeness, the
     # report's check of the identity the factor rests on
     wrong(monkeypatch)
@@ -528,15 +528,16 @@ def test_ambient_jobs_read_values_from_the_jet_pass(monkeypatch, space,
 
 def test_prop71_and_factor4_share_one_image_pass(monkeypatch):
     # prop7.1 reads the whole alpha = 1 family's image pass and
-    # cartan.factor4 reads its columns of it: one image_ops call per space
+    # cartan.factor4 reads its columns of it: one image pass per space
+    # (operators._image_ops, handed the sweep's Phi)
     calls = []
-    original = claims.image_ops
+    original = claims._image_ops
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(claims, "image_ops", counting)
+    monkeypatch.setattr(claims, "_image_ops", counting)
     config = RunConfig(spaces=("sp-grassmannian",), m=1, n=1, samples=8)
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
@@ -549,7 +550,7 @@ def test_a_point_set_is_drawn_once_and_imaged_pass_by_pass(monkeypatch):
     # points of K, once, and makes one image pass per pass of the sweep,
     # each on at most _pass_size points
     calls = {name: [] for name in ("random_pair_points",
-                                   "random_subgroup_points", "image_ops")}
+                                   "random_subgroup_points", "_image_ops")}
 
     def counting(name):
         original = getattr(claims, name)
@@ -569,9 +570,9 @@ def test_a_point_set_is_drawn_once_and_imaged_pass_by_pass(monkeypatch):
     size = claims._pass_size(make_pair("sp-grassmannian", m=3, n=3))
     assert calls["random_pair_points"] == calls["random_subgroup_points"] \
         == [300]
-    assert len(calls["image_ops"]) == -(-300 // size)
-    assert sum(calls["image_ops"]) == 300
-    assert max(calls["image_ops"]) <= size
+    assert len(calls["_image_ops"]) == -(-300 // size)
+    assert sum(calls["_image_ops"]) == 300
+    assert max(calls["_image_ops"]) <= size
 
 
 def test_every_sweep_part_made_is_read():
@@ -612,14 +613,14 @@ def test_only_the_eigen_outer_products_call_einsum(monkeypatch):
 
 def _half_tension(pair, p):
     # 2 p C_p sigma(p)^-1: half the closed-form tension
-    j = cartan.cartan_jets_closed(pair, p)
-    return jets.JetMatrix(j.v, j.d1, j.d2 / 2.0)
+    Phi, T = cartan.map_tension_closed(pair, p)
+    return Phi, T / 2.0
 
 
 def test_poly_and_product_reject_half_the_tension(monkeypatch):
     # negative control: tau of a polynomial or product member reads the
     # tension form, kappa reads only the first derivatives
-    monkeypatch.setattr(claims, "cartan_jets_closed", _half_tension)
+    monkeypatch.setattr(claims, "map_tension_closed", _half_tension)
     results = run_claims(RunConfig(spaces=("polynomial", "product"),
                                    samples=8))
     lam = [r for r in results if ".lambda" in r.claim_id]
@@ -629,18 +630,44 @@ def test_poly_and_product_reject_half_the_tension(monkeypatch):
     assert all(r.passed for r in mu)
 
 
-def _halved(pair, p):
+def test_form_jets_without_their_factor_2_fail_the_claims_reading_them(monkeypatch):
+    # negative control: Z(tr Phi B) = 2 tr(Z N), N = sigma(p)^-1 B p.
+    # Read with the factor 1, the first derivatives of the forms fail
+    # every claim that reads them: the mu claims of table1's rows 4-8 and
+    # of the product, and every polynomial claim, whose tau takes them in
+    # the product rule's cross term.  Every other claim, table1's lambda
+    # and the one-hot grids read off entries among them, still passes
+    form_jets = claims.form_jets
+
+    def halved(*args):
+        j = form_jets(*args)
+        return jets.Jet2(j.v, j.d1 / 2.0, j.d2)
+
+    monkeypatch.setattr(claims, "form_jets", halved)
+    results = run_claims(RunConfig(samples=8))
+    reading = re.compile(r"table1\.row[4-8]\.mu|poly\.|product\.mu")
+    failing = [r.claim_id for r in results if not r.passed]
+    assert failing == [r.claim_id for r in results
+                       if reading.match(r.claim_id)]
+    assert len(failing) == 10 + 8 + 1
+    assert all(r.max_residual >= 1e-3 for r in results if not r.passed)
+
+
+def _halved(monkeypatch):
     # Z(Phi) = p Z sigma(p)^-1: factor 1 instead of 2
-    j = cartan.cartan_jets_closed(pair, p)
-    return jets.JetMatrix(j.v, j.d1 / 2.0, j.d2)
+    closed = claims._closed_derivs
+    monkeypatch.setattr(claims, "_closed_derivs",
+                        lambda *args: closed(*args) / 2.0)
 
 
-def _casimir_of_k(pair, p):
+def _casimir_of_k(monkeypatch):
     # 4 p C_k sigma(p)^-1: the k-basis square sum in place of C_p
-    j = cartan.cartan_jets_closed(pair, p)
-    s_inv = pair.sigma(np.swapaxes(p, -1, -2).conj())
-    return jets.JetMatrix(j.v, j.d1,
-                          4.0 * (p @ square_sum(pair.k_basis) @ s_inv))
+    def wrong(pair, p):
+        Phi, _ = cartan.map_tension_closed(pair, p)
+        s_inv = pair.sigma(np.swapaxes(p, -1, -2).conj())
+        return Phi, 4.0 * (p @ square_sum(pair.k_basis) @ s_inv)
+
+    monkeypatch.setattr(claims, "map_tension_closed", wrong)
 
 
 @pytest.mark.parametrize("wrong", [_halved, _casimir_of_k])
@@ -651,7 +678,7 @@ def _casimir_of_k(pair, p):
 def test_casimir_rejects_a_wrong_closed_form(monkeypatch, wrong, space, m, n):
     # negative control: the casimir claim fails loudly on a wrong closed
     # form, while the claims read from the jets alone still pass
-    monkeypatch.setattr(claims, "cartan_jets_closed", wrong)
+    wrong(monkeypatch)
     results = run_claims(RunConfig(spaces=(space,), m=m, n=n, samples=4),
                          prefix="cartan.")
     casimir = [r for r in results if r.claim_id.startswith("cartan.casimir")]
@@ -794,18 +821,18 @@ def test_a_wrong_cross_plan_fails_the_tension_claims(monkeypatch, wrong,
 
 
 def test_full_run_makes_one_closed_form_pass_per_chunk(monkeypatch):
-    # table1 and the cartan job read the closed-form jets of Phi from one
-    # sweep of their point set: at quat-scale, 10 passes over 300 points,
-    # at the floor of CHUNK = 32 points each, and 10 cartan_jets_closed
-    # calls, where one per job would make 20
+    # table1 and the cartan job read the closed-form Phi and tension from
+    # one sweep of their point set: at quat-scale, 10 passes over 300
+    # points, at the floor of CHUNK = 32 points each, and 10
+    # map_tension_closed calls, where one per job would make 20
     calls = []
-    original = claims.cartan_jets_closed
+    original = claims.map_tension_closed
 
     def counting(pair, p):
         calls.append(len(p))
         return original(pair, p)
 
-    monkeypatch.setattr(claims, "cartan_jets_closed", counting)
+    monkeypatch.setattr(claims, "map_tension_closed", counting)
     config = RunConfig(spaces=("sp-grassmannian",), m=3, n=3, samples=300)
     results = run_claims(config)
     assert [r.claim_id for r in results] == claim_ids(config)
@@ -814,29 +841,31 @@ def test_full_run_makes_one_closed_form_pass_per_chunk(monkeypatch):
 
 
 def test_a_default_run_makes_each_closed_jet_once(monkeypatch):
-    # the sweep hands each pass's closed jets to every job that reads its
-    # points, the polynomial and product jobs too: a default run makes
-    # 21 cartan_jets_closed calls, none on points already swept
+    # the sweep hands each pass's closed Phi and tension to every job that
+    # reads its points, the polynomial and product jobs too: a default
+    # run makes 21 map_tension_closed calls, none on points already swept
     calls = []
-    original = claims.cartan_jets_closed
+    original = claims.map_tension_closed
 
     def counting(pair, p):
         calls.append((pair.label(), p.tobytes()))
         return original(pair, p)
 
-    monkeypatch.setattr(claims, "cartan_jets_closed", counting)
+    monkeypatch.setattr(claims, "map_tension_closed", counting)
     config = RunConfig(seed=1)
     assert all(r.passed for r in run_claims(config))
     assert len(calls) == len(set(calls)) == 21
 
 
 def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
-    # every curve jet comes from JetMatrix.curve along a pair's plans: per
-    # pass one for the closed-form jets along the p-basis, then the
-    # first-order blocks of the Cartan pass, whose directions in order are
-    # the p- then the k-basis once; the image pass builds none.
+    # every curve jet comes from JetMatrix.curve along a pair's plans, all
+    # first-order: per pass the blocks of the Cartan pass, whose
+    # directions in order are the p- then the k-basis once, each p-block
+    # followed by the casimir check's closed Z(Phi) along its p-directions;
+    # the closed forms and the image pass build none.
     # sp-grassmannian(1,1) has dim p = 4, dim k = 6, so its jets hold 160
-    # entries per point and 96 points make one pass
+    # entries per point, 96 points make one pass and its ten directions
+    # one block
     calls = []
     curve = jets.JetMatrix.curve.__func__
 
@@ -852,16 +881,12 @@ def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     assert {size for size, _ in calls} == {3 * CHUNK}
-    (_, closed), *blocks = calls
     pair = make_pair("sp-grassmannian", m=1, n=1)
-    assert len(closed.rows) == 4
-    assert closed.square is not None
-    assert all(plan.square is None for _, plan in blocks)
-    assert np.array_equal(np.concatenate([plan.rows for _, plan in blocks]),
-                          pair.pk_plan.rows)
-    assert np.array_equal(
-        np.concatenate([plan.weights for _, plan in blocks]),
-        pair.pk_plan.weights)
+    (_, walk), (_, closed) = calls
+    assert walk.square is None and closed.square is None
+    for plan, whole in ((walk, pair.pk_plan), (closed, pair.p_plan)):
+        assert np.array_equal(plan.rows, whole.rows)
+        assert np.array_equal(plan.weights, whole.weights)
 
 
 def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
@@ -905,31 +930,35 @@ def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
 D2_RTOL = 2e-15
 
 
-def _whole_jet_pass(pair, forms, j, closed):
-    """What _cartan_pass returns, read off the 2-jet ``j`` of Phi along
-    the p- then the k-basis, (D, points, N, N) per part: the reference of
-    the streamed pass."""
+def _whole_jet_pass(pair, forms, pts, j, closed):
+    """What _cartan_pass returns at the points ``pts``, read off the 2-jet
+    ``j`` of Phi along the p- then the k-basis, (D, points, N, N) per
+    part, with the closed Z(Phi) = 2 p Z sigma(p)^-1 along the whole
+    p-basis at once: the reference of the streamed pass."""
     X, V = pair.p_basis, pair.k_basis
     dp, dk = j.d1[:len(X)], j.d1[len(X):]
-    casimir = np.maximum(np.abs(dp - closed.d1).max(axis=(0, 2, 3)),
-                         np.abs(j.d2 - closed.d2).max(axis=(1, 2)))
-    _, tau, kappa = claims._jet_ops(forms.eta_field()(j))
+    Phi, T = closed
+    pZ = jets.JetMatrix.curve(pts, pair.p_plan).d1
+    casimir = np.maximum(
+        np.abs(dp - pZ @ (2.0 * pair.sigma.inverse(pts))).max(axis=(0, 2, 3)),
+        np.abs(j.d2 - T).max(axis=(1, 2)))
+    _, tau, kappa = claims._jet_ops(j.trace_form(forms.plan) + forms.c)
     return {"pullback": cartan.pullback_ratio(metric(dp, dp), X, X),
             "vertical": cartan.pullback_ratio(metric(dk, dk), V, V),
-            "harmonic": cartan.tangential_residual(pair, closed.v, j.d2),
+            "harmonic": cartan.tangential_residual(pair, Phi, j.d2),
             "tau": tau, "kappa": kappa, "casimir": casimir}
 
 
 def _pass_args(space, m, n, points):
     """What the cartan job hands _cartan_pass at one point set of
     ``points`` samples: the pair, the factor-4 forms, the points and
-    their closed jets."""
+    their closed Phi and tension."""
     cache = claims._Cache(RunConfig(samples=points), [])
     pair, family = cache.pair(space, m, n), cache.family(space, m, n)
     forms = catalog.stack_members(family[i]
                                   for i in claims._factor4_index(family))
     pts = random_pair_points(pair, SampleConfig(seed=0), range(points))
-    return pair, forms, pts, cartan.cartan_jets_closed(pair, pts)
+    return pair, forms, pts, cartan.map_tension_closed(pair, pts)
 
 
 DEFAULT_PAIR_SETS = [(space, m, n) for space in claims.PAIR_SPACE_ORDER
@@ -952,7 +981,7 @@ def test_streamed_pass_matches_the_whole_jet(monkeypatch, space, m, n,
     d2 = cartan.map_tension_raw(pair, pts)
     assert (np.abs(d2 - whole.d2).max()
             <= D2_RTOL * np.abs(whole.d2).max())
-    ref = _whole_jet_pass(pair, forms,
+    ref = _whole_jet_pass(pair, forms, pts,
                           jets.JetMatrix(whole.v, whole.d1, d2), closed)
     D = pair.dim_k + pair.dim_p
     uneven = next((s for s in range(2, D) if D % s), D)
@@ -986,7 +1015,7 @@ def test_a_quat_sized_cartan_pass_holds_less_than_one_whole_jet():
                     cache.family("sp-grassmannian", 3, 3))
     forms = catalog.stack_members(family[:2])
     pts = random_pair_points(pair, SampleConfig(seed=0), range(CHUNK))
-    closed = cartan.cartan_jets_closed(pair, pts)
+    closed = cartan.map_tension_closed(pair, pts)
     claims._cartan_pass(pair, forms, pts, closed)
     tracemalloc.start()
     try:
@@ -996,6 +1025,33 @@ def test_a_quat_sized_cartan_pass_holds_less_than_one_whole_jet():
         tracemalloc.stop()
     whole = 16 * (pair.dim_k + pair.dim_p) * CHUNK * pair.matrix_size ** 2
     assert whole == 5_750_784
+    assert peak < whole
+
+
+def test_a_quat_sized_closed_pass_holds_less_than_one_p_jet():
+    # a sweep pass's closed forms never form a (dim p, points, N, N)
+    # array: Phi, its tension and the alpha = 1 stack's form_jets at 32
+    # points of sp-grassmannian(3,3) peak below one such complex array
+    cache = claims._Cache(RunConfig(samples=CHUNK), [])
+    pair, family = (cache.pair("sp-grassmannian", 3, 3),
+                    cache.family("sp-grassmannian", 3, 3))
+    stack = catalog.stack_members(family)
+    pts = random_pair_points(pair, SampleConfig(seed=0), range(CHUNK))
+
+    def closed_pass():
+        return operators.form_jets(pair, stack, pts,
+                                   cartan.map_tension_closed(pair, pts))
+
+    closed_pass()
+    tracemalloc.start()
+    try:
+        j = closed_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert j.d1.shape == (pair.dim_p, CHUNK, len(family))
+    whole = 16 * pair.dim_p * CHUNK * pair.matrix_size ** 2
+    assert whole == 2_654_208
     assert peak < whole
 
 

@@ -266,6 +266,25 @@ class TestListAndTable:
         assert code == 0
         assert "sp-u" in out
 
+    def test_table_row_fails_with_its_completeness_claim(self, capsys,
+                                                         monkeypatch):
+        # negative control: a P_p scaled by 1.5 fails scheme.completeness
+        # of u-grassmannian(1,2), while its lambda and mu pass; the row,
+        # scored by every claim of its table1 job, reads FAIL as verify
+        # does, and the table exits 1
+        from eigenlab import claims
+        p_projection = claims.p_projection
+        monkeypatch.setattr(claims, "p_projection",
+                            lambda pair, U: 1.5 * p_projection(pair, U))
+        argv = ("--space", "u-grassmannian", "--m", "1", "--n", "2",
+                "--samples", "3")
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        code, out, _ = run_cli(capsys, "table", *argv)
+        assert code == 1
+        row = out.splitlines()[-1].split()
+        assert row[:2] == ["9", "u-grassmannian"] and row[-1] == "FAIL"
+
 
 # Checks that importing the CLI loads no scipy module, then makes every
 # later ``import scipy`` fail and runs the command line.

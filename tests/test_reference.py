@@ -259,21 +259,27 @@ def test_cartan_operators(case):
 
 
 def test_cartan_jets_closed(case):
-    # the closed form against the jet route: Z(Phi) along the p-basis by
-    # cartan_map_jet, the tension by map_tension_raw over the p- and the
-    # k-basis, at stacked points and at one point
-    pair, pts, _, _ = case
+    # the closed forms against the jet route: Phi and its tension
+    # (map_tension_closed) against map_tension_raw over the p- and the
+    # k-basis, and the first derivatives of the members' trace forms
+    # along the p-basis (form_jets, 2 tr(Z N)) against cartan_map_jet, at
+    # stacked points and at one point
+    pair, pts, _, members = case
+    fields = [ref_field(pair, mm) for mm in members]
     refs = ([p @ pair.sigma(p.conj().T) for p in pts],
-            [[cartan_map_jet(pair, JetMatrix.curve(p, X)).d1[0]
-              for p in pts] for X in pair.p_basis],
             [cartan.map_tension_raw(pair, p) for p in pts])
-    j = cartan.cartan_jets_closed(pair, pts)
-    for g, r in zip((j.v, j.d1, j.d2), refs):
+    d1 = [[[f(JetMatrix.curve(p, X)).d1[0] for f in fields] for p in pts]
+          for X in pair.p_basis]
+    stack = catalog.stack_members(members)
+    closed = cartan.map_tension_closed(pair, pts)
+    for g, r in zip(closed, refs):
         close(g, r)
-    j = cartan.cartan_jets_closed(pair, pts[0])
-    for g, r in zip((j.v, j.d1, j.d2), (refs[0][0], np.array(refs[1])[:, 0],
-                                        refs[2][0])):
-        close(g, r)
+    close(operators.form_jets(pair, stack, pts, closed).d1, d1)
+    closed = cartan.map_tension_closed(pair, pts[0])
+    for g, r in zip(closed, refs):
+        close(g, r[0])
+    close(operators.form_jets(pair, stack, pts[0], closed).d1,
+          np.array(d1)[:, 0])
 
 
 def test_tangential_residual(case):
@@ -285,21 +291,21 @@ def test_tangential_residual(case):
     close(cartan.tangential_residual(pair, y,
                                      cartan.map_tension_raw(pair, pts)), ref)
     close(cartan.tangential_residual(
-        pair, y, cartan.cartan_jets_closed(pair, pts).d2), ref)
+        pair, y, cartan.map_tension_closed(pair, pts)[1]), ref)
 
 
 def test_phi_bundle(case):
-    # table1's (alpha, member) grid from the closed-form trace forms
-    # (values, d1 on p, tension form), kappa their Gram product, against
-    # one field_ops per alpha over the ambient basis
+    # table1's (alpha, member) grid from the trace forms' jets
+    # (form_jets: values, d1 on p, tension form), kappa their Gram
+    # product, against one field_ops per alpha over the ambient basis
     pair, pts, _, _ = case
     blocks = [catalog.family_for_space(pair.space, m=pair.m, n=pair.n,
                                        alpha=alpha, pair=pair,
                                        rng=np.random.default_rng(3))
               for alpha in _alpha_range(pair.space, pair.m, pair.n)]
-    eta = catalog.stack_members(map(catalog.stack_members,
-                                    blocks)).eta_field()
-    j = eta(cartan.cartan_jets_closed(pair, pts))
+    j = operators.form_jets(
+        pair, catalog.stack_members(map(catalog.stack_members, blocks)),
+        pts, cartan.map_tension_closed(pair, pts))
     grid = (j.v, j.d2, gram(j.d1, 1))
     for a, members in enumerate(blocks):
         ref = operators.field_ops(catalog.stack_members(members).as_field(),
@@ -318,15 +324,15 @@ def test_membership_residual(case):
 
 
 def test_polynomial_family(case):
-    # the engine's closed-form polynomial ops (p-basis jets plus the
-    # tension on a zero-velocity direction) against the generators on
-    # per-point jets along the ambient basis
+    # the engine's closed-form polynomial ops (the base forms' jets along
+    # the p-basis, form_jets) against the generators on per-point jets
+    # along the ambient basis
     pair, pts, _, members = case
     for d in (2, 3):
         PF = families.polynomial_family(families.base_family(members), d)
-        forms = catalog.stack_members(PF.members[0].base)
-        for g, r in zip(_poly_ops(PF, forms,
-                                  cartan.cartan_jets_closed(pair, pts)),
+        j = operators.form_jets(pair, catalog.stack_members(PF.members[0].base),
+                                pts, cartan.map_tension_closed(pair, pts))
+        for g, r in zip(_poly_ops(PF, j),
                         ref_poly_ops(pair, PF, pts, pair.ambient)):
             close(g, r)
 
@@ -340,8 +346,8 @@ def test_product_operators(case):
     # function along the concatenated ambient basis
     factors = (catalog.stack_members(mm.f1 for mm in PF.members),
                catalog.stack_members(mm.f2 for mm in PF.members))
-    values, tau, kap = _product_ops(factors, *(
-        cartan.cartan_jets_closed(pair, p) for p in (pts, pts2)))
+    values, tau, kap = _product_ops(
+        pair, factors, pts, cartan.map_tension_closed(pair, pts), pts2)
     close(values, [[mm.value((p1, p2)) for mm in PF.members]
                    for p1, p2 in zip(pts, pts2)])
     close(tau, [[ref_product(mm, mm, p1, p2, els, pair)[0]
