@@ -9,10 +9,10 @@ Every function takes a single point (n, n) or a stack of points
 Z(Phi) per direction and the sum of Z^2(Phi) over the directions.  One
 Cartan walk serves the per-point API and the claim engine alike: blocks
 pushes first-order jets along a curve plan, a block of directions at a
-time, and yields each block's Z(Phi) (pullback_factor, and the claim
-engine's pass along the p- then the k-basis); map_tension_raw forms the
-sum of Z^2(Phi) once, its cross term summed over the directions as one
-gathered product per point.  spans is the one rule that cuts directions
+time, and yields each block's p Z and Z(Phi) (pullback_factor, and the
+claim engine's pass along the p- then the k-basis); map_tension_raw forms
+the sum of Z^2(Phi) once, its cross term summed over the directions as
+one gathered product per point.  spans is the one rule that cuts directions
 and points into blocks and slices.
 """
 
@@ -91,7 +91,7 @@ def cartan_map_closed(pair, p: np.ndarray) -> np.ndarray:
 def map_tension_closed(pair, p: np.ndarray):
     """(Phi, T) at p in closed form.  Along p exp(sZ), Phi is
     p exp(2sZ) sigma(p)^-1 for Z in p and constant for Z in k, so
-    Z(Phi) = 2 p Z sigma(p)^-1 (operators.form_jets) and the tension is
+    Z(Phi) = 2 p Z sigma(p)^-1 (operators.form_kappa) and the tension is
     T = 4 p C_p sigma(p)^-1, C_p the sum of Z^2 over the p-basis: up to
     rounding, map_tension_raw(pair, p)."""
     _check_member(pair, p)
@@ -109,13 +109,13 @@ def spans(count, per):
 
 def blocks(pair, p, plan):
     """The first-order Cartan pass at the points ``p`` along the curve
-    plan ``plan``: (lo, Z(Phi)) for each block of its directions, in
-    order, lo the block's first direction and Z(Phi) of shape
+    plan ``plan``: (lo, p Z, Z(Phi)) for each block of its directions, in
+    order, lo the block's first direction, p Z and Z(Phi) of shape
     (directions, *points, n, n), which the caller may overwrite.  The
     blocks are spans of the directions at np.size(p) entries each."""
     for cut in spans(len(plan.weights), np.size(p)):
-        yield cut.start, cartan_map_jet(pair, JetMatrix.curve(
-            p, plan.block(cut.start, cut.stop))).d1[0]
+        jm = JetMatrix.curve(p, plan.block(cut.start, cut.stop))
+        yield cut.start, jm.d1[0], cartan_map_jet(pair, jm).d1[0]
 
 
 def map_tension_raw(pair, p: np.ndarray) -> np.ndarray:
@@ -207,8 +207,8 @@ def pullback_factor(pair, p: np.ndarray, X: np.ndarray, Y: np.ndarray):
         raise ValueError("X and Y must hold as many directions")
     num = np.empty((dirs,) + np.shape(p)[:-2])
     # one walk when Y is X, else the walks along X and Y in step
-    for (lo, dX), *dY in zip(*(blocks(pair, p, plan) for plan in plans)):
-        num[lo:lo + len(dX)] = metric(dX, dY[0][1] if dY else dX)
+    for (lo, _, dX), *dY in zip(*(blocks(pair, p, plan) for plan in plans)):
+        num[lo:lo + len(dX)] = metric(dX, dY[0][2] if dY else dX)
     return pullback_ratio(num[0] if np.ndim(X) == 2 else num, X, Y)
 
 

@@ -7,14 +7,15 @@ claims and scores each by the relative residual |x - ref| / max(1, |ref|).
 Each point set (space, m, n) of a symmetric pair is drawn once and walked
 once (_Cache.sweep), in passes of _pass_size points.  A pass makes Phi and
 its tension T in closed form (cartan.map_tension_closed), and every job
-on the set reads its share: the trace forms' jets along the p-basis
-(operators.form_jets), the image pass, and the library's one Cartan walk
-(cartan.blocks, cartan.map_tension_raw).  On the u- and sp-grassmannian,
-whose table1 grid is one-hot, table1 reads its values and tau off Phi and
-T and its kappa off the values, kappa = scale phi psi within one alpha
-(operators.one_hot_scale).  This entries route shares with the jet routes
-the involution, C_p through cartan.casimir (Z(Phi) = 2 p Z sigma(p)^-1
-and T against the Cartan walk), and the p-basis through the
+on the set reads its share: the trace forms of Phi and T, the image pass,
+and the library's one Cartan walk (cartan.blocks, cartan.map_tension_raw).
+table1 takes kappa on every space as -4 tr(P_p(s A p) s B p)
+(operators.form_kappa), on the one-hot grids of the u- and
+sp-grassmannian as its closed form scale phi psi within one alpha
+(operators.one_hot_scale), which the polynomial and product suites read
+as jets (_form_jet).  These routes share with the jet routes the
+involution, C_p through cartan.casimir (Z(Phi) = 2 p Z sigma(p)^-1 and T
+against the Cartan walk), and the p-basis through table1's
 scheme.completeness claim (sum_X tr(X U) X = -P_p(U)).  Every eigenvalue
 claim is scored and fitted by one streaming scorer (_EigenScores).
 Reports do not depend on the pass size nor on the Cartan pass's blocks.
@@ -35,9 +36,9 @@ from .cartan import (blocks, cartan_map, cartan_map_jet, map_tension_closed,
 from .catalog import stack_members
 from .families import (base_family, polynomial_family, product_family,
                        product_ops)
-from .jets import Jet2, JetMatrix, gram, jet_ops, trace_form
+from .jets import Jet2, gram, jet_ops, trace_form
 from .matrices import basis_D, basis_X, basis_Y, metric
-from .operators import _image_ops, form_jets, one_hot_scale, p_projection
+from .operators import _image_ops, form_kappa, one_hot_scale, p_projection
 from .pairs import SPACES, make_pair, space_label
 from .sampling import (SampleConfig, random_pair_points, random_sphere_points,
                        random_subgroup_points, rng_for)
@@ -185,10 +186,9 @@ class Job:
 
     ``kind`` names its suite, the first part of its first claim id:
     "basis", "table1", "prop7", "cartan", "poly", "product", "sphere" or
-    "cpn"; table1's job on the u- and sp-grassmannian also scores
-    scheme.completeness.  ``space`` is the point set (space, m, n) that a
-    job on a symmetric pair reads, else its selector ("basis", "sphere",
-    "cpn")."""
+    "cpn"; table1's job also scores scheme.completeness.  ``space`` is the
+    point set (space, m, n) that a job on a symmetric pair reads, else its
+    selector ("basis", "sphere", "cpn")."""
 
     claim_ids: tuple
     space: str | tuple
@@ -377,12 +377,9 @@ class _Cache:
                 grid = stack_members(map(stack_members, self.blocks(
                     space, m, n)))
                 scale = one_hot_scale(pair, grid.plan)
-                if scale is None:
-                    ops = lambda lo, c, cl, im: _jet_ops(
-                        form_jets(pair, grid, c, cl))
-                else:
-                    ops = lambda lo, c, cl, im: _entry_ops(grid, scale, cl)
-                sinks["table1"] = scored(alpha1[0].lam, alpha1[0].mu, ops)
+                sinks["table1"] = scored(
+                    alpha1[0].lam, alpha1[0].mu, lambda lo, c, cl, im:
+                    _table1_ops(pair, grid, scale, c, cl))
             if "prop7" in kinds:
                 sinks["prop7.1"] = scored(-(m + n) / 2.0, -0.25,
                                           lambda lo, c, cl, im: im)
@@ -396,7 +393,7 @@ class _Cache:
                     forms_d = stack_members(PF.members[0].base)
                     sinks[f"poly.d{d}"] = scored(
                         PF.lam, PF.mu, lambda lo, c, cl, im, PF=PF,
-                        f=forms_d: _poly_ops(PF, form_jets(pair, f, c, cl)))
+                        f=forms_d: _poly_ops(PF, _form_jet(pair, f, cl)))
             if "product" in kinds:
                 F = base_family(alpha1)
                 PF = product_family(F, F)
@@ -454,44 +451,56 @@ def _cartan_sink(pair, alpha1, kpts, P):
     return feed, lambda: out
 
 
-def _jet_ops(j):
-    """(phi, tau, kappa) of the Jet2 ``j`` over one point axis."""
-    return jet_ops(j.v, j.d1, j.d2, 1)
-
-
-def _entry_ops(grid, scale, closed):
-    """Values, tau and kappa of the stack or grid ``grid`` whose kappa is
-    ``scale`` phi psi (operators.one_hot_scale): the trace forms of
-    ``closed`` = (Phi, T), the bits of form_jets, and the product of the
-    values, with no first derivative."""
+def _table1_ops(pair, grid, scale, points, closed):
+    """Values, tau and kappa of the stack or grid ``grid`` at ``points``:
+    the trace forms of ``closed`` = (Phi, T), kappa ``scale`` phi psi
+    (operators.one_hot_scale), or with no scale operators.form_kappa."""
     t = trace_form(closed[0], grid.plan)
-    return (t + grid.c, trace_form(closed[1], grid.plan),
-            scale * t[..., :, None] * t[..., None, :])
+    kappa = (form_kappa(pair, grid, points) if scale is None
+             else scale * t[..., :, None] * t[..., None, :])
+    return t + grid.c, trace_form(closed[1], grid.plan), kappa
+
+
+def _form_jet(pair, phi, closed):
+    """The Jet2 (tr(Phi B) + c, d1, tr(T B)) of the one-hot stack ``phi``
+    at ``closed`` = (Phi, T): its Gram, scale phi psi
+    (operators.one_hot_scale; raises without one), makes Jet2's product
+    rule the chain rule tau(g(phi)) = sum g_i tau_i + sum g_ij kappa_ij.
+    d1 is sqrt(scale) tr(Phi B) and a zero direction: at one point and
+    member, numpy would multiply one entry by an array of fewer axes in a
+    scalar loop, which rounds unlike its vector loop."""
+    scale = one_hot_scale(pair, phi.plan)
+    if scale is None:
+        raise ValueError(f"{pair.label()}: not one-hot forms of one alpha")
+    t = trace_form(closed[0], phi.plan)
+    d1 = np.zeros((2,) + t.shape, complex)
+    np.multiply(np.sqrt(complex(scale)), t, out=d1[0])
+    return Jet2(t + phi.c, d1, trace_form(closed[1], phi.plan))
 
 
 def _poly_ops(PF, j):
     """Values, tau and kappa of the polynomial family ``PF``: its
-    generators' jet arithmetic on ``j``, its base members' form_jets."""
+    generators' jet arithmetic on ``j``, its base members' _form_jet."""
     vals = tuple(j[..., i] for i in range(j.shape[-1]))
-    return _jet_ops(Jet2.stack([mm.generator(vals) for mm in PF.members]))
+    j = Jet2.stack([mm.generator(vals) for mm in PF.members])
+    return jet_ops(j.v, j.d1, j.d2, 1)
 
 
 def _product_ops(pair, factors, p1, closed1, p2):
     """Values, tau and kappa of a product family at the point pairs
-    (p1, p2): the product law on the form_jets of its two ``factors``,
+    (p1, p2): the product law on the _form_jet of its two ``factors``,
     each stacked over every member, at p1 (``closed1`` given) and p2."""
-    jets = (form_jets(pair, factors[0], p1, closed1),
-            form_jets(pair, factors[1], p2, map_tension_closed(pair, p2)))
+    jets = (_form_jet(pair, factors[0], closed1),
+            _form_jet(pair, factors[1], map_tension_closed(pair, p2)))
     return product_ops([(j.v, j.d1, j.d2) for j in jets], 1)
 
 
-def _closed_derivs(pair, points, lo, hi, two):
-    """Z(Phi) = (p Z) two along the p-basis directions lo..hi-1 at
-    ``points``, two = 2 sigma(p)^-1, a direction at a time, in place."""
-    d1 = JetMatrix.curve(points, pair.p_plan.block(lo, hi)).d1[0]
-    for d in d1:
+def _closed_derivs(pZ, two):
+    """Z(Phi) = (p Z) two, two = 2 sigma(p)^-1, from the curve jet's
+    ``pZ`` (cartan.blocks), a direction at a time, in place."""
+    for d in pZ:
         np.matmul(d, two, out=d)
-    return d1
+    return pZ
 
 
 def _cartan_pass(pair, forms, points, closed):
@@ -512,14 +521,14 @@ def _cartan_pass(pair, forms, points, closed):
     d1_forms = np.empty(num.shape + forms.plan.members, complex)
     casimir = np.zeros(len(points))
     two = 2.0 * pair.sigma.inverse(points)
-    for lo, d1 in blocks(pair, points, pair.pk_plan):
+    for lo, pZ, d1 in blocks(pair, points, pair.pk_plan):
         hi = lo + len(d1)
         num[lo:hi] = metric(d1, d1)
         d1_forms[lo:hi] = trace_form(d1, forms.plan)
         if lo < dp:
             # the closed form's error, in place: the pass reads d1 no more
             d1 = d1[:dp - lo]
-            d1 -= _closed_derivs(pair, points, lo, lo + len(d1), two)
+            d1 -= _closed_derivs(pZ[:dp - lo], two)
             np.maximum(casimir, np.abs(d1).max(axis=(0, 2, 3)), out=casimir)
     d2 = map_tension_raw(pair, points)
     np.maximum(casimir, np.abs(d2 - T).max(axis=(1, 2)), out=casimir)
@@ -580,9 +589,7 @@ def _table1_claim_ids(space, params):
     ids = _eigen_ids(f"table1.row{ROW_BY_SPACE[space]}", params)
     if space == "sp-grassmannian":
         ids += (f"catalog.quat.new-range{_suffix(params)}",)
-    if space in ("u-grassmannian", "sp-grassmannian"):
-        ids += (f"scheme.completeness{_suffix({'space': space, **params})}",)
-    return ids
+    return ids + (f"scheme.completeness{_suffix({'space': space, **params})}",)
 
 
 def _alpha_range(space, m, n):
@@ -599,13 +606,10 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
     # a check of the built basis, like the basis claims: no samples.  It
     # runs before the sweep, so its N^4 temporaries are never held with
     # the sweep's arrays
-    scheme = []
-    if ids[-1].startswith("scheme."):
-        res = _completeness_residuals(cache.pair(space, m, n))
-        scheme.append(_result(ids[-1], space, params, 0, res, None, None,
-                              _tol(config, 1e-10),
-                              detail=f"sum_X tr(X U) X = -P_p(U) at the "
-                                     f"{len(res)} U = E_ij"))
+    res = _completeness_residuals(cache.pair(space, m, n))
+    scheme = _result(ids[-1], space, params, 0, res, None, None,
+                     _tol(config, 1e-10), detail=f"sum_X tr(X U) X = "
+                     f"-P_p(U) at the {len(res)} U = E_ij")
 
     # kappa couples members only within one fixed-alpha family: the
     # families form an (alpha, member) grid of trace forms, paired along
@@ -631,16 +635,15 @@ def _run_table1(config: RunConfig, cache: _Cache, ids, params, space, m, n):
         out.append(_result(
             ids[2], space, params, P, res, None, None, tol,
             detail=f"indices j or alpha in {m + n + 1}..{2 * (m + n)}"))
-    return out + scheme
+    return out + [scheme]
 
 
 def _completeness_residuals(pair):
     """Per U = E_ij of the pair's size, the largest entry of
     |sum_X tr(X U) X + P_p(U)| over the pair's built p-basis X, with
     P_p the closed form of operators.p_projection.  Both sides are linear
-    in U, and the E_ij span every U, so this checks the identity that
-    table1's kappa = scale phi psi rests on (operators.one_hot_scale)
-    for every U."""
+    in U, and the E_ij span every U, so this checks for every U the
+    identity table1's kappa rests on (operators.form_kappa)."""
     N = pair.matrix_size
     X = pair.p_basis.reshape(-1, N * N)
     # sum_X tr(X E_ij) X = sum_X X[j, i] X: each X adds the products of

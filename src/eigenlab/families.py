@@ -11,7 +11,7 @@ mu1 + mu2) for the concatenated (disjoint-union) basis.
 The product law (``product_ops``) acts on the (value, d1, tau) of the two
 factors, the directions leading in d1, wherever they come from: the
 per-point operators push them through the factors' fields, the claim
-engine reads them off Phi and its tension (operators.form_jets).
+engine reads them off Phi and its tension (claims._form_jet).
 """
 
 from __future__ import annotations

@@ -16,13 +16,14 @@ through one call of the field: the jet's d1 holds Z(phi) per direction
 and its d2 is tau(phi) already.  A field may return a trailing member
 axis, so that one call evaluates a whole family; kappa is then the
 pairwise (Gram) matrix over the members.  The image pass, image_ops,
-and form_jets take the catalog's trace forms themselves, not a field:
-their derivatives along the image basis, or along the p-basis, are read
-off one n x n matrix per point and member, with no curve jet.  On the
-u- and sp-grassmannian, whose catalog forms are one-hot, one_hot_scale
-gives the factor that makes the kappa grid of one alpha a product of the
-forms' values, read off Phi with no derivative at all; p_projection is
-the closed form of the p-projection that factor rests on.
+and form_kappa take the catalog's trace forms themselves, not a field,
+and read them off one n x n matrix per point and member, with no curve
+jet: image_ops their derivatives along the image basis, form_kappa their
+kappa on any pair through p_projection, the closed form of the
+projection onto p that the p-basis completes to.  On the u- and
+sp-grassmannian, whose catalog forms are one-hot, one_hot_scale gives
+the factor that makes that kappa, within one alpha, a product of the
+forms' values, read off Phi with no derivative at all.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cartan import cartan_map, spans
-from .jets import Jet2, JetMatrix, jet_ops, trace_form
+from .jets import JetMatrix, jet_ops, trace_form
 from .matrices import j_matrix, mat_exp
 
 __all__ = [
@@ -43,8 +44,8 @@ __all__ = [
     "quotient_ops",
     "image_ops",
     "image_tension",
-    "form_jets",
     "p_projection",
+    "form_kappa",
     "one_hot_scale",
     "finite_difference_derivs",
 ]
@@ -117,7 +118,7 @@ def image_ops(pair, phi, p: np.ndarray):
     s = sigma(p).
 
     eta is affine, so along y exp(tW) its first derivative is
-    tr(y W B) = tr(X N), N = s^H B (y s) (_trace_derivs), and its tension
+    tr(y W B) = tr(X N), N = s^H B (y s) (_image_ops), and its tension
     tr(y s C_p s^H B) = tr(C_p N), C_p the sum of X^2: the trace form of
     y s C_p s^H.  A point's bits do not depend on its batch.
     """
@@ -125,8 +126,11 @@ def image_ops(pair, phi, p: np.ndarray):
 
 
 def _image_ops(pair, phi, p, y):
-    """image_ops, with y = Phi(p) given."""
-    members = phi.plan.members
+    """image_ops, with y = Phi(p) given.  tr(X N) for X in the p-basis is
+    a gather of N (pair.p_gather): for one-hot B = w E_ij N is the outer
+    product w s^H[:, i] (y s)[j], else two products per point and member.
+    The points go in spans (cartan.spans) of k n^2 entries of N."""
+    members, index, weights = phi.plan
     if len(members) > 1:
         raise ValueError("image_ops takes a function or a stack of "
                          "functions, not a grid")
@@ -136,37 +140,6 @@ def _image_ops(pair, phi, p, y):
     sH = np.swapaxes(s, -1, -2).conj()
     value = trace_form(y, phi.plan) + phi.c
     tau = trace_form((y_s @ pair.p_plan.square) @ sH, phi.plan)
-    d1 = _trace_derivs(pair, phi, sH, y_s)
-    kappa = (d1 @ np.swapaxes(d1, -1, -2)).reshape(value.shape + members)
-    return value[()], tau.reshape(value.shape)[()], kappa[()]
-
-
-def form_jets(pair, phi, p: np.ndarray, closed) -> Jet2:
-    """The Jet2 (tr(Phi B) + c, d1, tr(T B)) of the trace forms of the
-    function, stack or grid ``phi`` along the p-basis at ``p``, from
-    ``closed`` = (Phi, T) at p (cartan.map_tension_closed).  As
-    Z(Phi) = 2 p Z sigma(p)^-1, d1 is 2 tr(Z N), N = sigma(p)^-1 B p, of
-    shape (dirs, *points, *members), C-ordered: sums over the directions
-    then do not depend on the batch."""
-    Phi, T = closed
-    n = Phi.shape[-1]
-    pts = np.reshape(np.asarray(p, dtype=complex), (-1, n, n))
-    d1 = _trace_derivs(pair, phi, pair.sigma.inverse(pts), pts)
-    d1 = np.multiply(np.moveaxis(d1, -1, 0), 2.0, order="C")
-    v = trace_form(Phi, phi.plan) + phi.c
-    return Jet2(v, d1.reshape(d1.shape[:1] + v.shape), trace_form(T, phi.plan))
-
-
-def _trace_derivs(pair, phi, left, right):
-    """tr(X N), N = left B right, for X in the p-basis and B in ``phi``,
-    at the points of ``left`` and ``right`` (points, n, n): of shape
-    (points, members flattened, dirs), gathered (pair.p_gather).  For
-    one-hot B = w E_ij N is the outer product w left[:, i] right[j], else
-    two products per point and member.  The points go in spans
-    (cartan.spans) of k n^2 entries of N; a point's bits do not depend on
-    its batch."""
-    members, index, weights = phi.plan
-    n = left.shape[-1]
     k = int(np.prod(members))
     if index is None:
         B = np.reshape(phi.B, (k, n, n))
@@ -175,17 +148,18 @@ def _trace_derivs(pair, phi, left, right):
         j, i = np.divmod(index, n)
         w = weights[:, None]
     entries, terms = pair.p_gather
-    out = np.empty((len(left), k, len(entries)), complex)
-    for cut in spans(len(left), k * n * n):
+    d1 = np.empty((len(sH), k, len(entries)), complex)
+    for cut in spans(len(sH), k * n * n):
         if index is None:
-            N = (left[cut, None] @ B) @ right[cut, None]
+            N = (sH[cut, None] @ B) @ y_s[cut, None]
         else:
-            u = w * np.swapaxes(np.take(left[cut], i, axis=-1), -1, -2)
-            N = u[..., :, None] * np.take(right[cut], j, axis=-2)[..., None, :]
-        d1 = np.take(N.reshape(len(N), k, n * n), entries, axis=-1)
-        d1 *= terms
-        d1.sum(axis=-1, out=out[cut])
-    return out
+            u = w * np.swapaxes(np.take(sH[cut], i, axis=-1), -1, -2)
+            N = u[..., :, None] * np.take(y_s[cut], j, axis=-2)[..., None, :]
+        g = np.take(N.reshape(len(N), k, n * n), entries, axis=-1)
+        g *= terms
+        g.sum(axis=-1, out=d1[cut])
+    kappa = (d1 @ np.swapaxes(d1, -1, -2)).reshape(value.shape + members)
+    return value[()], tau.reshape(value.shape)[()], kappa[()]
 
 
 def image_tension(pair, phi, p: np.ndarray):
@@ -194,28 +168,50 @@ def image_tension(pair, phi, p: np.ndarray):
 
 
 def p_projection(pair, U):
-    """P_p(U) on the u- or sp-grassmannian ``pair``: the complex-linear
-    projection of the n x n matrices U (any leading axes) onto p, along
-    the matrices trace-orthogonal to it.  It is (U - dsigma(U)) / 2, with
-    dsigma(U) = S U S the pair's involution (S its signature), then on
-    the sp-grassmannian (V - J^-1 V^T J) / 2, the projection onto sp.
-    Every product is exact: S and J are signed permutations.  The p-basis
-    completes to it, sum_X tr(X U) X = -P_p(U) (the scheme.completeness
-    claim)."""
-    if pair.space not in _ONE_HOT_SCALE:
-        raise ValueError("p_projection takes the u- or sp-grassmannian")
-    V = (U - pair.sigma.d(U)) / 2.0
-    if pair.group == "sp":
-        J = j_matrix(pair.matrix_size // 2)
+    """P_p(U), the complex-linear projection of the n x n matrices U (any
+    leading axes) onto p along the matrices trace-orthogonal to it, on
+    any pair: Proj_g((U - dsigma(U)) / 2).  dsigma(U) is sigma.d(U), or
+    -sigma.inverse(U) = -M U^T M^H where sigma conjugates entrywise, as
+    M conj(Z) M^H = -M Z^T M^H on g.  Proj_g is the identity on u,
+    U - tr(U) I / N on su, (U - U^T) / 2 on so and (U - J^-1 U^T J) / 2
+    on sp.  Its products are exact (M, S and J are signed permutations);
+    su's trace term rounds.  The p-basis completes to it,
+    sum_X tr(X U) X = -P_p(U) (the scheme.completeness claim)."""
+    if pair.sigma.entrywise_conj:
+        V = (U + pair.sigma.inverse(U)) / 2.0
+    else:
+        V = (U - pair.sigma.d(U)) / 2.0
+    N = V.shape[-1]
+    if pair.group == "su":
+        V -= (np.trace(V, axis1=-2, axis2=-1) / N)[..., None, None] * np.eye(N)
+    elif pair.group == "so":
+        V = (V - np.swapaxes(V, -1, -2)) / 2.0
+    elif pair.group == "sp":
+        J = j_matrix(N // 2)
         # J^-1 = J^T
         V = (V - J.T @ np.swapaxes(V, -1, -2) @ J) / 2.0
     return V
 
 
-# With Z(Phi) = 2 p Z s on p (s = sigma(p)^-1, cartan.casimir) and the
-# completeness of the p-basis, kappa(tr Phi A, tr Phi B) =
-# -4 tr(P_p(s A p) s B p).  For A = w1 E_{alpha j1}, B = w2 E_{alpha j2},
-# j1, j2 != alpha, the term of U itself gives w1 w2 Phi[j1, alpha]
+def form_kappa(pair, phi, p: np.ndarray):
+    """kappa(tr Phi A, tr Phi B) = -4 tr(P_p(s A p) s B p), s = sigma(p)^-1,
+    of the trace forms of the function, stack or grid ``phi`` at ``p``,
+    paired along the last member axis (jets.gram).  As Z(tr Phi A) =
+    2 tr(Z s A p) on p (cartan.map_tension_closed) and the p-basis
+    completes to -P_p, this is the Gram product of those derivatives,
+    none formed.  A point's bits do not depend on its batch."""
+    members, n = phi.plan.members, pair.matrix_size
+    pts = np.reshape(np.asarray(p, dtype=complex), (-1, 1, n, n))
+    N = (pair.sigma.inverse(pts) @ np.reshape(phi.B, (-1, n, n))) @ pts
+    rows = (len(pts), -1, members[-1] if members else 1, n * n)
+    kappa = p_projection(pair, N).reshape(rows) @ np.swapaxes(
+        np.swapaxes(N, -1, -2).reshape(rows), -1, -2)
+    return (-4.0 * kappa).reshape(np.shape(p)[:-2] + members
+                                  + members[-1:])[()]
+
+
+# form_kappa's -4 tr(P_p(s A p) s B p) in closed form: for
+# A = w1 E_{alpha j1}, B = w2 E_{alpha j2}, j1, j2 != alpha, the term of U itself gives w1 w2 Phi[j1, alpha]
 # Phi[j2, alpha]; the others give entries of S at (j, alpha), of J at
 # (alpha, alpha) and of R = s^T J S s at (alpha, alpha), which all
 # vanish.  P_p weighs U by 1/2, and by 1/4 on the sp-grassmannian

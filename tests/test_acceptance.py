@@ -97,8 +97,14 @@ def test_criterion_04_single_parameter_quotients_rows_4_to_7():
         "table1.row7.lambda[n=2]": -5.0,
         "table1.row7.mu[n=2]": -1.0,
     }
-    got = {r.claim_id: r for r in results}
+    got = {r.claim_id: r for r in results if r.claim_id.startswith("table1.")}
     assert set(got) == set(expected)
+    # each table1 job also checks its p-basis against P_p
+    assert sorted(r.claim_id for r in results if r.claim_id not in got) == \
+        sorted(f"scheme.completeness[space={space},n={n}]"
+               for space, n in (("su-so", 2), ("su-so", 3), ("sp-u", 1),
+                                ("sp-u", 2), ("so-u", 2), ("so-u", 3),
+                                ("su-sp", 2)))
     assert_all_pass(results, tol=1e-8)
     for cid, val in expected.items():
         assert got[cid].expected == pytest.approx(val, abs=1e-12)

@@ -66,7 +66,8 @@ def _cartan_ids(params):
 
 @pytest.mark.parametrize("config,ids", [
     (RunConfig(spaces=("su-so",), n=3),
-     ["table1.row4.lambda[n=3]", "table1.row4.mu[n=3]"]
+     ["table1.row4.lambda[n=3]", "table1.row4.mu[n=3]",
+      "scheme.completeness[space=su-so,n=3]"]
      + _cartan_ids("space=su-so,n=3")),
     (RunConfig(spaces=("sp-grassmannian",), m=3, n=1),
      ["table1.row10.lambda[m=3,n=1]", "table1.row10.mu[m=3,n=1]",
@@ -110,7 +111,7 @@ def test_discrete_k_results_match_registration():
 
 
 def test_default_claim_count():
-    assert len(claim_ids(RunConfig())) == 192
+    assert len(claim_ids(RunConfig())) == 202
 
 
 def test_default_results_carry_the_registered_ids():
@@ -215,8 +216,8 @@ def test_table1_scores_do_not_depend_on_the_pass_size(monkeypatch, chunk):
                     cache.blocks("sp-grassmannian", 3, 3))
     grid = catalog.stack_members(map(catalog.stack_members, blocks))
     points = random_pair_points(pair, SampleConfig(seed=0), range(300))
-    values, tau, kappa = claims._entry_ops(
-        grid, operators.one_hot_scale(pair, grid.plan),
+    values, tau, kappa = claims._table1_ops(
+        pair, grid, operators.one_hot_scale(pair, grid.plan), points,
         cartan.map_tension_closed(pair, points))
     assert kappa.shape == (300, 12, 11, 11)
     args = (values, tau, kappa, blocks[0][0].lam, blocks[0][0].mu)
@@ -332,19 +333,19 @@ def test_table1_makes_no_cartan_jet_pass(cartan_passes):
     assert cartan_passes == []
 
 
-# table1's entries route against the Gram product of the forms' jets
-# (operators.form_jets), relative to the latter's largest entry: both
-# round differently (the worst seen is 1.2e-15, at sp-grassmannian(3,3))
-ENTRY_RTOL = 2e-15
+# table1's entries route against the p-projection kappa
+# (operators.form_kappa), relative to the latter's largest entry: both
+# round differently (the worst seen is 5.4e-16, at sp-grassmannian(2,2))
+ENTRY_RTOL = 1e-15
 
 
 @pytest.mark.parametrize("space,m,n", [
     (space, m, n) for space in ("u-grassmannian", "sp-grassmannian")
     for m, n in claims.DEFAULT_SIZES[space]] + [("sp-grassmannian", 3, 3)])
 def test_table1_entries_match_the_closed_jets(space, m, n):
-    # the route table1 takes on one-hot grids is tied to the jets: its
-    # values and tau are the bits of the grid's form_jets, its kappa
-    # their Gram product up to ENTRY_RTOL
+    # the route table1 takes on one-hot grids is tied to the one it takes
+    # on every other space: its values and tau are the bits of the
+    # latter's, its kappa form_kappa's up to ENTRY_RTOL
     cache = claims._Cache(RunConfig(samples=40), [])
     pair = cache.pair(space, m, n)
     grid = catalog.stack_members(map(catalog.stack_members,
@@ -352,9 +353,8 @@ def test_table1_entries_match_the_closed_jets(space, m, n):
     pts = random_pair_points(pair, SampleConfig(seed=0), range(40))
     closed = cartan.map_tension_closed(pair, pts)
     (values, tau, kappa), (v, t, k) = (
-        claims._entry_ops(grid, operators.one_hot_scale(pair, grid.plan),
-                          closed),
-        claims._jet_ops(operators.form_jets(pair, grid, pts, closed)))
+        claims._table1_ops(pair, grid, scale, pts, closed)
+        for scale in (operators.one_hot_scale(pair, grid.plan), None))
     assert np.array_equal(values, v) and np.array_equal(tau, t)
     assert kappa.shape == k.shape
     assert np.abs(kappa - k).max() <= ENTRY_RTOL * np.abs(k).max()
@@ -362,13 +362,13 @@ def test_table1_entries_match_the_closed_jets(space, m, n):
 
 def _wrong_alpha(monkeypatch):
     # each member's kappa read off the forms of the next alpha
-    entry_ops = claims._entry_ops
+    table1_ops = claims._table1_ops
 
-    def shifted(grid, scale, closed):
-        values, tau, kappa = entry_ops(grid, scale, closed)
+    def shifted(*args):
+        values, tau, kappa = table1_ops(*args)
         return values, tau, np.roll(kappa, 1, axis=-3)
 
-    monkeypatch.setattr(claims, "_entry_ops", shifted)
+    monkeypatch.setattr(claims, "_table1_ops", shifted)
 
 
 def _swapped_scale(monkeypatch):
@@ -418,19 +418,46 @@ def test_a_wrong_scheme_fails_its_claim(monkeypatch, wrong, space, failing):
         assert not fails or r.max_residual >= 1e-3, r.claim_id
 
 
-@pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian"])
+@pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian",
+                                   "su-so", "sp-u", "so-u", "su-sp",
+                                   "so-grassmannian"])
 def test_completeness_fails_a_wrong_basis_or_involution(space):
     # the built p-basis completes to P_p at every default size up to one
     # rounding; a p-basis short of one element, or an involution with the
-    # first sign of its signature flipped, misses it by a quarter or more
+    # first row of its conjugator (the identity on su-so) negated, misses
+    # it by a quarter or more
     for m, n in claims.DEFAULT_SIZES[space]:
         pair = make_pair(space, m=m, n=n)
         assert claims._completeness_residuals(pair).max() <= 4e-16
     short = replace(pair, p_basis=pair.p_basis[1:])
-    S = pair.sigma.conjugator.copy()
-    S[0, 0] = -S[0, 0]
-    flipped = replace(pair, sigma=pairs.Involution(conjugator=S))
+    sigma = pair.sigma
+    M = (np.eye(pair.matrix_size) if sigma.conjugator is None
+         else sigma.conjugator.copy())
+    M[0] = -M[0]
+    flipped = replace(pair, sigma=pairs.Involution(
+        conjugator=M, entrywise_conj=sigma.entrywise_conj))
     for wrong in (short, flipped):
+        assert claims._completeness_residuals(wrong).max() >= 0.25
+
+
+class _NegatedInverse(pairs.Involution):
+    """An involution whose sigma.inverse carries the wrong sign."""
+
+    def inverse(self, q):
+        return -super().inverse(q)
+
+
+@pytest.mark.parametrize("space,n", [("su-so", 2), ("su-so", 3),
+                                     ("su-sp", 2)])
+def test_completeness_fails_a_wrong_transpose_or_trace_term(space, n):
+    # on the entrywise-conjugating pairs P_p takes dsigma as the transpose
+    # term -M U^T M^H, and on su Proj_g subtracts tr(U) I / N: that term
+    # with its sign flipped, or the trace term dropped (P_p of u, the pair
+    # otherwise the same), misses the built p-basis by a quarter or more
+    pair = make_pair(space, n=n)
+    negated = replace(pair, sigma=_NegatedInverse(
+        conjugator=pair.sigma.conjugator, entrywise_conj=True))
+    for wrong in (negated, replace(pair, group="u")):
         assert claims._completeness_residuals(wrong).max() >= 0.25
 
 
@@ -630,27 +657,38 @@ def test_poly_and_product_reject_half_the_tension(monkeypatch):
     assert all(r.passed for r in mu)
 
 
-def test_form_jets_without_their_factor_2_fail_the_claims_reading_them(monkeypatch):
-    # negative control: Z(tr Phi B) = 2 tr(Z N), N = sigma(p)^-1 B p.
-    # Read with the factor 1, the first derivatives of the forms fail
-    # every claim that reads them: the mu claims of table1's rows 4-8 and
-    # of the product, and every polynomial claim, whose tau takes them in
-    # the product rule's cross term.  Every other claim, table1's lambda
-    # and the one-hot grids read off entries among them, still passes
-    form_jets = claims.form_jets
-
-    def halved(*args):
-        j = form_jets(*args)
-        return jets.Jet2(j.v, j.d1 / 2.0, j.d2)
-
-    monkeypatch.setattr(claims, "form_jets", halved)
+def test_form_kappa_at_half_its_factor_fails_the_dense_mu_claims(monkeypatch):
+    # negative control: kappa = -4 tr(P_p(s A p) s B p).  Read with -2 in
+    # place of -4, it fails exactly the claims that read it, the mu claims
+    # of table1's rows 4-8, each by 1e-3 or more.  Every other claim, the
+    # one-hot grids and the polynomial and product suites, read off
+    # entries, among them, still passes
+    form_kappa = claims.form_kappa
+    monkeypatch.setattr(claims, "form_kappa",
+                        lambda *args: form_kappa(*args) / 2.0)
     results = run_claims(RunConfig(samples=8))
-    reading = re.compile(r"table1\.row[4-8]\.mu|poly\.|product\.mu")
     failing = [r.claim_id for r in results if not r.passed]
     assert failing == [r.claim_id for r in results
-                       if reading.match(r.claim_id)]
-    assert len(failing) == 10 + 8 + 1
+                       if re.match(r"table1\.row[4-8]\.mu", r.claim_id)]
+    assert len(failing) == 10
     assert all(r.max_residual >= 1e-3 for r in results if not r.passed)
+
+
+def test_a_swapped_scale_fails_the_suites_reading_it(monkeypatch):
+    # negative control: the polynomial and product suites read their
+    # forms' kappa as the one-hot factor (claims._form_jet).  With each
+    # space's factor on the other space, product.mu fails, and so does
+    # every polynomial claim, whose tau takes kappa in the product rule's
+    # cross term, each by 1e-3 or more; product.lambda, tau1 phi2 +
+    # phi1 tau2, reads no kappa and passes
+    _swapped_scale(monkeypatch)
+    results = run_claims(RunConfig(spaces=("polynomial", "product"),
+                                   samples=8))
+    assert len(results) == 10
+    for r in results:
+        assert r.passed == r.claim_id.startswith("product.lambda"), \
+            r.claim_id
+        assert r.passed or r.max_residual >= 1e-3, r.claim_id
 
 
 def _halved(monkeypatch):
@@ -715,12 +753,12 @@ def test_row7_lambda_fails_with_its_sign_flipped(monkeypatch, n):
         return (-lam, mu) if space == "su-sp" else (lam, mu)
 
     monkeypatch.setattr(catalog, "table_eigenvalues", flipped)
-    lam, mu = run_claims(RunConfig(spaces=("su-sp",), n=n, samples=8),
-                         prefix="table1.")
+    lam, mu, scheme = run_claims(
+        RunConfig(spaces=("su-sp",), n=n, samples=8), prefix="table1.")
     assert lam.claim_id == f"table1.row7.lambda[n={n}]"
     assert lam.expected == -table("su-sp", n=n)[0] > 0
     assert not lam.passed and lam.max_residual >= 1e-3
-    assert mu.passed
+    assert mu.passed and scheme.passed
 
 
 def test_each_family_is_built_once(monkeypatch):
@@ -860,9 +898,9 @@ def test_a_default_run_makes_each_closed_jet_once(monkeypatch):
 def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     # every curve jet comes from JetMatrix.curve along a pair's plans, all
     # first-order: per pass the blocks of the Cartan pass, whose
-    # directions in order are the p- then the k-basis once, each p-block
-    # followed by the casimir check's closed Z(Phi) along its p-directions;
-    # the closed forms and the image pass build none.
+    # directions in order are the p- then the k-basis once; the casimir
+    # check reads the walk's own p Z, and the closed forms and the image
+    # pass build none.
     # sp-grassmannian(1,1) has dim p = 4, dim k = 6, so its jets hold 160
     # entries per point, 96 points make one pass and its ten directions
     # one block
@@ -882,11 +920,10 @@ def test_every_curve_jet_is_built_by_jetmatrix_curve(monkeypatch):
     assert all(r.passed for r in results)
     assert {size for size, _ in calls} == {3 * CHUNK}
     pair = make_pair("sp-grassmannian", m=1, n=1)
-    (_, walk), (_, closed) = calls
-    assert walk.square is None and closed.square is None
-    for plan, whole in ((walk, pair.pk_plan), (closed, pair.p_plan)):
-        assert np.array_equal(plan.rows, whole.rows)
-        assert np.array_equal(plan.weights, whole.weights)
+    (_, walk), = calls
+    assert walk.square is None
+    assert np.array_equal(walk.rows, pair.pk_plan.rows)
+    assert np.array_equal(walk.weights, pair.pk_plan.weights)
 
 
 def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
@@ -942,7 +979,8 @@ def _whole_jet_pass(pair, forms, pts, j, closed):
     casimir = np.maximum(
         np.abs(dp - pZ @ (2.0 * pair.sigma.inverse(pts))).max(axis=(0, 2, 3)),
         np.abs(j.d2 - T).max(axis=(1, 2)))
-    _, tau, kappa = claims._jet_ops(j.trace_form(forms.plan) + forms.c)
+    f = j.trace_form(forms.plan) + forms.c
+    _, tau, kappa = jets.jet_ops(f.v, f.d1, f.d2, 1)
     return {"pullback": cartan.pullback_ratio(metric(dp, dp), X, X),
             "vertical": cartan.pullback_ratio(metric(dk, dk), V, V),
             "harmonic": cartan.tangential_residual(pair, Phi, j.d2),
@@ -1030,8 +1068,9 @@ def test_a_quat_sized_cartan_pass_holds_less_than_one_whole_jet():
 
 def test_a_quat_sized_closed_pass_holds_less_than_one_p_jet():
     # a sweep pass's closed forms never form a (dim p, points, N, N)
-    # array: Phi, its tension and the alpha = 1 stack's form_jets at 32
-    # points of sp-grassmannian(3,3) peak below one such complex array
+    # array: Phi, its tension and the alpha = 1 stack's entries jet
+    # (claims._form_jet, what the polynomial and product suites read) at
+    # 32 points of sp-grassmannian(3,3) peak below one such complex array
     cache = claims._Cache(RunConfig(samples=CHUNK), [])
     pair, family = (cache.pair("sp-grassmannian", 3, 3),
                     cache.family("sp-grassmannian", 3, 3))
@@ -1039,8 +1078,8 @@ def test_a_quat_sized_closed_pass_holds_less_than_one_p_jet():
     pts = random_pair_points(pair, SampleConfig(seed=0), range(CHUNK))
 
     def closed_pass():
-        return operators.form_jets(pair, stack, pts,
-                                   cartan.map_tension_closed(pair, pts))
+        return claims._form_jet(pair, stack,
+                                cartan.map_tension_closed(pair, pts))
 
     closed_pass()
     tracemalloc.start()
@@ -1049,7 +1088,7 @@ def test_a_quat_sized_closed_pass_holds_less_than_one_p_jet():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert j.d1.shape == (pair.dim_p, CHUNK, len(family))
+    assert j.d1.shape == (2, CHUNK, len(family))
     whole = 16 * pair.dim_p * CHUNK * pair.matrix_size ** 2
     assert whole == 2_654_208
     assert peak < whole

@@ -248,16 +248,25 @@ def test_image_ops_holds_less_than_a_quarter_of_one_curve_jet():
     assert peak < whole / 4
 
 
-@pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian"])
+@pytest.mark.parametrize("space", ["u-grassmannian", "sp-grassmannian",
+                                   "su-so", "sp-u", "so-u", "su-sp",
+                                   "so-grassmannian"])
 def test_p_projection_keeps_p_and_drops_k(space):
     # P_p is the identity on the p-basis, zero on the k-basis and
-    # idempotent, bit for bit: its products are with signed permutations
-    pair = make_pair(space, m=1, n=2)
+    # idempotent, bit for bit where its products are with signed
+    # permutations only; on su its trace term rounds, once
+    pair = make_pair(space, m=1, n=2) if space in (
+        "u-grassmannian", "sp-grassmannian", "so-grassmannian") \
+        else make_pair(space, n=2)
     assert np.array_equal(p_projection(pair, pair.p_basis), pair.p_basis)
     assert not p_projection(pair, pair.k_basis).any()
     U = np.random.default_rng(6).normal(size=(2, 2) + pair.p_basis.shape[1:])
-    assert np.array_equal(p_projection(pair, p_projection(pair, U)),
-                          p_projection(pair, U))
+    PU = p_projection(pair, U)
+    if pair.group == "su":
+        assert np.abs(p_projection(pair, PU) - PU).max() <= 2.3e-16
+        assert np.abs(np.trace(PU, axis1=-2, axis2=-1)).max() <= 4.5e-16
+    else:
+        assert np.array_equal(p_projection(pair, PU), PU)
 
 
 def test_one_hot_scale_takes_one_alpha_per_row():

@@ -13,9 +13,9 @@ import pytest
 
 from eigenlab import ambient, cartan, catalog, families, operators
 from eigenlab.cartan import cartan_map_jet
-from eigenlab.claims import (DEFAULT_SIZES, _alpha_range, _poly_ops,
-                             _product_ops)
-from eigenlab.jets import Jet2, JetMatrix, gram
+from eigenlab.claims import (DEFAULT_SIZES, _alpha_range, _form_jet,
+                             _poly_ops, _product_ops, _table1_ops)
+from eigenlab.jets import Jet2, JetMatrix
 from eigenlab.matrices import j_matrix, membership_residual
 from eigenlab.operators import field_value
 from eigenlab.pairs import make_pair
@@ -261,25 +261,24 @@ def test_cartan_operators(case):
 def test_cartan_jets_closed(case):
     # the closed forms against the jet route: Phi and its tension
     # (map_tension_closed) against map_tension_raw over the p- and the
-    # k-basis, and the first derivatives of the members' trace forms
-    # along the p-basis (form_jets, 2 tr(Z N)) against cartan_map_jet, at
-    # stacked points and at one point
+    # k-basis, and the members' kappa off the p-projection (form_kappa,
+    # -4 tr(P_p(s A p) s B p)) against the Gram product of their first
+    # derivatives along the p-basis through cartan_map_jet, at stacked
+    # points and at one point
     pair, pts, _, members = case
     fields = [ref_field(pair, mm) for mm in members]
     refs = ([p @ pair.sigma(p.conj().T) for p in pts],
             [cartan.map_tension_raw(pair, p) for p in pts])
-    d1 = [[[f(JetMatrix.curve(p, X)).d1[0] for f in fields] for p in pts]
-          for X in pair.p_basis]
+    kappa = ref_ops(fields, pts, pair.p_basis)[2]
     stack = catalog.stack_members(members)
     closed = cartan.map_tension_closed(pair, pts)
     for g, r in zip(closed, refs):
         close(g, r)
-    close(operators.form_jets(pair, stack, pts, closed).d1, d1)
+    close(operators.form_kappa(pair, stack, pts), kappa)
     closed = cartan.map_tension_closed(pair, pts[0])
     for g, r in zip(closed, refs):
         close(g, r[0])
-    close(operators.form_jets(pair, stack, pts[0], closed).d1,
-          np.array(d1)[:, 0])
+    close(operators.form_kappa(pair, stack, pts[0]), kappa[0])
 
 
 def test_tangential_residual(case):
@@ -295,18 +294,18 @@ def test_tangential_residual(case):
 
 
 def test_phi_bundle(case):
-    # table1's (alpha, member) grid from the trace forms' jets
-    # (form_jets: values, d1 on p, tension form), kappa their Gram
-    # product, against one field_ops per alpha over the ambient basis
+    # table1's (alpha, member) grid as the sweep reads it: values and tau
+    # the trace forms of Phi and of its tension, kappa scale phi psi on a
+    # one-hot grid, else off the p-projection (form_kappa), against one
+    # field_ops per alpha over the ambient basis
     pair, pts, _, _ = case
     blocks = [catalog.family_for_space(pair.space, m=pair.m, n=pair.n,
                                        alpha=alpha, pair=pair,
                                        rng=np.random.default_rng(3))
               for alpha in _alpha_range(pair.space, pair.m, pair.n)]
-    j = operators.form_jets(
-        pair, catalog.stack_members(map(catalog.stack_members, blocks)),
-        pts, cartan.map_tension_closed(pair, pts))
-    grid = (j.v, j.d2, gram(j.d1, 1))
+    forms = catalog.stack_members(map(catalog.stack_members, blocks))
+    grid = _table1_ops(pair, forms, operators.one_hot_scale(pair, forms.plan),
+                       pts, cartan.map_tension_closed(pair, pts))
     for a, members in enumerate(blocks):
         ref = operators.field_ops(catalog.stack_members(members).as_field(),
                                   pts, pair.ambient)
@@ -324,15 +323,21 @@ def test_membership_residual(case):
 
 
 def test_polynomial_family(case):
-    # the engine's closed-form polynomial ops (the base forms' jets along
-    # the p-basis, form_jets) against the generators on per-point jets
-    # along the ambient basis
+    # the engine's closed-form polynomial ops (the base forms' entries
+    # jet, _form_jet) against the generators on per-point jets along the
+    # ambient basis.  The entries jet takes one-hot forms of one alpha
+    # only: on the other spaces it raises, with no other route to fall
+    # back to
     pair, pts, _, members = case
+    closed = cartan.map_tension_closed(pair, pts)
     for d in (2, 3):
         PF = families.polynomial_family(families.base_family(members), d)
-        j = operators.form_jets(pair, catalog.stack_members(PF.members[0].base),
-                                pts, cartan.map_tension_closed(pair, pts))
-        for g, r in zip(_poly_ops(PF, j),
+        base = catalog.stack_members(PF.members[0].base)
+        if operators.one_hot_scale(pair, base.plan) is None:
+            with pytest.raises(ValueError, match="not one-hot"):
+                _form_jet(pair, base, closed)
+            continue
+        for g, r in zip(_poly_ops(PF, _form_jet(pair, base, closed)),
                         ref_poly_ops(pair, PF, pts, pair.ambient)):
             close(g, r)
 
@@ -342,19 +347,25 @@ def test_product_operators(case):
     F = families.base_family(members)
     PF = families.product_family(F, F)
     els = pair.ambient.elements
-    # the engine's closed-form product ops against jets of the product
-    # function along the concatenated ambient basis
+    # the engine's closed-form product ops (the factors' entries jets,
+    # _form_jet) against jets of the product function along the
+    # concatenated ambient basis; as the polynomial ops, they raise on
+    # forms that are not one-hot of one alpha
     factors = (catalog.stack_members(mm.f1 for mm in PF.members),
                catalog.stack_members(mm.f2 for mm in PF.members))
-    values, tau, kap = _product_ops(
-        pair, factors, pts, cartan.map_tension_closed(pair, pts), pts2)
-    close(values, [[mm.value((p1, p2)) for mm in PF.members]
-                   for p1, p2 in zip(pts, pts2)])
-    close(tau, [[ref_product(mm, mm, p1, p2, els, pair)[0]
-                 for mm in PF.members] for p1, p2 in zip(pts, pts2)])
-    close(kap, [[[ref_product(ma, mb, p1, p2, els, pair)[1]
-                  for mb in PF.members] for ma in PF.members]
-                for p1, p2 in zip(pts, pts2)])
+    args = (pair, factors, pts, cartan.map_tension_closed(pair, pts), pts2)
+    if operators.one_hot_scale(pair, factors[0].plan) is None:
+        with pytest.raises(ValueError, match="not one-hot"):
+            _product_ops(*args)
+    else:
+        values, tau, kap = _product_ops(*args)
+        close(values, [[mm.value((p1, p2)) for mm in PF.members]
+                       for p1, p2 in zip(pts, pts2)])
+        close(tau, [[ref_product(mm, mm, p1, p2, els, pair)[0]
+                     for mm in PF.members] for p1, p2 in zip(pts, pts2)])
+        close(kap, [[[ref_product(ma, mb, p1, p2, els, pair)[1]
+                      for mb in PF.members] for ma in PF.members]
+                    for p1, p2 in zip(pts, pts2)])
     ma, mb = PF.members[0], PF.members[-1]
     close(families.product_tension(ma, pts, pts2, els, els),
           [ref_product(ma, ma, p1, p2, els, pair)[0]
