@@ -333,8 +333,8 @@ class _Cache:
                           if m is None else make_pair(space, m=m, n=n))
 
     def family(self, space, m, n, alpha=1):
-        """The fixed-alpha family of a space, built once per run: table1,
-        the cartan suite and the image pass all read the alpha = 1 one."""
+        """The fixed-alpha family of a space, built once per run; the
+        sweep stacks the alpha = 1 one for every job on its points."""
         pair = self.pair(space, m, n)
         return self._once((space, m, n, alpha), lambda: tuple(
             catalog.family_for_space(space, m=m, n=n, alpha=alpha, pair=pair,
@@ -357,12 +357,15 @@ class _Cache:
         point set, drawn once (and, for the cartan job, a point of K per
         point if dim k > 0), is walked in passes of _pass_size(pair)
         points; each pass's Phi and tension (map_tension_closed) and, for
-        prop7.1 or the cartan job, its image pass of the alpha = 1 stack
-        go to one sink per job on the set.  The eigen sinks score as the
-        points arrive (_EigenScores), so no kappa grid is held whole."""
+        prop7.1 or the cartan job, its image pass go to one sink per job
+        on the set.  One alpha = 1 stack feeds the image pass, the cartan
+        job's walk and the polynomial suites.  The eigen sinks score as
+        the points arrive (_EigenScores), so no kappa grid is held
+        whole."""
         held = self._sweeps.setdefault((space, m, n), {})
         if part not in held:
             pair, alpha1 = self.pair(space, m, n), self.family(space, m, n)
+            stack = stack_members(alpha1)
             P = self.config.samples
             points = random_pair_points(pair, self.scfg, range(P))
             # each sink: (feed(lo, points, closed, image), result())
@@ -386,14 +389,13 @@ class _Cache:
             if "cartan" in kinds:
                 kpts = (random_subgroup_points(pair, self.scfg, range(P))
                         if pair.dim_k > 0 else None)
-                sinks["cartan"] = _cartan_sink(pair, alpha1, kpts, P)
+                sinks["cartan"] = _cartan_sink(pair, stack, kpts, P)
             if "poly" in kinds:
                 for d in POLY_DEGREES:
                     PF = self.polynomial(space, m, n, d)
-                    forms_d = stack_members(PF.members[0].base)
                     sinks[f"poly.d{d}"] = scored(
-                        PF.lam, PF.mu, lambda lo, c, cl, im, PF=PF,
-                        f=forms_d: _poly_ops(PF, _form_jet(pair, f, cl)))
+                        PF.lam, PF.mu, lambda lo, c, cl, im, PF=PF:
+                        _poly_ops(PF, _form_jet(pair, stack, cl)))
             if "product" in kinds:
                 F = base_family(alpha1)
                 PF = product_family(F, F)
@@ -404,14 +406,12 @@ class _Cache:
                     PF.lam, PF.mu, lambda lo, c, cl, im: _product_ops(
                         pair, factors, c, cl, second[lo:lo + len(c)]))
 
-            stack = (stack_members(alpha1)
-                     if {"prop7", "cartan"} & kinds else None)
             size = _pass_size(pair)
             for lo in range(0, P, size):
                 c = points[lo:lo + size]
                 closed = map_tension_closed(pair, c)
-                image = (None if stack is None
-                         else _image_ops(pair, stack, c, closed[0]))
+                image = (_image_ops(pair, stack, c, closed[0])
+                         if {"prop7", "cartan"} & kinds else None)
                 for feed, _ in sinks.values():
                     feed(lo, c, closed, image)
             held.update((name, result()) for name, (_, result)
@@ -419,26 +419,18 @@ class _Cache:
         return held.pop(part)
 
 
-def _factor4_index(members):
-    """The alpha = 1 members the factor-4 claims compare: the first two,
-    or the only one twice."""
-    return [0, 1] if len(members) > 1 else [0, 0]
-
-
-def _cartan_sink(pair, alpha1, kpts, P):
+def _cartan_sink(pair, stack, kpts, P):
     """The cartan job's sink over P points: per point and claim kind, what
-    _cartan_pass reads, the factor-4 residuals against the image pass and,
-    at points ``kpts`` of K, the largest entry of |Phi(p k) - Phi(p)|."""
-    idx = _factor4_index(alpha1)
-    forms = stack_members(alpha1[i] for i in idx)
+    _cartan_pass reads of the alpha = 1 ``stack``, the factor-4 residuals
+    of its tau and kappa against the whole image pass and, at points
+    ``kpts`` of K, the largest entry of |Phi(p k) - Phi(p)|."""
     out = {}
 
     def feed(lo, c, closed, image):
-        parts = _cartan_pass(pair, forms, c, closed)
+        parts = _cartan_pass(pair, stack, c, closed)
         _, tauN, kapN = image
-        parts["factor4.tau"] = _rel(parts.pop("tau"), 4.0 * tauN[:, idx])
-        parts["factor4.kappa"] = _rel(parts.pop("kappa"),
-                                      4.0 * kapN[:, idx][..., idx])
+        parts["factor4.tau"] = _rel(parts.pop("tau"), 4.0 * tauN)
+        parts["factor4.kappa"] = _rel(parts.pop("kappa"), 4.0 * kapN)
         if kpts is not None:
             y = cartan_map(pair, c @ kpts[lo:lo + len(c)])
             parts["k-invariance"] = np.abs(y - closed[0]).reshape(
@@ -466,16 +458,13 @@ def _form_jet(pair, phi, closed):
     at ``closed`` = (Phi, T): its Gram, scale phi psi
     (operators.one_hot_scale; raises without one), makes Jet2's product
     rule the chain rule tau(g(phi)) = sum g_i tau_i + sum g_ij kappa_ij.
-    d1 is sqrt(scale) tr(Phi B) and a zero direction: at one point and
-    member, numpy would multiply one entry by an array of fewer axes in a
-    scalar loop, which rounds unlike its vector loop."""
+    d1 is the one direction sqrt(scale) tr(Phi B)."""
     scale = one_hot_scale(pair, phi.plan)
     if scale is None:
         raise ValueError(f"{pair.label()}: not one-hot forms of one alpha")
     t = trace_form(closed[0], phi.plan)
-    d1 = np.zeros((2,) + t.shape, complex)
-    np.multiply(np.sqrt(complex(scale)), t, out=d1[0])
-    return Jet2(t + phi.c, d1, trace_form(closed[1], phi.plan))
+    return Jet2(t + phi.c, np.sqrt(complex(scale)) * t[None],
+                trace_form(closed[1], phi.plan))
 
 
 def _poly_ops(PF, j):

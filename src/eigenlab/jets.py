@@ -159,10 +159,13 @@ def gram(a, points: int):
     elementwise, like the point axes.  Without member axes, the sum of
     a^2.  One matmul of (..., j, dirs) by (..., dirs, k).  To pair two
     quantities, stack them on a member axis and read the off-diagonal
-    entry."""
+    entry.  The directions are copied to a contiguous last axis: for one
+    member numpy takes a dot product, whose order of summing depends on
+    the stride, so a point's bits would depend on the size of its batch."""
     if a.ndim == points + 1:
         return gram(a[..., None], points)[..., 0, 0]
-    return np.moveaxis(a, 0, -1) @ np.moveaxis(a, 0, -2)
+    a = np.moveaxis(a, 0, -1).copy()
+    return a @ np.swapaxes(a, -1, -2)
 
 
 def jet_ops(v, d1, d2, points: int):
@@ -190,7 +193,10 @@ class Jet2:
     power and square-root rules built the same way are exact for the
     sums.  Conjugation acts componentwise since the curve parameter is
     real.  Each result has the type of the jet whose method made it, so
-    the elementwise operations of a JetMatrix give a JetMatrix.
+    the elementwise operations of a JetMatrix give a JetMatrix.  Where a
+    value meets d1 it takes a leading axis: numpy multiplies an array of
+    one entry by an array of fewer axes in a scalar loop, which rounds
+    unlike the vector loop the same entry takes in a larger batch.
 
     A first-order jet has the scalar zero FIRST_ORDER as ``d2``: it does
     not carry its second derivatives, where any other scalar zero d2 is
@@ -279,14 +285,15 @@ class Jet2:
         if self.d2 is not FIRST_ORDER and o.d2 is not FIRST_ORDER:
             d2 = (self.d2 * o.v + 2.0 * _dir_sum(self.d1 * o.d1)
                   + self.v * o.d2)
-        return type(self)(self.v * o.v, self.d1 * o.v + self.v * o.d1, d2)
+        return type(self)(self.v * o.v,
+                          self.d1 * o.v[None] + self.v[None] * o.d1, d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = _as_jet(other)
         v = self.v / o.v
-        d1 = (self.d1 - v * o.d1) / o.v
+        d1 = (self.d1 - v[None] * o.d1) / o.v[None]
         d2 = (self.d2 - 2.0 * _dir_sum(d1 * o.d1) - v * o.d2) / o.v
         return type(self)(v, d1, d2)
 
@@ -310,7 +317,7 @@ class Jet2:
 
     def sqrt(self):
         v = np.sqrt(self.v)
-        d1 = self.d1 / (2.0 * v)
+        d1 = self.d1 / (2.0 * v)[None]
         d2 = (self.d2 - 2.0 * _dir_sum(d1 * d1)) / (2.0 * v)
         return type(self)(v, d1, d2)
 

@@ -466,8 +466,7 @@ def test_a_quat_sized_table1_pass_forms_no_first_derivative(monkeypatch,
                                                             space):
     # on the one-hot grids table1 reads kappa off entries of Phi: a pass
     # of CHUNK points at (3,3) makes no Gram product and takes trace forms
-    # of the closed jets' values and tension only, not of their first
-    # derivatives
+    # of Phi and its tension only, not of their first derivatives
     grams, forms = [], []
     gram, trace_form = jets.gram, jets.trace_form
 
@@ -554,9 +553,9 @@ def test_ambient_jobs_read_values_from_the_jet_pass(monkeypatch, space,
 
 
 def test_prop71_and_factor4_share_one_image_pass(monkeypatch):
-    # prop7.1 reads the whole alpha = 1 family's image pass and
-    # cartan.factor4 reads its columns of it: one image pass per space
-    # (operators._image_ops, handed the sweep's Phi)
+    # prop7.1 and cartan.factor4 both read the whole alpha = 1 stack's
+    # image pass: one image pass per space (operators._image_ops, handed
+    # the sweep's Phi)
     calls = []
     original = claims._image_ops
 
@@ -570,6 +569,35 @@ def test_prop71_and_factor4_share_one_image_pass(monkeypatch):
     assert [r.claim_id for r in results] == claim_ids(config)
     assert all(r.passed for r in results)
     assert len(calls) == 1
+
+
+def test_factor4_reads_the_last_new_range_member(monkeypatch):
+    # negative control: the image kappa of the last alpha = 1 member,
+    # j = 2(m + n), a new-range member, scaled by 1.001 in its row and
+    # column, fails the claims that read the whole image pass, each by
+    # 1e-4 or more: cartan.factor4.kappa at every default size and
+    # prop7.1.kappa, and nothing else
+    config = RunConfig(spaces=("sp-grassmannian",))
+    sizes = claims.DEFAULT_SIZES["sp-grassmannian"]
+    cache = claims._Cache(config, [])
+    assert [cache.family("sp-grassmannian", m, n)[-1].params["j"]
+            for m, n in sizes] == [2 * (m + n) for m, n in sizes]
+    original = claims._image_ops
+
+    def scaled(*args):
+        value, tau, kappa = original(*args)
+        kappa = kappa.copy()
+        kappa[..., -1, :] *= 1.001
+        kappa[..., :, -1] *= 1.001
+        return value, tau, kappa
+
+    monkeypatch.setattr(claims, "_image_ops", scaled)
+    results = run_claims(config)
+    failing = [r.claim_id for r in results if not r.passed]
+    assert failing == ["prop7.1.kappa[m=1,n=1]"] + [
+        f"cartan.factor4.kappa[space=sp-grassmannian,m={m},n={n}]"
+        for m, n in sizes]
+    assert all(r.max_residual >= 1e-4 for r in results if not r.passed)
 
 
 def test_a_point_set_is_drawn_once_and_imaged_pass_by_pass(monkeypatch):
@@ -951,12 +979,12 @@ def test_each_trace_form_stack_is_planned_once_per_job(monkeypatch):
         assert len({id(B) for B in planned}) == len(planned)
         per_job.append(len(planned))
     # table1 plans what the sweep of its points reads: its grid, the
-    # image pass's stack, the cartan job's forms and, at
-    # sp-grassmannian(1,1), the two polynomial jobs' forms and the
+    # alpha = 1 stack (the image pass, the cartan job's walk and, at
+    # sp-grassmannian(1,1), the two polynomial jobs read it) and the
     # product's two factors
     kinds = [job.kind for job in jobs]
     assert {k: max(c for kk, c in zip(kinds, per_job) if kk == k)
-            for k in kinds} == {"basis": 0, "table1": 7, "prop7": 0,
+            for k in kinds} == {"basis": 0, "table1": 4, "prop7": 0,
                                 "cartan": 0, "poly": 0, "product": 0,
                                 "sphere": 0, "cpn": 0}
 
@@ -989,12 +1017,11 @@ def _whole_jet_pass(pair, forms, pts, j, closed):
 
 def _pass_args(space, m, n, points):
     """What the cartan job hands _cartan_pass at one point set of
-    ``points`` samples: the pair, the factor-4 forms, the points and
+    ``points`` samples: the pair, the alpha = 1 stack, the points and
     their closed Phi and tension."""
     cache = claims._Cache(RunConfig(samples=points), [])
-    pair, family = cache.pair(space, m, n), cache.family(space, m, n)
-    forms = catalog.stack_members(family[i]
-                                  for i in claims._factor4_index(family))
+    pair = cache.pair(space, m, n)
+    forms = catalog.stack_members(cache.family(space, m, n))
     pts = random_pair_points(pair, SampleConfig(seed=0), range(points))
     return pair, forms, pts, cartan.map_tension_closed(pair, pts)
 
@@ -1049,9 +1076,8 @@ def test_a_quat_sized_cartan_pass_holds_less_than_one_whole_jet():
     # traced peak at 32 points of sp-grassmannian(3,3) stays below one
     # such complex array, 5.48 MiB
     cache = claims._Cache(RunConfig(samples=CHUNK), [])
-    pair, family = (cache.pair("sp-grassmannian", 3, 3),
-                    cache.family("sp-grassmannian", 3, 3))
-    forms = catalog.stack_members(family[:2])
+    pair = cache.pair("sp-grassmannian", 3, 3)
+    forms = catalog.stack_members(cache.family("sp-grassmannian", 3, 3))
     pts = random_pair_points(pair, SampleConfig(seed=0), range(CHUNK))
     closed = cartan.map_tension_closed(pair, pts)
     claims._cartan_pass(pair, forms, pts, closed)
@@ -1088,7 +1114,7 @@ def test_a_quat_sized_closed_pass_holds_less_than_one_p_jet():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert j.d1.shape == (2, CHUNK, len(family))
+    assert j.d1.shape == (1, CHUNK, len(family))
     whole = 16 * pair.dim_p * CHUNK * pair.matrix_size ** 2
     assert whole == 2_654_208
     assert peak < whole

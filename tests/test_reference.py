@@ -159,23 +159,33 @@ def ref_membership(group, q):
     return max(unitary, fro(q.T @ J @ q - J))
 
 
-def ref_product(ma, mb, p1, p2, basis, pair):
-    """Direct tau of ma and kappa(ma, mb) on the product, by jets of the
-    product function along the concatenated basis."""
-    a1, a2 = ref_field(pair, ma.f1), ref_field(pair, ma.f2)
-    b1, b2 = ref_field(pair, mb.f1), ref_field(pair, mb.f2)
-    tau = kap = 0.0 + 0.0j
-    for Z in basis:
-        jm = JetMatrix.curve(p1, Z)
-        tau += (a1(jm) * Jet2.constant(field_value(a2, p2))).d2
-        kap += ((a1(jm).d1[0] * field_value(a2, p2))
-                * (b1(jm).d1[0] * field_value(b2, p2)))
-    for Z in basis:
-        jm = JetMatrix.curve(p2, Z)
-        tau += (Jet2.constant(field_value(a1, p1)) * a2(jm)).d2
-        kap += ((field_value(a1, p1) * a2(jm).d1[0])
-                * (field_value(b1, p1) * b2(jm).d1[0]))
-    return tau, kap
+def ref_factor_jets(pair, mm, p, basis):
+    """A factor's value at p and its jet along each direction of the
+    basis, one direction at a time."""
+    f = ref_field(pair, mm)
+    return field_value(f, p), [f(JetMatrix.curve(p, Z)) for Z in basis]
+
+
+def ref_product(members, p1, p2, basis, pair):
+    """Direct tau of each product member and kappa of each pair of them,
+    by jets of the product function along the concatenated basis: each
+    factor's jets are built once per point, then paired."""
+    first, second = {}, {}
+    for mm in members:
+        for jets, f, p in ((first, mm.f1, p1), (second, mm.f2, p2)):
+            if id(f) not in jets:
+                jets[id(f)] = ref_factor_jets(pair, f, p, basis)
+    parts = [(first[id(mm.f1)], second[id(mm.f2)]) for mm in members]
+    taus = [sum([(j1 * Jet2.constant(v2)).d2 for j1 in js1]
+                + [(Jet2.constant(v1) * j2).d2 for j2 in js2])
+            for (v1, js1), (v2, js2) in parts]
+    kaps = [[sum([(a1.d1[0] * va2) * (b1.d1[0] * vb2)
+                  for a1, b1 in zip(ja1, jb1)]
+                 + [(va1 * a2.d1[0]) * (vb1 * b2.d1[0])
+                    for a2, b2 in zip(ja2, jb2)])
+             for (vb1, jb1), (vb2, jb2) in parts]
+            for (va1, ja1), (va2, ja2) in parts]
+    return taus, kaps
 
 
 def ref_axis_jets(x, n):
@@ -258,7 +268,7 @@ def test_cartan_operators(case):
           [ref_pullback(pair, p, X, Y) for p in pts])
 
 
-def test_cartan_jets_closed(case):
+def test_closed_forms_match_the_jet_route(case):
     # the closed forms against the jet route: Phi and its tension
     # (map_tension_closed) against map_tension_raw over the p- and the
     # k-basis, and the members' kappa off the p-projection (form_kappa,
@@ -361,23 +371,22 @@ def test_product_operators(case):
         values, tau, kap = _product_ops(*args)
         close(values, [[mm.value((p1, p2)) for mm in PF.members]
                        for p1, p2 in zip(pts, pts2)])
-        close(tau, [[ref_product(mm, mm, p1, p2, els, pair)[0]
-                     for mm in PF.members] for p1, p2 in zip(pts, pts2)])
-        close(kap, [[[ref_product(ma, mb, p1, p2, els, pair)[1]
-                      for mb in PF.members] for ma in PF.members]
-                    for p1, p2 in zip(pts, pts2)])
+        refs = [ref_product(PF.members, p1, p2, els, pair)
+                for p1, p2 in zip(pts, pts2)]
+        close(tau, [r[0] for r in refs])
+        close(kap, [r[1] for r in refs])
     ma, mb = PF.members[0], PF.members[-1]
+    refs = [ref_product((ma, mb), p1, p2, els, pair)
+            for p1, p2 in zip(pts, pts2)]
     close(families.product_tension(ma, pts, pts2, els, els),
-          [ref_product(ma, ma, p1, p2, els, pair)[0]
-           for p1, p2 in zip(pts, pts2)])
+          [r[0][0] for r in refs])
     # the per-point route: the product law on the factors' fields, stacked
     # over ma and mb, pairs them in the off-diagonal entry
     factors = ([ma.f1, mb.f1], [ma.f2, mb.f2])
     jets = [operators.field_jets(catalog.stack_members(f).as_field(), p, els)
             for f, p in zip(factors, (pts, pts2))]
     close(families.product_ops(jets, 1)[2][:, 0, 1],
-          [ref_product(ma, mb, p1, p2, els, pair)[1]
-           for p1, p2 in zip(pts, pts2)])
+          [r[1][0][1] for r in refs])
 
 
 GRID_CASES = [(space, m, n)
